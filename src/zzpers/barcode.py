@@ -66,11 +66,7 @@ class Barcode:
             raise InvalidInputError(f"unknown barcode kind {kind!r}")
         if m < 0:
             raise InvalidInputError("module length must be non-negative")
-        counts: Counter = Counter()
-        if isinstance(intervals, (Counter, dict)):
-            counts.update(intervals)
-        else:
-            counts.update(intervals)
+        counts = Counter(intervals)
         for iv, c in counts.items():
             if not isinstance(iv, Interval):
                 raise InvalidInputError(f"not an interval: {iv!r}")
@@ -78,9 +74,11 @@ class Barcode:
                 raise ContractViolationError(f"{iv!r} exceeds module length {m}")
             if c < 0:
                 raise InvalidInputError("negative multiplicity")
+        if 0 in counts.values():
+            counts = Counter({iv: c for iv, c in counts.items() if c})
         self.m = m
         self.kind = kind
-        self._counts = Counter({iv: c for iv, c in counts.items() if c > 0})
+        self._counts = counts
 
     def items(self) -> List[Tuple[Interval, int]]:
         return sorted(self._counts.items())

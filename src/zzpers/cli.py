@@ -15,14 +15,7 @@ from typing import List, Optional
 from . import io as zio
 from .duality import absolute_to_relative
 from .errors import InvalidInputError, ZigzagError
-from .filtration import (
-    FiltrationEvent,
-    ZigzagFiltration,
-    is_non_repetitive,
-    standardize,
-    to_updown,
-    validate,
-)
+from .filtration import FiltrationEvent, ZigzagFiltration, _sweep, standardize, to_updown
 from .manifold import manifold_absolute_barcode, relative_top_barcode
 from .pipeline import compute_zigzag
 from .complexes import Simplex, SimplicialComplex
@@ -40,14 +33,15 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 def _cmd_validate(args) -> int:
     parsed = zio.load_filtration(args.filtration)
-    violations = validate(parsed.filtration)
+    sweep = _sweep(parsed.filtration)  # one pass for both the violations and the repetition
+    violations = sweep.violations
     for v in violations:
         print(f"event {v.index}: {v.reason}")
     if violations:
         print(f"invalid: {len(violations)} violations")
         return 2
     print(f"valid ({len(parsed.filtration)} events); non-repetitive: "
-          f"{'yes' if is_non_repetitive(parsed.filtration) else 'no'}")
+          f"{'yes' if sweep.repetition is None else 'no'}")
     return 0
 
 
@@ -220,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("bench", help="per-phase timings as CSV")
+    p = sub.add_parser("bench", help="per-phase timings as CSV", description=(
+        "Per-phase timings of compute as CSV. validate: the admission sweep; convert: "
+        "padding and row tables (near zero on a standardized input); reduce: boundary "
+        "column build and reduction; remap: pairs to intervals and restriction."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)

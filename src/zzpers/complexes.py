@@ -23,7 +23,7 @@ class Simplex:
             raise InvalidInputError("a simplex needs at least one vertex")
         prev = -1
         for v in vs:
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise InvalidInputError(f"vertex ids must be non-negative integers, got {v!r}")
             if v == prev:
                 raise InvalidInputError(f"duplicate vertex {v} in simplex")
@@ -169,9 +169,9 @@ class ComponentLabels:
         return self.of_vertex[s.vertices[0]]
 
 
-def connected_components(c: SimplicialComplex) -> ComponentLabels:
-    """Label vertices (hence simplices) by connected component."""
-    parent = {v: v for v in c.vertices}
+def _label_components(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> ComponentLabels:
+    """Union-find over the given vertices and edges between them."""
+    parent = {v: v for v in vertices}
 
     def find(v: int) -> int:
         root = v
@@ -181,16 +181,18 @@ def connected_components(c: SimplicialComplex) -> ComponentLabels:
             parent[v], v = root, parent[v]
         return root
 
-    for s in c:
-        vs = s.vertices
-        for a, b in zip(vs, vs[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    roots = sorted({find(v) for v in c.vertices})
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)  # each root is its component's smallest vertex
+    roots = sorted({find(v) for v in parent})
     index = {r: i for i, r in enumerate(roots)}
-    return ComponentLabels(len(roots), {v: index[find(v)] for v in c.vertices})
+    return ComponentLabels(len(roots), {v: index[find(v)] for v in parent})
+
+
+def connected_components(c: SimplicialComplex) -> ComponentLabels:
+    """Label vertices (hence simplices) by connected component."""
+    return _label_components(c.vertices, (e for s in c for e in zip(s.vertices, s.vertices[1:])))
 
 
 class DualGraph:

@@ -16,13 +16,8 @@ from typing import Dict, List
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import SimplicialComplex, connected_components
-from .errors import (
-    ContractViolationError,
-    InternalInconsistencyError,
-    NotNonRepetitiveError,
-    NotStandardizedError,
-)
-from .filtration import ADD, DEL, ZigzagFiltration, find_repetition
+from .errors import ContractViolationError, InternalInconsistencyError, NotStandardizedError
+from .filtration import ADD, DEL, ZigzagFiltration, _raise_if_repetitive, find_repetition
 
 
 def absolute_to_relative(abs_bar: Barcode) -> Barcode:
@@ -77,10 +72,7 @@ def recover_absolute_from_relative(
         raise ContractViolationError("barcode length does not match the filtration")
     if not f.is_standardized():
         raise NotStandardizedError("recovery needs a standardized filtration")
-    rep = find_repetition(f)
-    if rep is not None:
-        s, di, ai = rep
-        raise NotNonRepetitiveError(f"{s!r} deleted at index {di} and added again at index {ai}")
+    _raise_if_repetitive(find_repetition(f))
     m = rel_p.m
     comps = connected_components(K)
     out: Counter = Counter()

@@ -7,7 +7,10 @@ values; every operation returns a new one.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import combinations
+from operator import gt
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .complexes import Simplex, SimplicialComplex, boundary
@@ -129,73 +132,122 @@ class Violation:
     reason: str
 
 
+_Sweep = namedtuple(
+    "_Sweep", "simplices dims facets add_at del_at adds dels violations repetition standardized"
+)
+
+
+def _faces(vs: Tuple[int, ...]) -> Iterable[Tuple[int, ...]]:
+    """Facets of the simplex with vertices vs, in ascending order of vertex tuple."""
+    return combinations(vs, len(vs) - 1) if len(vs) > 1 else ()
+
+
+def _sweep(f: ZigzagFiltration) -> _Sweep:
+    """Validity, first repetition, event orders and facet ids in one pass.
+
+    Per dense simplex id (given out in order of first appearance, so in
+    order of addition when the input is valid and starts empty): the
+    Simplex, its dimension, its facet ids (None until it is added with every
+    facet known), its last addition and deletion index (-1: none). Also the
+    ids of all additions/deletions in event order, the violations, the first
+    repetition, and whether K_0 = K_m = empty. The initial complex enters
+    first, as additions at negative indices in face order. Invalid events
+    are skipped when updating the running complex; the repetition check
+    looks at the raw events. Ids are not given at parse time: that would add
+    to every parse and need a second interning site for library-built input.
+    """
+    ids: Dict[Tuple[int, ...], int] = {}
+    get = ids.get
+    events = [*map(FiltrationEvent.add, sorted(f.initial)), *f.events]
+    simplices, dims, adds, dels = [], [], [], []
+    # indexed by id; ids never outnumber the events
+    facets: List[Optional[Tuple[int, ...]]] = [None] * len(events)
+    add_at = [-1] * len(events)
+    del_at = add_at[:]
+    count = add_at[:]  # -1 while absent, else the number of present cofaces
+    out: List[Violation] = []
+    dangling: Dict[int, int] = {}  # event index -> its slot in out, named after the pass
+    repetition = None
+    for i, e in enumerate(events, -len(f.initial)):
+        s = e.simplex
+        vs = s.vertices
+        j = get(vs)
+        if j is None:
+            j = ids[vs] = len(simplices)
+            simplices.append(s)
+            dims.append(len(vs) - 1)
+        if e.direction == ADD:
+            if repetition is None and del_at[j] >= 0:
+                repetition = (s, del_at[j], i)
+            if i >= 0:
+                add_at[j] = i
+                adds.append(j)
+            if count[j] >= 0:
+                out.append(Violation(i, f"duplicate add of {s!r}"))
+                continue
+            fs = facets[j]
+            if fs is None:
+                fs = tuple(map(get, _faces(vs)))
+                if None not in fs:
+                    facets[j] = fs
+            if None in fs or -1 in map(count.__getitem__, fs):
+                # a facet never seen reads as j itself, which is absent
+                names = ", ".join(
+                    repr(Simplex(t)) for t in _faces(vs) if count[get(t, j)] < 0
+                )
+                out.append(Violation(i, f"missing facets of {s!r}: {names}"))
+                continue
+            count[j] = 0
+            for k in fs:
+                count[k] += 1
+        else:
+            del_at[j] = i
+            dels.append(j)
+            if count[j] < 0:
+                out.append(Violation(i, f"delete of absent simplex {s!r}"))
+            elif count[j]:
+                dangling[i] = len(out)
+                out.append(Violation(i, ""))
+            else:
+                count[j] = -1
+                for k in facets[j]:
+                    count[k] -= 1
+    if dangling:
+        # name a present coface: the first match in a set of present vertex tuples
+        # replayed event by event, so that the name depends only on the input
+        skipped = {v.index for v in out}
+        present = {s.vertices for s in f.initial}
+        for i, e in enumerate(f.events[: max(dangling) + 1]):
+            s = e.simplex
+            if i in dangling:
+                w = next(t for t in present if len(t) == s.dim + 2 and s.is_face_of(Simplex(t)))
+                out[dangling[i]] = Violation(i, f"dangling coface {Simplex(w)!r} of deleted {s!r}")
+            elif i not in skipped:
+                (present.add if e.direction == ADD else present.discard)(s.vertices)
+    standardized = not f.initial and not any(map(gt, add_at, del_at))
+    return _Sweep(
+        simplices, dims, facets, add_at, del_at, adds, dels, out, repetition, standardized
+    )
+
+
 def validate(f: ZigzagFiltration) -> List[Violation]:
     """Well-formedness diagnostics; empty list iff f is valid.
 
     Invalid events are skipped when updating the running complex so that
-    later diagnostics stay meaningful. Works on raw vertex tuples to keep
-    the pass cheap on long filtrations.
+    later diagnostics stay meaningful.
     """
-    out: List[Violation] = []
-    present: set = set()
-    coface_count: Dict[Tuple[int, ...], int] = {}
-
-    def facets(vs: Tuple[int, ...]):
-        return [vs[:k] + vs[k + 1 :] for k in range(len(vs))] if len(vs) > 1 else []
-
-    for s in f.initial:
-        present.add(s.vertices)
-        for face in facets(s.vertices):
-            coface_count[face] = coface_count.get(face, 0) + 1
-
-    get = coface_count.get
-    for i, e in enumerate(f.events):
-        vs = e.simplex.vertices
-        if e.direction == ADD:
-            if vs in present:
-                out.append(Violation(i, f"duplicate add of {e.simplex!r}"))
-                continue
-            fs = facets(vs)
-            if any(face not in present for face in fs):
-                names = ", ".join(
-                    repr(Simplex(face)) for face in sorted(fs) if face not in present
-                )
-                out.append(Violation(i, f"missing facets of {e.simplex!r}: {names}"))
-                continue
-            present.add(vs)
-            for face in fs:
-                coface_count[face] = get(face, 0) + 1
-        else:
-            if vs not in present:
-                out.append(Violation(i, f"delete of absent simplex {e.simplex!r}"))
-                continue
-            if get(vs, 0) > 0:
-                s = e.simplex
-                witness = next(
-                    (
-                        Simplex(t)
-                        for t in present
-                        if len(t) == len(vs) + 1 and s.is_face_of(Simplex(t))
-                    ),
-                    None,
-                )
-                out.append(Violation(i, f"dangling coface {witness!r} of deleted {s!r}"))
-                continue
-            present.discard(vs)
-            for face in facets(vs):
-                coface_count[face] -= 1
-    return out
+    return _sweep(f).violations
 
 
 def find_repetition(f: ZigzagFiltration) -> Optional[Tuple[Simplex, int, int]]:
-    """First (simplex, delete index, re-add index) witnessing repetitiveness."""
-    last_del: Dict[Simplex, int] = {}
-    for i, e in enumerate(f.events):
-        if e.direction == DEL:
-            last_del[e.simplex] = i
-        elif e.simplex in last_del:
-            return e.simplex, last_del[e.simplex], i
-    return None
+    """First (simplex, delete index, re-add index) witnessing repetitiveness, valid or not."""
+    return _sweep(f).repetition
+
+
+def _raise_if_repetitive(rep: Optional[Tuple[Simplex, int, int]]) -> None:
+    if rep is not None:
+        s, di, ai = rep
+        raise NotNonRepetitiveError(f"{s!r} deleted at index {di} and added again at index {ai}")
 
 
 def is_non_repetitive(f: ZigzagFiltration) -> bool:
@@ -244,36 +296,6 @@ class EventIndexMap:
     add_index: dict
     del_index: dict
 
-    def of(self, direction: str, s: Simplex) -> int:
-        table = self.add_index if direction == ADD else self.del_index
-        return table[s]
-
-
-def _updown_parts(
-    f: ZigzagFiltration,
-) -> Tuple[List[Simplex], List[Simplex], EventIndexMap]:
-    """(added simplices, deleted simplices, index map) of the up-down form."""
-    if not f.is_standardized():
-        raise NotStandardizedError("up-down conversion needs K_0 = K_m = empty")
-    rep = find_repetition(f)
-    if rep is not None:
-        s, di, ai = rep
-        raise NotNonRepetitiveError(f"{s!r} deleted at index {di} and added again at index {ai}")
-    adds: List[Simplex] = []
-    dels: List[Simplex] = []
-    add_index: Dict[Simplex, int] = {}
-    del_index: Dict[Simplex, int] = {}
-    for i, e in enumerate(f.events):
-        if e.direction == ADD:
-            add_index[e.simplex] = i
-            adds.append(e.simplex)
-        else:
-            del_index[e.simplex] = i
-            dels.append(e.simplex)
-    if len(adds) != len(dels):
-        raise NotStandardizedError("standardized filtration must pair every add with a delete")
-    return adds, dels, EventIndexMap(add_index, del_index)
-
 
 def to_updown(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, EventIndexMap]:
     """Canonical up-down form: all additions first, then all deletions.
@@ -281,10 +303,17 @@ def to_updown(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, EventIndexMap]:
     Both halves keep their relative order from f. The returned index map
     records where each addition/deletion sat in f.
     """
-    adds, dels, id_map = _updown_parts(f)
-    events = [FiltrationEvent(ADD, s) for s in adds]
-    events += [FiltrationEvent(DEL, s) for s in dels]
-    return ZigzagFiltration(events), id_map
+    sw = _sweep(f)
+    if not sw.standardized:
+        raise NotStandardizedError("up-down conversion needs K_0 = K_m = empty")
+    _raise_if_repetitive(sw.repetition)
+    if len(sw.adds) != len(sw.dels):
+        raise NotStandardizedError("standardized filtration must pair every add with a delete")
+    events = [FiltrationEvent(ADD, sw.simplices[j]) for j in sw.adds]
+    events += [FiltrationEvent(DEL, sw.simplices[j]) for j in sw.dels]
+    add_index = {sw.simplices[j]: sw.add_at[j] for j in sw.adds}
+    del_index = {sw.simplices[j]: sw.del_at[j] for j in sw.dels}
+    return ZigzagFiltration(events), EventIndexMap(add_index, del_index)
 
 
 def _switched(f: ZigzagFiltration, j: int) -> ZigzagFiltration:

@@ -36,20 +36,6 @@ class ParsedFiltration:
     coarse_of: Tuple[int, ...]  # event index -> input block ordinal
 
 
-class _Interner:
-    def __init__(self):
-        self.names: List[str] = []
-        self.ids: Dict[str, int] = {}
-
-    def intern(self, token: str) -> int:
-        i = self.ids.get(token)
-        if i is None:
-            i = len(self.names)
-            self.ids[token] = i
-            self.names.append(token)
-        return i
-
-
 def _strip(line: str) -> str:
     hash_pos = line.find("#")
     if hash_pos >= 0:
@@ -63,14 +49,14 @@ def parse_filtration(text: str) -> ParsedFiltration:
     body = [(i, line) for i, line in body if line]
     if not body or body[0][1] != FILT_HEADER:
         raise InvalidInputError(f"filtration file must start with '{FILT_HEADER}'")
-    interner = _Interner()
+    ids: Dict[str, int] = {}  # vertex token -> id, in first-occurrence order
     events: List[FiltrationEvent] = []
     coarse: List[int] = []
     block: Optional[str] = None
     block_simplices: List[Simplex] = []
     block_ordinal = -1
 
-    def flush_block(lineno: int) -> None:
+    def flush_block() -> None:
         nonlocal block
         if block is None:
             return
@@ -85,31 +71,34 @@ def parse_filtration(text: str) -> ParsedFiltration:
         block_simplices.clear()
 
     for lineno, line in body[1:]:
-        tokens = line.split()
-        head = tokens[0]
-        if head in ("begin-a", "begin-d"):
+        try:
+            tokens = line.split()
+            head = tokens[0]
+            if head in ("begin-a", "begin-d"):
+                if block is not None:
+                    raise InvalidInputError("nested block")
+                block = ADD if head == "begin-a" else DEL
+                block_ordinal += 1
+                continue
+            if head in ("end-a", "end-d"):
+                if block != (ADD if head == "end-a" else DEL):
+                    raise InvalidInputError(f"unmatched {head}")
+                flush_block()
+                continue
             if block is not None:
-                raise InvalidInputError(f"line {lineno + 1}: nested block")
-            block = ADD if head == "begin-a" else DEL
+                block_simplices.append(Simplex(ids.setdefault(t, len(ids)) for t in tokens))
+                continue
+            if head not in (ADD, DEL) or len(tokens) < 2:
+                raise InvalidInputError(f"expected 'a|d v1 v2 ...', got {line!r}")
             block_ordinal += 1
-            continue
-        if head in ("end-a", "end-d"):
-            want = ADD if head == "end-a" else DEL
-            if block != want:
-                raise InvalidInputError(f"line {lineno + 1}: unmatched {head}")
-            flush_block(lineno)
-            continue
-        if block is not None:
-            block_simplices.append(Simplex(interner.intern(t) for t in tokens))
-            continue
-        if head not in (ADD, DEL) or len(tokens) < 2:
-            raise InvalidInputError(f"line {lineno + 1}: expected 'a|d v1 v2 ...', got {line!r}")
-        block_ordinal += 1
-        events.append(FiltrationEvent(head, Simplex(interner.intern(t) for t in tokens[1:])))
-        coarse.append(block_ordinal)
+            vertices = (ids.setdefault(t, len(ids)) for t in tokens[1:])
+            events.append(FiltrationEvent(head, Simplex(vertices)))
+            coarse.append(block_ordinal)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"line {lineno + 1}: {exc}") from exc
     if block is not None:
         raise InvalidInputError("unterminated coarse block")
-    return ParsedFiltration(ZigzagFiltration(events), tuple(interner.names), tuple(coarse))
+    return ParsedFiltration(ZigzagFiltration(events), tuple(ids), tuple(coarse))
 
 
 def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None) -> str:
@@ -158,6 +147,8 @@ def parse_barcode(text: str) -> Barcode:
             dim, b, d = int(tokens[0]), int(tokens[1]), int(tokens[2])
         except ValueError as exc:
             raise InvalidInputError(f"bad barcode line: {line!r}") from exc
+        if dim < 0 or not 0 <= b <= d <= m:
+            raise InvalidInputError(f"interval out of range for m={m}: {line!r}")
         bt, dt = tokens[3][0], tokens[3][1]
         if bt not in (CLOSED, OPEN) or dt not in (CLOSED, OPEN):
             raise InvalidInputError(f"bad end types in: {line!r}")
@@ -191,6 +182,8 @@ def parse_off(text: str) -> OffMesh:
         raise InvalidInputError("not an OFF file")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])
+        if nv < 0 or nf < 0:
+            raise InvalidInputError(f"negative vertex or face count in OFF header: {nv} {nf}")
         pos = 4  # skip the edge count
         coords = []
         for _ in range(nv):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .barcode import ABSOLUTE, RELATIVE, Barcode, Interval, classify_ends
-from .complexes import DualGraph, SimplicialComplex, dual_graph
+from .complexes import DualGraph, SimplicialComplex, _label_components, dual_graph
 from .duality import recover_absolute_from_relative
 from .errors import InvalidInputError, NotStandardizedError
 from .filtration import ADD, DEL, ZigzagFiltration
@@ -96,30 +96,6 @@ def dual_filtration(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> GraphZ
     return GraphZigzag(G.n_vertices, G.edges, tuple(events), init_v, init_e, dual=G)
 
 
-def _component_labels(
-    vits: frozenset, eits: frozenset, edges: Tuple[Tuple[int, int], ...]
-) -> Dict[int, int]:
-    """Vertex -> dense component label, ordered by smallest member vertex."""
-    parent = {v: v for v in vits}
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    for ei in eits:
-        a, b = edges[ei]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(v) for v in vits})
-    index = {r: i for i, r in enumerate(roots)}
-    return {v: index[find(v)] for v in vits}
-
-
 def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     """0-dimensional barcode of the graph zigzag.
 
@@ -128,12 +104,12 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     of arrows times component counts, adequate at desk scale.
     """
     snaps = list(g.snapshots())
-    labelings = [_component_labels(vs, es, g.edges) for vs, es in snaps]
-    dims = tuple(len(set(lab.values())) for lab in labelings)
+    labelings = [_label_components(vs, (g.edges[ei] for ei in es)) for vs, es in snaps]
+    dims = tuple(lab.count for lab in labelings)
     reps: List[List[int]] = []  # representative vertex per component, per snapshot
     for lab in labelings:
         by_label: Dict[int, int] = {}
-        for v, c in lab.items():
+        for v, c in lab.of_vertex.items():
             if c not in by_label or v < by_label[c]:
                 by_label[c] = v
         reps.append([by_label[c] for c in sorted(by_label)])
@@ -145,7 +121,7 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
         else:
             src, tgt = k + 1, k
             direction = "b"
-        target_lab = labelings[tgt]
+        target_lab = labelings[tgt].of_vertex
         cols = tuple(1 << target_lab[r] for r in reps[src])
         arrows.append((direction, cols))
     counts = zigzag_decompose(LinearSpaceChain(dims, tuple(arrows)))

@@ -159,16 +159,6 @@ class ChainContext:
                 cols.append(mask)
             self.bnd[q] = cols
 
-    def mask_of(self, q: int, members: frozenset) -> int:
-        idx = self.index.get(q)
-        if not idx:
-            return 0
-        out = 0
-        for s, i in idx.items():
-            if s in members:
-                out |= 1 << i
-        return out
-
 
 class HomSpace:
     """Z2 homology of a pair (X, A) with A a subcomplex of X, inside a context.

@@ -5,6 +5,13 @@ filtration, then map every interval back through two tables (two-sided
 sequence -> up-down, up-down -> input order) and finally into input
 coordinates. Only the matrix reduction does non-trivial work; both
 remappings are constant time per interval.
+
+``compute_zigzag`` runs it on dense simplex ids from one sweep over the
+events (``filtration._sweep``): no cone simplex, index map or vertex tuple
+is made after the sweep. An input that is not standardized is padded by
+``standardize`` and swept again. The public steps (``to_updown``,
+``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
+are the specification it is tested against.
 """
 
 from __future__ import annotations
@@ -12,33 +19,29 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, Barcode, Interval, classify_ends
-from .errors import (
-    ContractViolationError,
-    InternalInconsistencyError,
-    InvalidInputError,
-    NotNonRepetitiveError,
-)
+from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
 from .filtration import (
     ADD,
     DEL,
     EventIndexMap,
     StandardizationRecord,
     ZigzagFiltration,
-    _updown_parts,
-    find_repetition,
+    _raise_if_repetitive,
+    _sweep,
+    _Sweep,
     standardize,
-    validate,
 )
 from .reduction import (
     EXT,
     ORD,
     REL,
     ExtendedInterval,
-    _build_extended_parts,
-    reduce_twist,
+    _columns,
+    _coned_rows,
+    _reduce,
 )
 
 
@@ -161,85 +164,89 @@ def _restrict_to_input(
     return Barcode(kept, record.original_length, ABSOLUTE), tuple(sorted(synthetic))
 
 
-def _remap_pairs(state, events, dels, n: int, id_map: EventIndexMap) -> Counter:
+def _remap_pairs(pairs, sw: _Sweep) -> List[Interval]:
     """Fused version of extended_from_reduction + ext_to_updown + updown_to_f.
 
-    One pass over the reduction pairs straight to input-order intervals,
-    avoiding intermediate objects on long filtrations. Column c > n of the
-    coned filtration is the cone over dels[2n - c]. Must stay
-    interval-for-interval equal to the composed public operations (a
-    property test holds it to that).
+    One pass over the reduction pairs of the coned filtration straight to
+    input-order intervals. Column c <= n is the up column of id c - 1 (ids
+    run in order of addition); column c > n is the cone over dels[2n - c].
+    Must stay interval-for-interval equal to the composed public operations
+    (a property test holds it to that).
     """
-    if state.essentials != (0,):
-        raise InternalInconsistencyError(
-            f"expected the apex column as the only essential, got {state.essentials}"
-        )
-    add_idx = id_map.add_index
-    del_idx = id_map.del_index
+    dels, dims, add_at, del_at = sw.dels, sw.dims, sw.add_at, sw.del_at
+    n = len(dels)
     n2 = 2 * n
-    out: Counter = Counter()
-    for i, j in state.pairs:
+    if len(pairs) != n:
+        used = {c for pair in pairs for c in pair}
+        essentials = tuple(c for c in range(n2 + 1) if c not in used)
+        raise InternalInconsistencyError(
+            f"expected the apex column as the only essential, got {essentials}"
+        )
+    out: List[Interval] = []
+    # birth-column order leaves the intervals nearly sorted, which makes formatting cheap
+    for i, j in sorted(pairs):
         if i == 0:
             raise InternalInconsistencyError("apex column appears in a pair")
         if j <= n:  # both columns in the up phase
-            creator = events[i]
-            iv = Interval(creator.dim, add_idx[creator] + 1, add_idx[events[j]], CLOSED, OPEN)
+            creator = i - 1
+            iv = Interval(dims[creator], add_at[creator] + 1, add_at[j - 1], CLOSED, OPEN)
         elif i > n:  # both columns in the coned phase
             creator = dels[n2 - j]  # base of the death column, deleted first
             destroyer = dels[n2 - i]  # base of the birth column
-            iv = Interval(destroyer.dim, del_idx[creator] + 1, del_idx[destroyer], OPEN, CLOSED)
+            iv = Interval(dims[destroyer], del_at[creator] + 1, del_at[destroyer], OPEN, CLOSED)
         else:  # spans the middle: born in the up phase, killed by a cone
-            creator = events[i]
-            destroyer = dels[n2 - j]
-            at = add_idx[creator]
-            dt = del_idx[destroyer]
+            creator = i - 1
+            at = add_at[creator]
+            dt = del_at[dels[n2 - j]]
             if at == dt:
                 raise InternalInconsistencyError(
                     "an addition and a deletion cannot share an index"
                 )
             if at < dt:
-                iv = Interval(creator.dim, at + 1, dt, CLOSED, CLOSED)
+                iv = Interval(dims[creator], at + 1, dt, CLOSED, CLOSED)
             else:
-                if creator.dim < 1:
+                if dims[creator] < 1:
                     raise InternalInconsistencyError(
                         "creator after destroyer needs dimension >= 1"
                     )
-                iv = Interval(creator.dim - 1, dt + 1, at, OPEN, OPEN)
-        out[iv] += 1
+                iv = Interval(dims[creator] - 1, dt + 1, at, OPEN, OPEN)
+        out.append(iv)
     return out
 
 
 def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     """Full pipeline with per-phase timings.
 
-    Phases: ``validate`` (input admission), ``convert`` (standardize,
-    up-down form, coned filtration), ``reduce`` (matrix build and column
-    reduction), ``remap`` (interval translation back to input order).
+    Phases: ``validate`` (the sweep: validity and repetition checks),
+    ``convert`` (padding of a non-standardized input, which sweeps the
+    padded filtration again, and the row tables of the coned filtration;
+    near zero on a standardized input), ``reduce`` (boundary column build
+    and column reduction), ``remap`` (pairs to intervals in input order,
+    then restriction to the input's index range).
     """
     t0 = time.perf_counter()
-    violations = validate(f)
-    if violations:
-        head = "; ".join(f"event {v.index}: {v.reason}" for v in violations[:5])
-        raise InvalidInputError(f"invalid filtration ({len(violations)} violations): {head}")
-    rep = find_repetition(f)
-    if rep is not None:
-        s, di, ai = rep
-        raise NotNonRepetitiveError(f"{s!r} deleted at index {di} and added again at index {ai}")
+    sw = _sweep(f)
+    if sw.violations:
+        head = "; ".join(f"event {v.index}: {v.reason}" for v in sw.violations[:5])
+        raise InvalidInputError(f"invalid filtration ({len(sw.violations)} violations): {head}")
+    _raise_if_repetitive(sw.repetition)
     t1 = time.perf_counter()
-    std, record = standardize(f)
-    adds, dels, id_map = _updown_parts(std)
-    ext = _build_extended_parts(adds, dels)
+    if sw.standardized:
+        std, record = f, StandardizationRecord(0, len(f), 0)
+    else:
+        std, record = standardize(f)
+        sw = _sweep(std)
+    n = len(sw.adds)  # ids 0..n-1 in order of addition: s's up column is row s + 1
+    cone = [0] * n  # id -> row of the cone over it
+    for k, s in enumerate(sw.dels):
+        cone[s] = 2 * n - k
     t2 = time.perf_counter()
-    state = reduce_twist(ext.events)
+    cols = _columns(_coned_rows(sw, cone))
+    dims = [0, *sw.dims, *(sw.dims[s] + 1 for s in reversed(sw.dels))]
+    pairs = _reduce(cols, dims)
+    del cols
     t3 = time.perf_counter()
-    n = ext.n
-    counts = _remap_pairs(state, ext.events, dels, n, id_map)
-    total = sum(counts.values())
-    if total != n:
-        raise InternalInconsistencyError(
-            f"expected {n} intervals from {2 * n} arrows, got {total}"
-        )
-    standardized = Barcode(counts, len(std), ABSOLUTE)
+    standardized = Barcode(_remap_pairs(pairs, sw), len(std), ABSOLUTE)
     barcode, synthetic = _restrict_to_input(standardized, record, f)
     t4 = time.perf_counter()
     timings = {

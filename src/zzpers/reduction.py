@@ -9,11 +9,11 @@ is unique, independent of the reduction strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .complexes import Simplex, cone
 from .errors import InternalInconsistencyError, InvalidInputError, NotStandardizedError, NotUpDownError
-from .filtration import ADD, DEL, ZigzagFiltration
+from .filtration import ADD, DEL, ZigzagFiltration, _faces, _Sweep
 
 ORD = "Ord"
 REL = "Rel"
@@ -41,80 +41,50 @@ def _simplex_order(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> List[Simple
     return list(f)
 
 
-def _boundary_columns(order: Sequence[Simplex]) -> List[int]:
+def _facet_rows(order: Sequence[Simplex]) -> Iterator[List[int]]:
+    """Rows of each simplex's facets in a monotone order of simplices."""
     position: Dict[Tuple[int, ...], int] = {}
-    cols: List[int] = []
     get = position.get
     for j, s in enumerate(order):
         vs = s.vertices
         if vs in position:
             raise InvalidInputError(f"{s!r} added twice")
-        col = 0
-        if len(vs) > 1:
-            for i in range(len(vs)):
-                face = vs[:i] + vs[i + 1 :]
-                row = get(face)
-                if row is None:
-                    raise InvalidInputError(f"facet {Simplex(face)!r} of {s!r} not added before it")
-                col |= 1 << row
+        rows = []
+        for face in sorted(_faces(vs), reverse=True):  # a missing facet is named largest first
+            row = get(face)
+            if row is None:
+                raise InvalidInputError(f"facet {Simplex(face)!r} of {s!r} not added before it")
+            rows.append(row)
         position[vs] = j
+        yield rows
+
+
+def _columns(rows: Iterable[Iterable[int]]) -> List[int]:
+    """One dense bitmask column per entry of rows."""
+    cols: List[int] = []
+    for rs in rows:
+        col = 0
+        for r in rs:
+            col |= 1 << r
         cols.append(col)
     return cols
 
 
-def _finish(order: Sequence[Simplex], cols: List[int], pairs: List[Tuple[int, int]]) -> ReductionState:
-    used = set()
-    for i, j in pairs:
-        used.add(i)
-        used.add(j)
-    essentials = tuple(j for j in range(len(order)) if j not in used)
-    return ReductionState(tuple(order), tuple(sorted(pairs)), essentials, tuple(cols))
-
-
-def reduce(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
-    """Left-to-right column reduction.
-
-    Pair (i, j) means the simplex added at i creates a class that the
-    simplex added at j kills; unpaired columns are the essential classes.
-    """
-    order = _simplex_order(f)
-    cols = _boundary_columns(order)
-    low_inv: List[int] = [-1] * len(order)
-    pairs: List[Tuple[int, int]] = []
-    for j in range(len(cols)):
-        col = cols[j]
-        while col:
-            low = col.bit_length() - 1
-            k = low_inv[low]
-            if k < 0:
-                break
-            col ^= cols[k]
-        cols[j] = col
-        if col:
-            low = col.bit_length() - 1
-            low_inv[low] = j
-            pairs.append((low, j))
-    return _finish(order, cols, pairs)
-
-
-def reduce_twist(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
-    """Column reduction by decreasing dimension with clearing.
+def _reduce(cols: List[int], dims: Sequence[int]) -> List[Tuple[int, int]]:
+    """Reduce cols in place by decreasing dimension; returns the (birth, death) pairs.
 
     Once a column j kills the class born at i, column i is known to be a
-    birth and is cleared without being reduced. Produces the same pairing
-    as reduce() (pairing uniqueness), usually much faster.
+    birth and is cleared without being reduced. With all dims equal this is
+    the plain left-to-right reduction: no column is cleared before it is
+    reached.
     """
-    order = _simplex_order(f)
-    cols = _boundary_columns(order)
-    n = len(order)
-    low_inv: List[int] = [-1] * n
-    pairs: List[Tuple[int, int]] = []
-    cleared = bytearray(n)
-    dims = sorted({s.dim for s in order}, reverse=True)
     by_dim: Dict[int, List[int]] = {}
-    for j, s in enumerate(order):
-        by_dim.setdefault(s.dim, []).append(j)
-    for q in dims:
+    for j, q in enumerate(dims):
+        by_dim.setdefault(q, []).append(j)
+    low_inv: List[int] = [-1] * len(cols)
+    cleared = bytearray(len(cols))
+    pairs: List[Tuple[int, int]] = []
+    for q in sorted(by_dim, reverse=True):
         for j in by_dim[q]:
             if cleared[j]:
                 cols[j] = 0
@@ -128,11 +98,54 @@ def reduce_twist(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionStat
                 col ^= cols[k]
             cols[j] = col
             if col:
-                low = col.bit_length() - 1
                 low_inv[low] = j
                 pairs.append((low, j))
                 cleared[low] = 1
-    return _finish(order, cols, pairs)
+    return pairs
+
+
+def _reduced(f: Union[ZigzagFiltration, Sequence[Simplex]], twist: bool) -> ReductionState:
+    order = _simplex_order(f)
+    cols = _columns(_facet_rows(order))
+    pairs = _reduce(cols, [s.dim for s in order] if twist else [0] * len(order))
+    used = {c for pair in pairs for c in pair}
+    essentials = tuple(j for j in range(len(order)) if j not in used)
+    return ReductionState(tuple(order), tuple(sorted(pairs)), essentials, tuple(cols))
+
+
+def reduce(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
+    """Left-to-right column reduction.
+
+    Pair (i, j) means the simplex added at i creates a class that the
+    simplex added at j kills; unpaired columns are the essential classes.
+    """
+    return _reduced(f, twist=False)
+
+
+def reduce_twist(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
+    """Column reduction by decreasing dimension with clearing.
+
+    Produces the same pairing as reduce() (pairing uniqueness), usually
+    much faster.
+    """
+    return _reduced(f, twist=True)
+
+
+def _coned_rows(sw: _Sweep, cone: List[int]) -> Iterator[Sequence[int]]:
+    """Boundary rows of the coned filtration of a valid standardized sweep.
+
+    Its ids run in order of addition, so the up column of id s is row
+    s + 1 (row 0 is the apex). The up column of s has the up rows of its
+    facets; the cone over s (row cone[s]) has s's up row plus the cone
+    rows of its facets, or the apex row when s is a vertex.
+    """
+    facets = sw.facets
+    yield ()
+    for s in sw.adds:
+        yield map((1).__add__, facets[s])
+    for s in reversed(sw.dels):
+        fs = facets[s]
+        yield (s + 1, *map(cone.__getitem__, fs)) if fs else (s + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -159,15 +172,6 @@ class ExtendedFiltration:
         return out
 
 
-def _build_extended_parts(adds: Sequence[Simplex], dels: Sequence[Simplex]) -> ExtendedFiltration:
-    omega = 1 + max((s.vertices[-1] for s in adds), default=-1)
-    apex = Simplex([omega])
-    events = [apex]
-    events.extend(adds)
-    events.extend(cone(s, omega) for s in reversed(dels))
-    return ExtendedFiltration(tuple(events), omega, len(adds))
-
-
 def build_extended(U: ZigzagFiltration) -> ExtendedFiltration:
     """Cone an up-down filtration into a single monotone filtration.
 
@@ -182,7 +186,9 @@ def build_extended(U: ZigzagFiltration) -> ExtendedFiltration:
     dels = [e.simplex for e in U.events if e.direction == DEL]
     if len(adds) != len(dels):
         raise NotStandardizedError("up-down filtration must delete everything it adds")
-    return _build_extended_parts(adds, dels)
+    omega = 1 + max((s.vertices[-1] for s in adds), default=-1)
+    events = [Simplex([omega]), *adds, *(cone(s, omega) for s in reversed(dels))]
+    return ExtendedFiltration(tuple(events), omega, len(adds))
 
 
 @dataclass(frozen=True)

@@ -149,5 +149,12 @@ def test_bench_csv(small_file, capsys):
     assert len(rows) == 3
 
 
+def test_duality_malformed_barcode_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.zzb"
+    path.write_text("zzbar v1 m=3 kind=abs\n0 2 1 cc\n")
+    assert main(["duality", str(path)]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["compute", "/nonexistent/file.zz"]) == 2

@@ -26,6 +26,8 @@ def test_simplex_invariants():
         Simplex([-1])
     with pytest.raises(InvalidInputError):
         Simplex([])
+    with pytest.raises(InvalidInputError):
+        Simplex([True, 2])
 
 
 def test_is_face_of():

@@ -66,6 +66,12 @@ def test_filtration_parse_errors():
         parse_filtration("zzfilt v1\nbegin-a\n0\n")
     with pytest.raises(InvalidInputError):
         parse_filtration("zzfilt v1\na\n")
+    with pytest.raises(InvalidInputError, match="^line 3: duplicate vertex 1 in simplex$"):
+        parse_filtration("zzfilt v1\na 0\na 1 1\n")
+    with pytest.raises(InvalidInputError, match="^line 4: duplicate vertex 1 in simplex$"):
+        parse_filtration("zzfilt v1\na 0\nbegin-a\n1 1\nend-a\n")
+    with pytest.raises(InvalidInputError, match="^line 3: nested block$"):
+        parse_filtration("zzfilt v1\nbegin-a\nbegin-d\n")
 
 
 def test_barcode_round_trip():
@@ -83,6 +89,9 @@ def test_barcode_parse_errors():
         parse_barcode("zzbar v1 m=2 kind=abs\n0 1\n")
     with pytest.raises(InvalidInputError):
         parse_barcode("zzbar v1 m=2 kind=nope\n")
+    for line in ("0 2 1 cc", "0 1 5 cc", "-1 1 2 cc"):
+        with pytest.raises(InvalidInputError):
+            parse_barcode(f"zzbar v1 m=3 kind=abs\n{line}\n")
 
 
 def test_off_parse_and_write(tmp_path):
@@ -95,6 +104,8 @@ def test_off_parse_and_write(tmp_path):
         parse_off("OFF\n1 1 0\n0 0 0\n4 0 0 0 0\n")
     with pytest.raises(InvalidInputError):
         parse_off("OFF\n2 0 0\n0 0 0\n")
+    with pytest.raises(InvalidInputError):
+        parse_off("OFF\n-3 0 0\n")
 
 
 def test_generate_zero_switches_is_updown():

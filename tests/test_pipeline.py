@@ -6,6 +6,7 @@ from zzpers import (
     ContractViolationError,
     EventIndexMap,
     Interval,
+    InvalidInputError,
     NotNonRepetitiveError,
     ZigzagFiltration,
     check_diamond,
@@ -15,6 +16,7 @@ from zzpers import (
     multiset_equal,
     oracle_absolute,
     outward_switch,
+    standardize,
     to_updown,
     updown_to_f,
     zigzag_barcode,
@@ -157,17 +159,74 @@ def test_synthetic_intervals_are_flagged():
     assert result.standardized.m == 6
 
 
+def _windows(corpus):
+    """Sub-filtrations of the corpus that start and end at non-empty complexes."""
+    rng = SplitMix64(77)
+    for f in corpus:
+        lo = 1 + rng.below(len(f) // 3)
+        hi = len(f) - 1 - rng.below(len(f) // 3)
+        if lo < hi:
+            yield ZigzagFiltration(f.events[lo:hi], f.complex_at(lo))
+
+
 def test_fused_remap_matches_composed_operations(small_corpus):
-    for f in small_corpus:
+    windows = list(_windows(small_corpus))
+    assert sum(1 for g in windows if g.initial and g.final_complex()) >= 15
+    for f in small_corpus + windows:
         result = compute_zigzag(f)
-        U, id_map = to_updown(f)
+        std, record = standardize(f)
+        U, id_map = to_updown(std)
         ebar = extended_barcode(U)
         composed = Barcode(
             [updown_to_f(ext_to_updown(e, ebar.n), id_map, U) for e in ebar.intervals],
-            len(f),
+            len(std),
             ABSOLUTE,
         )
+        lo, hi = record.original_range
         assert multiset_equal(result.standardized, composed).equal
+        assert result.record == record
+        assert result.synthetic == tuple(sorted(iv for iv in composed if iv.d < lo or iv.b > hi))
+
+
+def test_compute_error_precedence_and_text():
+    # invalid (a deletion under a coface, a deletion of an absent simplex) and
+    # repetitive ({0,2} deleted at 8, added at 9): invalidity is reported
+    both = zz("a 0", "a 2", "a 3", "a 4", "a 0 2", "a 0 3", "a 0 4", "d 0", "d 0 2", "a 0 2", "d 5")
+    with pytest.raises(InvalidInputError) as err:
+        compute_zigzag(both)
+    assert str(err.value) == (
+        "invalid filtration (2 violations): event 7: dangling coface Simplex(0,4) of deleted "
+        "Simplex(0); event 10: delete of absent simplex Simplex(5)"
+    )
+    with pytest.raises(NotNonRepetitiveError) as err:
+        compute_zigzag(zz("a 0", "d 0", "a 1", "a 0", "d 0", "d 1"))
+    assert str(err.value) == "Simplex(0) deleted at index 1 and added again at index 3"
+
+
+def test_compute_zigzag_runs_no_public_pass(monkeypatch, small_corpus):
+    import zzpers.filtration
+    import zzpers.pipeline
+    import zzpers.reduction
+
+    f = small_corpus[0]
+    assert f.is_standardized()
+    expected = compute_zigzag(f)
+
+    def public_pass(*args, **kwargs):
+        raise AssertionError("compute_zigzag called a public pass")
+
+    names = ("validate", "find_repetition", "standardize", "to_updown", "build_extended",
+             "reduce_twist")
+    for module in (zzpers.filtration, zzpers.pipeline, zzpers.reduction):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, public_pass)
+    monkeypatch.setattr(ZigzagFiltration, "final_complex", public_pass)
+    got = compute_zigzag(f)
+    assert got.barcode == expected.barcode and got.standardized == expected.standardized
+    # the guard bites: an input that needs padding goes through standardize
+    with pytest.raises(AssertionError):
+        compute_zigzag(ZigzagFiltration(f.events[1:], f.complex_at(1)))
 
 
 def test_check_diamond_hand_case():
