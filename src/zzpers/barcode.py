@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from functools import partial
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import ContextMismatchError, ContractViolationError, InvalidInputError
 from .filtration import ADD, DEL
@@ -22,21 +23,28 @@ ABSOLUTE = "abs"
 RELATIVE = "rel"
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class _IntervalFields(NamedTuple):
     dim: int
     b: int
     d: int
     birth_type: str
     death_type: str
 
-    def __post_init__(self):
-        if self.b < 0 or self.d < self.b:
-            raise ContractViolationError(f"bad interval endpoints [{self.b}, {self.d}]")
-        if self.dim < 0:
-            raise ContractViolationError(f"negative interval dimension {self.dim}")
-        if self.birth_type not in (CLOSED, OPEN) or self.death_type not in (CLOSED, OPEN):
+
+class Interval(_IntervalFields):
+    """[b, d] in dimension dim with its end types; ordered, compared and
+    hashed as the tuple (dim, b, d, birth_type, death_type)."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, b: int, d: int, birth_type: str, death_type: str) -> "Interval":
+        if b < 0 or d < b:
+            raise ContractViolationError(f"bad interval endpoints [{b}, {d}]")
+        if dim < 0:
+            raise ContractViolationError(f"negative interval dimension {dim}")
+        if birth_type not in (CLOSED, OPEN) or death_type not in (CLOSED, OPEN):
             raise ContractViolationError("end types must be 'c' or 'o'")
+        return tuple.__new__(cls, (dim, b, d, birth_type, death_type))
 
     @property
     def type_code(self) -> str:
@@ -44,6 +52,10 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.b},{self.d}]^{self.type_code}_{self.dim}"
+
+
+# an Interval from its field tuple without the checks, for fields valid by construction
+_trusted_interval = partial(tuple.__new__, Interval)
 
 
 def classify_ends(b: int, d: int, directions: Sequence[str]) -> Tuple[str, str]:
@@ -57,7 +69,14 @@ def classify_ends(b: int, d: int, directions: Sequence[str]) -> Tuple[str, str]:
 
 
 class Barcode:
-    """Multiset of intervals of a module of length m."""
+    """Multiset of intervals of a module of length m.
+
+    The counts may be keyed by Interval objects or by bare field tuples
+    (dim, b, d, birth_type, death_type): an Interval equals and hashes as
+    its field tuple, so both kinds of key look up alike. A barcode built by
+    the pipeline holds field tuples, which the garbage collector does not
+    track; every accessor hands out Interval objects.
+    """
 
     __slots__ = ("m", "kind", "_counts")
 
@@ -80,21 +99,30 @@ class Barcode:
         self.kind = kind
         self._counts = counts
 
+    @classmethod
+    def _of_fields(
+        cls, fields: Iterable[Tuple[int, int, int, str, str]], m: int, kind: str
+    ) -> "Barcode":
+        """Barcode over field tuples that are valid by construction; no checks."""
+        bar = object.__new__(cls)
+        bar.m, bar.kind, bar._counts = m, kind, Counter(fields)
+        return bar
+
     def items(self) -> List[Tuple[Interval, int]]:
-        return sorted(self._counts.items())
+        return [(_trusted_interval(k), c) for k, c in sorted(self._counts.items())]
 
     def counts(self) -> Counter:
-        return Counter(self._counts)
+        return Counter({_trusted_interval(k): c for k, c in self._counts.items()})
 
     def triples(self) -> Counter:
         """Multiset over (dim, b, d), forgetting end types."""
         out: Counter = Counter()
-        for iv, c in self._counts.items():
-            out[(iv.dim, iv.b, iv.d)] += c
+        for (dim, b, d, _, _), c in self._counts.items():
+            out[(dim, b, d)] += c
         return out
 
     def filter(self, predicate) -> "Barcode":
-        kept = Counter({iv: c for iv, c in self._counts.items() if predicate(iv)})
+        kept = Counter({iv: c for iv, c in self.counts().items() if predicate(iv)})
         return Barcode(kept, self.m, self.kind)
 
     def in_dim(self, q: int) -> "Barcode":
@@ -121,8 +149,8 @@ class Barcode:
 
     def to_lines(self) -> List[str]:
         out = [f"zzbar v1 m={self.m} kind={self.kind}"]
-        for iv, c in self.items():
-            out.extend([f"{iv.dim} {iv.b} {iv.d} {iv.type_code}"] * c)
+        for (dim, b, d, bt, dt), c in sorted(self._counts.items()):
+            out.extend([f"{dim} {b} {d} {bt}{dt}"] * c)
         return out
 
     def to_text(self) -> str:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
+import resource
 import sys
 import time
 from typing import List, Optional
@@ -21,6 +23,9 @@ from .pipeline import compute_zigzag
 from .complexes import Simplex, SimplicialComplex
 from .oracle import oracle_absolute, oracle_relative
 from .reduction import build_extended
+
+# version of the JSON object `compute --stats` prints; bump it when a key changes
+STATS_SCHEMA = "zzpers.stats/1"
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -59,6 +64,8 @@ def _cmd_compute(args) -> int:
     for iv in result.synthetic:
         extras.append(f"# synthetic (standardized coords): {iv.dim} {iv.b} {iv.d} {iv.type_code}\n")
     _write_out(text + "".join(extras), args.out)
+    if args.stats:
+        print(json.dumps({"schema": STATS_SCHEMA, **result.stats}), file=sys.stderr)
     return 0
 
 
@@ -147,7 +154,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_bench(args) -> int:
     writer = csv.writer(sys.stdout)
-    writer.writerow(["file", "m", "run", "validate", "convert", "reduce", "remap", "total"])
+    writer.writerow(
+        ["file", "m", "run", "validate", "convert", "reduce", "remap", "total", "peak_rss_mb"]
+    )
     for path in args.filtration:
         parsed = zio.load_filtration(path)
         for run in range(args.repeat):
@@ -155,10 +164,12 @@ def _cmd_bench(args) -> int:
             result = compute_zigzag(parsed.filtration)
             total = time.perf_counter() - start
             t = result.timings
+            # this process's own peak resident set so far (Linux reports KiB)
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             writer.writerow(
                 [path, len(parsed.filtration), run,
                  f"{t['validate']:.6f}", f"{t['convert']:.6f}",
-                 f"{t['reduce']:.6f}", f"{t['remap']:.6f}", f"{total:.6f}"]
+                 f"{t['reduce']:.6f}", f"{t['remap']:.6f}", f"{total:.6f}", f"{peak:.1f}"]
             )
     return 0
 
@@ -176,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--standardized", action="store_true",
                    help="report in the coordinates of the padded filtration")
+    p.add_argument("--stats", action="store_true",
+                   help="print the reduction counters as one JSON line on stderr")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("convert", help="emit the up-down or coned monotone form")
@@ -214,10 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("bench", help="per-phase timings as CSV", description=(
+    p = sub.add_parser("bench", help="per-phase timings and peak memory as CSV", description=(
         "Per-phase timings of compute as CSV. validate: the admission sweep; convert: "
-        "padding and row tables (near zero on a standardized input); reduce: boundary "
-        "column build and reduction; remap: pairs to intervals and restriction."))
+        "padding and row tables (near zero on a standardized input); reduce: sparse "
+        "boundary columns and their reduction (bitmasks only for columns that need an "
+        "addition); remap: pairs to intervals and restriction. peak_rss_mb: this "
+        "process's peak resident set size after the run."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)

@@ -43,6 +43,13 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def _repeated_vertex(tokens: List[str]) -> InvalidInputError:
+    """The error for a simplex whose interned ids Simplex rejected: ids are
+    valid, so a token repeats; name it as the file has it."""
+    dup = next(t for i, t in enumerate(tokens) if t in tokens[:i])
+    return InvalidInputError(f"duplicate vertex {dup} in simplex")
+
+
 def parse_filtration(text: str) -> ParsedFiltration:
     lines = text.splitlines()
     body = [(i, _strip(raw)) for i, raw in enumerate(lines)]
@@ -86,13 +93,19 @@ def parse_filtration(text: str) -> ParsedFiltration:
                 flush_block()
                 continue
             if block is not None:
-                block_simplices.append(Simplex(ids.setdefault(t, len(ids)) for t in tokens))
+                try:
+                    block_simplices.append(Simplex(ids.setdefault(t, len(ids)) for t in tokens))
+                except InvalidInputError:
+                    raise _repeated_vertex(tokens) from None
                 continue
             if head not in (ADD, DEL) or len(tokens) < 2:
                 raise InvalidInputError(f"expected 'a|d v1 v2 ...', got {line!r}")
             block_ordinal += 1
-            vertices = (ids.setdefault(t, len(ids)) for t in tokens[1:])
-            events.append(FiltrationEvent(head, Simplex(vertices)))
+            try:
+                s = Simplex(ids.setdefault(t, len(ids)) for t in tokens[1:])
+            except InvalidInputError:
+                raise _repeated_vertex(tokens[1:]) from None
+            events.append(FiltrationEvent(head, s))
             coarse.append(block_ordinal)
         except InvalidInputError as exc:
             raise InvalidInputError(f"line {lineno + 1}: {exc}") from exc

@@ -39,7 +39,6 @@ from .reduction import (
     ORD,
     REL,
     ExtendedInterval,
-    _columns,
     _coned_rows,
     _reduce,
 )
@@ -142,6 +141,7 @@ class PipelineResult:
     synthetic: Tuple[Interval, ...]  # intervals living entirely in the padding
     record: StandardizationRecord
     timings: Dict[str, float]
+    stats: Dict[str, int]  # reduction counters: columns, cleared, additions, ...
 
 
 def _restrict_to_input(
@@ -164,12 +164,13 @@ def _restrict_to_input(
     return Barcode(kept, record.original_length, ABSOLUTE), tuple(sorted(synthetic))
 
 
-def _remap_pairs(pairs, sw: _Sweep) -> List[Interval]:
+def _remap_pairs(pairs, sw: _Sweep) -> List[Tuple[int, int, int, str, str]]:
     """Fused version of extended_from_reduction + ext_to_updown + updown_to_f.
 
     One pass over the reduction pairs of the coned filtration straight to
-    input-order intervals. Column c <= n is the up column of id c - 1 (ids
-    run in order of addition); column c > n is the cone over dels[2n - c].
+    the field tuples (dim, b, d, birth_type, death_type) of input-order
+    intervals. Column c <= n is the up column of id c - 1 (ids run in order
+    of addition); column c > n is the cone over dels[2n - c].
     Must stay interval-for-interval equal to the composed public operations
     (a property test holds it to that).
     """
@@ -182,18 +183,18 @@ def _remap_pairs(pairs, sw: _Sweep) -> List[Interval]:
         raise InternalInconsistencyError(
             f"expected the apex column as the only essential, got {essentials}"
         )
-    out: List[Interval] = []
+    out = []
     # birth-column order leaves the intervals nearly sorted, which makes formatting cheap
     for i, j in sorted(pairs):
         if i == 0:
             raise InternalInconsistencyError("apex column appears in a pair")
         if j <= n:  # both columns in the up phase
             creator = i - 1
-            iv = Interval(dims[creator], add_at[creator] + 1, add_at[j - 1], CLOSED, OPEN)
+            iv = (dims[creator], add_at[creator] + 1, add_at[j - 1], CLOSED, OPEN)
         elif i > n:  # both columns in the coned phase
             creator = dels[n2 - j]  # base of the death column, deleted first
             destroyer = dels[n2 - i]  # base of the birth column
-            iv = Interval(dims[destroyer], del_at[creator] + 1, del_at[destroyer], OPEN, CLOSED)
+            iv = (dims[destroyer], del_at[creator] + 1, del_at[destroyer], OPEN, CLOSED)
         else:  # spans the middle: born in the up phase, killed by a cone
             creator = i - 1
             at = add_at[creator]
@@ -203,25 +204,25 @@ def _remap_pairs(pairs, sw: _Sweep) -> List[Interval]:
                     "an addition and a deletion cannot share an index"
                 )
             if at < dt:
-                iv = Interval(dims[creator], at + 1, dt, CLOSED, CLOSED)
+                iv = (dims[creator], at + 1, dt, CLOSED, CLOSED)
             else:
                 if dims[creator] < 1:
                     raise InternalInconsistencyError(
                         "creator after destroyer needs dimension >= 1"
                     )
-                iv = Interval(dims[creator] - 1, dt + 1, at, OPEN, OPEN)
+                iv = (dims[creator] - 1, dt + 1, at, OPEN, OPEN)
         out.append(iv)
     return out
 
 
 def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
-    """Full pipeline with per-phase timings.
+    """Full pipeline with per-phase timings and the reduction's counters.
 
     Phases: ``validate`` (the sweep: validity and repetition checks),
     ``convert`` (padding of a non-standardized input, which sweeps the
     padded filtration again, and the row tables of the coned filtration;
-    near zero on a standardized input), ``reduce`` (boundary column build
-    and column reduction), ``remap`` (pairs to intervals in input order,
+    near zero on a standardized input), ``reduce`` (sparse boundary columns
+    and their reduction), ``remap`` (pairs to intervals in input order,
     then restriction to the input's index range).
     """
     t0 = time.perf_counter()
@@ -241,12 +242,13 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     for k, s in enumerate(sw.dels):
         cone[s] = 2 * n - k
     t2 = time.perf_counter()
-    cols = _columns(_coned_rows(sw, cone))
+    rows = list(_coned_rows(sw, cone))
     dims = [0, *sw.dims, *(sw.dims[s] + 1 for s in reversed(sw.dels))]
-    pairs = _reduce(cols, dims)
-    del cols
+    pairs, _, stats = _reduce(rows, dims)
+    del rows, dims
     t3 = time.perf_counter()
-    standardized = Barcode(_remap_pairs(pairs, sw), len(std), ABSOLUTE)
+    # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= len(std) and dim >= 0
+    standardized = Barcode._of_fields(_remap_pairs(pairs, sw), len(std), ABSOLUTE)
     barcode, synthetic = _restrict_to_input(standardized, record, f)
     t4 = time.perf_counter()
     timings = {
@@ -255,7 +257,7 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
         "reduce": t3 - t2,
         "remap": t4 - t3,
     }
-    return PipelineResult(barcode, standardized, synthetic, record, timings)
+    return PipelineResult(barcode, standardized, synthetic, record, timings, stats)
 
 
 def zigzag_barcode(f: ZigzagFiltration) -> Barcode:

@@ -1,15 +1,27 @@
 """Standard persistence by Z2 column reduction, plus the coned filtration
 that turns an up-down zigzag into a single monotone filtration.
 
-Columns are integer bitmasks (bit i = row of the i-th added simplex); the
-pivot of a column is its highest set bit. The pairing produced by reduction
-is unique, independent of the reduction strategy.
+A column is stored as the tuple of its boundary rows (row i = the i-th
+added simplex); its pivot is its highest row. Reduction runs by decreasing
+dimension with clearing (twist). A column whose pivot no reduced column
+owns yet is paired at once, with no bitmask built. Only a column that
+collides is turned into an integer bitmask, over the rows of its facet
+dimension numbered densely in filtration order (a dimension-q column's
+mask is as wide as the number of (q-1)-simplices), and other columns'
+masks are XORed into it. The loop keeps the reduced mask of each column it
+reduced; a column paired at once has its mask built from its rows each
+time it is added, and kept from its second use on. ``reduce`` and
+``reduce_twist`` number mask bits by row over the whole filtration instead,
+so that a kept mask is a reduced column as ``ReductionState`` holds it.
+The pairing produced by reduction is unique, independent of the reduction
+strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .complexes import Simplex, cone
 from .errors import InternalInconsistencyError, InvalidInputError, NotStandardizedError, NotUpDownError
@@ -25,7 +37,7 @@ class ReductionState:
     order: Tuple[Simplex, ...]
     pairs: Tuple[Tuple[int, int], ...]  # (birth column, death column)
     essentials: Tuple[int, ...]
-    columns: Tuple[int, ...]  # reduced columns
+    columns: Tuple[int, ...]  # reduced columns as bitmasks over all rows; 0 if cleared
 
 
 def _simplex_order(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> List[Simplex]:
@@ -59,55 +71,120 @@ def _facet_rows(order: Sequence[Simplex]) -> Iterator[List[int]]:
         yield rows
 
 
-def _columns(rows: Iterable[Iterable[int]]) -> List[int]:
-    """One dense bitmask column per entry of rows."""
-    cols: List[int] = []
-    for rs in rows:
-        col = 0
-        for r in rs:
-            col |= 1 << r
-        cols.append(col)
-    return cols
+def _mask(rows: Iterable[int], bit: Sequence[int]) -> int:
+    """Bitmask with bit bit[r] set for each row r."""
+    col = 0
+    for r in rows:
+        col |= 1 << bit[r]
+    return col
 
 
-def _reduce(cols: List[int], dims: Sequence[int]) -> List[Tuple[int, int]]:
-    """Reduce cols in place by decreasing dimension; returns the (birth, death) pairs.
-
-    Once a column j kills the class born at i, column i is known to be a
-    birth and is cleared without being reduced. With all dims equal this is
-    the plain left-to-right reduction: no column is cleared before it is
-    reached.
-    """
-    by_dim: Dict[int, List[int]] = {}
+def _by_dim(dims: Sequence[int]) -> Tuple[List[int], Dict[int, List[int]]]:
+    """Each column's position among the columns of its dimension, and the
+    columns of each dimension in order."""
+    local = [0] * len(dims)
+    members: Dict[int, List[int]] = {}
     for j, q in enumerate(dims):
-        by_dim.setdefault(q, []).append(j)
-    low_inv: List[int] = [-1] * len(cols)
-    cleared = bytearray(len(cols))
+        ids = members.get(q)
+        if ids is None:
+            ids = members[q] = []
+        local[j] = len(ids)
+        ids.append(j)
+    return local, members
+
+
+def _reduce(
+    rows: Sequence[Sequence[int]], dims: Sequence[int], twist: bool = True, dense: bool = False
+) -> Tuple[List[Tuple[int, int]], List[Optional[int]], Dict[str, int]]:
+    """Reduce the columns given by their boundary rows.
+
+    Returns the (birth, death) pairs, the kept masks (column -> mask, None
+    where none was kept) and the counters. A mask's bit i is the i-th row
+    of the column's facet dimension, or with dense row i itself, so that a
+    kept mask is the reduced column as ReductionState holds it. With twist,
+    columns run by decreasing dimension and a column known to be a birth is
+    cleared without being reduced; without it they run left to right and no
+    column is cleared before it is reached.
+    """
+    n = len(rows)
+    local, members = _by_dim(dims)
+    order = (
+        chain.from_iterable(members[q] for q in sorted(members, reverse=True))
+        if twist
+        else range(n)
+    )
+    if dense:
+        local = range(n)
+        bit_rows = dict.fromkeys(members, local)
+    else:  # dimension q -> the row of each bit of a q-column's mask
+        bit_rows = {q: members.get(q - 1, []) for q in members}
+    low_inv: List[int] = [-1] * n  # row -> the column whose pivot it is
+    cleared = bytearray(n)
+    masks: List[Optional[int]] = [None] * n
+    used = bytearray(n)  # a column paired at once that was added once already
     pairs: List[Tuple[int, int]] = []
-    for q in sorted(by_dim, reverse=True):
-        for j in by_dim[q]:
-            if cleared[j]:
-                cols[j] = 0
-                continue
-            col = cols[j]
-            while col:
-                low = col.bit_length() - 1
+    n_cleared = at_once = additions = most = 0
+    for j in order:
+        if cleared[j]:
+            n_cleared += 1
+            continue
+        rs = rows[j]
+        if not rs:
+            continue
+        low = max(rs)
+        k = low_inv[low]
+        if k < 0:
+            at_once += 1
+        else:
+            row_ids = bit_rows[dims[j]]
+            col = _mask(rs, local)
+            added = 0
+            while True:
+                mk = masks[k]
+                if mk is None:
+                    mk = _mask(rows[k], local)
+                    if used[k]:
+                        masks[k] = mk
+                    else:
+                        used[k] = 1
+                col ^= mk
+                added += 1
+                if not col:
+                    break
+                low = row_ids[col.bit_length() - 1]
                 k = low_inv[low]
                 if k < 0:
                     break
-                col ^= cols[k]
-            cols[j] = col
-            if col:
-                low_inv[low] = j
-                pairs.append((low, j))
-                cleared[low] = 1
-    return pairs
+            additions += added
+            if added > most:
+                most = added
+            if not col:
+                continue
+            masks[j] = col
+        low_inv[low] = j
+        pairs.append((low, j))
+        cleared[low] = 1
+    stats = {
+        "columns": n,
+        "cleared_columns": n_cleared,
+        "pairs": len(pairs),
+        "pivots_without_addition": at_once,
+        "column_additions": additions,
+        "max_column_additions": most,
+        "masks_kept": n - masks.count(None),
+    }
+    return pairs, masks, stats
 
 
 def _reduced(f: Union[ZigzagFiltration, Sequence[Simplex]], twist: bool) -> ReductionState:
     order = _simplex_order(f)
-    cols = _columns(_facet_rows(order))
-    pairs = _reduce(cols, [s.dim for s in order] if twist else [0] * len(order))
+    rows = list(_facet_rows(order))
+    pairs, masks, _ = _reduce(rows, [s.dim for s in order], twist, dense=True)
+    everything = range(len(order))
+    cols = [0] * len(order)
+    for _, j in pairs:  # every other column is cleared or reduces to zero
+        mk = masks[j]
+        cols[j] = _mask(rows[j], everything) if mk is None else mk
     used = {c for pair in pairs for c in pair}
     essentials = tuple(j for j in range(len(order)) if j not in used)
     return ReductionState(tuple(order), tuple(sorted(pairs)), essentials, tuple(cols))
@@ -131,7 +208,7 @@ def reduce_twist(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionStat
     return _reduced(f, twist=True)
 
 
-def _coned_rows(sw: _Sweep, cone: List[int]) -> Iterator[Sequence[int]]:
+def _coned_rows(sw: _Sweep, cone: List[int]) -> Iterator[Tuple[int, ...]]:
     """Boundary rows of the coned filtration of a valid standardized sweep.
 
     Its ids run in order of addition, so the up column of id s is row
@@ -142,7 +219,7 @@ def _coned_rows(sw: _Sweep, cone: List[int]) -> Iterator[Sequence[int]]:
     facets = sw.facets
     yield ()
     for s in sw.adds:
-        yield map((1).__add__, facets[s])
+        yield tuple(map((1).__add__, facets[s]))
     for s in reversed(sw.dels):
         fs = facets[s]
         yield (s + 1, *map(cone.__getitem__, fs)) if fs else (s + 1, 0)

@@ -240,3 +240,52 @@ def test_a8_performance(tmp_path):
     assert big_total <= 30.0, f"compute took {big_total:.1f}s"
     assert ratio <= 0.20, f"conversion overhead {100 * ratio:.1f}%"
     assert exponent < 2.0, f"scaling exponent {exponent:.2f}"
+
+
+def test_a8_peak_memory_growth(tmp_path):
+    """Peak RSS of `zzpers compute` on the 65x65 and 92x92 tori, each in a
+    fresh process that reports its own peak. Near-linear memory gives a
+    log-log growth exponent near 1; dense bitmask columns, whose total size
+    is quadratic in m, read about 2.
+
+    The child reads VmHWM (KiB), the peak of its own image: Linux carries
+    the peak of the process that started it into ru_maxrss across exec, so
+    under a test runner that has held a large input, ru_maxrss reads the
+    runner's peak at every size."""
+    report = (
+        "import sys\n"
+        "from zzpers.cli import main\n"
+        "code = main(['compute', sys.argv[1], '--out', sys.argv[2]])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(code, peak)\n"
+    )
+    ms = []
+    peaks = []
+    for a in (65, 92):
+        verts, faces = torus_mesh_points(a, a)
+        off = tmp_path / f"torus{a}.off"
+        write_off(str(off), verts, faces)
+        filt = tmp_path / f"torus{a}.zz"
+        assert main([
+            "generate", "--mesh", str(off), "--axis", "x",
+            "--switches", str(3 * a * a), "--seed", "8", "--out", str(filt),
+        ]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-c", report, str(filt), str(tmp_path / f"torus{a}.zzb")],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 0
+        ms.append(12 * a * a)
+        peaks.append(peak_kib)
+    exponent = math.log(peaks[1] / peaks[0]) / math.log(ms[1] / ms[0])
+    _report(
+        "A8-memory",
+        exponent < 1.3,
+        f"peak RSS {peaks[0] / 1024:.0f} -> {peaks[1] / 1024:.0f} MB over m={ms}, "
+        f"growth exponent {exponent:.2f}",
+    )
+    assert exponent < 1.3, f"peak RSS growth exponent {exponent:.2f}"

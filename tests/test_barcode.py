@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from zzpers import (
@@ -22,12 +24,40 @@ def iv(dim, b, d, tc):
 
 
 def test_interval_invariants():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"^bad interval endpoints \[3, 2\]$"):
         Interval(0, 3, 2, "c", "c")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="^negative interval dimension -1$"):
         Interval(-1, 0, 0, "c", "c")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"^end types must be 'c' or 'o'$"):
         Interval(0, 0, 0, "x", "c")
+
+
+def test_interval_orders_compares_and_hashes_by_fields():
+    a = iv(0, 1, 2, "co")
+    assert (a.dim, a.b, a.d, a.birth_type, a.death_type, a.type_code) == (0, 1, 2, "c", "o", "co")
+    assert repr(a) == "[1,2]^co_0"
+    assert a == iv(0, 1, 2, "co") and a != iv(0, 1, 2, "cc")
+    assert hash(a) == hash(iv(0, 1, 2, "co")) == hash((0, 1, 2, "c", "o"))
+    ordered = [iv(0, 1, 2, "cc"), iv(0, 1, 2, "co"), iv(0, 1, 3, "cc"), iv(0, 2, 2, "cc"),
+               iv(1, 0, 0, "cc")]
+    assert sorted(reversed(ordered)) == ordered
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        a.b = 5
+
+
+def test_barcode_of_field_tuples_matches_intervals():
+    rows = [iv(1, 0, 2, "co"), iv(0, 1, 1, "cc"), iv(0, 1, 1, "cc")]
+    bar = Barcode(rows, 4, ABSOLUTE)
+    fields = Barcode._of_fields([tuple(r) for r in rows], 4, ABSOLUTE)
+    assert fields == bar and bar == fields
+    assert fields.to_text() == bar.to_text()
+    assert fields.items() == bar.items()
+    assert all(type(i) is Interval for i, _ in fields.items())
+    assert all(type(i) is Interval for i in fields.counts())
+    assert fields.triples() == bar.triples()
+    assert fields.in_dim(0) == bar.in_dim(0)
+    assert multiset_equal(fields, bar).equal
 
 
 def test_classify_ends_examples():

@@ -1,5 +1,6 @@
 import csv
 import io as stdio
+import json
 
 import pytest
 
@@ -145,8 +146,35 @@ def test_manifold_with_explicit_complex_file(tmp_path, capsys):
 def test_bench_csv(small_file, capsys):
     assert main(["bench", small_file, "--repeat", "2"]) == 0
     rows = list(csv.reader(stdio.StringIO(capsys.readouterr().out)))
-    assert rows[0] == ["file", "m", "run", "validate", "convert", "reduce", "remap", "total"]
+    assert rows[0] == [
+        "file", "m", "run", "validate", "convert", "reduce", "remap", "total", "peak_rss_mb"
+    ]
     assert len(rows) == 3
+    assert all(float(row[-1]) > 0 for row in rows[1:])
+
+
+def test_compute_stats_flag(tmp_path, capsys):
+    path = tmp_path / "edge.zz"
+    path.write_text("zzfilt v1\na 0\na 1\na 0 1\nd 0 1\nd 0\nd 1\n")
+    assert main(["compute", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["compute", str(path), "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("zzbar v1 m=6")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert stats["schema"] == "zzpers.stats/1"
+    # apex, three up columns, three cones. The cone over {0,1} pairs at once, and so
+    # does {0,1}; the cone over 1 collides with {0,1} and needs one addition; the cone
+    # over 0 and the vertices 0 and 1 are births, cleared before they are reached
+    assert (stats["columns"], stats["pairs"], stats["cleared_columns"]) == (7, 3, 3)
+    assert (stats["pivots_without_addition"], stats["column_additions"]) == (2, 1)
+    assert (stats["max_column_additions"], stats["masks_kept"]) == (1, 1)
+    assert set(stats) == {
+        "schema", "columns", "cleared_columns", "pairs", "pivots_without_addition",
+        "column_additions", "max_column_additions", "masks_kept",
+    }
 
 
 def test_duality_malformed_barcode_exit_code(tmp_path, capsys):

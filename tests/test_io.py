@@ -70,6 +70,11 @@ def test_filtration_parse_errors():
         parse_filtration("zzfilt v1\na 0\na 1 1\n")
     with pytest.raises(InvalidInputError, match="^line 4: duplicate vertex 1 in simplex$"):
         parse_filtration("zzfilt v1\na 0\nbegin-a\n1 1\nend-a\n")
+    # the message names the token in the file, not its interned id (7 -> 0)
+    with pytest.raises(InvalidInputError, match="^line 3: duplicate vertex 7 in simplex$"):
+        parse_filtration("zzfilt v1\nbegin-a\n7 7\nend-a\n")
+    with pytest.raises(InvalidInputError, match="^line 2: duplicate vertex x in simplex$"):
+        parse_filtration("zzfilt v1\nd x y x\n")
     with pytest.raises(InvalidInputError, match="^line 3: nested block$"):
         parse_filtration("zzfilt v1\nbegin-a\nbegin-d\n")
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from zzpers import (
@@ -5,7 +7,9 @@ from zzpers import (
     NotUpDownError,
     Simplex,
     ZigzagFiltration,
+    boundary,
     build_extended,
+    compute_zigzag,
     extended_barcode,
     oracle_extended,
     reduce,
@@ -14,8 +18,17 @@ from zzpers import (
     validate,
 )
 from zzpers.filtration import FiltrationEvent
+from zzpers.io import OffMesh, generate
+from zzpers.reduction import _reduce
 from zzpers.z2 import rank
-from conftest import random_nonrepetitive, sx, zz
+from conftest import (
+    random_complex,
+    random_linear_extension,
+    random_nonrepetitive,
+    sx,
+    torus_mesh_points,
+    zz,
+)
 from zzpers.rng import SplitMix64
 
 
@@ -143,3 +156,111 @@ def test_exactly_one_essential_in_coned_reduction(small_corpus):
         ext = build_extended(U)
         st = reduce_twist(ext.events)
         assert st.essentials == (0,)
+
+
+def _dense_reference(order, twist):
+    """Reference reduction on dense columns: one bitmask per column (bit
+    i = row i), reduced in place.
+
+    Returns the sorted pairs, the reduced columns (0 where cleared) and the
+    counters the sparse loop reports. masks_kept follows the keeping rule:
+    every column reduced with at least one addition, plus every column
+    paired at once that was added to others at least twice.
+    """
+    pos = {s: i for i, s in enumerate(order)}
+    cols = [sum(1 << pos[f] for f in boundary(s)) for s in order]
+    dims = [s.dim for s in order]
+    sequence = sorted(range(len(order)), key=lambda j: -dims[j]) if twist else range(len(order))
+    owner = {}
+    cleared = set()
+    pairs = []
+    uses = Counter()
+    reduced = set()
+    n_cleared = at_once = additions = most = 0
+    for j in sequence:
+        if j in cleared:
+            cols[j] = 0
+            n_cleared += 1
+            continue
+        added = 0
+        while cols[j] and cols[j].bit_length() - 1 in owner:
+            k = owner[cols[j].bit_length() - 1]
+            cols[j] ^= cols[k]
+            uses[k] += 1
+            added += 1
+        additions += added
+        most = max(most, added)
+        if cols[j]:
+            low = cols[j].bit_length() - 1
+            owner[low] = j
+            cleared.add(low)
+            pairs.append((low, j))
+            if added:
+                reduced.add(j)
+            else:
+                at_once += 1
+    stats = {
+        "columns": len(order),
+        "cleared_columns": n_cleared,
+        "pairs": len(pairs),
+        "pivots_without_addition": at_once,
+        "column_additions": additions,
+        "max_column_additions": most,
+        "masks_kept": len(reduced) + sum(1 for k, c in uses.items() if c >= 2 and k not in reduced),
+    }
+    return tuple(sorted(pairs)), tuple(cols), stats
+
+
+def _check_against_dense(order):
+    """reduce and reduce_twist give the dense reference's pairs and reduced
+    columns, and the shared loop its counters with either row numbering;
+    returns the twist counters."""
+    pos = {s: i for i, s in enumerate(order)}
+    rows = [tuple(pos[f] for f in boundary(s)) for s in order]
+    dims = [s.dim for s in order]
+    rows_of_dim = {q: [r for r in range(len(order)) if dims[r] == q] for q in set(dims)}
+    for twist, run in ((False, reduce), (True, reduce_twist)):
+        pairs, cols, stats = _dense_reference(order, twist)
+        got = run(order)
+        assert got.pairs == pairs
+        assert got.columns == cols
+        assert _reduce(rows, dims, twist, dense=True)[2] == stats
+        # per-dimension row ids: bit i of a q-column's mask is the i-th (q-1)-row
+        found, masks, counted = _reduce(rows, dims, twist)
+        assert tuple(sorted(found)) == pairs and counted == stats
+        for j, mask in enumerate(masks):
+            if mask is not None:
+                row_of = rows_of_dim[dims[j] - 1]
+                global_mask = sum(1 << row_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
+                assert global_mask == cols[j]  # the reduced column (its boundary if paired at once)
+    return stats
+
+
+def test_sparse_reduction_matches_dense_on_a3_corpus(a3_corpus):
+    for f in a3_corpus:
+        U, _ = to_updown(f)
+        stats = _check_against_dense(list(build_extended(U).events))
+        # the pipeline runs the same loop on the coned rows of its sweep
+        assert compute_zigzag(f).stats == stats
+
+
+def test_sparse_reduction_matches_dense_on_seeded_filtrations():
+    rng = SplitMix64(0x5EED)
+    for _ in range(30):
+        simplices = random_complex(rng, max_vertices=9, max_simplices=45, max_dim=3)
+        f = random_nonrepetitive(rng, simplices)
+        U, _ = to_updown(f)
+        stats = _check_against_dense(list(build_extended(U).events))
+        assert compute_zigzag(f).stats == stats
+        _check_against_dense(random_linear_extension(rng, simplices))
+    # height sweeps of a bumpy torus with a Vietoris-Rips layer (the seed moves
+    # only the walk, which leaves the up-down form alone; axis and radius do not)
+    verts, faces = torus_mesh_points(4, 4, bumpy=True)
+    mesh = OffMesh(tuple(verts), tuple(faces))
+    for seed, (axis, radius) in enumerate((("z", 2.0), ("x", 2.2), ("y", 2.5))):
+        f = generate(mesh, axis=axis, switches=48, seed=seed, rips_radius=radius)
+        assert len(f) > 192  # the bare mesh has 96 simplices
+        U, _ = to_updown(f)
+        stats = _check_against_dense(list(build_extended(U).events))
+        assert stats["column_additions"] > 0
+        assert compute_zigzag(f).stats == stats
