@@ -15,10 +15,10 @@ import time
 from typing import List, Optional
 
 from . import io as zio
-from .duality import absolute_to_relative
+from .duality import absolute_to_relative, recover_absolute_from_relative
 from .errors import InvalidInputError, ZigzagError
 from .filtration import FiltrationEvent, ZigzagFiltration, _sweep, standardize, to_updown
-from .manifold import manifold_absolute_barcode, relative_top_barcode
+from .manifold import relative_top_barcode
 from .pipeline import compute_zigzag
 from .complexes import Simplex, SimplicialComplex
 from .oracle import oracle_absolute, oracle_relative
@@ -129,8 +129,7 @@ def _cmd_manifold(args) -> int:
     rel = relative_top_barcode(f, K, args.p)
     text = rel.to_text()
     if args.recover:
-        recovered = manifold_absolute_barcode(f, K, args.p)
-        text += recovered.to_text()
+        text += recover_absolute_from_relative(rel, f, K, args.p).to_text()
     _write_out(text, args.out)
     return 0
 
@@ -152,6 +151,24 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB.
+
+    Reads VmHWM from /proc/self/status: on Linux, ru_maxrss carries the
+    peak of the process that started this one across exec, so it reads
+    the parent's peak when the parent was larger. Falls back to ru_maxrss
+    (KiB on Linux) where that file does not exist.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _cmd_bench(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(
@@ -164,8 +181,7 @@ def _cmd_bench(args) -> int:
             result = compute_zigzag(parsed.filtration)
             total = time.perf_counter() - start
             t = result.timings
-            # this process's own peak resident set so far (Linux reports KiB)
-            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            peak = _peak_rss_mb()
             writer.writerow(
                 [path, len(parsed.filtration), run,
                  f"{t['validate']:.6f}", f"{t['convert']:.6f}",
@@ -232,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "padding and row tables (near zero on a standardized input); reduce: sparse "
         "boundary columns and their reduction (bitmasks only for columns that need an "
         "addition); remap: pairs to intervals and restriction. peak_rss_mb: this "
-        "process's peak resident set size after the run."))
+        "process's own peak resident set size after the run (VmHWM)."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)

@@ -13,9 +13,8 @@ pushout quotients, sweeping left to right so one sweep per start index
 yields gr(i, j) for every j. Everything is Gaussian elimination over Z2 on
 integer bitmasks with a fixed pivot order, so results are deterministic.
 
-This module is the test-side authority; the production pipeline never
-calls it (the manifold module reuses only zigzag_decompose, its stated
-baseline).
+This module is the test-side authority; no production path calls it
+except the ``zzpers oracle`` command.
 """
 
 from __future__ import annotations

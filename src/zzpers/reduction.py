@@ -176,6 +176,11 @@ def _reduce(
     return pairs, masks, stats
 
 
+def _essentials(pairs: Iterable[Tuple[int, int]], n: int) -> Tuple[int, ...]:
+    used = {c for pair in pairs for c in pair}
+    return tuple(j for j in range(n) if j not in used)
+
+
 def _reduced(f: Union[ZigzagFiltration, Sequence[Simplex]], twist: bool) -> ReductionState:
     order = _simplex_order(f)
     rows = list(_facet_rows(order))
@@ -185,8 +190,7 @@ def _reduced(f: Union[ZigzagFiltration, Sequence[Simplex]], twist: bool) -> Redu
     for _, j in pairs:  # every other column is cleared or reduces to zero
         mk = masks[j]
         cols[j] = _mask(rows[j], everything) if mk is None else mk
-    used = {c for pair in pairs for c in pair}
-    essentials = tuple(j for j in range(len(order)) if j not in used)
+    essentials = _essentials(pairs, len(order))
     return ReductionState(tuple(order), tuple(sorted(pairs)), essentials, tuple(cols))
 
 
@@ -302,14 +306,20 @@ def extended_from_reduction(ext: ExtendedFiltration, state: ReductionState) -> E
     [i, j - 1]. The unique infinite interval is the apex's component and is
     identified structurally: column 0 must be the only essential one.
     """
-    if state.essentials != (0,):
+    return _extended_from_pairs(ext, state.pairs, state.essentials)
+
+
+def _extended_from_pairs(
+    ext: ExtendedFiltration, pairs: Sequence[Tuple[int, int]], essentials: Tuple[int, ...]
+) -> ExtendedBarcode:
+    if essentials != (0,):
         raise InternalInconsistencyError(
-            f"expected the apex column as the only essential, got {state.essentials}"
+            f"expected the apex column as the only essential, got {essentials}"
         )
     n = ext.n
     events = ext.events
     intervals = []
-    for i, j in state.pairs:
+    for i, j in pairs:
         if i == 0:
             raise InternalInconsistencyError("apex column appears in a pair")
         intervals.append(ExtendedInterval(i, j - 1, events[i].dim, _label(i, j - 1, n)))
@@ -317,6 +327,12 @@ def extended_from_reduction(ext: ExtendedFiltration, state: ReductionState) -> E
 
 
 def extended_barcode(U: ZigzagFiltration) -> ExtendedBarcode:
-    """Two-sided (ordinary/relative/extended) barcode of an up-down filtration."""
+    """Two-sided (ordinary/relative/extended) barcode of an up-down filtration.
+
+    Reads only the pairs, so it runs the sparse reduction and never builds
+    the dense reduced columns of ``reduce_twist``.
+    """
     ext = build_extended(U)
-    return extended_from_reduction(ext, reduce_twist(ext.events))
+    rows = list(_facet_rows(ext.events))
+    pairs, _, _ = _reduce(rows, [s.dim for s in ext.events])
+    return _extended_from_pairs(ext, sorted(pairs), _essentials(pairs, len(rows)))

@@ -31,8 +31,8 @@ from zzpers import (
     zigzag_barcode,
 )
 from zzpers.cli import main
-from zzpers.io import write_off
-from zzpers.reduction import build_extended
+from zzpers.io import OffMesh, generate, write_off
+from zzpers.reduction import build_extended, extended_from_reduction
 from zzpers.rng import SplitMix64
 from conftest import (
     ev,
@@ -185,7 +185,9 @@ def test_a7_coned_filtration_matches_pair_sequence(a3_corpus):
         ext = build_extended(U)
         state = reduce(ext.events)
         assert state.essentials == (0,), "exactly one infinite interval expected"
-        got = sorted((e.dim, e.b, e.d) for e in extended_barcode(U).intervals)
+        bar = extended_barcode(U)  # from the sparse reduction's pairs alone
+        assert bar == extended_from_reduction(ext, state)
+        got = sorted((e.dim, e.b, e.d) for e in bar.intervals)
         want = sorted(oracle_extended(U).elements())
         assert got == want
     elapsed = time.perf_counter() - start
@@ -289,3 +291,42 @@ def test_a8_peak_memory_growth(tmp_path):
         f"growth exponent {exponent:.2f}",
     )
     assert exponent < 1.3, f"peak RSS growth exponent {exponent:.2f}"
+
+
+def _best_time(fn, repeat=3):
+    """Fastest of a few runs, which damps scheduler noise on small inputs."""
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
+def test_a8_manifold_path_scaling():
+    """The dual-graph path on grid tori swept like the A8 tori (axis x,
+    3ab switches, seed 8), m = 1,200 to 19,200. It must agree with
+    pipeline + duality at every size and grow near linearly."""
+    ms = []
+    times = []
+    ratio = None
+    for a in (10, 20, 40):
+        verts, faces = torus_mesh_points(a, a)
+        f = generate(OffMesh(tuple(verts), tuple(faces)), axis="x", switches=3 * a * a, seed=8)
+        K = f.total_complex()
+        elapsed, rel = _best_time(lambda: relative_top_barcode(f, K, 2))
+        other, want = _best_time(lambda: absolute_to_relative(zigzag_barcode(f)).in_dim(2))
+        assert rel == want, f"m={len(f)}: dual-graph path != pipeline + duality"
+        ms.append(len(f))
+        times.append(elapsed)
+        if len(f) == 4800:
+            ratio = elapsed / other
+    exponent = math.log(times[-1] / times[0]) / math.log(ms[-1] / ms[0])
+    _report(
+        "A8-manifold",
+        exponent < 1.5,
+        f"relative_top_barcode {', '.join(f'{t:.3f}s' for t in times)} over m={ms}, "
+        f"growth exponent {exponent:.2f}; {ratio:.1f}x pipeline + duality at m=4800",
+    )
+    assert ms == [1200, 4800, 19200]
+    assert exponent < 1.5, f"growth exponent {exponent:.2f}"

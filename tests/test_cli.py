@@ -1,6 +1,8 @@
 import csv
 import io as stdio
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -151,6 +153,24 @@ def test_bench_csv(small_file, capsys):
     ]
     assert len(rows) == 3
     assert all(float(row[-1]) > 0 for row in rows[1:])
+
+
+def test_bench_peak_rss_is_its_own_under_a_large_parent(small_file):
+    """A parent that has touched 256 MB starts `zzpers bench`. On Linux the
+    parent's peak reaches the child's ru_maxrss across exec; the row must
+    report the child's own peak."""
+    parent = (
+        "import subprocess, sys\n"
+        "held = b'x' * (256 << 20)\n"
+        "out = subprocess.run([sys.executable, '-m', 'zzpers.cli', 'bench', sys.argv[1]],\n"
+        "                     capture_output=True, text=True, check=True).stdout\n"
+        "print(out, end='')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", parent, small_file], capture_output=True, text=True, check=True
+    )
+    row = list(csv.DictReader(stdio.StringIO(proc.stdout)))[0]
+    assert 0 < float(row["peak_rss_mb"]) < 128
 
 
 def test_compute_stats_flag(tmp_path, capsys):

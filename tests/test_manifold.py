@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from zzpers import (
+    ABSOLUTE,
     FiltrationEvent,
     GraphZigzag,
     InvalidInputError,
@@ -16,7 +19,9 @@ from zzpers import (
     zero_dim_zigzag,
     zigzag_barcode,
 )
-from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX
+from zzpers.filtration import ADD, DEL
+from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
+from zzpers.oracle import sequence_barcode
 from zzpers.rng import SplitMix64
 from conftest import (
     grid_torus,
@@ -173,3 +178,94 @@ def test_manifold_absolute_barcode_torus_instance():
         lambda i: i.dim == 2 or (i.dim == 1 and i.type_code != "cc")
     )
     assert multiset_equal(got, want).equal
+
+
+PATH3 = ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "edges, events, init_v, init_e, message",
+    [
+        (PATH3, (("+x", 0),), (), (), "unknown graph event"),
+        (PATH3, ((ADD_VERTEX, 0), (ADD_EDGE, 0)), (), (), "edge 0 added while an end is absent"),
+        (PATH3, ((DEL_VERTEX, 2),), (0, 1), (), "delete of absent vertex 2"),
+        (PATH3, ((DEL_EDGE, 1),), (0, 1, 2), (0,), "delete of absent edge 1"),
+        (PATH3, ((DEL_VERTEX, 1),), (0, 1, 2), (0,), "vertex 1 deleted while an edge"),
+        (PATH3, ((ADD_VERTEX, 0),), (0,), (), "vertex 0 added while present"),
+        (PATH3, ((ADD_EDGE, 0),), (0, 1), (0,), "edge 0 added while present"),
+        (PATH3, ((ADD_VERTEX, 3),), (), (), "vertex index 3 out of range"),
+        (PATH3, ((DEL_EDGE, None),), (), (), "edge index None out of range"),
+        (PATH3, (), (0, 2), (1,), "initial graph: edge 1 added while an end is absent"),
+        (((0, 1), (1, 1)), (), (), (), "edge 1 is a self-loop"),
+        (((0, 1), (1, 0)), (), (), (), "edge 1 is parallel"),
+        (((0, 3),), (), (), (), "vertex index 3 out of range"),
+    ],
+)
+def test_zero_dim_zigzag_rejects_malformed_graph_zigzags(edges, events, init_v, init_e, message):
+    g = GraphZigzag(3, edges, events, frozenset(init_v), frozenset(init_e))
+    with pytest.raises(InvalidInputError, match=message):
+        zero_dim_zigzag(g)
+
+
+def _random_graph_zigzag(rng: SplitMix64, m: int) -> GraphZigzag:
+    """A valid graph zigzag on a random simple graph with up to 5 vertices.
+
+    Identity arrows come in runs, and a cell often leaves and comes back
+    (an edge sometimes while both its ends stay, which repeats the simplex
+    it would make).
+    """
+    nv = 1 + rng.below(5)
+    pairs = list(itertools.combinations(range(nv), 2))
+    rng.shuffle(pairs)
+    edges = tuple(pairs[: rng.below(len(pairs) + 1)])
+    vs = {v for v in range(nv) if rng.below(2)}
+    es = {i for i, (a, b) in enumerate(edges) if a in vs and b in vs and rng.below(2)}
+    g0 = (frozenset(vs), frozenset(es))
+    events = []
+    while len(events) < m:
+        moves = [(ADD_VERTEX, v) for v in range(nv) if v not in vs]
+        moves += [(DEL_VERTEX, v) for v in sorted(vs) if not any(v in edges[i] for i in es)]
+        moves += [(ADD_EDGE, i) for i, (a, b) in enumerate(edges)
+                  if i not in es and a in vs and b in vs]
+        moves += [(DEL_EDGE, i) for i in sorted(es)]
+        if not moves or rng.below(5) == 0:
+            events.extend([(NOOP, None)] * min(1 + rng.below(3), m - len(events)))
+            continue
+        op, i = moves[rng.below(len(moves))]
+        events.append((op, i))
+        {ADD_VERTEX: vs.add, DEL_VERTEX: vs.discard, ADD_EDGE: es.add, DEL_EDGE: es.discard}[op](i)
+    return GraphZigzag(nv, edges, tuple(events), *g0)
+
+
+def _oracle_zero_dim(g: GraphZigzag):
+    """The graph zigzag's 0-dimensional barcode by the brute-force oracle."""
+    pairs = [
+        (frozenset([*(Simplex([v]) for v in vs), *(Simplex(g.edges[i]) for i in es)]), frozenset())
+        for vs, es in g.snapshots()
+    ]
+    directions = [ADD if op in (ADD_VERTEX, ADD_EDGE, NOOP) else DEL for op, _ in g.events]
+    return sequence_barcode(pairs, directions, ABSOLUTE, qmax=0)
+
+
+def test_zero_dim_zigzag_matches_oracle_on_random_graph_zigzags():
+    rng = SplitMix64(0x0D1)
+    seen = {"m=0": 0, "non-empty start": 0, "identity run": 0, "cell re-enters twice": 0,
+            "edge back on the same ends": 0}
+    for case in range(120):
+        g = _random_graph_zigzag(rng, 0 if case % 15 == 0 else 1 + rng.below(24))
+        got = zero_dim_zigzag(g)
+        assert multiset_equal(got, _oracle_zero_dim(g)).equal, g
+        seen["m=0"] += g.m == 0
+        seen["non-empty start"] += bool(g.initial_vertices)
+        ops = [op for op, _ in g.events]
+        seen["identity run"] += any(a == b == NOOP for a, b in zip(ops, ops[1:]))
+        entries = [e for e in g.events if e[0] in (ADD_VERTEX, ADD_EDGE)]
+        seen["cell re-enters twice"] += any(entries.count(e) >= 3 for e in entries)
+        for k, (op, i) in enumerate(g.events):
+            if op == DEL_EDGE:
+                back = next((j for j in range(k + 1, g.m) if g.events[j] == (ADD_EDGE, i)), None)
+                ends = {(DEL_VERTEX, v) for v in g.edges[i]}
+                if back is not None and not ends & set(g.events[k:back]):
+                    seen["edge back on the same ends"] += 1
+                    break
+    assert all(seen.values()), seen
