@@ -25,7 +25,7 @@ from .oracle import oracle_absolute, oracle_relative
 from .reduction import build_extended
 
 # version of the JSON object `compute --stats` prints; bump it when a key changes
-STATS_SCHEMA = "zzpers.stats/1"
+STATS_SCHEMA = "zzpers.stats/2"
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -245,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="per-phase timings and peak memory as CSV", description=(
         "Per-phase timings of compute as CSV. validate: the admission sweep; convert: "
-        "padding and row tables (near zero on a standardized input); reduce: sparse "
-        "boundary columns and their reduction (bitmasks only for columns that need an "
-        "addition); remap: pairs to intervals and restriction. peak_rss_mb: this "
+        "padding (near zero on a standardized input); reduce: sparse coboundary "
+        "columns of the coned filtration and their reduction (bitmasks only for columns "
+        "that need an addition); remap: pairs to intervals and restriction. peak_rss_mb: this "
         "process's own peak resident set size after the run (VmHWM)."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)

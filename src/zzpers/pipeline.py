@@ -9,9 +9,12 @@ remappings are constant time per interval.
 ``compute_zigzag`` runs it on dense simplex ids from one sweep over the
 events (``filtration._sweep``): no cone simplex, index map or vertex tuple
 is made after the sweep. An input that is not standardized is padded by
-``standardize`` and swept again. The public steps (``to_updown``,
+``standardize`` and swept again. It reduces the coboundary matrix of the
+coned filtration, built from the sweep's facet ids, and maps each pair
+back to the boundary matrix's (the pairs are the same, by the duality of
+persistent homology and cohomology). The public steps (``to_updown``,
 ``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
-are the specification it is tested against.
+reduce the boundary matrix and are the specification it is tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .reduction import (
     ORD,
     REL,
     ExtendedInterval,
-    _coned_rows,
+    _coned_coboundaries,
     _reduce,
 )
 
@@ -220,10 +223,11 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
 
     Phases: ``validate`` (the sweep: validity and repetition checks),
     ``convert`` (padding of a non-standardized input, which sweeps the
-    padded filtration again, and the row tables of the coned filtration;
-    near zero on a standardized input), ``reduce`` (sparse boundary columns
-    and their reduction), ``remap`` (pairs to intervals in input order,
-    then restriction to the input's index range).
+    padded filtration again; near zero on a standardized input),
+    ``reduce`` (sparse coboundary columns of the coned filtration, their
+    reduction, and the pairs mapped back), ``remap`` (pairs to intervals in
+    input order, then restriction to the input's index range). The
+    counters in ``stats`` are those of the coboundary reduction.
     """
     t0 = time.perf_counter()
     sw = _sweep(f)
@@ -237,15 +241,12 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     else:
         std, record = standardize(f)
         sw = _sweep(std)
-    n = len(sw.adds)  # ids 0..n-1 in order of addition: s's up column is row s + 1
-    cone = [0] * n  # id -> row of the cone over it
-    for k, s in enumerate(sw.dels):
-        cone[s] = 2 * n - k
     t2 = time.perf_counter()
-    rows = list(_coned_rows(sw, cone))
-    dims = [0, *sw.dims, *(sw.dims[s] + 1 for s in reversed(sw.dels))]
-    pairs, _, stats = _reduce(rows, dims)
-    del rows, dims
+    cols, dims = _coned_coboundaries(sw)
+    found, _, stats = _reduce(cols, dims)
+    del cols, dims
+    top = 2 * len(sw.dels)  # N - 1: coboundary pairs back to boundary pairs
+    pairs = [(top - j, top - low) for low, j in found]
     t3 = time.perf_counter()
     # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= len(std) and dim >= 0
     standardized = Barcode._of_fields(_remap_pairs(pairs, sw), len(std), ABSOLUTE)

@@ -1,20 +1,25 @@
 """Standard persistence by Z2 column reduction, plus the coned filtration
 that turns an up-down zigzag into a single monotone filtration.
 
-A column is stored as the tuple of its boundary rows (row i = the i-th
-added simplex); its pivot is its highest row. Reduction runs by decreasing
-dimension with clearing (twist). A column whose pivot no reduced column
-owns yet is paired at once, with no bitmask built. Only a column that
-collides is turned into an integer bitmask, over the rows of its facet
-dimension numbered densely in filtration order (a dimension-q column's
-mask is as wide as the number of (q-1)-simplices), and other columns'
-masks are XORed into it. The loop keeps the reduced mask of each column it
-reduced; a column paired at once has its mask built from its rows each
-time it is added, and kept from its second use on. ``reduce`` and
-``reduce_twist`` number mask bits by row over the whole filtration instead,
-so that a kept mask is a reduced column as ``ReductionState`` holds it.
-The pairing produced by reduction is unique, independent of the reduction
-strategy.
+A column is stored as the tuple of its rows; its pivot is its highest row.
+Reduction runs by decreasing dimension with clearing (twist). A column
+whose pivot no reduced column owns yet is paired at once, with no bitmask
+built. Only a column that collides is turned into an integer bitmask, over
+the rows of the dimension below its own numbered densely in order (a
+dimension-q boundary column's mask is as wide as the number of
+(q-1)-simplices), and other columns' masks are XORed into it. The loop
+keeps the reduced mask of each column it reduced; a column paired at once
+has its mask built from its rows each time it is added, and kept from its
+second use on. The pairing produced by reduction is unique, independent of
+the reduction strategy.
+
+``reduce``, ``reduce_twist`` and ``extended_barcode`` reduce the boundary
+matrix; ``reduce`` and ``reduce_twist`` number mask bits by row over the
+whole filtration, so that a kept mask is a reduced column as
+``ReductionState`` holds it. The pipeline reduces the coned filtration's
+coboundary matrix instead (``_coned_coboundaries``): the same pairs, with
+far fewer column additions where the coned columns of high dimension
+collide (1,666,206 against 180,314 on a bumpy torus with a Rips layer).
 """
 
 from __future__ import annotations
@@ -96,11 +101,12 @@ def _by_dim(dims: Sequence[int]) -> Tuple[List[int], Dict[int, List[int]]]:
 def _reduce(
     rows: Sequence[Sequence[int]], dims: Sequence[int], twist: bool = True, dense: bool = False
 ) -> Tuple[List[Tuple[int, int]], List[Optional[int]], Dict[str, int]]:
-    """Reduce the columns given by their boundary rows.
+    """Reduce the columns given by their rows, each row a column of the
+    dimension one below the column's own (boundary or coboundary columns).
 
     Returns the (birth, death) pairs, the kept masks (column -> mask, None
     where none was kept) and the counters. A mask's bit i is the i-th row
-    of the column's facet dimension, or with dense row i itself, so that a
+    of the dimension below, or with dense row i itself, so that a
     kept mask is the reduced column as ReductionState holds it. With twist,
     columns run by decreasing dimension and a column known to be a birth is
     cleared without being reduced; without it they run left to right and no
@@ -212,21 +218,41 @@ def reduce_twist(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionStat
     return _reduced(f, twist=True)
 
 
-def _coned_rows(sw: _Sweep, cone: List[int]) -> Iterator[Tuple[int, ...]]:
-    """Boundary rows of the coned filtration of a valid standardized sweep.
+def _coned_coboundaries(sw: _Sweep) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """Coboundary columns of the coned filtration of a valid standardized
+    sweep, anti-transposed, and their dimensions.
 
-    Its ids run in order of addition, so the up column of id s is row
-    s + 1 (row 0 is the apex). The up column of s has the up rows of its
-    facets; the cone over s (row cone[s]) has s's up row plus the cone
-    rows of its facets, or the apex row when s is a vertex.
+    The coned filtration has N = 2n + 1 columns: the apex (0), the up
+    column of id s (s + 1, as ids run in order of addition) and the cone
+    over the k-th deleted id (2n - k). Column N-1-c here is the coboundary
+    of column c, with row N-1-x for each coface x: the cone over the k-th
+    deleted id is column and row k, the up column of s is 2n-1-s, the apex
+    2n. The up column of s has the up rows of its cofaces in K, then the
+    cone over s; the cone over s has the cone rows of its cofaces; the apex
+    has the cones over the vertices. A column's dimension is minus its
+    simplex's, so that twist runs by increasing simplex dimension. A pair
+    (low, j) of this matrix is the pair (N-1-j, N-1-low) of the boundary
+    matrix (de Silva, Morozov and Vejdemo-Johansson, *Dualities in
+    persistent (co)homology*, 2011).
     """
-    facets = sw.facets
-    yield ()
-    for s in sw.adds:
-        yield tuple(map((1).__add__, facets[s]))
-    for s in reversed(sw.dels):
-        fs = facets[s]
-        yield (s + 1, *map(cone.__getitem__, fs)) if fs else (s + 1, 0)
+    facets, dims, dels = sw.facets, sw.dims, sw.dels
+    n = len(dels)
+    cofaces: List[List[int]] = [[] for _ in range(n)]
+    for t in range(n):  # in order of addition
+        for x in facets[t]:
+            cofaces[x].append(t)
+    at = [0] * n  # id -> its position among the deletions: the row of the cone over it
+    for k, s in enumerate(dels):
+        at[s] = k
+    row_of_cone = at.__getitem__
+    up_row = (2 * n - 1).__sub__
+    cols = [tuple(map(row_of_cone, cofaces[s])) for s in dels]
+    cols += [(*map(up_row, cofaces[s]), at[s]) for s in range(n - 1, -1, -1)]
+    cols.append(tuple(at[v] for v in range(n) if not dims[v]))
+    col_dims = [-1 - dims[s] for s in dels]
+    col_dims += [-dims[s] for s in range(n - 1, -1, -1)]
+    col_dims.append(0)
+    return cols, col_dims
 
 
 @dataclass(frozen=True)

@@ -184,12 +184,16 @@ def test_compute_stats_flag(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     stats = json.loads(lines[0])
-    assert stats["schema"] == "zzpers.stats/1"
-    # apex, three up columns, three cones. The cone over {0,1} pairs at once, and so
-    # does {0,1}; the cone over 1 collides with {0,1} and needs one addition; the cone
-    # over 0 and the vertices 0 and 1 are births, cleared before they are reached
+    assert stats["schema"] == "zzpers.stats/2"
+    # apex, three up columns, three cones, reduced as coboundaries (column 6 - c is the
+    # coboundary of coned column c) by increasing simplex dimension. The coboundary of
+    # vertex 1 (up {0,1}, cone over 1) pairs at once; vertex 0's (up {0,1}, cone over 0)
+    # collides with it and needs one addition; the apex's (the cones over 0 and 1) then
+    # cancels against vertex 0's reduced mask, the only one kept, in one more. Of the
+    # edge-dimension columns the cone over 0 pairs at once; {0,1} and the cone over 1
+    # are cleared, and so is the cone over {0,1}
     assert (stats["columns"], stats["pairs"], stats["cleared_columns"]) == (7, 3, 3)
-    assert (stats["pivots_without_addition"], stats["column_additions"]) == (2, 1)
+    assert (stats["pivots_without_addition"], stats["column_additions"]) == (2, 2)
     assert (stats["max_column_additions"], stats["masks_kept"]) == (1, 1)
     assert set(stats) == {
         "schema", "columns", "cleared_columns", "pairs", "pivots_without_addition",

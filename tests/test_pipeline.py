@@ -136,8 +136,25 @@ def test_truncated_filtration_restriction_vs_oracle():
 
 def test_empty_filtration():
     f = ZigzagFiltration([])
+    result = compute_zigzag(f)
+    assert len(result.barcode) == 0 and result.stats["columns"] == 1  # the apex alone
     assert len(zigzag_barcode(f)) == 0
     assert len(oracle_absolute(f)) == 0
+
+
+def test_padded_inputs_vertex_only_and_non_empty_initial():
+    # both need padding, so compute_zigzag sweeps the standardized filtration again
+    triangle_boundary = [sx(0), sx(1), sx(2), sx(0, 1), sx(0, 2), sx(1, 2)]
+    cases = [
+        (zz("a 0", "a 1", "d 0", "a 2"), 0, 2),
+        (zz("a 0 1 2", "d 0 1 2", "d 0 1", "a 3", "a 0 3", initial=triangle_boundary), 6, 7),
+    ]
+    for f, prefix, suffix in cases:
+        result = compute_zigzag(f)
+        assert (result.record.prefix_length, result.record.suffix_length) == (prefix, suffix)
+        assert multiset_equal(result.barcode, oracle_absolute(f)).equal
+        # the apex plus one column per event of the padded filtration
+        assert result.stats["columns"] == prefix + len(f) + suffix + 1
 
 
 def test_initial_only_filtration():

@@ -159,18 +159,23 @@ def test_exactly_one_essential_in_coned_reduction(small_corpus):
 
 
 def _dense_reference(order, twist):
+    """Reference reduction of the boundary matrix of a monotone filtration."""
+    pos = {s: i for i, s in enumerate(order)}
+    cols = [sum(1 << pos[f] for f in boundary(s)) for s in order]
+    return _dense_reduction(cols, [s.dim for s in order], twist)
+
+
+def _dense_reduction(cols, dims, twist):
     """Reference reduction on dense columns: one bitmask per column (bit
-    i = row i), reduced in place.
+    i = row i), reduced in place; with twist, by decreasing dimension.
 
     Returns the sorted pairs, the reduced columns (0 where cleared) and the
     counters the sparse loop reports. masks_kept follows the keeping rule:
     every column reduced with at least one addition, plus every column
     paired at once that was added to others at least twice.
     """
-    pos = {s: i for i, s in enumerate(order)}
-    cols = [sum(1 << pos[f] for f in boundary(s)) for s in order]
-    dims = [s.dim for s in order]
-    sequence = sorted(range(len(order)), key=lambda j: -dims[j]) if twist else range(len(order))
+    cols = list(cols)
+    sequence = sorted(range(len(cols)), key=lambda j: -dims[j]) if twist else range(len(cols))
     owner = {}
     cleared = set()
     pairs = []
@@ -200,7 +205,7 @@ def _dense_reference(order, twist):
             else:
                 at_once += 1
     stats = {
-        "columns": len(order),
+        "columns": len(cols),
         "cleared_columns": n_cleared,
         "pairs": len(pairs),
         "pivots_without_addition": at_once,
@@ -236,12 +241,29 @@ def _check_against_dense(order):
     return stats
 
 
+def _coboundary_stats(order):
+    """Counters of the twist reduction of the anti-transposed boundary matrix
+    (the coboundary matrix, the order of its rows and columns reversed), as
+    the pipeline reduces the coned filtration; its pairs, mapped back, are
+    the boundary matrix's pairs."""
+    pos = {s: i for i, s in enumerate(order)}
+    top = len(order) - 1
+    cols = [0] * len(order)  # column top - x has bit top - c for each coface c of x
+    for c, s in enumerate(order):
+        for f in boundary(s):
+            cols[top - pos[f]] |= 1 << (top - c)
+    pairs, _, stats = _dense_reduction(cols, [-s.dim for s in reversed(order)], twist=True)
+    assert tuple(sorted((top - j, top - low) for low, j in pairs)) == reduce_twist(order).pairs
+    return stats
+
+
 def test_sparse_reduction_matches_dense_on_a3_corpus(a3_corpus):
     for f in a3_corpus:
         U, _ = to_updown(f)
-        stats = _check_against_dense(list(build_extended(U).events))
-        # the pipeline runs the same loop on the coned rows of its sweep
-        assert compute_zigzag(f).stats == stats
+        order = list(build_extended(U).events)
+        _check_against_dense(order)
+        # the pipeline runs the same loop on the coboundary columns of its sweep
+        assert compute_zigzag(f).stats == _coboundary_stats(order)
 
 
 def test_sparse_reduction_matches_dense_on_seeded_filtrations():
@@ -250,8 +272,9 @@ def test_sparse_reduction_matches_dense_on_seeded_filtrations():
         simplices = random_complex(rng, max_vertices=9, max_simplices=45, max_dim=3)
         f = random_nonrepetitive(rng, simplices)
         U, _ = to_updown(f)
-        stats = _check_against_dense(list(build_extended(U).events))
-        assert compute_zigzag(f).stats == stats
+        order = list(build_extended(U).events)
+        _check_against_dense(order)
+        assert compute_zigzag(f).stats == _coboundary_stats(order)
         _check_against_dense(random_linear_extension(rng, simplices))
     # height sweeps of a bumpy torus with a Vietoris-Rips layer (the seed moves
     # only the walk, which leaves the up-down form alone; axis and radius do not)
@@ -261,6 +284,9 @@ def test_sparse_reduction_matches_dense_on_seeded_filtrations():
         f = generate(mesh, axis=axis, switches=48, seed=seed, rips_radius=radius)
         assert len(f) > 192  # the bare mesh has 96 simplices
         U, _ = to_updown(f)
-        stats = _check_against_dense(list(build_extended(U).events))
+        order = list(build_extended(U).events)
+        stats = _check_against_dense(order)
         assert stats["column_additions"] > 0
-        assert compute_zigzag(f).stats == stats
+        costats = _coboundary_stats(order)
+        assert costats["column_additions"] > 0
+        assert compute_zigzag(f).stats == costats
