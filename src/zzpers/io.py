@@ -174,11 +174,6 @@ def load_barcode(path: str) -> Barcode:
         return parse_barcode(fh.read())
 
 
-def save_barcode(path: str, bar: Barcode) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(bar.to_text())
-
-
 @dataclass(frozen=True)
 class OffMesh:
     vertices: Tuple[Tuple[float, float, float], ...]

@@ -12,24 +12,25 @@ The dual zigzag is generally repetitive (a dual cell leaves when its
 primal simplex is added and comes back when it is deleted). Giving every
 re-entry a fresh copy of the cell makes it a non-repetitive filtration
 (the copy trick of Dey & Hou, *Fast Computation of Zigzag Persistence*,
-ESA 2022), which the pipeline of ``zzpers.pipeline`` reduces. Building
-the copies is linear in the length of the filtration; the reduction is
-not near linear in the worst case, but on swept grid tori the whole path
-grows with exponent about 1.2 (acceptance test A8-manifold).
+ESA 2022). The walk over the graph zigzag gives the copies dense ids and
+records them as the pipeline's solve reads them (``pipeline._solve``), so
+no simplex, event or filtration is built for them. The walk is linear in
+the length of the filtration; the reduction is not near linear in the
+worst case, but on swept grid tori the whole path grows with exponent
+about 1.1 (acceptance test A8-manifold).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .barcode import ABSOLUTE, RELATIVE, Barcode, Interval, classify_ends
-from .complexes import DualGraph, Simplex, SimplicialComplex, dual_graph
+from .complexes import DualGraph, SimplicialComplex, dual_graph
 from .duality import recover_absolute_from_relative
 from .errors import InvalidInputError, NotStandardizedError
-from .filtration import ADD, DEL, FiltrationEvent, ZigzagFiltration
-from .pipeline import compute_zigzag
+from .filtration import ADD, DEL, ZigzagFiltration
+from .pipeline import _remap_pairs, _solve
 
 ADD_VERTEX = "+v"
 DEL_VERTEX = "-v"
@@ -63,24 +64,6 @@ class GraphZigzag:
     def m(self) -> int:
         return len(self.events)
 
-    def snapshots(self):
-        """Yield (vertex set, edge set) for G_0..G_m."""
-        vs = set(self.initial_vertices)
-        es = set(self.initial_edges)
-        yield frozenset(vs), frozenset(es)
-        for op, idx in self.events:
-            if op == ADD_VERTEX:
-                vs.add(idx)
-            elif op == DEL_VERTEX:
-                vs.discard(idx)
-            elif op == ADD_EDGE:
-                es.add(idx)
-            elif op == DEL_EDGE:
-                es.discard(idx)
-            elif op != NOOP:
-                raise InvalidInputError(f"unknown graph event {op!r}")
-            yield frozenset(vs), frozenset(es)
-
 
 def dual_filtration(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> GraphZigzag:
     """Complement zigzag on the dual graph, index-aligned with f."""
@@ -106,7 +89,8 @@ def dual_filtration(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> GraphZ
 
 def _cell(i: int, n: int, kind: str) -> int:
     if type(i) is not int or not 0 <= i < n:
-        raise InvalidInputError(f"{kind} index {i!r} out of range for {n} {kind}s")
+        plural = "vertices" if kind == "vertex" else "edges"
+        raise InvalidInputError(f"{kind} index {i!r} out of range for {n} {plural}")
     return i
 
 
@@ -115,47 +99,63 @@ def _arrow(k: int) -> str:
 
 
 def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
-    """0-dimensional barcode of the graph zigzag, through the pipeline.
+    """0-dimensional barcode of the graph zigzag, through the pipeline's solve.
 
-    Every (re)entry of a cell becomes a fresh simplex: a vertex gets a new
-    copy id, and an edge joins the current copies of its two ends. An edge
-    that comes back while both ends are still the copies it joined before
-    would repeat a simplex, so it enters as a path through a fresh midpoint
-    copy (three additions, left as three deletions). The initial graph is
-    added before the first arrow and what is left is deleted after the
-    last, so the copies form a standardized non-repetitive filtration;
-    identity arrows add nothing to it. ``compute_zigzag`` reduces that
-    filtration; each of its events belongs to one arrow of g (the padding
-    to arrow -1 or m), so its interval [b, d] becomes [a(b-1) + 1, a(d)] in
-    g's indices, and is dropped when it lives only inside one arrow's
-    events.
+    Every (re)entry of a cell becomes a fresh copy with a dense id, given in
+    order of addition: a vertex copy has no facets, and an edge copy has the
+    current copies of its two ends. The initial graph is added before the
+    first arrow and what is left is deleted after the last, so the copies
+    form a standardized non-repetitive filtration; identity arrows add
+    nothing to it. The walk records per id its dimension, facet ids and the
+    positions of its addition and deletion, the ids in order of deletion,
+    and the arrow of g each position belongs to (the padding to arrow -1 or
+    m); ``_solve`` reduces that record and ``_remap_pairs`` gives its
+    intervals. An interval [b, d] of the copies becomes [a(b-1) + 1, a(d)]
+    in g's indices, and is dropped when it lives only inside one arrow's
+    positions.
     """
     nv, edges, m = g.n_vertices, g.edges, g.m
+    if type(nv) is not int or nv < 0:
+        raise InvalidInputError(f"vertex count {nv!r} is not a non-negative int")
     seen = set()
-    for e, (a, b) in enumerate(edges):
+    for e, ends in enumerate(edges):
+        try:
+            a, b = ends
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"edge {e} is not a pair of vertices: {ends!r}") from None
         pair = tuple(sorted((_cell(a, nv, "vertex"), _cell(b, nv, "vertex"))))
         if a == b:
             raise InvalidInputError(f"edge {e} is a self-loop at vertex {a}")
         if pair in seen:
             raise InvalidInputError(f"edge {e} is parallel to another edge between {a} and {b}")
         seen.add(pair)
-    make = Simplex._from_sorted
-    copy = [-1] * nv  # vertex -> its present copy, -1 while absent
+    dims: List[int] = []  # id -> 0 for a vertex copy, 1 for an edge copy
+    facets: List[Tuple[int, ...]] = []  # id -> the ids of its ends
+    add_at: List[int] = []  # id -> the position of its addition
+    del_at: List[int] = []  # id -> the position of its deletion
+    dels: List[int] = []  # ids in order of deletion
+    arrow_of: List[int] = []  # position -> the arrow of g it belongs to
+    copy = [-1] * nv  # vertex -> the id of its present copy, -1 while absent
     degree = [0] * nv  # vertex -> number of present edges at it
-    present: Dict[int, Tuple[Tuple[int, ...], ...]] = {}  # edge -> its simplices
-    joined = set()  # copy pairs that some edge has joined
-    events: List[FiltrationEvent] = []
-    arrow_of: List[int] = []  # event -> the arrow of g it belongs to
+    present: Dict[int, int] = {}  # edge -> the id of its present copy
 
-    def emit(direction, cells, k):
-        events.extend(FiltrationEvent(direction, make(c)) for c in cells)
-        arrow_of.extend([k] * len(cells))
+    def add(dim, fs, k):
+        dims.append(dim)
+        facets.append(fs)
+        add_at.append(len(arrow_of))
+        del_at.append(-1)
+        arrow_of.append(k)
+        return len(dims) - 1
+
+    def remove(j, k):
+        del_at[j] = len(arrow_of)
+        dels.append(j)
+        arrow_of.append(k)
 
     def vertex_in(v, k):
         if copy[_cell(v, nv, "vertex")] >= 0:
             raise InvalidInputError(f"{_arrow(k)}: vertex {v} added while present")
-        copy[v] = len(events)  # a copy's id is the index of the event adding it
-        emit(ADD, [(copy[v],)], k)
+        copy[v] = add(0, (), k)
 
     def vertex_out(v, k):
         if copy[_cell(v, nv, "vertex")] < 0:
@@ -164,63 +164,56 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
             raise InvalidInputError(
                 f"{_arrow(k)}: vertex {v} deleted while an edge at it is present"
             )
-        emit(DEL, [(copy[v],)], k)
+        remove(copy[v], k)
         copy[v] = -1
 
     def edge_in(e, k):
         if _cell(e, len(edges), "edge") in present:
             raise InvalidInputError(f"{_arrow(k)}: edge {e} added while present")
         a, b = edges[e]
-        ca, cb = sorted((copy[a], copy[b]))
-        if ca < 0:
+        if copy[a] < 0 or copy[b] < 0:
             raise InvalidInputError(f"{_arrow(k)}: edge {e} added while an end is absent")
-        if (ca, cb) in joined:
-            mid = len(events)
-            cells = ((mid,), (ca, mid), (cb, mid))
-        else:
-            joined.add((ca, cb))
-            cells = ((ca, cb),)
-        present[e] = cells
+        present[e] = add(1, (copy[a], copy[b]), k)
         degree[a] += 1
         degree[b] += 1
-        emit(ADD, cells, k)
 
     def edge_out(e, k):
-        cells = present.pop(_cell(e, len(edges), "edge"), None)
-        if cells is None:
+        j = present.pop(_cell(e, len(edges), "edge"), None)
+        if j is None:
             raise InvalidInputError(f"{_arrow(k)}: delete of absent edge {e}")
         a, b = edges[e]
         degree[a] -= 1
         degree[b] -= 1
-        emit(DEL, cells[::-1], k)
+        remove(j, k)
 
-    for v in sorted(g.initial_vertices):
+    for v in sorted(_cell(v, nv, "vertex") for v in g.initial_vertices):
         vertex_in(v, -1)
-    for e in sorted(g.initial_edges):
+    for e in sorted(_cell(e, len(edges), "edge") for e in g.initial_edges):
         edge_in(e, -1)
     steps = {ADD_VERTEX: vertex_in, DEL_VERTEX: vertex_out, ADD_EDGE: edge_in, DEL_EDGE: edge_out}
-    for k, (op, i) in enumerate(g.events):
-        if op != NOOP:
-            step = steps.get(op)
-            if step is None:
-                raise InvalidInputError(f"{_arrow(k)}: unknown graph event {op!r}")
-            step(i, k)
+    steps[NOOP] = lambda i, k: None
+    for k, event in enumerate(g.events):
+        try:
+            op, i = event
+            step = steps[op]
+        except (TypeError, ValueError, KeyError):
+            raise InvalidInputError(f"{_arrow(k)}: unknown graph event {event!r}") from None
+        step(i, k)
     for e in sorted(present):
         edge_out(e, m)
     for v in range(nv):
         if copy[v] >= 0:
             vertex_out(v, m)
 
-    bars = compute_zigzag(ZigzagFiltration(events)).barcode
-    at = [-1, *arrow_of, m]  # at[i]: the arrow of event i - 1
+    pairs, _ = _solve(facets, dims, dels)
+    at = [-1, *arrow_of, m]  # at[i]: the arrow of position i - 1
     directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in g.events)
-    intervals: Counter = Counter()
-    for iv, c in bars.counts().items():
-        if iv.dim == 0:
-            b, d = at[iv.b] + 1, at[iv.d + 1]
-            if b <= d:
-                intervals[Interval(0, b, d, *classify_ends(b, d, directions))] += c
-    return Barcode(intervals, m, ABSOLUTE)
+    intervals = []
+    for dim, b, d, _, _ in _remap_pairs(pairs, dims, dels, add_at, del_at):
+        b, d = at[b] + 1, at[d + 1]
+        if dim == 0 and b <= d:
+            intervals.append((0, b, d, *classify_ends(b, d, directions)))
+    return Barcode._of_fields(intervals, m, ABSOLUTE)
 
 
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:

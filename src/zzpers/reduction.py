@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from .complexes import Simplex, cone
 from .errors import InternalInconsistencyError, InvalidInputError, NotStandardizedError, NotUpDownError
-from .filtration import ADD, DEL, ZigzagFiltration, _faces, _Sweep
+from .filtration import ADD, DEL, ZigzagFiltration, _faces
 
 ORD = "Ord"
 REL = "Rel"
@@ -218,9 +218,10 @@ def reduce_twist(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionStat
     return _reduced(f, twist=True)
 
 
-def _coned_coboundaries(sw: _Sweep) -> Tuple[List[Tuple[int, ...]], List[int]]:
+def _coned_coboundaries(facets, dims, dels) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """Coboundary columns of the coned filtration of a valid standardized
-    sweep, anti-transposed, and their dimensions.
+    dense-id record (facet ids and dimension per id, ids in order of
+    deletion), anti-transposed, and their dimensions.
 
     The coned filtration has N = 2n + 1 columns: the apex (0), the up
     column of id s (s + 1, as ids run in order of addition) and the cone
@@ -235,7 +236,6 @@ def _coned_coboundaries(sw: _Sweep) -> Tuple[List[Tuple[int, ...]], List[int]]:
     matrix (de Silva, Morozov and Vejdemo-Johansson, *Dualities in
     persistent (co)homology*, 2011).
     """
-    facets, dims, dels = sw.facets, sw.dims, sw.dels
     n = len(dels)
     cofaces: List[List[int]] = [[] for _ in range(n)]
     for t in range(n):  # in order of addition

@@ -34,9 +34,6 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)

@@ -33,13 +33,25 @@ from conftest import (
 )
 
 
+def graph_snapshots(g: GraphZigzag):
+    """Yield (vertex set, edge set) for G_0..G_m of a valid graph zigzag."""
+    vs = set(g.initial_vertices)
+    es = set(g.initial_edges)
+    yield frozenset(vs), frozenset(es)
+    apply = {ADD_VERTEX: vs.add, DEL_VERTEX: vs.discard, ADD_EDGE: es.add, DEL_EDGE: es.discard}
+    for op, idx in g.events:
+        if op != NOOP:
+            apply[op](idx)
+        yield frozenset(vs), frozenset(es)
+
+
 def test_dual_filtration_complement_shape():
     K = tetra_boundary()
     rng = SplitMix64(1)
     f = random_nonrepetitive(rng, sorted(K.simplex_set()), walk=0)  # up-down
     g = dual_filtration(f, K, 2)
     # empty complex dualizes to the full graph
-    snaps = list(g.snapshots())
+    snaps = list(graph_snapshots(g))
     assert snaps[0] == (frozenset(range(4)), frozenset(range(6)))
     # at the midpoint the complex is all of K, so the dual graph is empty
     n = len(f) // 2
@@ -58,7 +70,7 @@ def test_dual_filtration_snapshots_are_subgraphs():
     rng = SplitMix64(2)
     f = random_nonrepetitive(rng, sorted(K.simplex_set()))
     g = dual_filtration(f, K, 2)
-    for vs, es in g.snapshots():
+    for vs, es in graph_snapshots(g):
         for ei in es:
             a, b = g.edges[ei]
             assert a in vs and b in vs
@@ -184,25 +196,34 @@ PATH3 = ((0, 1), (1, 2))
 
 
 @pytest.mark.parametrize(
-    "edges, events, init_v, init_e, message",
+    "edges, events, init_v, init_e, message, nv",
     [
-        (PATH3, (("+x", 0),), (), (), "unknown graph event"),
-        (PATH3, ((ADD_VERTEX, 0), (ADD_EDGE, 0)), (), (), "edge 0 added while an end is absent"),
-        (PATH3, ((DEL_VERTEX, 2),), (0, 1), (), "delete of absent vertex 2"),
-        (PATH3, ((DEL_EDGE, 1),), (0, 1, 2), (0,), "delete of absent edge 1"),
-        (PATH3, ((DEL_VERTEX, 1),), (0, 1, 2), (0,), "vertex 1 deleted while an edge"),
-        (PATH3, ((ADD_VERTEX, 0),), (0,), (), "vertex 0 added while present"),
-        (PATH3, ((ADD_EDGE, 0),), (0, 1), (0,), "edge 0 added while present"),
-        (PATH3, ((ADD_VERTEX, 3),), (), (), "vertex index 3 out of range"),
-        (PATH3, ((DEL_EDGE, None),), (), (), "edge index None out of range"),
-        (PATH3, (), (0, 2), (1,), "initial graph: edge 1 added while an end is absent"),
-        (((0, 1), (1, 1)), (), (), (), "edge 1 is a self-loop"),
-        (((0, 1), (1, 0)), (), (), (), "edge 1 is parallel"),
-        (((0, 3),), (), (), (), "vertex index 3 out of range"),
+        (PATH3, (("+x", 0),), (), (), "unknown graph event", 3),
+        (PATH3, ((ADD_VERTEX, 0), (ADD_EDGE, 0)), (), (), "edge 0 added while an end is absent", 3),
+        (PATH3, ((DEL_VERTEX, 2),), (0, 1), (), "delete of absent vertex 2", 3),
+        (PATH3, ((DEL_EDGE, 1),), (0, 1, 2), (0,), "delete of absent edge 1", 3),
+        (PATH3, ((DEL_VERTEX, 1),), (0, 1, 2), (0,), "vertex 1 deleted while an edge", 3),
+        (PATH3, ((ADD_VERTEX, 0),), (0,), (), "vertex 0 added while present", 3),
+        (PATH3, ((ADD_EDGE, 0),), (0, 1), (0,), "edge 0 added while present", 3),
+        (PATH3, ((ADD_VERTEX, 3),), (), (), "vertex index 3 out of range", 3),
+        (PATH3, ((DEL_EDGE, None),), (), (), "edge index None out of range", 3),
+        (PATH3, (), (0, 2), (1,), "initial graph: edge 1 added while an end is absent", 3),
+        (((0, 1), (1, 1)), (), (), (), "edge 1 is a self-loop", 3),
+        (((0, 1), (1, 0)), (), (), (), "edge 1 is parallel", 3),
+        (((0, 3),), (), (), (), "vertex index 3 out of range", 3),
+        (((0, 5),), (), (), (), "vertex index 5 out of range for 2 vertices", 2),
+        (PATH3, (), (0, "a"), (), "vertex index 'a' out of range", 3),
+        (PATH3, (), (0, 1), (None,), "edge index None out of range", 3),
+        (PATH3, ((["+v"], 0),), (), (), "arrow 0: unknown graph event", 3),
+        (PATH3, ((ADD_VERTEX, 0), ("+v",)), (), (), "arrow 1: unknown graph event", 3),
+        (((0, 1, 2),), (), (), (), "edge 0 is not a pair of vertices", 3),
+        ((), (), (), (), "vertex count -1", -1),
     ],
 )
-def test_zero_dim_zigzag_rejects_malformed_graph_zigzags(edges, events, init_v, init_e, message):
-    g = GraphZigzag(3, edges, events, frozenset(init_v), frozenset(init_e))
+def test_zero_dim_zigzag_rejects_malformed_graph_zigzags(
+    edges, events, init_v, init_e, message, nv
+):
+    g = GraphZigzag(nv, edges, events, frozenset(init_v), frozenset(init_e))
     with pytest.raises(InvalidInputError, match=message):
         zero_dim_zigzag(g)
 
@@ -241,7 +262,7 @@ def _oracle_zero_dim(g: GraphZigzag):
     """The graph zigzag's 0-dimensional barcode by the brute-force oracle."""
     pairs = [
         (frozenset([*(Simplex([v]) for v in vs), *(Simplex(g.edges[i]) for i in es)]), frozenset())
-        for vs, es in g.snapshots()
+        for vs, es in graph_snapshots(g)
     ]
     directions = [ADD if op in (ADD_VERTEX, ADD_EDGE, NOOP) else DEL for op, _ in g.events]
     return sequence_barcode(pairs, directions, ABSOLUTE, qmax=0)
@@ -269,3 +290,60 @@ def test_zero_dim_zigzag_matches_oracle_on_random_graph_zigzags():
                     seen["edge back on the same ends"] += 1
                     break
     assert all(seen.values()), seen
+
+
+def test_zero_dim_zigzag_hands_solve_a_valid_copy_record(monkeypatch):
+    """The walk's record is the only input of the solve, so check it: ids
+    in order of addition, each deleted once after it is added, facets
+    present over their coface's lifetime, vertices and edges well formed."""
+    import zzpers.manifold as manifold
+
+    records = []
+    solve, remap = manifold._solve, manifold._remap_pairs
+
+    def capture_solve(facets, dims, dels):
+        records.append([facets, dims, dels])
+        return solve(facets, dims, dels)
+
+    def capture_remap(pairs, dims, dels, add_at, del_at):
+        assert records[-1][1:] == [dims, dels]
+        records[-1] += [add_at, del_at]
+        return remap(pairs, dims, dels, add_at, del_at)
+
+    monkeypatch.setattr(manifold, "_solve", capture_solve)
+    monkeypatch.setattr(manifold, "_remap_pairs", capture_remap)
+    rng = SplitMix64(0x0D1)
+    for case in range(120):
+        g = _random_graph_zigzag(rng, 0 if case % 15 == 0 else 1 + rng.below(24))
+        zero_dim_zigzag(g)
+        facets, dims, dels, add_at, del_at = records[-1]
+        n = len(dims)
+        assert len(facets) == len(add_at) == len(del_at) == n
+        assert add_at == sorted(add_at) and sorted(dels) == list(range(n))
+        assert sorted(add_at + del_at) == list(range(2 * n))
+        assert [del_at[j] for j in dels] == sorted(del_at)
+        for j in range(n):
+            assert add_at[j] < del_at[j]
+            assert (dims[j], len(facets[j])) in ((0, 0), (1, 2))
+            for x in facets[j]:
+                assert dims[x] == 0 and add_at[x] < add_at[j] and del_at[j] < del_at[x]
+    assert len(records) == 120
+
+
+def test_zero_dim_zigzag_builds_no_simplex_event_or_sweep(monkeypatch):
+    import zzpers.filtration
+    import zzpers.pipeline
+
+    g = _random_graph_zigzag(SplitMix64(7), 24)
+    expected = zero_dim_zigzag(g)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("zero_dim_zigzag built a simplex, an event or a sweep")
+
+    monkeypatch.setattr(Simplex, "__init__", forbidden)
+    monkeypatch.setattr(Simplex, "_from_sorted", forbidden)
+    monkeypatch.setattr(FiltrationEvent, "__init__", forbidden)
+    monkeypatch.setattr(zzpers.filtration, "_sweep", forbidden)
+    monkeypatch.setattr(zzpers.pipeline, "_sweep", forbidden)
+    assert zero_dim_zigzag(g) == expected
+    assert expected.m == 24 and len(expected)

@@ -1,7 +1,9 @@
-"""Property-based tests: generated filtrations against the staged public route."""
+"""Property-based tests: generated filtrations against the staged public route,
+and generated graph zigzags against the brute-force oracle."""
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,8 @@ from zzpers import (
     ABSOLUTE,
     Barcode,
     FiltrationEvent,
+    GraphZigzag,
+    InvalidInputError,
     Simplex,
     ZigzagFiltration,
     boundary,
@@ -16,13 +20,17 @@ from zzpers import (
     compute_zigzag,
     ext_to_updown,
     find_repetition,
+    multiset_equal,
     reduce_twist,
     standardize,
     to_updown,
     updown_to_f,
     validate,
+    zero_dim_zigzag,
 )
+from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.reduction import extended_from_reduction
+from test_manifold import _oracle_zero_dim
 
 # every simplex on five vertices up to dimension 3, faces before cofaces
 CANDIDATES = [Simplex(c) for k in range(1, 5) for c in combinations(range(5), k)]
@@ -70,3 +78,116 @@ def test_compute_zigzag_matches_staged_public_route(f):
         ABSOLUTE,
     )
     assert compute_zigzag(f).standardized == staged
+
+
+@st.composite
+def graph_zigzags(draw):
+    """A valid graph zigzag on a simple graph with up to 5 vertices: each
+    arrow is an identity or a move allowed in the current subgraph."""
+    nv = draw(st.integers(0, 5))
+    pairs = list(combinations(range(nv), 2))
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ()
+    vs = draw(st.sets(st.integers(0, nv - 1))) if nv else set()
+    es = {i for i, (a, b) in enumerate(edges) if a in vs and b in vs and draw(st.booleans())}
+    g0 = (frozenset(vs), frozenset(es))
+    events = []
+    for _ in range(draw(st.integers(0, 24))):
+        moves = [(NOOP, None)]
+        moves += [(ADD_VERTEX, v) for v in range(nv) if v not in vs]
+        moves += [(DEL_VERTEX, v) for v in sorted(vs) if not any(v in edges[i] for i in es)]
+        moves += [(ADD_EDGE, i) for i, (a, b) in enumerate(edges)
+                  if i not in es and a in vs and b in vs]
+        moves += [(DEL_EDGE, i) for i in sorted(es)]
+        op, i = draw(st.sampled_from(moves))
+        events.append((op, i))
+        if op != NOOP:
+            {ADD_VERTEX: vs.add, DEL_VERTEX: vs.discard, ADD_EDGE: es.add,
+             DEL_EDGE: es.discard}[op](i)
+    return GraphZigzag(nv, edges, tuple(events), *g0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graph_zigzags())
+def test_zero_dim_zigzag_matches_oracle_on_generated_graph_zigzags(g):
+    assert multiset_equal(zero_dim_zigzag(g), _oracle_zero_dim(g)).equal
+
+
+INDICES = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, None, "a"])
+OPS = st.sampled_from([ADD_VERTEX, DEL_VERTEX, ADD_EDGE, DEL_EDGE, NOOP, "+x", ["+v"]])
+# an index, an edge or event of any arity up to three, or an event with one field
+ITEMS = st.one_of(
+    INDICES, st.lists(INDICES, max_size=3).map(tuple), st.tuples(OPS, INDICES), st.tuples(OPS)
+)
+FIELDS = ("n_vertices", "edges", "events", "initial_vertices", "initial_edges")
+
+
+@st.composite
+def arbitrary_graph_zigzags(draw):
+    """A generated graph zigzag with up to three fields changed at random: the
+    vertex count replaced, an edge or event replaced or inserted, or an index
+    added to an initial set. Most results are malformed; some stay valid."""
+    g = draw(graph_zigzags())
+    nv, edges, events = g.n_vertices, list(g.edges), list(g.events)
+    initial = {"initial_vertices": set(g.initial_vertices), "initial_edges": set(g.initial_edges)}
+    for _ in range(draw(st.integers(0, 3))):
+        field = draw(st.sampled_from(FIELDS))
+        if field == "n_vertices":
+            nv = draw(INDICES)
+        elif field in initial:
+            initial[field].add(draw(INDICES))
+        else:
+            seq = edges if field == "edges" else events
+            k = draw(st.integers(0, len(seq)))
+            seq[k : k + draw(st.integers(0, 1))] = [draw(ITEMS)]
+    return GraphZigzag(nv, tuple(edges), tuple(events), *map(frozenset, initial.values()))
+
+
+def _is_valid_graph_zigzag(g):
+    """Whether g is a graph zigzag as ``GraphZigzag`` defines one, checked
+    cell by cell from the definition."""
+    nv, edges = g.n_vertices, g.edges
+    if type(nv) is not int or nv < 0:
+        return False
+
+    def is_pair(x):
+        return type(x) is tuple and len(x) == 2
+
+    def is_index(i, n):
+        return type(i) is int and 0 <= i < n
+
+    ends = set()
+    for e in edges:
+        if not is_pair(e) or not all(is_index(v, nv) for v in e) or e[0] == e[1]:
+            return False
+        if frozenset(e) in ends:
+            return False
+        ends.add(frozenset(e))
+    vs, es = set(g.initial_vertices), set(g.initial_edges)
+    if not all(is_index(v, nv) for v in vs) or not all(is_index(i, len(edges)) for i in es):
+        return False
+    for k in range(-1, g.m):
+        if k >= 0:
+            if not is_pair(g.events[k]):
+                return False
+            op, i = g.events[k]
+            if op != NOOP:
+                if op not in (ADD_VERTEX, DEL_VERTEX, ADD_EDGE, DEL_EDGE):
+                    return False
+                cells, n = (vs, nv) if op in (ADD_VERTEX, DEL_VERTEX) else (es, len(edges))
+                adding = op in (ADD_VERTEX, ADD_EDGE)
+                if not is_index(i, n) or (i in cells) == adding:
+                    return False
+                (cells.add if adding else cells.discard)(i)
+        if not all(a in vs and b in vs for a, b in map(edges.__getitem__, es)):
+            return False
+    return True
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(arbitrary_graph_zigzags())
+def test_zero_dim_zigzag_rejects_or_matches_oracle_on_arbitrary_input(g):
+    if _is_valid_graph_zigzag(g):
+        assert multiset_equal(zero_dim_zigzag(g), _oracle_zero_dim(g)).equal
+    else:
+        with pytest.raises(InvalidInputError):
+            zero_dim_zigzag(g)
