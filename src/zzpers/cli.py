@@ -172,10 +172,13 @@ def _peak_rss_mb() -> float:
 def _cmd_bench(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(
-        ["file", "m", "run", "validate", "convert", "reduce", "remap", "total", "peak_rss_mb"]
+        ["file", "m", "run", "parse", "validate", "convert", "reduce", "remap", "total",
+         "peak_rss_mb"]
     )
     for path in args.filtration:
+        start = time.perf_counter()
         parsed = zio.load_filtration(path)
+        parse = time.perf_counter() - start
         for run in range(args.repeat):
             start = time.perf_counter()
             result = compute_zigzag(parsed.filtration)
@@ -183,7 +186,7 @@ def _cmd_bench(args) -> int:
             t = result.timings
             peak = _peak_rss_mb()
             writer.writerow(
-                [path, len(parsed.filtration), run,
+                [path, len(parsed.filtration), run, f"{parse:.6f}",
                  f"{t['validate']:.6f}", f"{t['convert']:.6f}",
                  f"{t['reduce']:.6f}", f"{t['remap']:.6f}", f"{total:.6f}", f"{peak:.1f}"]
             )
@@ -244,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("bench", help="per-phase timings and peak memory as CSV", description=(
-        "Per-phase timings of compute as CSV. validate: the admission sweep; convert: "
+        "Per-phase timings of compute as CSV. parse: reading the file (once per file, "
+        "repeated in each of its rows); validate: the admission sweep; convert: "
         "padding (near zero on a standardized input); reduce: sparse coboundary "
         "columns of the coned filtration and their reduction (bitmasks only for columns "
         "that need an addition); remap: pairs to intervals and restriction. peak_rss_mb: this "

@@ -7,6 +7,7 @@ threads; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import InvalidConeError, InvalidInputError, NotAManifoldError
@@ -234,29 +235,25 @@ def dual_graph(K: SimplicialComplex, p: int) -> DualGraph:
         raise NotAManifoldError(f"{offender!r} has dimension {K.dim} > p = {p}")
 
     top = K.of_dim(p)
-    cofaces: Dict[Simplex, List[int]] = {}
+    cofaces: Dict[Tuple[int, ...], List[int]] = {}  # facet's vertices -> top simplices
     for i, s in enumerate(top):
-        for f in boundary(s):
+        for f in combinations(s.vertices, p):
             cofaces.setdefault(f, []).append(i)
 
     ridges = K.of_dim(p - 1)
     for f in ridges:
-        k = len(cofaces.get(f, ()))
+        k = len(cofaces.get(f.vertices, ()))
         if k != 2:
             raise NotAManifoldError(f"{f!r} has {k} cofaces of dimension {p}, expected 2")
 
-    pure_faces = set(top)
+    pure_faces = set()  # vertex tuples of every face of a top simplex
     for s in top:
-        stack = list(boundary(s))
-        while stack:
-            f = stack.pop()
-            if f in pure_faces:
-                continue
-            pure_faces.add(f)
-            stack.extend(boundary(f))
+        vs = s.vertices
+        for k in range(1, p + 2):
+            pure_faces.update(combinations(vs, k))
     for s in K:
-        if s not in pure_faces:
+        if s.vertices not in pure_faces:
             raise NotAManifoldError(f"{s!r} is not a face of any {p}-simplex")
 
-    edges = [tuple(sorted(cofaces[f])) for f in ridges]
+    edges = [tuple(sorted(cofaces[f.vertices])) for f in ridges]
     return DualGraph(p, top, ridges, edges)

@@ -7,7 +7,9 @@ values; every operation returns a new one.
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from operator import gt
@@ -28,7 +30,7 @@ ADD = "a"
 DEL = "d"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiltrationEvent:
     direction: str
     simplex: Simplex
@@ -36,6 +38,15 @@ class FiltrationEvent:
     def __post_init__(self):
         if self.direction not in (ADD, DEL):
             raise InvalidInputError(f"unknown event direction {self.direction!r}")
+
+    @classmethod
+    def _trusted(cls, direction: str, s: Simplex) -> "FiltrationEvent":
+        """Fast path for a direction already known to be ADD or DEL: the event
+        the public constructor would build, without its check."""
+        e = _new(cls)
+        _set_direction(e, direction)
+        _set_simplex(e, s)
+        return e
 
     @classmethod
     def add(cls, s: Simplex) -> "FiltrationEvent":
@@ -48,6 +59,31 @@ class FiltrationEvent:
     def __repr__(self) -> str:
         sign = "+" if self.direction == ADD else "-"
         return f"{sign}{'.'.join(map(str, self.simplex.vertices))}"
+
+
+# the slot setters, which the frozen dataclass's __setattr__ would refuse
+_new = object.__new__
+_set_direction = FiltrationEvent.direction.__set__
+_set_simplex = FiltrationEvent.simplex.__set__
+
+
+@contextmanager
+def _gc_paused():
+    """Run the block with the cyclic garbage collector disabled, then restore
+    whether it was enabled before.
+
+    For code that builds many objects but no reference cycles: refcounting
+    still frees all of them, and no full collection walks them while they
+    are built. The switch is process-global, so other threads run without
+    cyclic collection while the block runs.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ZigzagFiltration:

@@ -23,7 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import Simplex
 from .errors import InvalidInputError
-from .filtration import ADD, DEL, FiltrationEvent, ZigzagFiltration, random_outward_walk
+from .filtration import (
+    ADD,
+    DEL,
+    FiltrationEvent,
+    ZigzagFiltration,
+    _gc_paused,
+    random_outward_walk,
+)
 
 FILT_HEADER = "zzfilt v1"
 BAR_HEADER = "zzbar v1"
@@ -44,74 +51,103 @@ def _strip(line: str) -> str:
 
 
 def _repeated_vertex(tokens: List[str]) -> InvalidInputError:
-    """The error for a simplex whose interned ids Simplex rejected: ids are
-    valid, so a token repeats; name it as the file has it."""
+    """The error for a simplex whose tokens repeat: name the first repeat as
+    the file has it."""
     dup = next(t for i, t in enumerate(tokens) if t in tokens[:i])
     return InvalidInputError(f"duplicate vertex {dup} in simplex")
 
 
+class _Interner(dict):
+    """Vertex token -> id, given in first-occurrence order on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        v = self[token] = len(self)
+        return v
+
+
+def _new_simplex(text: str, ids: _Interner, simplices: Dict[str, Simplex]) -> Simplex:
+    """Intern the tokens of a simplex's text, check them, and cache the
+    simplex under that text."""
+    tokens = text.split()
+    vs = tuple(sorted(map(ids.__getitem__, tokens)))
+    if len(vs) > 1 and len(set(vs)) < len(vs):
+        raise _repeated_vertex(tokens)
+    s = simplices[text] = Simplex._from_sorted(vs)
+    return s
+
+
 def parse_filtration(text: str) -> ParsedFiltration:
-    lines = text.splitlines()
-    body = [(i, _strip(raw)) for i, raw in enumerate(lines)]
-    body = [(i, line) for i, line in body if line]
-    if not body or body[0][1] != FILT_HEADER:
-        raise InvalidInputError(f"filtration file must start with '{FILT_HEADER}'")
-    ids: Dict[str, int] = {}  # vertex token -> id, in first-occurrence order
-    events: List[FiltrationEvent] = []
-    coarse: List[int] = []
-    block: Optional[str] = None
-    block_simplices: List[Simplex] = []
-    block_ordinal = -1
+    """Read a ``zzfilt v1`` file: its events, symbol table and block map.
 
-    def flush_block() -> None:
-        nonlocal block
-        if block is None:
-            return
-        ordered = sorted(block_simplices, key=lambda s: (s.dim, s.vertices))
-        if block == DEL:
-            ordered.reverse()
-        direction = block
-        for s in ordered:
-            events.append(FiltrationEvent(direction, s))
-            coarse.append(block_ordinal)
-        block = None
-        block_simplices.clear()
-
-    for lineno, line in body[1:]:
-        try:
-            tokens = line.split()
-            head = tokens[0]
-            if head in ("begin-a", "begin-d"):
-                if block is not None:
-                    raise InvalidInputError("nested block")
-                block = ADD if head == "begin-a" else DEL
-                block_ordinal += 1
+    Each distinct simplex text (the rest of an event line after its
+    direction, or a whole block line) is interned and checked once; every
+    later line with the same text, such as the ``d`` line of a simplex
+    added earlier, reuses that ``Simplex`` object. Events are built with
+    ``FiltrationEvent._trusted``, since their direction has just been read.
+    The cyclic garbage collector is paused while the objects are built
+    (``_gc_paused``; none of them forms a reference cycle). Every error is
+    an ``InvalidInputError`` that names the line.
+    """
+    with _gc_paused():
+        ids = _Interner()
+        simplices: Dict[str, Simplex] = {}  # simplex text -> its checked simplex
+        events: List[FiltrationEvent] = []
+        coarse: List[int] = []
+        block: Optional[str] = None
+        block_simplices: List[Simplex] = []
+        block_ordinal = -1
+        trusted = FiltrationEvent._trusted
+        header = False
+        for lineno, line in enumerate(text.splitlines()):
+            if "#" in line:
+                line = _strip(line)
+            parts = line.split(None, 1)
+            if not parts:
                 continue
-            if head in ("end-a", "end-d"):
-                if block != (ADD if head == "end-a" else DEL):
-                    raise InvalidInputError(f"unmatched {head}")
-                flush_block()
+            if not header:
+                if line.strip() != FILT_HEADER:
+                    break
+                header = True
                 continue
-            if block is not None:
-                try:
-                    block_simplices.append(Simplex(ids.setdefault(t, len(ids)) for t in tokens))
-                except InvalidInputError:
-                    raise _repeated_vertex(tokens) from None
-                continue
-            if head not in (ADD, DEL) or len(tokens) < 2:
-                raise InvalidInputError(f"expected 'a|d v1 v2 ...', got {line!r}")
-            block_ordinal += 1
+            head = parts[0]
             try:
-                s = Simplex(ids.setdefault(t, len(ids)) for t in tokens[1:])
-            except InvalidInputError:
-                raise _repeated_vertex(tokens[1:]) from None
-            events.append(FiltrationEvent(head, s))
-            coarse.append(block_ordinal)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"line {lineno + 1}: {exc}") from exc
-    if block is not None:
-        raise InvalidInputError("unterminated coarse block")
-    return ParsedFiltration(ZigzagFiltration(events), tuple(ids), tuple(coarse))
+                if block is None and len(parts) == 2 and head in (ADD, DEL):  # an event line
+                    rest = parts[1]
+                    block_ordinal += 1
+                    s = simplices.get(rest) or _new_simplex(rest, ids, simplices)
+                    events.append(trusted(ADD if head == ADD else DEL, s))
+                    coarse.append(block_ordinal)
+                    continue
+                if head in ("begin-a", "begin-d"):
+                    if block is not None:
+                        raise InvalidInputError("nested block")
+                    block = ADD if head == "begin-a" else DEL
+                    block_ordinal += 1
+                    continue
+                if head in ("end-a", "end-d"):
+                    if block != (ADD if head == "end-a" else DEL):
+                        raise InvalidInputError(f"unmatched {head}")
+                    ordered = sorted(block_simplices, key=lambda s: (s.dim, s.vertices))
+                    if block == DEL:
+                        ordered.reverse()
+                    for s in ordered:
+                        events.append(trusted(block, s))
+                        coarse.append(block_ordinal)
+                    block = None
+                    block_simplices.clear()
+                    continue
+                if block is None:
+                    raise InvalidInputError(f"expected 'a|d v1 v2 ...', got {line.strip()!r}")
+                block_simplices.append(simplices.get(line) or _new_simplex(line, ids, simplices))
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"line {lineno + 1}: {exc}") from exc
+        if not header:
+            raise InvalidInputError(f"filtration file must start with '{FILT_HEADER}'")
+        if block is not None:
+            raise InvalidInputError("unterminated coarse block")
+        return ParsedFiltration(ZigzagFiltration(events), tuple(ids), tuple(coarse))
 
 
 def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None) -> str:

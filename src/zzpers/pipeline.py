@@ -34,6 +34,7 @@ from .filtration import (
     EventIndexMap,
     StandardizationRecord,
     ZigzagFiltration,
+    _gc_paused,
     _raise_if_repetitive,
     _sweep,
     standardize,
@@ -244,34 +245,40 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     (pairs to intervals in input order, then restriction to the input's
     index range). The counters in ``stats`` are those of the coboundary
     reduction.
+
+    The cyclic garbage collector is paused for the call (``_gc_paused``, a
+    process-global switch put back as it was on return or error). Nothing
+    built here forms a reference cycle, so refcounting frees it all, and no
+    collection walks the caller's parsed input while the columns are built.
     """
-    t0 = time.perf_counter()
-    sw = _sweep(f)
-    if sw.violations:
-        head = "; ".join(f"event {v.index}: {v.reason}" for v in sw.violations[:5])
-        raise InvalidInputError(f"invalid filtration ({len(sw.violations)} violations): {head}")
-    _raise_if_repetitive(sw.repetition)
-    t1 = time.perf_counter()
-    if sw.standardized:
-        std, record = f, StandardizationRecord(0, len(f), 0)
-    else:
-        std, record = standardize(f)
-        sw = _sweep(std)
-    t2 = time.perf_counter()
-    pairs, stats = _solve(sw.facets, sw.dims, sw.dels)
-    t3 = time.perf_counter()
-    # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= len(std) and dim >= 0
-    fields = _remap_pairs(pairs, sw.dims, sw.dels, sw.add_at, sw.del_at)
-    standardized = Barcode._of_fields(fields, len(std), ABSOLUTE)
-    barcode, synthetic = _restrict_to_input(standardized, record, f)
-    t4 = time.perf_counter()
-    timings = {
-        "validate": t1 - t0,
-        "convert": t2 - t1,
-        "reduce": t3 - t2,
-        "remap": t4 - t3,
-    }
-    return PipelineResult(barcode, standardized, synthetic, record, timings, stats)
+    with _gc_paused():
+        t0 = time.perf_counter()
+        sw = _sweep(f)
+        if sw.violations:
+            head = "; ".join(f"event {v.index}: {v.reason}" for v in sw.violations[:5])
+            raise InvalidInputError(f"invalid filtration ({len(sw.violations)} violations): {head}")
+        _raise_if_repetitive(sw.repetition)
+        t1 = time.perf_counter()
+        if sw.standardized:
+            std, record = f, StandardizationRecord(0, len(f), 0)
+        else:
+            std, record = standardize(f)
+            sw = _sweep(std)
+        t2 = time.perf_counter()
+        pairs, stats = _solve(sw.facets, sw.dims, sw.dels)
+        t3 = time.perf_counter()
+        # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= len(std) and dim >= 0
+        fields = _remap_pairs(pairs, sw.dims, sw.dels, sw.add_at, sw.del_at)
+        standardized = Barcode._of_fields(fields, len(std), ABSOLUTE)
+        barcode, synthetic = _restrict_to_input(standardized, record, f)
+        t4 = time.perf_counter()
+        timings = {
+            "validate": t1 - t0,
+            "convert": t2 - t1,
+            "reduce": t3 - t2,
+            "remap": t4 - t3,
+        }
+        return PipelineResult(barcode, standardized, synthetic, record, timings, stats)
 
 
 def zigzag_barcode(f: ZigzagFiltration) -> Barcode:

@@ -149,7 +149,8 @@ def test_bench_csv(small_file, capsys):
     assert main(["bench", small_file, "--repeat", "2"]) == 0
     rows = list(csv.reader(stdio.StringIO(capsys.readouterr().out)))
     assert rows[0] == [
-        "file", "m", "run", "validate", "convert", "reduce", "remap", "total", "peak_rss_mb"
+        "file", "m", "run", "parse", "validate", "convert", "reduce", "remap", "total",
+        "peak_rss_mb",
     ]
     assert len(rows) == 3
     assert all(float(row[-1]) > 0 for row in rows[1:])

@@ -170,3 +170,10 @@ def test_dual_graph_rejects_impure():
     K = SimplicialComplex(octahedron().simplex_set() | {sx(9)})
     with pytest.raises(NotAManifoldError):
         dual_graph(K, 2)
+
+
+def test_dual_graph_names_the_first_simplex_off_the_top_faces():
+    K = SimplicialComplex(octahedron().simplex_set() | {sx(9), sx(8)})
+    with pytest.raises(NotAManifoldError) as err:
+        dual_graph(K, 2)
+    assert str(err.value) == "Simplex(8) is not a face of any 2-simplex"

@@ -3,6 +3,7 @@ import pytest
 from zzpers import (
     ADD,
     DEL,
+    FiltrationEvent,
     InvalidDiamondError,
     InvalidSwitchError,
     NotNonRepetitiveError,
@@ -20,6 +21,15 @@ from zzpers import (
 )
 from zzpers.rng import SplitMix64
 from conftest import ev, random_complex, random_updown, sx, zz
+
+
+def test_trusted_event_equals_hashes_and_prints_like_a_checked_one():
+    for d in (ADD, DEL):
+        trusted, checked = FiltrationEvent._trusted(d, sx(0, 2)), FiltrationEvent(d, sx(0, 2))
+        assert type(trusted) is FiltrationEvent
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+    assert FiltrationEvent._trusted(ADD, sx(0)) != FiltrationEvent(DEL, sx(0))
 
 
 def test_validate_examples():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from zzpers import (
@@ -77,6 +79,29 @@ def test_filtration_parse_errors():
         parse_filtration("zzfilt v1\nd x y x\n")
     with pytest.raises(InvalidInputError, match="^line 3: nested block$"):
         parse_filtration("zzfilt v1\nbegin-a\nbegin-d\n")
+
+
+def test_filtration_lines_with_one_text_share_their_simplex():
+    events = parse_filtration("zzfilt v1\na x\na y\na x y\nd x y\nd y\nd x\n").filtration.events
+    assert events[2].simplex is events[3].simplex
+    assert events[0].simplex is events[5].simplex
+    # a block line with the text of an event line reuses it too
+    block = parse_filtration("zzfilt v1\na 0\nbegin-d\n0\nend-d\n").filtration.events
+    assert block[0].simplex is block[1].simplex
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_filtration_restores_the_gc_state(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse_filtration("zzfilt v1\na 0\nd 0\n")
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidInputError):
+            parse_filtration("zzfilt v1\na 0 0\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_barcode_round_trip():

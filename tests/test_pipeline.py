@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from zzpers import (
@@ -307,3 +309,18 @@ def test_updown_to_f_preserves_creator_destroyer(small_corpus):
                 assert f_creator != up_creator or up_creator == U.events[up.d].simplex
             elif up.type_code == "cc":
                 assert f_creator == up_creator
+
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_compute_zigzag_restores_the_gc_state(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        compute_zigzag(zz("a 0", "a 1", "a 0 1", "d 0 1"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidInputError):
+            compute_zigzag(zz("a 0 1"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

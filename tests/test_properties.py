@@ -2,6 +2,7 @@
 and generated graph zigzags against the brute-force oracle."""
 
 from itertools import combinations
+from typing import Dict, List, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from zzpers import (
     validate,
     zero_dim_zigzag,
 )
+from zzpers.filtration import ADD, DEL
+from zzpers.io import FILT_HEADER, ParsedFiltration, format_filtration, parse_filtration
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.reduction import extended_from_reduction
 from test_manifold import _oracle_zero_dim
@@ -191,3 +194,195 @@ def test_zero_dim_zigzag_rejects_or_matches_oracle_on_arbitrary_input(g):
     else:
         with pytest.raises(InvalidInputError):
             zero_dim_zigzag(g)
+
+
+# The parser as it was before it shared one Simplex per simplex text and
+# built events unchecked, kept verbatim as the reference for the fuzz below.
+
+def _strip(line: str) -> str:
+    hash_pos = line.find("#")
+    if hash_pos >= 0:
+        line = line[:hash_pos]
+    return line.strip()
+
+
+def _repeated_vertex(tokens: List[str]) -> InvalidInputError:
+    """The error for a simplex whose interned ids Simplex rejected: ids are
+    valid, so a token repeats; name it as the file has it."""
+    dup = next(t for i, t in enumerate(tokens) if t in tokens[:i])
+    return InvalidInputError(f"duplicate vertex {dup} in simplex")
+
+
+def reference_parse_filtration(text: str) -> ParsedFiltration:
+    lines = text.splitlines()
+    body = [(i, _strip(raw)) for i, raw in enumerate(lines)]
+    body = [(i, line) for i, line in body if line]
+    if not body or body[0][1] != FILT_HEADER:
+        raise InvalidInputError(f"filtration file must start with '{FILT_HEADER}'")
+    ids: Dict[str, int] = {}  # vertex token -> id, in first-occurrence order
+    events: List[FiltrationEvent] = []
+    coarse: List[int] = []
+    block: Optional[str] = None
+    block_simplices: List[Simplex] = []
+    block_ordinal = -1
+
+    def flush_block() -> None:
+        nonlocal block
+        if block is None:
+            return
+        ordered = sorted(block_simplices, key=lambda s: (s.dim, s.vertices))
+        if block == DEL:
+            ordered.reverse()
+        direction = block
+        for s in ordered:
+            events.append(FiltrationEvent(direction, s))
+            coarse.append(block_ordinal)
+        block = None
+        block_simplices.clear()
+
+    for lineno, line in body[1:]:
+        try:
+            tokens = line.split()
+            head = tokens[0]
+            if head in ("begin-a", "begin-d"):
+                if block is not None:
+                    raise InvalidInputError("nested block")
+                block = ADD if head == "begin-a" else DEL
+                block_ordinal += 1
+                continue
+            if head in ("end-a", "end-d"):
+                if block != (ADD if head == "end-a" else DEL):
+                    raise InvalidInputError(f"unmatched {head}")
+                flush_block()
+                continue
+            if block is not None:
+                try:
+                    block_simplices.append(Simplex(ids.setdefault(t, len(ids)) for t in tokens))
+                except InvalidInputError:
+                    raise _repeated_vertex(tokens) from None
+                continue
+            if head not in (ADD, DEL) or len(tokens) < 2:
+                raise InvalidInputError(f"expected 'a|d v1 v2 ...', got {line!r}")
+            block_ordinal += 1
+            try:
+                s = Simplex(ids.setdefault(t, len(ids)) for t in tokens[1:])
+            except InvalidInputError:
+                raise _repeated_vertex(tokens[1:]) from None
+            events.append(FiltrationEvent(head, s))
+            coarse.append(block_ordinal)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"line {lineno + 1}: {exc}") from exc
+    if block is not None:
+        raise InvalidInputError("unterminated coarse block")
+    return ParsedFiltration(ZigzagFiltration(events), tuple(ids), tuple(coarse))
+
+
+VERTEX_TOKENS = ["0", "1", "2", "x", "é", "頂点", "a", "d", "begin-a", "end-d", "x#y"]
+# first tokens of a line that stays a simplex or an event inside a block and out
+PLAIN_HEADS = ["0", "1", "x", "é", "a", "d"]
+NOISY_HEADS = ["a", "a", "d", "begin-a", "end-a", "begin-d", "end-d", "A", "x", "#"]
+SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\xa0", "\u3000"])
+LEADS = st.sampled_from(["", " ", "\t", "\u3000"])
+TRAILS = st.sampled_from(["", " ", "\t", "  # a comment", "#", " # d 0"])
+BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\u2028"])
+# about one text in four has a bad header or none
+HEADERS = st.sampled_from(
+    ["zzfilt v1"] * 8 + ["zzfilt v1  # header", "\tzzfilt v1 ", "# first\nzzfilt v1"]
+    + ["zzfilt\tv1", "zzfilt  v1", "zzfilt v2", None]
+)
+
+
+def _token_line(draw, heads, min_tokens):
+    line = draw(st.sampled_from(heads))
+    for _ in range(draw(st.integers(min_tokens, 3))):
+        line += draw(SPACES) + draw(st.sampled_from(VERTEX_TOKENS))
+    return draw(LEADS) + line + draw(TRAILS)
+
+
+@st.composite
+def filtration_texts(draw):
+    """A text in or near the filtration format: a header (or none), then
+    event lines and blocks whose tokens are joined by varied whitespace,
+    with comments, blank lines and varied line breaks. In a noisy text,
+    lines may start with any head, block markers included, so blocks nest,
+    go unmatched or stay open, and a line may lack its vertices; in a clean
+    one, lines are events and blocks are well formed. Either may repeat a
+    token within a simplex."""
+    noisy = draw(st.booleans())
+    lines = []
+    header = draw(HEADERS)
+    if header is not None:
+        lines.append(header)
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# only a comment", "\t#"])))
+        elif kind == 1:
+            direction = draw(st.sampled_from(["a", "d"]))
+            lines.append(draw(LEADS) + "begin-" + direction + draw(TRAILS))
+            inner = VERTEX_TOKENS if noisy else PLAIN_HEADS
+            for _ in range(draw(st.integers(0, 3))):
+                lines.append(_token_line(draw, inner, 0))
+            lines.append("end-" + direction + draw(TRAILS))
+        elif noisy:
+            lines.append(_token_line(draw, NOISY_HEADS, 0))
+        else:
+            lines.append(_token_line(draw, ["a", "d"], 1))
+    text = ""
+    for line in lines:
+        text += line + draw(BREAKS)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def _parse_outcome(parse, text):
+    try:
+        parsed = parse(text)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+    return parsed.filtration.events, parsed.names, parsed.coarse_of
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(filtration_texts())
+def test_parse_filtration_matches_the_reference_parser(text):
+    """Both parsers return the same events, names and block map, or both
+    raise InvalidInputError with the same text; nothing else escapes."""
+    assert _parse_outcome(parse_filtration, text) == _parse_outcome(
+        reference_parse_filtration, text
+    )
+
+
+NAMES = st.lists(
+    st.sampled_from(["0", "1", "17", "x", "é", "頂点", "a", "d", "begin-a", "end-d", "v_9"]),
+    min_size=1,
+    unique=True,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(NAMES, st.data())
+def test_canonical_filtration_files_round_trip_byte_for_byte(names, data):
+    """A file format_filtration writes, with vertex ids numbered in order of
+    first appearance, parses back to the same events and names and formats
+    back to the same bytes."""
+    drawn = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([ADD, DEL]),
+                st.sets(st.integers(0, len(names) - 1), min_size=1),
+            ),
+            max_size=12,
+        )
+    )
+    ids: Dict[int, int] = {}
+    for _, vs in drawn:
+        for v in sorted(vs):
+            ids.setdefault(v, len(ids))
+    f = ZigzagFiltration(FiltrationEvent(d, Simplex(ids[v] for v in vs)) for d, vs in drawn)
+    used = tuple(sorted(ids, key=ids.get))
+    text = format_filtration(f, [names[v] for v in used])
+    parsed = parse_filtration(text)
+    assert parsed.filtration == f
+    assert parsed.names == tuple(names[v] for v in used)
+    assert parsed.coarse_of == tuple(range(len(f)))
+    assert format_filtration(parsed.filtration, parsed.names) == text
