@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import platform
 import resource
 import sys
 import time
@@ -26,6 +28,8 @@ from .reduction import build_extended
 
 # version of the JSON object `compute --stats` prints; bump it when a key changes
 STATS_SCHEMA = "zzpers.stats/2"
+# version of the JSON object `bench --json` prints per run; bump it when a key changes
+BENCH_SCHEMA = "zzpers.bench/1"
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -170,26 +174,42 @@ def _peak_rss_mb() -> float:
 
 
 def _cmd_bench(args) -> int:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["file", "m", "run", "parse", "validate", "convert", "reduce", "remap", "total",
-         "peak_rss_mb"]
-    )
+    if args.json:
+        host = {"python": platform.python_version(), "cpus": os.cpu_count()}
+    else:
+        writer = csv.writer(sys.stdout)
+        writer.writerow(
+            ["file", "m", "run", "parse", "validate", "convert", "reduce", "remap", "total",
+             "peak_rss_mb"]
+        )
     for path in args.filtration:
         start = time.perf_counter()
         parsed = zio.load_filtration(path)
         parse = time.perf_counter() - start
+        m = len(parsed.filtration)
         for run in range(args.repeat):
             start = time.perf_counter()
             result = compute_zigzag(parsed.filtration)
             total = time.perf_counter() - start
             t = result.timings
-            peak = _peak_rss_mb()
-            writer.writerow(
-                [path, len(parsed.filtration), run, f"{parse:.6f}",
-                 f"{t['validate']:.6f}", f"{t['convert']:.6f}",
-                 f"{t['reduce']:.6f}", f"{t['remap']:.6f}", f"{total:.6f}", f"{peak:.1f}"]
-            )
+            if args.json:
+                start = time.perf_counter()
+                result.barcode.to_text()
+                seconds = {"parse": parse, **t, "total": total,
+                           "format": time.perf_counter() - start}
+                print(json.dumps({
+                    "schema": BENCH_SCHEMA, "file": path, "m": m, "run": run,
+                    "seconds": {k: round(v, 6) for k, v in seconds.items()},
+                    "peak_rss_mb": round(_peak_rss_mb(), 1), "stats": result.stats, **host,
+                }), flush=True)
+            else:
+                writer.writerow(
+                    [path, m, run, f"{parse:.6f}", f"{t['validate']:.6f}",
+                     f"{t['convert']:.6f}", f"{t['reduce']:.6f}", f"{t['remap']:.6f}",
+                     f"{total:.6f}", f"{_peak_rss_mb():.1f}"]
+                )
+            del result  # else the next run's peak counts two results
+        del parsed  # else the next file's parse counts two inputs
     return 0
 
 
@@ -252,9 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
         "padding (near zero on a standardized input); reduce: sparse coboundary "
         "columns of the coned filtration and their reduction (bitmasks only for columns "
         "that need an addition); remap: pairs to intervals and restriction. peak_rss_mb: this "
-        "process's own peak resident set size after the run (VmHWM)."))
+        "process's own peak resident set size after the run (VmHWM). --json prints one "
+        "object per run instead (schema zzpers.bench/1), adding the seconds of formatting "
+        "the barcode (format; peak_rss_mb is read after it), the reduction counters, the "
+        "Python version and the CPU count."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
+    p.add_argument("--json", action="store_true", help="one JSON object per run instead of CSV")
     p.set_defaults(func=_cmd_bench)
 
     return parser

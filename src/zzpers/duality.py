@@ -17,7 +17,14 @@ from typing import Dict, List
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import SimplicialComplex, connected_components
 from .errors import ContractViolationError, InternalInconsistencyError, NotStandardizedError
-from .filtration import ADD, DEL, ZigzagFiltration, _raise_if_repetitive, find_repetition
+from .filtration import (
+    ADD,
+    DEL,
+    ZigzagFiltration,
+    _gc_paused,
+    _raise_if_repetitive,
+    find_repetition,
+)
 
 
 def absolute_to_relative(abs_bar: Barcode) -> Barcode:
@@ -65,64 +72,69 @@ def recover_absolute_from_relative(
     The closed-closed part of dimension p-1 is not recoverable and is not
     emitted. Inconsistent inputs raise rather than being repaired: this
     operation consumes computed data, so mismatches mean an upstream bug.
-    """
-    if rel_p.kind != RELATIVE:
-        raise ContractViolationError("recovery needs a relative barcode")
-    if rel_p.m != len(f):
-        raise ContractViolationError("barcode length does not match the filtration")
-    if not f.is_standardized():
-        raise NotStandardizedError("recovery needs a standardized filtration")
-    _raise_if_repetitive(find_repetition(f))
-    m = rel_p.m
-    comps = connected_components(K)
-    out: Counter = Counter()
-    starts: Dict[int, List[int]] = {}  # component -> death indices i of [0, i]
-    ends: Dict[int, List[int]] = {}  # component -> birth indices j of [j, m]
-    for iv, c in rel_p.counts().items():
-        if iv.dim != p:
-            raise ContractViolationError(f"{iv!r} is not of dimension {p}")
-        if iv.b == 0 and iv.d == m:
-            raise InternalInconsistencyError(f"{iv!r} spans the whole module")
-        if iv.b == 0:
-            ev = f.events[iv.d]
-            if ev.direction != ADD or ev.simplex.dim != p:
-                raise InternalInconsistencyError(
-                    f"{iv!r} should end at the addition of a {p}-simplex, got {ev!r}"
-                )
-            starts.setdefault(comps.label(ev.simplex), []).extend([iv.d] * c)
-        elif iv.d == m:
-            ev = f.events[iv.b - 1]
-            if ev.direction != DEL or ev.simplex.dim != p:
-                raise InternalInconsistencyError(
-                    f"{iv!r} should start at the deletion of a {p}-simplex, got {ev!r}"
-                )
-            ends.setdefault(comps.label(ev.simplex), []).extend([iv.b] * c)
-        else:
-            if iv.type_code not in ("co", "oc"):
-                raise InternalInconsistencyError(f"interior interval {iv!r} is not co or oc")
-            out[Interval(p - 1, iv.b, iv.d, iv.birth_type, iv.death_type)] += c
 
-    n_zero = sum(len(v) for v in starts.values())
-    n_full = sum(len(v) for v in ends.values())
-    if n_zero != comps.count or n_full != comps.count:
-        raise InternalInconsistencyError(
-            f"expected one [0, .] and one [., m] interval per component "
-            f"({comps.count}), got {n_zero} and {n_full}"
-        )
-    for label in range(comps.count):
-        si = starts.get(label, [])
-        ei = ends.get(label, [])
-        if len(si) != 1 or len(ei) != 1:
+    The cyclic garbage collector is paused for the call, as in
+    ``compute_zigzag``: the sweep and the component labels build no
+    reference cycle.
+    """
+    with _gc_paused():
+        if rel_p.kind != RELATIVE:
+            raise ContractViolationError("recovery needs a relative barcode")
+        if rel_p.m != len(f):
+            raise ContractViolationError("barcode length does not match the filtration")
+        if not f.is_standardized():
+            raise NotStandardizedError("recovery needs a standardized filtration")
+        _raise_if_repetitive(find_repetition(f))
+        m = rel_p.m
+        comps = connected_components(K)
+        out: Counter = Counter()
+        starts: Dict[int, List[int]] = {}  # component -> death indices i of [0, i]
+        ends: Dict[int, List[int]] = {}  # component -> birth indices j of [j, m]
+        for iv, c in rel_p.counts().items():
+            if iv.dim != p:
+                raise ContractViolationError(f"{iv!r} is not of dimension {p}")
+            if iv.b == 0 and iv.d == m:
+                raise InternalInconsistencyError(f"{iv!r} spans the whole module")
+            if iv.b == 0:
+                ev = f.events[iv.d]
+                if ev.direction != ADD or ev.simplex.dim != p:
+                    raise InternalInconsistencyError(
+                        f"{iv!r} should end at the addition of a {p}-simplex, got {ev!r}"
+                    )
+                starts.setdefault(comps.label(ev.simplex), []).extend([iv.d] * c)
+            elif iv.d == m:
+                ev = f.events[iv.b - 1]
+                if ev.direction != DEL or ev.simplex.dim != p:
+                    raise InternalInconsistencyError(
+                        f"{iv!r} should start at the deletion of a {p}-simplex, got {ev!r}"
+                    )
+                ends.setdefault(comps.label(ev.simplex), []).extend([iv.b] * c)
+            else:
+                if iv.type_code not in ("co", "oc"):
+                    raise InternalInconsistencyError(f"interior interval {iv!r} is not co or oc")
+                out[Interval(p - 1, iv.b, iv.d, iv.birth_type, iv.death_type)] += c
+
+        n_zero = sum(len(v) for v in starts.values())
+        n_full = sum(len(v) for v in ends.values())
+        if n_zero != comps.count or n_full != comps.count:
             raise InternalInconsistencyError(
-                f"component {label} has {len(si)} start and {len(ei)} end intervals"
+                f"expected one [0, .] and one [., m] interval per component "
+                f"({comps.count}), got {n_zero} and {n_full}"
             )
-        i, j = si[0], ei[0]
-        if i < j:
-            if i + 1 > j - 1:
+        for label in range(comps.count):
+            si = starts.get(label, [])
+            ei = ends.get(label, [])
+            if len(si) != 1 or len(ei) != 1:
                 raise InternalInconsistencyError(
-                    f"pair [0,{i}], [{j},{m}] leaves an empty closed-closed interval"
+                    f"component {label} has {len(si)} start and {len(ei)} end intervals"
                 )
-            out[Interval(p, i + 1, j - 1, CLOSED, CLOSED)] += 1
-        else:
-            out[Interval(p - 1, j, i, OPEN, OPEN)] += 1
-    return Barcode(out, m, ABSOLUTE)
+            i, j = si[0], ei[0]
+            if i < j:
+                if i + 1 > j - 1:
+                    raise InternalInconsistencyError(
+                        f"pair [0,{i}], [{j},{m}] leaves an empty closed-closed interval"
+                    )
+                out[Interval(p, i + 1, j - 1, CLOSED, CLOSED)] += 1
+            else:
+                out[Interval(p - 1, j, i, OPEN, OPEN)] += 1
+        return Barcode(out, m, ABSOLUTE)

@@ -29,7 +29,7 @@ from .barcode import ABSOLUTE, RELATIVE, Barcode, Interval, classify_ends
 from .complexes import DualGraph, SimplicialComplex, dual_graph
 from .duality import recover_absolute_from_relative
 from .errors import InvalidInputError, NotStandardizedError
-from .filtration import ADD, DEL, ZigzagFiltration
+from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused
 from .pipeline import _remap_pairs, _solve
 
 ADD_VERTEX = "+v"
@@ -222,18 +222,22 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
     Computed as the 0-dimensional barcode of the dual-graph complement
     zigzag; end types come from the relative arrows, which follow f's own
     directions. Repetitive filtrations are allowed here.
+
+    The cyclic garbage collector is paused for the call, as in
+    ``compute_zigzag``: the dual graph and its walk build no reference cycle.
     """
-    if not f.is_standardized():
-        raise NotStandardizedError("manifold path needs a standardized filtration")
-    if {e.simplex for e in f.events if e.direction == ADD} != K.simplex_set():
-        raise InvalidInputError("filtration does not fill the given complex")
-    bars = zero_dim_zigzag(dual_filtration(f, K, p))
-    directions = f.directions()
-    intervals = {
-        Interval(p, iv.b, iv.d, *classify_ends(iv.b, iv.d, directions)): c
-        for iv, c in bars.counts().items()
-    }
-    return Barcode(intervals, len(f), RELATIVE)
+    with _gc_paused():
+        if not f.is_standardized():
+            raise NotStandardizedError("manifold path needs a standardized filtration")
+        if {e.simplex for e in f.events if e.direction == ADD} != K.simplex_set():
+            raise InvalidInputError("filtration does not fill the given complex")
+        bars = zero_dim_zigzag(dual_filtration(f, K, p))
+        directions = f.directions()
+        intervals = {
+            Interval(p, iv.b, iv.d, *classify_ends(iv.b, iv.d, directions)): c
+            for iv, c in bars.counts().items()
+        }
+        return Barcode(intervals, len(f), RELATIVE)
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:

@@ -174,7 +174,7 @@ def _solve(facets, dims, dels) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
     non-repetitive dense-id record, from its reduced coboundary matrix, and
     the reduction's counters."""
     cols, col_dims = _coned_coboundaries(facets, dims, dels)
-    pairs, _, stats = _reduce(cols, col_dims)
+    pairs, _, _, stats = _reduce(cols, col_dims)
     del cols, col_dims
     top = 2 * len(dels)  # N - 1: coboundary pairs back to boundary pairs
     # in place: a second list, with the first freed on return, measured about

@@ -5,13 +5,15 @@ A column is stored as the tuple of its rows; its pivot is its highest row.
 Reduction runs by decreasing dimension with clearing (twist). A column
 whose pivot no reduced column owns yet is paired at once, with no bitmask
 built. Only a column that collides is turned into an integer bitmask, over
-the rows of the dimension below its own numbered densely in order (a
-dimension-q boundary column's mask is as wide as the number of
-(q-1)-simplices), and other columns' masks are XORed into it. The loop
-keeps the reduced mask of each column it reduced; a column paired at once
-has its mask built from its rows each time it is added, and kept from its
-second use on. The pairing produced by reduction is unique, independent of
-the reduction strategy.
+the rows of the dimension below its own numbered densely in order, and
+other columns' masks are XORed into it. A column's rows lie in one
+dimension, where bit numbers grow with rows, so every mask is held from
+its lowest row up (the bit of that row is its shift): a mask is as wide as
+its column's span of rows, not as its pivot's position. The loop keeps the
+reduced mask of each column it reduced, shifted right by its lowest set
+bit; a column paired at once has its mask built from its rows each time it
+is added, and kept from its second use on. The pairing produced by
+reduction is unique, independent of the reduction strategy.
 
 ``reduce``, ``reduce_twist`` and ``extended_barcode`` reduce the boundary
 matrix; ``reduce`` and ``reduce_twist`` number mask bits by row over the
@@ -76,11 +78,11 @@ def _facet_rows(order: Sequence[Simplex]) -> Iterator[List[int]]:
         yield rows
 
 
-def _mask(rows: Iterable[int], bit: Sequence[int]) -> int:
-    """Bitmask with bit bit[r] set for each row r."""
+def _mask(rows: Iterable[int], bit: Sequence[int], base: int = 0) -> int:
+    """Bitmask with bit bit[r] - base set for each row r."""
     col = 0
     for r in rows:
-        col |= 1 << bit[r]
+        col |= 1 << (bit[r] - base)
     return col
 
 
@@ -100,17 +102,21 @@ def _by_dim(dims: Sequence[int]) -> Tuple[List[int], Dict[int, List[int]]]:
 
 def _reduce(
     rows: Sequence[Sequence[int]], dims: Sequence[int], twist: bool = True, dense: bool = False
-) -> Tuple[List[Tuple[int, int]], List[Optional[int]], Dict[str, int]]:
+) -> Tuple[List[Tuple[int, int]], List[Optional[int]], List[int], Dict[str, int]]:
     """Reduce the columns given by their rows, each row a column of the
     dimension one below the column's own (boundary or coboundary columns).
 
     Returns the (birth, death) pairs, the kept masks (column -> mask, None
-    where none was kept) and the counters. A mask's bit i is the i-th row
-    of the dimension below, or with dense row i itself, so that a
-    kept mask is the reduced column as ReductionState holds it. With twist,
-    columns run by decreasing dimension and a column known to be a birth is
-    cleared without being reduced; without it they run left to right and no
-    column is cleared before it is reached.
+    where none was kept), their shifts (column -> the bit a kept mask is
+    shifted by, 0 where none was kept) and the counters. Bit i of a
+    column's full mask is the i-th row of the dimension below, or with
+    dense row i itself. Kept mask j is that full mask shifted right by its
+    lowest set bit, shifts[j], so it has bit 0 set and is as wide as the
+    column's span of rows; ``masks[j] << shifts[j]`` is the reduced column
+    as ReductionState holds it. With twist, columns run by decreasing
+    dimension and a column known to be a birth is cleared without being
+    reduced; without it they run left to right and no column is cleared
+    before it is reached.
     """
     n = len(rows)
     local, members = _by_dim(dims)
@@ -127,6 +133,7 @@ def _reduce(
     low_inv: List[int] = [-1] * n  # row -> the column whose pivot it is
     cleared = bytearray(n)
     masks: List[Optional[int]] = [None] * n
+    shifts = [0] * n  # column -> the lowest set bit its kept mask was shifted down from
     used = bytearray(n)  # a column paired at once that was added once already
     pairs: List[Tuple[int, int]] = []
     n_cleared = at_once = additions = most = 0
@@ -143,21 +150,36 @@ def _reduce(
             at_once += 1
         else:
             row_ids = bit_rows[dims[j]]
-            col = _mask(rs, local)
+            # a column's rows share a dimension, in which bits increase with
+            # rows: col holds bits from base up, as wide as its span of rows
+            base = local[min(rs)]
+            col = _mask(rs, local, base)
             added = 0
             while True:
                 mk = masks[k]
                 if mk is None:
-                    mk = _mask(rows[k], local)
+                    rk = rows[k]
+                    shift = local[min(rk)]
                     if used[k]:
-                        masks[k] = mk
+                        mk = masks[k] = _mask(rk, local, shift)
+                        shifts[k] = shift
                     else:
+                        # added once so far, so not kept: built from col's base
+                        # where it can be, as a shift costs about three XORs
                         used[k] = 1
-                col ^= mk
+                        if shift > base:
+                            shift = base
+                        mk = _mask(rk, local, shift)
+                else:
+                    shift = shifts[k]
+                if shift < base:  # mk reaches below col: rebase col
+                    col <<= base - shift
+                    base = shift
+                col ^= mk << (shift - base) if shift > base else mk
                 added += 1
                 if not col:
                     break
-                low = row_ids[col.bit_length() - 1]
+                low = row_ids[base + col.bit_length() - 1]
                 k = low_inv[low]
                 if k < 0:
                     break
@@ -166,7 +188,9 @@ def _reduce(
                 most = added
             if not col:
                 continue
-            masks[j] = col
+            lo = (col & -col).bit_length() - 1
+            masks[j] = col >> lo
+            shifts[j] = base + lo
         low_inv[low] = j
         pairs.append((low, j))
         cleared[low] = 1
@@ -179,7 +203,7 @@ def _reduce(
         "max_column_additions": most,
         "masks_kept": n - masks.count(None),
     }
-    return pairs, masks, stats
+    return pairs, masks, shifts, stats
 
 
 def _essentials(pairs: Iterable[Tuple[int, int]], n: int) -> Tuple[int, ...]:
@@ -190,12 +214,12 @@ def _essentials(pairs: Iterable[Tuple[int, int]], n: int) -> Tuple[int, ...]:
 def _reduced(f: Union[ZigzagFiltration, Sequence[Simplex]], twist: bool) -> ReductionState:
     order = _simplex_order(f)
     rows = list(_facet_rows(order))
-    pairs, masks, _ = _reduce(rows, [s.dim for s in order], twist, dense=True)
+    pairs, masks, shifts, _ = _reduce(rows, [s.dim for s in order], twist, dense=True)
     everything = range(len(order))
     cols = [0] * len(order)
     for _, j in pairs:  # every other column is cleared or reduces to zero
         mk = masks[j]
-        cols[j] = _mask(rows[j], everything) if mk is None else mk
+        cols[j] = _mask(rows[j], everything) if mk is None else mk << shifts[j]
     essentials = _essentials(pairs, len(order))
     return ReductionState(tuple(order), tuple(sorted(pairs)), essentials, tuple(cols))
 
@@ -360,5 +384,5 @@ def extended_barcode(U: ZigzagFiltration) -> ExtendedBarcode:
     """
     ext = build_extended(U)
     rows = list(_facet_rows(ext.events))
-    pairs, _, _ = _reduce(rows, [s.dim for s in ext.events])
+    pairs, _, _, _ = _reduce(rows, [s.dim for s in ext.events])
     return _extended_from_pairs(ext, sorted(pairs), _essentials(pairs, len(rows)))

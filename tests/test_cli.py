@@ -1,14 +1,18 @@
 import csv
 import io as stdio
 import json
+import platform
 import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
-from zzpers import multiset_equal, oracle_relative
+from zzpers import cli, multiset_equal, oracle_relative
 from zzpers.cli import main
 from zzpers.io import parse_barcode, parse_filtration, write_off
+from zzpers.pipeline import compute_zigzag
 from conftest import torus_mesh_points
 
 
@@ -154,6 +158,47 @@ def test_bench_csv(small_file, capsys):
     ]
     assert len(rows) == 3
     assert all(float(row[-1]) > 0 for row in rows[1:])
+
+
+BENCH_KEYS = {"schema", "file", "m", "run", "seconds", "peak_rss_mb", "stats", "python", "cpus"}
+BENCH_SECONDS = {"parse", "validate", "convert", "reduce", "remap", "total", "format"}
+
+
+def test_bench_json(small_file, capsys):
+    assert main(["bench", small_file, "--repeat", "2", "--json"]) == 0
+    runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["run"] for r in runs] == [0, 1]
+    stats = compute_zigzag(parse_filtration(SMALL).filtration).stats
+    for r in runs:
+        assert r["schema"] == "zzpers.bench/1"
+        assert set(r) == BENCH_KEYS and set(r["seconds"]) == BENCH_SECONDS
+        assert all(v >= 0 for v in r["seconds"].values())
+        assert (r["file"], r["m"], r["stats"]) == (small_file, 4, stats)
+        assert r["peak_rss_mb"] > 0 and r["cpus"] >= 1 and r["python"] == platform.python_version()
+
+
+def test_committed_bench_runs_follow_the_schema():
+    doc = json.loads((Path(__file__).resolve().parent.parent / "BENCH_main.json").read_text())
+    assert doc["runs"]
+    for r in doc["runs"]:
+        assert r["schema"] == "zzpers.bench/1"
+        assert set(r) == BENCH_KEYS and set(r["seconds"]) == BENCH_SECONDS
+        assert set(r["stats"]) == set(compute_zigzag(parse_filtration(SMALL).filtration).stats)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_bench_frees_each_result_before_the_next_run(small_file, monkeypatch, capsys, fmt):
+    previous = []
+
+    def compute_after_the_last_result_is_gone(f):
+        assert not previous or previous[-1]() is None
+        result = compute_zigzag(f)
+        previous.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "compute_zigzag", compute_after_the_last_result_is_gone)
+    assert main(["bench", small_file, "--repeat", "3", *fmt]) == 0
+    assert len(previous) == 3
 
 
 def test_bench_peak_rss_is_its_own_under_a_large_parent(small_file):

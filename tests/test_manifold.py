@@ -1,12 +1,15 @@
+import gc
 import itertools
 
 import pytest
 
 from zzpers import (
     ABSOLUTE,
+    ContractViolationError,
     FiltrationEvent,
     GraphZigzag,
     InvalidInputError,
+    NotStandardizedError,
     Simplex,
     ZigzagFiltration,
     dual_filtration,
@@ -14,11 +17,13 @@ from zzpers import (
     multiset_equal,
     oracle_absolute,
     oracle_relative,
+    recover_absolute_from_relative,
     reduce,
     relative_top_barcode,
     zero_dim_zigzag,
     zigzag_barcode,
 )
+from zzpers import duality, manifold
 from zzpers.filtration import ADD, DEL
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.oracle import sequence_barcode
@@ -190,6 +195,38 @@ def test_manifold_absolute_barcode_torus_instance():
         lambda i: i.dim == 2 or (i.dim == 1 and i.type_code != "cc")
     )
     assert multiset_equal(got, want).equal
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_manifold_path_pauses_the_gc_and_builds_no_cycle(enabled, monkeypatch):
+    K = grid_torus()
+    f = random_nonrepetitive(SplitMix64(6), sorted(K.simplex_set()))
+    paused = []  # the GC state where each call does its main work
+    for module, name in ((manifold, "dual_filtration"), (duality, "connected_components")):
+        def spy(*args, inner=getattr(module, name)):
+            paused.append(not gc.isenabled())
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        gc.collect()
+        rel = relative_top_barcode(f, K, 2)
+        assert gc.isenabled() is enabled
+        assert gc.collect() == 0  # refcounting alone freed what the paused call built
+        rec = recover_absolute_from_relative(rel, f, K, 2)
+        assert gc.isenabled() is enabled
+        assert gc.collect() == 0
+        assert paused == [True, True]
+        with pytest.raises(NotStandardizedError):
+            relative_top_barcode(ZigzagFiltration([FiltrationEvent.add(sx(0))]), K, 2)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ContractViolationError):
+            recover_absolute_from_relative(rec, f, K, 2)  # an absolute barcode
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 PATH3 = ((0, 1), (1, 2))

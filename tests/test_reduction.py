@@ -229,12 +229,15 @@ def _check_against_dense(order):
         got = run(order)
         assert got.pairs == pairs
         assert got.columns == cols
-        assert _reduce(rows, dims, twist, dense=True)[2] == stats
-        # per-dimension row ids: bit i of a q-column's mask is the i-th (q-1)-row
-        found, masks, counted = _reduce(rows, dims, twist)
+        assert _reduce(rows, dims, twist, dense=True)[3] == stats
+        # per-dimension row ids: bit i of a q-column's full mask is the i-th
+        # (q-1)-row; a kept mask is stored from its lowest set bit
+        found, masks, shifts, counted = _reduce(rows, dims, twist)
         assert tuple(sorted(found)) == pairs and counted == stats
         for j, mask in enumerate(masks):
             if mask is not None:
+                assert mask & 1
+                mask <<= shifts[j]
                 row_of = rows_of_dim[dims[j] - 1]
                 global_mask = sum(1 << row_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
                 assert global_mask == cols[j]  # the reduced column (its boundary if paired at once)
