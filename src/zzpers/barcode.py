@@ -103,7 +103,7 @@ class Barcode:
     def _of_fields(
         cls, fields: Iterable[Tuple[int, int, int, str, str]], m: int, kind: str
     ) -> "Barcode":
-        """Barcode over field tuples that are valid by construction; no checks."""
+        """Barcode of field tuples (or tuple -> count map) valid by construction; no checks."""
         bar = object.__new__(cls)
         bar.m, bar.kind, bar._counts = m, kind, Counter(fields)
         return bar

@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import io as zio
 from .duality import absolute_to_relative, recover_absolute_from_relative
 from .errors import InvalidInputError, ZigzagError
-from .filtration import FiltrationEvent, ZigzagFiltration, _sweep, standardize, to_updown
+from .filtration import FiltrationEvent, ZigzagFiltration, _admitted, _sweep, standardize, to_updown
 from .manifold import relative_top_barcode
 from .pipeline import compute_zigzag
 from .complexes import Simplex, SimplicialComplex
@@ -89,7 +89,10 @@ def _cmd_convert(args) -> int:
         _write_out(text + "\n".join(lines) + ("\n" if lines else ""), args.out)
         return 0
     ext = build_extended(U)
-    names = list(parsed.names) + [f"w{ext.omega}"]
+    apex, taken = f"w{ext.omega}", set(parsed.names)
+    while apex in taken:  # an input token may already have the apex's name
+        apex = "w" + apex
+    names = [*parsed.names, apex]
     mono = ZigzagFiltration([FiltrationEvent.add(s) for s in ext.events])
     text = zio.format_filtration(mono, names)
     table = "".join(f"# {line}\n" for line in ext.column_table())
@@ -140,6 +143,7 @@ def _cmd_manifold(args) -> int:
 
 def _cmd_oracle(args) -> int:
     parsed = zio.load_filtration(args.filtration)
+    _admitted(parsed.filtration)  # the brute-force oracle assumes a valid filtration
     bar = oracle_relative(parsed.filtration) if args.relative else oracle_absolute(parsed.filtration)
     _write_out(bar.to_text(), args.out)
     return 0

@@ -4,27 +4,22 @@ inverse available on closed manifolds.
 The forward map is surjective but not injective: closed-closed and
 open-open absolute intervals each split into a [0, .] and a [., m] relative
 interval, and recombining those requires extra information. On a closed
-p-manifold the dimension-p relative intervals can be re-paired through the
-connected component of the top simplex at each open end, which recovers all
-of dimension p and everything except closed-closed in dimension p-1.
+p-manifold, or pseudomanifold, the dimension-p relative intervals can be
+re-paired through the strong component of the top simplex at each open end,
+which recovers all of dimension p and everything except closed-closed in
+dimension p-1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from typing import Dict, List
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
-from .complexes import SimplicialComplex, connected_components
+from .complexes import ComponentLabels, SimplicialComplex, _label_components
 from .errors import ContractViolationError, InternalInconsistencyError, NotStandardizedError
-from .filtration import (
-    ADD,
-    DEL,
-    ZigzagFiltration,
-    _gc_paused,
-    _raise_if_repetitive,
-    find_repetition,
-)
+from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _gc_paused, _raise_if_repetitive
 
 
 def absolute_to_relative(abs_bar: Barcode) -> Barcode:
@@ -59,16 +54,29 @@ def absolute_to_relative(abs_bar: Barcode) -> Barcode:
     return Barcode(out, m, RELATIVE)
 
 
+def _strong_components(K: SimplicialComplex, p: int) -> ComponentLabels:
+    """Label the p-simplices of K, keyed by vertex tuple, by strong component:
+    p-simplices joined through shared (p-1)-faces. Each strong component of a
+    closed p-pseudomanifold carries one dimension-p class."""
+    top = [s.vertices for s in K.of_dim(p)]
+    first: Dict[tuple, tuple] = {}  # (p-1)-face -> the first p-simplex on it
+    return _label_components(
+        top, [(first.setdefault(r, vs), vs) for vs in top for r in combinations(vs, p)]
+    )
+
+
 def recover_absolute_from_relative(
     rel_p: Barcode, f: ZigzagFiltration, K: SimplicialComplex, p: int
 ) -> Barcode:
     """Partial absolute barcode from the dimension-p relative barcode.
 
-    Interior intervals drop to dimension p-1 unchanged. Intervals touching
-    the ends pair up one [0, i] with one [j, m] per connected component of
-    K, matched through the component of the p-simplex added at i and the
-    p-simplex deleted at j-1; disjoint pairs give closed-closed intervals
-    of dimension p, overlapping ones open-open intervals of dimension p-1.
+    An f failing the shared admission (``filtration._admitted``) raises
+    InvalidInputError. Interior intervals drop to dimension p-1 unchanged.
+    Intervals touching the ends pair up one [0, i] with one [j, m] per
+    strong component of K, matched through the component of the p-simplex
+    added at i and the p-simplex deleted at j-1; disjoint pairs give
+    closed-closed intervals of dimension p, overlapping ones open-open
+    intervals of dimension p-1.
     The closed-closed part of dimension p-1 is not recoverable and is not
     emitted. Inconsistent inputs raise rather than being repaired: this
     operation consumes computed data, so mismatches mean an upstream bug.
@@ -78,15 +86,18 @@ def recover_absolute_from_relative(
     reference cycle.
     """
     with _gc_paused():
+        sw = _admitted(f)
         if rel_p.kind != RELATIVE:
             raise ContractViolationError("recovery needs a relative barcode")
         if rel_p.m != len(f):
             raise ContractViolationError("barcode length does not match the filtration")
-        if not f.is_standardized():
+        if not sw.standardized:
             raise NotStandardizedError("recovery needs a standardized filtration")
-        _raise_if_repetitive(find_repetition(f))
+        _raise_if_repetitive(sw.repetition)
+        del sw  # freed while the collector is paused, so no collection walks it
         m = rel_p.m
-        comps = connected_components(K)
+        comps = _strong_components(K, p)
+        comp_of = comps.of_vertex  # p-simplex vertex tuple -> its strong component
         out: Counter = Counter()
         starts: Dict[int, List[int]] = {}  # component -> death indices i of [0, i]
         ends: Dict[int, List[int]] = {}  # component -> birth indices j of [j, m]
@@ -101,26 +112,19 @@ def recover_absolute_from_relative(
                     raise InternalInconsistencyError(
                         f"{iv!r} should end at the addition of a {p}-simplex, got {ev!r}"
                     )
-                starts.setdefault(comps.label(ev.simplex), []).extend([iv.d] * c)
+                starts.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.d] * c)
             elif iv.d == m:
                 ev = f.events[iv.b - 1]
                 if ev.direction != DEL or ev.simplex.dim != p:
                     raise InternalInconsistencyError(
                         f"{iv!r} should start at the deletion of a {p}-simplex, got {ev!r}"
                     )
-                ends.setdefault(comps.label(ev.simplex), []).extend([iv.b] * c)
+                ends.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.b] * c)
             else:
                 if iv.type_code not in ("co", "oc"):
                     raise InternalInconsistencyError(f"interior interval {iv!r} is not co or oc")
                 out[Interval(p - 1, iv.b, iv.d, iv.birth_type, iv.death_type)] += c
 
-        n_zero = sum(len(v) for v in starts.values())
-        n_full = sum(len(v) for v in ends.values())
-        if n_zero != comps.count or n_full != comps.count:
-            raise InternalInconsistencyError(
-                f"expected one [0, .] and one [., m] interval per component "
-                f"({comps.count}), got {n_zero} and {n_full}"
-            )
         for label in range(comps.count):
             si = starts.get(label, [])
             ei = ends.get(label, [])

@@ -169,7 +169,7 @@ class Violation:
 
 
 _Sweep = namedtuple(
-    "_Sweep", "simplices dims facets add_at del_at adds dels violations repetition standardized"
+    "_Sweep", "simplices dims facets add_at del_at dels violations repetition standardized"
 )
 
 
@@ -185,7 +185,7 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
     order of addition when the input is valid and starts empty): the
     Simplex, its dimension, its facet ids (None until it is added with every
     facet known), its last addition and deletion index (-1: none). Also the
-    ids of all additions/deletions in event order, the violations, the first
+    ids of all deletions in event order, the violations, the first
     repetition, and whether K_0 = K_m = empty. The initial complex enters
     first, as additions at negative indices in face order. Invalid events
     are skipped when updating the running complex; the repetition check
@@ -195,7 +195,7 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
     ids: Dict[Tuple[int, ...], int] = {}
     get = ids.get
     events = [*map(FiltrationEvent.add, sorted(f.initial)), *f.events]
-    simplices, dims, adds, dels = [], [], [], []
+    simplices, dims, dels = [], [], []
     # indexed by id; ids never outnumber the events
     facets: List[Optional[Tuple[int, ...]]] = [None] * len(events)
     add_at = [-1] * len(events)
@@ -217,7 +217,6 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
                 repetition = (s, del_at[j], i)
             if i >= 0:
                 add_at[j] = i
-                adds.append(j)
             if count[j] >= 0:
                 out.append(Violation(i, f"duplicate add of {s!r}"))
                 continue
@@ -261,17 +260,20 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
             elif i not in skipped:
                 (present.add if e.direction == ADD else present.discard)(s.vertices)
     standardized = not f.initial and not any(map(gt, add_at, del_at))
-    return _Sweep(
-        simplices, dims, facets, add_at, del_at, adds, dels, out, repetition, standardized
-    )
+    return _Sweep(simplices, dims, facets, add_at, del_at, dels, out, repetition, standardized)
+
+
+def _admitted(f: ZigzagFiltration) -> _Sweep:
+    """The sweep of a valid f, else InvalidInputError: the one admission of every entry point."""
+    sw = _sweep(f)
+    if sw.violations:
+        head = "; ".join(f"event {v.index}: {v.reason}" for v in sw.violations[:5])
+        raise InvalidInputError(f"invalid filtration ({len(sw.violations)} violations): {head}")
+    return sw
 
 
 def validate(f: ZigzagFiltration) -> List[Violation]:
-    """Well-formedness diagnostics; empty list iff f is valid.
-
-    Invalid events are skipped when updating the running complex so that
-    later diagnostics stay meaningful.
-    """
+    """Well-formedness diagnostics (the sweep's); empty list iff f is valid."""
     return _sweep(f).violations
 
 
@@ -308,19 +310,22 @@ class StandardizationRecord:
         return self.prefix_length, self.prefix_length + self.original_length
 
 
-def _build_order(simplices: Iterable[Simplex]) -> List[Simplex]:
-    return sorted(simplices, key=lambda s: (s.dim, s.vertices))
-
-
 def standardize(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, StandardizationRecord]:
     """Prepend additions building K_0 and append deletions dismantling K_m.
 
     The prepended additions follow (dimension, lexicographic) order and the
     appended deletions the reverse; any face-respecting order would do, this
-    one is deterministic. Non-repetitiveness is preserved.
+    one is deterministic. Non-repetitiveness is preserved. An invalid f, with
+    no K_m to dismantle, fails the shared admission (``_admitted``).
     """
-    prefix = [FiltrationEvent.add(s) for s in _build_order(f.initial)]
-    suffix = [FiltrationEvent.delete(s) for s in reversed(_build_order(f.final_complex()))]
+    _admitted(f)
+    return _padded(f)
+
+
+def _padded(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, StandardizationRecord]:
+    """``standardize`` of an f already admitted."""
+    prefix = [FiltrationEvent.add(s) for s in sorted(f.initial)]
+    suffix = [FiltrationEvent.delete(s) for s in sorted(f.final_complex(), reverse=True)]
     out = ZigzagFiltration(prefix + list(f.events) + suffix)
     return out, StandardizationRecord(len(prefix), len(f.events), len(suffix))
 
@@ -337,17 +342,16 @@ def to_updown(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, EventIndexMap]:
     """Canonical up-down form: all additions first, then all deletions.
 
     Both halves keep their relative order from f. The returned index map
-    records where each addition/deletion sat in f.
+    records where each addition/deletion sat in f. The shared admission
+    (``_admitted``) raises InvalidInputError on an invalid f.
     """
-    sw = _sweep(f)
+    sw = _admitted(f)
     if not sw.standardized:
         raise NotStandardizedError("up-down conversion needs K_0 = K_m = empty")
     _raise_if_repetitive(sw.repetition)
-    if len(sw.adds) != len(sw.dels):
-        raise NotStandardizedError("standardized filtration must pair every add with a delete")
-    events = [FiltrationEvent(ADD, sw.simplices[j]) for j in sw.adds]
+    events = [FiltrationEvent(ADD, s) for s in sw.simplices]  # ids run in order of addition
     events += [FiltrationEvent(DEL, sw.simplices[j]) for j in sw.dels]
-    add_index = {sw.simplices[j]: sw.add_at[j] for j in sw.adds}
+    add_index = dict(zip(sw.simplices, sw.add_at))
     del_index = {sw.simplices[j]: sw.del_at[j] for j in sw.dels}
     return ZigzagFiltration(events), EventIndexMap(add_index, del_index)
 

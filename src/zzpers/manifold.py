@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .barcode import ABSOLUTE, RELATIVE, Barcode, Interval, classify_ends
+from .barcode import ABSOLUTE, RELATIVE, Barcode, classify_ends
 from .complexes import DualGraph, SimplicialComplex, dual_graph
 from .duality import recover_absolute_from_relative
 from .errors import InvalidInputError, NotStandardizedError
-from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused
+from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _gc_paused
 from .pipeline import _remap_pairs, _solve
 
 ADD_VERTEX = "+v"
@@ -217,34 +217,36 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
 
 
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
-    """Dimension-p relative barcode of a filtration of a closed p-manifold.
+    """Dimension-p relative barcode of a filtration of a closed p-manifold or pseudomanifold.
 
     Computed as the 0-dimensional barcode of the dual-graph complement
     zigzag; end types come from the relative arrows, which follow f's own
-    directions. Repetitive filtrations are allowed here.
+    directions. f passes the shared admission (``filtration._admitted``,
+    InvalidInputError otherwise) and fills K; it may be repetitive.
 
     The cyclic garbage collector is paused for the call, as in
     ``compute_zigzag``: the dual graph and its walk build no reference cycle.
     """
     with _gc_paused():
-        if not f.is_standardized():
+        sw = _admitted(f)
+        if not sw.standardized:
             raise NotStandardizedError("manifold path needs a standardized filtration")
-        if {e.simplex for e in f.events if e.direction == ADD} != K.simplex_set():
+        if set(sw.simplices) != K.simplex_set():
             raise InvalidInputError("filtration does not fill the given complex")
+        del sw  # freed while the collector is paused, so no collection walks it
         bars = zero_dim_zigzag(dual_filtration(f, K, p))
         directions = f.directions()
-        intervals = {
-            Interval(p, iv.b, iv.d, *classify_ends(iv.b, iv.d, directions)): c
-            for iv, c in bars.counts().items()
-        }
-        return Barcode(intervals, len(f), RELATIVE)
+        fields = {(p, b, d, *classify_ends(b, d, directions)): c
+                  for (_, b, d, _, _), c in bars.counts().items()}
+        return Barcode._of_fields(fields, len(f), RELATIVE)
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
     """Recoverable part of the absolute barcode of a manifold filtration.
 
     All of dimension p, plus the closed-open, open-closed, and open-open
-    intervals of dimension p-1; requires f non-repetitive.
+    intervals of dimension p-1; requires f non-repetitive. K may be a
+    closed pseudomanifold: the end intervals pair up per strong component.
     """
     rel = relative_top_barcode(f, K, p)
     return recover_absolute_from_relative(rel, f, K, p)

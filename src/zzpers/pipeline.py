@@ -7,8 +7,8 @@ coordinates. Only the matrix reduction does non-trivial work; both
 remappings are constant time per interval.
 
 ``compute_zigzag`` runs it on dense simplex ids from one sweep over the
-events (``filtration._sweep``); an input that is not standardized is
-padded by ``standardize`` and swept again. ``_solve`` reads only the
+events (the shared admission, ``filtration._admitted``); an input that is
+not standardized is padded and swept again. ``_solve`` reads only the
 per-id dimensions and facet ids and the order of deletions: it reduces
 the coboundary matrix of the coned filtration and maps each pair back to
 the boundary matrix's (the pairs are the same, by the duality of
@@ -27,17 +27,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, Barcode, Interval, classify_ends
-from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
+from .errors import ContractViolationError, InternalInconsistencyError
 from .filtration import (
     ADD,
     DEL,
     EventIndexMap,
     StandardizationRecord,
     ZigzagFiltration,
+    _admitted,
     _gc_paused,
+    _padded,
     _raise_if_repetitive,
     _sweep,
-    standardize,
 )
 from .reduction import (
     EXT,
@@ -237,9 +238,10 @@ def _remap_pairs(pairs, dims, dels, add_at, del_at) -> List[Tuple[int, int, int,
 def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     """Full pipeline with per-phase timings and the reduction's counters.
 
-    Phases: ``validate`` (the sweep: validity and repetition checks),
-    ``convert`` (padding of a non-standardized input, which sweeps the
-    padded filtration again; near zero on a standardized input),
+    Phases: ``validate`` (the shared admission ``filtration._admitted``,
+    which raises InvalidInputError on an invalid f, then the repetition
+    check), ``convert`` (padding of a non-standardized input, which sweeps
+    the padded filtration again; near zero on a standardized input),
     ``reduce`` (``_solve``: sparse coboundary columns of the coned
     filtration, their reduction, and the pairs mapped back), ``remap``
     (pairs to intervals in input order, then restriction to the input's
@@ -253,16 +255,13 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     """
     with _gc_paused():
         t0 = time.perf_counter()
-        sw = _sweep(f)
-        if sw.violations:
-            head = "; ".join(f"event {v.index}: {v.reason}" for v in sw.violations[:5])
-            raise InvalidInputError(f"invalid filtration ({len(sw.violations)} violations): {head}")
+        sw = _admitted(f)
         _raise_if_repetitive(sw.repetition)
         t1 = time.perf_counter()
         if sw.standardized:
             std, record = f, StandardizationRecord(0, len(f), 0)
         else:
-            std, record = standardize(f)
+            std, record = _padded(f)
             sw = _sweep(std)
         t2 = time.perf_counter()
         pairs, stats = _solve(sw.facets, sw.dims, sw.dels)

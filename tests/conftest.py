@@ -94,6 +94,24 @@ def grid_torus(a: int = 3, b: int = 3) -> SimplicialComplex:
     return SimplicialComplex.closure([Simplex(t) for t in tris])
 
 
+def octahedra_wedge() -> SimplicialComplex:
+    """Two octahedra sharing one vertex (0 of the second is 5 of the first):
+    a closed 2-pseudomanifold, connected, with two strong components."""
+    tris = [s.vertices for s in octahedron().of_dim(2)]
+    return SimplicialComplex.closure(
+        [Simplex(t) for t in tris] + [Simplex(v + 5 for v in t) for t in tris]
+    )
+
+
+def moved_edge_torus() -> ZigzagFiltration:
+    """A filtration of the 3x3 grid torus with its first edge addition moved
+    ahead of its vertices: six violations, the same simplices."""
+    events = list(random_nonrepetitive(SplitMix64(6), sorted(grid_torus().simplex_set())).events)
+    first_edge = next(i for i, e in enumerate(events) if e.simplex.dim == 1)
+    events.insert(0, events.pop(first_edge))
+    return ZigzagFiltration(events)
+
+
 def tetra_boundary(offset: int = 0) -> SimplicialComplex:
     tris = [t for t in itertools.combinations(range(offset, offset + 4), 3)]
     return SimplicialComplex.closure([Simplex(t) for t in tris])

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from zzpers import cli, multiset_equal, oracle_relative
+from zzpers import cli, multiset_equal, oracle_absolute, oracle_relative, validate
 from zzpers.cli import main
-from zzpers.io import parse_barcode, parse_filtration, write_off
+from zzpers.io import format_filtration, parse_barcode, parse_filtration, write_off
 from zzpers.pipeline import compute_zigzag
-from conftest import torus_mesh_points
+from zzpers.rng import SplitMix64
+from conftest import moved_edge_torus, octahedra_wedge, random_nonrepetitive, torus_mesh_points
 
 
 SMALL = "zzfilt v1\na 0\nd 0\na 1\nd 1\n"
@@ -86,6 +87,16 @@ def test_convert_extended(small_file, capsys):
     assert any("apex vertex" in ln for ln in lines)
 
 
+def test_convert_extended_names_the_apex_apart_from_every_input_token(tmp_path, capsys):
+    # three vertices, so the apex is vertex 3, and one input token is already "w3"
+    path = tmp_path / "w3.zz"
+    path.write_text("zzfilt v1\na x\na w3\na x w3\na y\nd x w3\nd x\nd w3\nd y\n")
+    assert main(["convert", str(path), "--to", "extended"]) == 0
+    out = parse_filtration(capsys.readouterr().out)
+    assert validate(out.filtration) == []
+    assert len(out.names) == len(parse_filtration(path.read_text()).names) + 1
+
+
 def test_duality_command(small_file, tmp_path, capsys):
     bar_path = tmp_path / "bar.zzb"
     assert main(["compute", small_file, "--out", str(bar_path)]) == 0
@@ -130,6 +141,49 @@ def test_generate_and_manifold_commands(tmp_path, capsys):
     first_block = out.split("zzbar")[1]
     got = parse_barcode("zzbar" + first_block)
     assert multiset_equal(got, rel).equal
+
+
+def test_manifold_recover_on_a_closed_pseudomanifold(tmp_path, capsys):
+    f = random_nonrepetitive(SplitMix64(3), sorted(octahedra_wedge().simplex_set()))
+    path = tmp_path / "wedge.zz"
+    path.write_text(format_filtration(f))
+    assert main(["manifold", str(path), "--p", "2", "--recover"]) == 0
+    recovered = parse_barcode("zzbar" + capsys.readouterr().out.split("zzbar")[2])
+    want = oracle_absolute(parse_filtration(path.read_text()).filtration).filter(
+        lambda i: i.dim == 2 or (i.dim == 1 and i.type_code != "cc")
+    )
+    assert multiset_equal(recovered, want).equal
+
+
+INVALID_INPUTS = {
+    "edge_before_its_vertices": "zzfilt v1\na 0 1\na 0\na 1\nd 0 1\nd 0\nd 1\n",
+    "moved_edge_torus": format_filtration(moved_edge_torus()),
+}
+READERS = [
+    ["compute"],
+    ["oracle"],
+    ["oracle", "--relative"],
+    ["convert", "--to", "updown"],
+    ["convert", "--to", "extended"],
+    ["manifold", "--p", "2"],
+    ["manifold", "--p", "2", "--recover"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_INPUTS))
+def test_every_command_that_reads_a_filtration_rejects_an_invalid_one(name, tmp_path, capsys):
+    path = tmp_path / "bad.zz"
+    path.write_text(INVALID_INPUTS[name])
+    assert main(["validate", str(path)]) == 2
+    capsys.readouterr()
+    errors = set()
+    for command, *options in READERS:
+        assert main([command, str(path), *options]) == 2, (command, *options)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    # one shared admission: the same message from every command
+    assert len(errors) == 1 and errors.pop().startswith("error: invalid filtration (")
 
 
 def test_manifold_with_explicit_complex_file(tmp_path, capsys):

@@ -10,14 +10,16 @@ from zzpers import (
     RELATIVE,
     SimplicialComplex,
     absolute_to_relative,
+    manifold_absolute_barcode,
     multiset_equal,
     oracle_absolute,
     oracle_relative,
     recover_absolute_from_relative,
     relative_top_barcode,
+    zigzag_barcode,
 )
 from zzpers.rng import SplitMix64
-from conftest import octahedron, random_nonrepetitive, sx, tetra_boundary
+from conftest import octahedra_wedge, octahedron, random_nonrepetitive, sx, tetra_boundary
 
 
 def iv(dim, b, d, tc):
@@ -106,6 +108,19 @@ def test_recover_two_components_never_cross():
             lambda i: i.dim == 2 or (i.dim == 1 and i.type_code != "cc")
         )
         assert multiset_equal(rec, want).equal
+
+
+def test_recover_pairs_end_intervals_per_strong_component_of_a_pseudomanifold():
+    # connected, but each octahedron carries its own dimension-2 class: two
+    # [0, .] and two [., m] intervals pair up inside their own octahedron.
+    # The oracle checks the first five seeds, the pipeline (itself checked
+    # against the oracle elsewhere) the other 25
+    K = octahedra_wedge()
+    for seed in range(30):
+        f = random_nonrepetitive(SplitMix64(seed), sorted(K.simplex_set()))
+        absolute = oracle_absolute(f) if seed < 5 else zigzag_barcode(f)
+        want = absolute.filter(lambda i: i.dim == 2 or (i.dim == 1 and i.type_code != "cc"))
+        assert multiset_equal(manifold_absolute_barcode(f, K, 2), want).equal
 
 
 def test_recover_on_a_circle_exercises_overlap_row():

@@ -5,6 +5,8 @@ import pytest
 
 from zzpers import (
     ABSOLUTE,
+    RELATIVE,
+    Barcode,
     ContractViolationError,
     FiltrationEvent,
     GraphZigzag,
@@ -12,6 +14,7 @@ from zzpers import (
     NotStandardizedError,
     Simplex,
     ZigzagFiltration,
+    compute_zigzag,
     dual_filtration,
     manifold_absolute_barcode,
     multiset_equal,
@@ -20,6 +23,8 @@ from zzpers import (
     recover_absolute_from_relative,
     reduce,
     relative_top_barcode,
+    standardize,
+    to_updown,
     zero_dim_zigzag,
     zigzag_barcode,
 )
@@ -30,11 +35,13 @@ from zzpers.oracle import sequence_barcode
 from zzpers.rng import SplitMix64
 from conftest import (
     grid_torus,
+    moved_edge_torus,
     octahedron,
     random_nonrepetitive,
     random_updown,
     sx,
     tetra_boundary,
+    zz,
 )
 
 
@@ -202,7 +209,7 @@ def test_manifold_path_pauses_the_gc_and_builds_no_cycle(enabled, monkeypatch):
     K = grid_torus()
     f = random_nonrepetitive(SplitMix64(6), sorted(K.simplex_set()))
     paused = []  # the GC state where each call does its main work
-    for module, name in ((manifold, "dual_filtration"), (duality, "connected_components")):
+    for module, name in ((manifold, "dual_filtration"), (duality, "_strong_components")):
         def spy(*args, inner=getattr(module, name)):
             paused.append(not gc.isenabled())
             return inner(*args)
@@ -227,6 +234,26 @@ def test_manifold_path_pauses_the_gc_and_builds_no_cycle(enabled, monkeypatch):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "f, p", [(zz("a 0 1", "a 0", "a 1", "d 0 1", "d 0", "d 1"), 1), (moved_edge_torus(), 2)]
+)
+def test_every_entry_point_rejects_an_invalid_filtration_alike(f, p):
+    K = f.total_complex()  # every simplex is added, though not every one validly
+    calls = (
+        lambda: compute_zigzag(f),
+        lambda: to_updown(standardize(f)[0]),
+        lambda: relative_top_barcode(f, K, p),
+        lambda: manifold_absolute_barcode(f, K, p),
+        lambda: recover_absolute_from_relative(Barcode([], len(f), RELATIVE), f, K, p),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(InvalidInputError) as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 PATH3 = ((0, 1), (1, 2))

@@ -10,19 +10,23 @@ from hypothesis import strategies as st
 
 from zzpers import (
     ABSOLUTE,
+    RELATIVE,
     Barcode,
     FiltrationEvent,
     GraphZigzag,
     InvalidInputError,
     Simplex,
     ZigzagFiltration,
+    absolute_to_relative,
     boundary,
     build_extended,
     compute_zigzag,
     ext_to_updown,
     find_repetition,
     multiset_equal,
+    recover_absolute_from_relative,
     reduce_twist,
+    relative_top_barcode,
     standardize,
     to_updown,
     updown_to_f,
@@ -34,21 +38,16 @@ from zzpers.io import FILT_HEADER, ParsedFiltration, format_filtration, parse_fi
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.reduction import extended_from_reduction
 from test_manifold import _oracle_zero_dim
+from conftest import octahedron
 
 # every simplex on five vertices up to dimension 3, faces before cofaces
 CANDIDATES = [Simplex(c) for k in range(1, 5) for c in combinations(range(5), k)]
 
 
-@st.composite
-def nonrepetitive_filtrations(draw):
-    """A valid non-repetitive filtration: a window of one that starts and ends
-    empty, in which each simplex of a drawn complex K is added once, after its
-    facets, and deleted once, after its cofaces. A window that starts inside
-    it has a non-empty initial complex."""
-    K = []
-    for s in CANDIDATES:  # faces first, so a coface's facets are decided
-        if all(f in K for f in boundary(s)) and draw(st.integers(0, 3)):  # kept 3 times in 4
-            K.append(s)
+def _timed_filtration(draw, K: List[Simplex]) -> ZigzagFiltration:
+    """A filtration that starts and ends empty, in which each simplex of the
+    complex K (listed faces first) is added once, after its facets, and
+    deleted once, after its cofaces: valid and non-repetitive."""
     add_at = {}
     for s in K:
         add_at[s] = 1 + max((add_at[f] for f in boundary(s)), default=0) + draw(st.integers(0, 9))
@@ -61,26 +60,96 @@ def nonrepetitive_filtrations(draw):
     timed = [(add_at[s], FiltrationEvent.add(s)) for s in K]
     timed += [(del_at[s], FiltrationEvent.delete(s)) for s in reversed(K)]
     timed.sort(key=lambda pair: pair[0])
-    whole = ZigzagFiltration([e for _, e in timed])
+    return ZigzagFiltration([e for _, e in timed])
+
+
+@st.composite
+def nonrepetitive_filtrations(draw):
+    """A valid non-repetitive filtration: a window of one that starts and ends
+    empty, in which each simplex of a drawn complex K is added once, after its
+    facets, and deleted once, after its cofaces. A window that starts inside
+    it has a non-empty initial complex."""
+    K = []
+    for s in CANDIDATES:  # faces first, so a coface's facets are decided
+        if all(f in K for f in boundary(s)) and draw(st.integers(0, 3)):  # kept 3 times in 4
+            K.append(s)
+    whole = _timed_filtration(draw, K)
     lo = draw(st.integers(0, len(whole)))
     hi = len(whole) - draw(st.integers(0, len(whole) - lo))
     return ZigzagFiltration(whole.events[lo:hi], whole.complex_at(lo))
+
+
+def _staged_barcode(f: ZigzagFiltration) -> Barcode:
+    """``compute_zigzag(f).standardized`` through the unfused public steps."""
+    std, _ = standardize(f)
+    U, id_map = to_updown(std)
+    ext = build_extended(U)
+    ebar = extended_from_reduction(ext, reduce_twist(ext.events))
+    return Barcode(
+        [updown_to_f(ext_to_updown(e, ebar.n), id_map, U) for e in ebar.intervals],
+        len(std),
+        ABSOLUTE,
+    )
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(nonrepetitive_filtrations())
 def test_compute_zigzag_matches_staged_public_route(f):
     assert validate(f) == [] and find_repetition(f) is None
-    std, _ = standardize(f)
-    U, id_map = to_updown(std)
-    ext = build_extended(U)
-    ebar = extended_from_reduction(ext, reduce_twist(ext.events))
-    staged = Barcode(
-        [updown_to_f(ext_to_updown(e, ebar.n), id_map, U) for e in ebar.intervals],
-        len(std),
-        ABSOLUTE,
+    assert compute_zigzag(f).standardized == _staged_barcode(f)
+
+
+OCTAHEDRON = octahedron()
+
+
+@st.composite
+def moved_event_filtrations(draw):
+    """A valid non-repetitive filtration of the octahedron, and a copy of it
+    with one event moved to another position: the same simplices, valid or
+    not. A valid copy is standardized and non-repetitive too, since each
+    simplex is still added once and deleted once."""
+    parent = _timed_filtration(draw, sorted(OCTAHEDRON.simplex_set()))
+    events = list(parent.events)
+    moved = events.pop(draw(st.integers(0, len(events) - 1)))
+    events.insert(draw(st.integers(0, len(events))), moved)
+    return parent, ZigzagFiltration(events)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(moved_event_filtrations())
+def test_every_entry_point_admits_through_the_one_sweep(pair):
+    parent, f = pair
+    K = OCTAHEDRON
+    violations = validate(f)
+    # admission comes first: an invalid f meets an empty relative barcode of its length
+    rel = Barcode([], len(f), RELATIVE) if violations else relative_top_barcode(f, K, 2)
+    calls = (
+        lambda: compute_zigzag(f),
+        lambda: to_updown(standardize(f)[0]),
+        lambda: relative_top_barcode(f, K, 2),
+        lambda: recover_absolute_from_relative(rel, f, K, 2),
     )
-    assert compute_zigzag(f).standardized == staged
+    if violations:
+        messages = set()
+        for call in calls:
+            with pytest.raises(InvalidInputError) as err:
+                call()
+            messages.add(str(err.value))
+        head = "; ".join(f"event {v.index}: {v.reason}" for v in violations[:5])
+        assert messages == {f"invalid filtration ({len(violations)} violations): {head}"}
+        return
+    result, (U, id_map), got_rel, rec = (call() for call in calls)
+    assert got_rel == rel
+    adds = [e for e in f.events if e.direction == ADD]
+    dels = [e for e in f.events if e.direction == DEL]
+    assert U.events == tuple(adds + dels)
+    assert id_map.add_index == {e.simplex: i for i, e in enumerate(f.events) if e in adds}
+    assert id_map.del_index == {e.simplex: i for i, e in enumerate(f.events) if e in dels}
+    assert result.standardized == result.barcode == _staged_barcode(f)
+    assert got_rel == absolute_to_relative(result.barcode).in_dim(2)
+    assert rec == result.barcode.filter(
+        lambda i: i.dim == 2 or (i.dim == 1 and i.type_code != "cc")
+    )
 
 
 @st.composite
