@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import io as zio
 from .duality import absolute_to_relative, recover_absolute_from_relative
 from .errors import InvalidInputError, ZigzagError
-from .filtration import FiltrationEvent, ZigzagFiltration, _admitted, _sweep, standardize, to_updown
+from .filtration import FiltrationEvent, ZigzagFiltration, _sweep, standardize, to_updown
 from .manifold import relative_top_barcode
 from .pipeline import compute_zigzag
 from .complexes import Simplex, SimplicialComplex
@@ -143,7 +143,6 @@ def _cmd_manifold(args) -> int:
 
 def _cmd_oracle(args) -> int:
     parsed = zio.load_filtration(args.filtration)
-    _admitted(parsed.filtration)  # the brute-force oracle assumes a valid filtration
     bar = oracle_relative(parsed.filtration) if args.relative else oracle_absolute(parsed.filtration)
     _write_out(bar.to_text(), args.out)
     return 0

@@ -170,25 +170,23 @@ class ComponentLabels:
         return self.of_vertex[s.vertices[0]]
 
 
+def _find(parent, v: int) -> int:
+    """Root of v in a union-find's parent map (a list or a dict), halving the path."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]  # v's parent becomes its grandparent, then v moves there
+    return v
+
+
 def _label_components(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> ComponentLabels:
     """Union-find over the given vertices and edges between them."""
     parent = {v: v for v in vertices}
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
     for a, b in edges:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)  # each root is its component's smallest vertex
-    roots = sorted({find(v) for v in parent})
+    roots = sorted({_find(parent, v) for v in parent})
     index = {r: i for i, r in enumerate(roots)}
-    return ComponentLabels(len(roots), {v: index[find(v)] for v in parent})
+    return ComponentLabels(len(roots), {v: index[_find(parent, v)] for v in parent})
 
 
 def connected_components(c: SimplicialComplex) -> ComponentLabels:

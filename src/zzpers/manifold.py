@@ -13,11 +13,15 @@ primal simplex is added and comes back when it is deleted). Giving every
 re-entry a fresh copy of the cell makes it a non-repetitive filtration
 (the copy trick of Dey & Hou, *Fast Computation of Zigzag Persistence*,
 ESA 2022). The walk over the graph zigzag gives the copies dense ids and
-records them as the pipeline's solve reads them (``pipeline._solve``), so
-no simplex, event or filtration is built for them. The walk is linear in
-the length of the filtration; the reduction is not near linear in the
-worst case, but on swept grid tori the whole path grows with exponent
-about 1.1 (acceptance test A8-manifold).
+records them as the pipeline's solve reads them, so no simplex, event or
+filtration is built for them. The pairs of the copies' coned filtration
+then come from two union-find passes and a spanning-forest pass, with no
+boundary or coboundary matrix (``_copy_pairs``; after Dey & Hou,
+*Computing Zigzag Persistence on Graphs in Near-Linear Time*, SoCG 2021),
+and ``pipeline._remap_pairs`` maps them to intervals. The walk and the
+union-finds are near linear in the length of the filtration; the forest
+pass climbs tree paths, which grow with the graph, so on swept grid tori
+it grows as about m^1.5 (link-cut trees would make it near linear).
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .barcode import ABSOLUTE, RELATIVE, Barcode, classify_ends
-from .complexes import DualGraph, SimplicialComplex, dual_graph
+from .complexes import DualGraph, SimplicialComplex, _find, dual_graph
 from .duality import recover_absolute_from_relative
 from .errors import InvalidInputError, NotStandardizedError
 from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _gc_paused
-from .pipeline import _remap_pairs, _solve
+from .pipeline import _remap_pairs
 
 ADD_VERTEX = "+v"
 DEL_VERTEX = "-v"
@@ -98,8 +102,129 @@ def _arrow(k: int) -> str:
     return f"arrow {k}" if k >= 0 else "initial graph"
 
 
+def _reroot(up: List[int], via: List[int], v: int, cut: int = -1) -> None:
+    """Make v the root of its forest tree by reversing its path to the root,
+    or, given the id of an edge on that path, to that edge, which is cut."""
+    below = e = -1
+    while True:  # the root's parent edge is -1, so the default stops there
+        up[v], via[v], below, e, v = below, e, v, via[v], up[v]
+        if e == cut:
+            return
+
+
+def _path_max(up: List[int], via: List[int], u: int, v: int) -> Tuple[int, bool]:
+    """Heaviest edge id on the forest path between u and v (in one tree),
+    and whether it is on u's side of the path.
+
+    The two ends climb in turn, one step each, until one reaches a node the
+    other has passed. Each passed node keeps the heaviest edge below it on
+    its side, so no depth is needed.
+    """
+    hu = hv = -1  # the heaviest edge on each climb so far
+    seen_u, seen_v = {u: -1}, {v: -1}
+    while True:
+        w = up[u]
+        if w >= 0:
+            if via[u] > hu:
+                hu = via[u]
+            u = w
+            h = seen_v.get(w)
+            if h is not None:
+                return (hu, True) if hu > h else (h, False)
+            seen_u[w] = hu
+        w = up[v]
+        if w >= 0:
+            if via[v] > hv:
+                hv = via[v]
+            v = w
+            h = seen_u.get(w)
+            if h is not None:
+                return (hv, False) if hv > h else (h, True)
+            seen_v[w] = hv
+
+
+def _copy_pairs(facets, dims, dels) -> List[Tuple[int, int]]:
+    """Boundary-matrix pairs of the coned filtration of a copy record (the
+    graph case of ``pipeline._solve``'s input), without a matrix.
+
+    Columns are numbered as in ``_solve``: the apex 0, the up column s + 1
+    of id s, and 2n - k for the cone over the k-th deleted id. A union-find
+    keeps each root at its set's smallest column, so the younger of two
+    roots is the larger. Three passes give every pair:
+
+    a. A union-find walks the coned 1-skeleton in column order: the apex,
+       the up vertex and edge copies, then the cones over vertex copies.
+       Each merge pairs the younger root with the edge column.
+    b. A second union-find walks the copies in reverse order of deletion
+       (the cone columns in order). An edge copy that merges two sets pairs
+       the cone over the younger root's vertex with the cone over the edge.
+    c. An edge copy e that closes a cycle in pass b pairs the up column of
+       max(e, x) with the cone over e, where x is the heaviest edge id on
+       the path between e's ends in the minimum spanning forest (by id) of
+       the edge copies pass b has met; if e < x, e replaces x there.
+
+    Pass c keeps the forest as parent pointers (``up``) and parent-edge ids
+    (``via``) over the cone columns of the vertex copies. A merge links e
+    by re-rooting its end in the smaller tree (sizes from pass b). A
+    replacement re-roots the end on x's side of the path only up to x,
+    which clears x's parent pointer (the cut), and links e there. The path
+    climbs make pass c superlinear (about m^1.5 on swept grid tori).
+    """
+    n = len(dels)
+    n2 = 2 * n
+    parent = list(range(n2 + 1))  # pass a on columns 0..n, pass b on n+1..2n
+    pairs = []
+    for s in range(n):  # a: the up phase
+        if dims[s]:
+            a, b = facets[s]
+            ra, rb = _find(parent, a + 1), _find(parent, b + 1)
+            if ra != rb:
+                if ra > rb:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                pairs.append((rb, s + 1))
+    at = [0] * n  # id -> its position among the deletions
+    for k, s in enumerate(dels):
+        at[s] = k
+    size = [1] * (n2 + 1)  # pass b root -> its set's size
+    up = [-1] * (n2 + 1)  # pass c: forest parent, -1 at a root
+    via = [-1] * (n2 + 1)  # pass c: id of the edge to the forest parent
+    for k in range(n - 1, -1, -1):  # the cone columns in order
+        s = dels[k]
+        if not dims[s]:  # a: the cone over a vertex copy joins it to the apex
+            r = _find(parent, s + 1)
+            if r:
+                parent[r] = 0
+                pairs.append((r, n2 - k))
+            continue
+        a, b = facets[s]
+        u, v = n2 - at[a], n2 - at[b]
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            if size[ru] < size[rv]:
+                u, v = v, u
+            _reroot(up, via, v)  # v lies in the smaller tree
+            up[v], via[v] = u, s
+            if ru > rv:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            pairs.append((rv, n2 - k))
+            continue
+        x, on_u = _path_max(up, via, u, v)
+        if s > x:
+            pairs.append((s + 1, n2 - k))
+            continue
+        pairs.append((x + 1, n2 - k))
+        if on_u:
+            u, v = v, u
+        _reroot(up, via, v, x)  # x is on v's side: cut it, and v roots what hung below it
+        up[v], via[v] = u, s
+    return pairs
+
+
 def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
-    """0-dimensional barcode of the graph zigzag, through the pipeline's solve.
+    """0-dimensional barcode of the graph zigzag, from the pairs of its copies.
 
     Every (re)entry of a cell becomes a fresh copy with a dense id, given in
     order of addition: a vertex copy has no facets, and an edge copy has the
@@ -109,7 +234,8 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     nothing to it. The walk records per id its dimension, facet ids and the
     positions of its addition and deletion, the ids in order of deletion,
     and the arrow of g each position belongs to (the padding to arrow -1 or
-    m); ``_solve`` reduces that record and ``_remap_pairs`` gives its
+    m). ``_copy_pairs`` gives the pairs of that record's coned filtration,
+    the same as ``pipeline._solve`` would, and ``_remap_pairs`` its
     intervals. An interval [b, d] of the copies becomes [a(b-1) + 1, a(d)]
     in g's indices, and is dropped when it lives only inside one arrow's
     positions.
@@ -205,7 +331,7 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
         if copy[v] >= 0:
             vertex_out(v, m)
 
-    pairs, _ = _solve(facets, dims, dels)
+    pairs = _copy_pairs(facets, dims, dels)
     at = [-1, *arrow_of, m]  # at[i]: the arrow of position i - 1
     directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in g.events)
     intervals = []

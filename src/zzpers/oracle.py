@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .barcode import ABSOLUTE, RELATIVE, Barcode, Interval, classify_ends
 from .complexes import Simplex, SimplicialComplex
 from .errors import InternalInconsistencyError, InvalidInputError
-from .filtration import ADD, ZigzagFiltration
+from .filtration import ADD, ZigzagFiltration, _admitted
 from .z2 import Echelon, Solver, apply_columns, kernel, rank
 
 
@@ -356,13 +356,18 @@ def sequence_barcode(
 
 
 def oracle_absolute(f: ZigzagFiltration) -> Barcode:
-    """Ground-truth barcode of the absolute module of f (repetition allowed)."""
+    """Ground-truth barcode of the absolute module of a valid f (repetition
+    allowed; the shared admission, ``filtration._admitted``, raises
+    InvalidInputError otherwise)."""
+    _admitted(f)
     pairs = [(snap, frozenset()) for snap in f.snapshots()]
     return sequence_barcode(pairs, f.directions(), ABSOLUTE)
 
 
 def oracle_relative(f: ZigzagFiltration) -> Barcode:
-    """Ground-truth barcode of the pairs (K, K_i) with K the total complex."""
+    """Ground-truth barcode of the pairs (K, K_i) with K the total complex,
+    for a valid f (admitted as in ``oracle_absolute``)."""
+    _admitted(f)
     total = f.total_complex().simplex_set()
     pairs = [(total, snap) for snap in f.snapshots()]
     qmax = SimplicialComplex(total).dim + 1

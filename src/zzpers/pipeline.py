@@ -13,10 +13,12 @@ per-id dimensions and facet ids and the order of deletions: it reduces
 the coboundary matrix of the coned filtration and maps each pair back to
 the boundary matrix's (the pairs are the same, by the duality of
 persistent homology and cohomology). ``manifold.zero_dim_zigzag`` fills
-the same dense-id record as it walks a graph zigzag and shares ``_solve``
-and ``_remap_pairs``. The public steps (``to_updown``, ``build_extended``,
-``reduce_twist``, ``ext_to_updown``, ``updown_to_f``) reduce the boundary
-matrix and are the specification it is tested against.
+the same dense-id record as it walks a graph zigzag, gets the same pairs
+from matrix-free passes (``manifold._copy_pairs``; ``_solve`` is their
+reference in the tests) and shares ``_remap_pairs``. The public steps
+(``to_updown``, ``build_extended``, ``reduce_twist``, ``ext_to_updown``,
+``updown_to_f``) reduce the boundary matrix and are the specification it
+is tested against.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from .complexes import Simplex, cone
 from .errors import InternalInconsistencyError, InvalidInputError, NotStandardizedError, NotUpDownError
-from .filtration import ADD, DEL, ZigzagFiltration, _faces
+from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _faces
 
 ORD = "Ord"
 REL = "Rel"
@@ -306,17 +306,17 @@ class ExtendedFiltration:
 def build_extended(U: ZigzagFiltration) -> ExtendedFiltration:
     """Cone an up-down filtration into a single monotone filtration.
 
-    The apex vertex id is one past the largest vertex id in play, so it is
-    stable for a given input.
+    U passes the shared admission (``filtration._admitted``,
+    InvalidInputError otherwise). The apex vertex id is one past the
+    largest vertex id in play, so it is stable for a given input.
     """
+    standardized = _admitted(U).standardized
     if not U.is_updown():
         raise NotUpDownError("extended filtration needs an up-down input")
-    if not U.is_standardized():
+    if not standardized:
         raise NotStandardizedError("extended filtration needs K_0 = K_m = empty")
     adds = [e.simplex for e in U.events if e.direction == ADD]
     dels = [e.simplex for e in U.events if e.direction == DEL]
-    if len(adds) != len(dels):
-        raise NotStandardizedError("up-down filtration must delete everything it adds")
     omega = 1 + max((s.vertices[-1] for s in adds), default=-1)
     events = [Simplex([omega]), *adds, *(cone(s, omega) for s in reversed(dels))]
     return ExtendedFiltration(tuple(events), omega, len(adds))

@@ -356,25 +356,26 @@ def test_zero_dim_zigzag_matches_oracle_on_random_graph_zigzags():
     assert all(seen.values()), seen
 
 
-def test_zero_dim_zigzag_hands_solve_a_valid_copy_record(monkeypatch):
-    """The walk's record is the only input of the solve, so check it: ids
-    in order of addition, each deleted once after it is added, facets
-    present over their coface's lifetime, vertices and edges well formed."""
+def test_zero_dim_zigzag_hands_its_passes_a_valid_copy_record(monkeypatch):
+    """The walk's record is the only input of the pairing passes, so check
+    it: ids in order of addition, each deleted once after it is added,
+    facets present over their coface's lifetime, vertices and edges well
+    formed."""
     import zzpers.manifold as manifold
 
     records = []
-    solve, remap = manifold._solve, manifold._remap_pairs
+    passes, remap = manifold._copy_pairs, manifold._remap_pairs
 
-    def capture_solve(facets, dims, dels):
+    def capture_passes(facets, dims, dels):
         records.append([facets, dims, dels])
-        return solve(facets, dims, dels)
+        return passes(facets, dims, dels)
 
     def capture_remap(pairs, dims, dels, add_at, del_at):
         assert records[-1][1:] == [dims, dels]
         records[-1] += [add_at, del_at]
         return remap(pairs, dims, dels, add_at, del_at)
 
-    monkeypatch.setattr(manifold, "_solve", capture_solve)
+    monkeypatch.setattr(manifold, "_copy_pairs", capture_passes)
     monkeypatch.setattr(manifold, "_remap_pairs", capture_remap)
     rng = SplitMix64(0x0D1)
     for case in range(120):
@@ -397,17 +398,20 @@ def test_zero_dim_zigzag_hands_solve_a_valid_copy_record(monkeypatch):
 def test_zero_dim_zigzag_builds_no_simplex_event_or_sweep(monkeypatch):
     import zzpers.filtration
     import zzpers.pipeline
+    import zzpers.reduction
 
     g = _random_graph_zigzag(SplitMix64(7), 24)
     expected = zero_dim_zigzag(g)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("zero_dim_zigzag built a simplex, an event or a sweep")
+        raise AssertionError("zero_dim_zigzag built a simplex, an event, a sweep or a matrix")
 
     monkeypatch.setattr(Simplex, "__init__", forbidden)
     monkeypatch.setattr(Simplex, "_from_sorted", forbidden)
     monkeypatch.setattr(FiltrationEvent, "__init__", forbidden)
     monkeypatch.setattr(zzpers.filtration, "_sweep", forbidden)
     monkeypatch.setattr(zzpers.pipeline, "_sweep", forbidden)
+    monkeypatch.setattr(zzpers.pipeline, "_solve", forbidden)
+    monkeypatch.setattr(zzpers.reduction, "_reduce", forbidden)
     assert zero_dim_zigzag(g) == expected
     assert expected.m == 24 and len(expected)

@@ -12,6 +12,7 @@ from zzpers import (
     SimplicialComplex,
     absolute_to_relative,
     boundary,
+    compute_zigzag,
     homology_basis,
     induced_map,
     multiset_equal,
@@ -150,6 +151,17 @@ def test_oracle_accepts_repetitive_filtrations():
     # the relative module sees the vertex leave and return
     rel = oracle_relative(f)
     assert sorted((i.b, i.d) for i in rel) == [(0, 0), (2, 2), (4, 4)]
+
+
+def test_oracles_admit_an_invalid_filtration_like_compute():
+    # the edge comes before its vertices
+    f = zz("a 0 1", "a 0", "a 1", "d 0 1", "d 0", "d 1")
+    with pytest.raises(InvalidInputError) as want:
+        compute_zigzag(f)
+    for oracle in (oracle_absolute, oracle_relative):
+        with pytest.raises(InvalidInputError) as got:
+            oracle(f)
+        assert str(got.value) == str(want.value)
 
 
 def _all_face_closed_subsets(simplices, max_size):

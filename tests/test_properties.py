@@ -33,9 +33,11 @@ from zzpers import (
     validate,
     zero_dim_zigzag,
 )
+from zzpers import manifold
 from zzpers.filtration import ADD, DEL
 from zzpers.io import FILT_HEADER, ParsedFiltration, format_filtration, parse_filtration
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
+from zzpers.pipeline import _solve
 from zzpers.reduction import extended_from_reduction
 from test_manifold import _oracle_zero_dim
 from conftest import octahedron
@@ -182,6 +184,25 @@ def graph_zigzags(draw):
 @given(graph_zigzags())
 def test_zero_dim_zigzag_matches_oracle_on_generated_graph_zigzags(g):
     assert multiset_equal(zero_dim_zigzag(g), _oracle_zero_dim(g)).equal
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graph_zigzags())
+def test_copy_pairs_equal_the_coboundary_solve_on_generated_graph_zigzags(g):
+    records = []
+    passes = manifold._copy_pairs
+
+    def capture(facets, dims, dels):
+        records.append((facets, dims, dels))
+        return passes(facets, dims, dels)
+
+    manifold._copy_pairs = capture
+    try:
+        zero_dim_zigzag(g)
+    finally:
+        manifold._copy_pairs = passes
+    (record,) = records
+    assert sorted(passes(*record)) == sorted(_solve(*record)[0])
 
 
 INDICES = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, None, "a"])

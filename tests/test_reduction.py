@@ -127,6 +127,17 @@ def test_build_extended_requires_updown():
         build_extended(zz("a 0", "d 0", "a 1", "d 1"))
 
 
+def test_build_extended_admits_an_invalid_updown_like_compute():
+    # up-down and standardized, but the edge comes before its vertices
+    U = zz("a 0 1", "a 0", "a 1", "d 0 1", "d 0", "d 1")
+    assert U.is_updown() and U.is_standardized()
+    with pytest.raises(InvalidInputError) as want:
+        compute_zigzag(U)
+    with pytest.raises(InvalidInputError) as got:
+        build_extended(U)
+    assert str(got.value) == str(want.value)
+
+
 def test_extended_barcode_single_vertex():
     eb = extended_barcode(zz("a 0", "d 0"))
     assert [(e.label, e.b, e.d, e.dim) for e in eb.intervals] == [("Ext", 1, 1, 0)]
