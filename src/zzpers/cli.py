@@ -19,12 +19,12 @@ from typing import List, Optional
 from . import io as zio
 from .duality import absolute_to_relative, recover_absolute_from_relative
 from .errors import InvalidInputError, ZigzagError
-from .filtration import FiltrationEvent, ZigzagFiltration, _sweep, standardize, to_updown
+from .filtration import FiltrationEvent, ZigzagFiltration, _admitted, _padded, _sweep, _updown
 from .manifold import relative_top_barcode
 from .pipeline import compute_zigzag
 from .complexes import Simplex, SimplicialComplex
 from .oracle import oracle_absolute, oracle_relative
-from .reduction import build_extended
+from .reduction import _extended
 
 # version of the JSON object `compute --stats` prints; bump it when a key changes
 STATS_SCHEMA = "zzpers.stats/2"
@@ -75,8 +75,10 @@ def _cmd_compute(args) -> int:
 
 def _cmd_convert(args) -> int:
     parsed = zio.load_filtration(args.filtration)
-    std, _ = standardize(parsed.filtration)
-    U, id_map = to_updown(std)
+    sw = _admitted(parsed.filtration)  # swept again only once padded, as in compute_zigzag
+    if not sw.standardized:
+        sw = _sweep(_padded(parsed.filtration)[0])
+    U, id_map = _updown(sw)
     if args.to == "updown":
         text = zio.format_filtration(U, parsed.names)
         lines = [
@@ -88,7 +90,7 @@ def _cmd_convert(args) -> int:
         ]
         _write_out(text + "\n".join(lines) + ("\n" if lines else ""), args.out)
         return 0
-    ext = build_extended(U)
+    ext = _extended(sw)
     apex, taken = f"w{ext.omega}", set(parsed.names)
     while apex in taken:  # an input token may already have the apex's name
         apex = "w" + apex

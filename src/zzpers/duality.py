@@ -95,50 +95,56 @@ def recover_absolute_from_relative(
             raise NotStandardizedError("recovery needs a standardized filtration")
         _raise_if_repetitive(sw.repetition)
         del sw  # freed while the collector is paused, so no collection walks it
-        m = rel_p.m
-        comps = _strong_components(K, p)
-        comp_of = comps.of_vertex  # p-simplex vertex tuple -> its strong component
-        out: Counter = Counter()
-        starts: Dict[int, List[int]] = {}  # component -> death indices i of [0, i]
-        ends: Dict[int, List[int]] = {}  # component -> birth indices j of [j, m]
-        for iv, c in rel_p.counts().items():
-            if iv.dim != p:
-                raise ContractViolationError(f"{iv!r} is not of dimension {p}")
-            if iv.b == 0 and iv.d == m:
-                raise InternalInconsistencyError(f"{iv!r} spans the whole module")
-            if iv.b == 0:
-                ev = f.events[iv.d]
-                if ev.direction != ADD or ev.simplex.dim != p:
-                    raise InternalInconsistencyError(
-                        f"{iv!r} should end at the addition of a {p}-simplex, got {ev!r}"
-                    )
-                starts.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.d] * c)
-            elif iv.d == m:
-                ev = f.events[iv.b - 1]
-                if ev.direction != DEL or ev.simplex.dim != p:
-                    raise InternalInconsistencyError(
-                        f"{iv!r} should start at the deletion of a {p}-simplex, got {ev!r}"
-                    )
-                ends.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.b] * c)
-            else:
-                if iv.type_code not in ("co", "oc"):
-                    raise InternalInconsistencyError(f"interior interval {iv!r} is not co or oc")
-                out[Interval(p - 1, iv.b, iv.d, iv.birth_type, iv.death_type)] += c
+        return _recovered(rel_p, f, K, p)
 
-        for label in range(comps.count):
-            si = starts.get(label, [])
-            ei = ends.get(label, [])
-            if len(si) != 1 or len(ei) != 1:
+
+def _recovered(rel_p: Barcode, f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
+    """``recover_absolute_from_relative`` of a relative barcode of f's length
+    and an admitted, standardized, non-repetitive f, with the GC paused."""
+    m = rel_p.m
+    comps = _strong_components(K, p)
+    comp_of = comps.of_vertex  # p-simplex vertex tuple -> its strong component
+    out: Counter = Counter()
+    starts: Dict[int, List[int]] = {}  # component -> death indices i of [0, i]
+    ends: Dict[int, List[int]] = {}  # component -> birth indices j of [j, m]
+    for iv, c in rel_p.counts().items():
+        if iv.dim != p:
+            raise ContractViolationError(f"{iv!r} is not of dimension {p}")
+        if iv.b == 0 and iv.d == m:
+            raise InternalInconsistencyError(f"{iv!r} spans the whole module")
+        if iv.b == 0:
+            ev = f.events[iv.d]
+            if ev.direction != ADD or ev.simplex.dim != p:
                 raise InternalInconsistencyError(
-                    f"component {label} has {len(si)} start and {len(ei)} end intervals"
+                    f"{iv!r} should end at the addition of a {p}-simplex, got {ev!r}"
                 )
-            i, j = si[0], ei[0]
-            if i < j:
-                if i + 1 > j - 1:
-                    raise InternalInconsistencyError(
-                        f"pair [0,{i}], [{j},{m}] leaves an empty closed-closed interval"
-                    )
-                out[Interval(p, i + 1, j - 1, CLOSED, CLOSED)] += 1
-            else:
-                out[Interval(p - 1, j, i, OPEN, OPEN)] += 1
-        return Barcode(out, m, ABSOLUTE)
+            starts.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.d] * c)
+        elif iv.d == m:
+            ev = f.events[iv.b - 1]
+            if ev.direction != DEL or ev.simplex.dim != p:
+                raise InternalInconsistencyError(
+                    f"{iv!r} should start at the deletion of a {p}-simplex, got {ev!r}"
+                )
+            ends.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.b] * c)
+        else:
+            if iv.type_code not in ("co", "oc"):
+                raise InternalInconsistencyError(f"interior interval {iv!r} is not co or oc")
+            out[Interval(p - 1, iv.b, iv.d, iv.birth_type, iv.death_type)] += c
+
+    for label in range(comps.count):
+        si = starts.get(label, [])
+        ei = ends.get(label, [])
+        if len(si) != 1 or len(ei) != 1:
+            raise InternalInconsistencyError(
+                f"component {label} has {len(si)} start and {len(ei)} end intervals"
+            )
+        i, j = si[0], ei[0]
+        if i < j:
+            if i + 1 > j - 1:
+                raise InternalInconsistencyError(
+                    f"pair [0,{i}], [{j},{m}] leaves an empty closed-closed interval"
+                )
+            out[Interval(p, i + 1, j - 1, CLOSED, CLOSED)] += 1
+        else:
+            out[Interval(p - 1, j, i, OPEN, OPEN)] += 1
+    return Barcode(out, m, ABSOLUTE)

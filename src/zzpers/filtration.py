@@ -345,7 +345,11 @@ def to_updown(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, EventIndexMap]:
     records where each addition/deletion sat in f. The shared admission
     (``_admitted``) raises InvalidInputError on an invalid f.
     """
-    sw = _admitted(f)
+    return _updown(_admitted(f))
+
+
+def _updown(sw: _Sweep) -> Tuple[ZigzagFiltration, EventIndexMap]:
+    """``to_updown`` of an admitted filtration, from its sweep."""
     if not sw.standardized:
         raise NotStandardizedError("up-down conversion needs K_0 = K_m = empty")
     _raise_if_repetitive(sw.repetition)

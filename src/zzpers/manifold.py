@@ -31,9 +31,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .barcode import ABSOLUTE, RELATIVE, Barcode, classify_ends
 from .complexes import DualGraph, SimplicialComplex, _find, dual_graph
-from .duality import recover_absolute_from_relative
+from .duality import _recovered
 from .errors import InvalidInputError, NotStandardizedError
-from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _gc_paused
+from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _gc_paused, _raise_if_repetitive
 from .pipeline import _remap_pairs
 
 ADD_VERTEX = "+v"
@@ -354,17 +354,28 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
     ``compute_zigzag``: the dual graph and its walk build no reference cycle.
     """
     with _gc_paused():
-        sw = _admitted(f)
-        if not sw.standardized:
-            raise NotStandardizedError("manifold path needs a standardized filtration")
-        if set(sw.simplices) != K.simplex_set():
-            raise InvalidInputError("filtration does not fill the given complex")
-        del sw  # freed while the collector is paused, so no collection walks it
-        bars = zero_dim_zigzag(dual_filtration(f, K, p))
-        directions = f.directions()
-        fields = {(p, b, d, *classify_ends(b, d, directions)): c
-                  for (_, b, d, _, _), c in bars.counts().items()}
-        return Barcode._of_fields(fields, len(f), RELATIVE)
+        _admitted_filling(f, K)
+        return _relative_top(f, K, p)
+
+
+def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex) -> Optional[tuple]:
+    """The first repetition of an f that passes the shared admission, is
+    standardized and fills K; its sweep is freed before the dual graph is walked."""
+    sw = _admitted(f)
+    if not sw.standardized:
+        raise NotStandardizedError("manifold path needs a standardized filtration")
+    if set(sw.simplices) != K.simplex_set():
+        raise InvalidInputError("filtration does not fill the given complex")
+    return sw.repetition
+
+
+def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
+    """``relative_top_barcode`` of an f already admitted, with the collector paused."""
+    bars = zero_dim_zigzag(dual_filtration(f, K, p))
+    directions = f.directions()
+    fields = {(p, b, d, *classify_ends(b, d, directions)): c
+              for (_, b, d, _, _), c in bars.counts().items()}
+    return Barcode._of_fields(fields, len(f), RELATIVE)
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -373,6 +384,8 @@ def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int)
     All of dimension p, plus the closed-open, open-closed, and open-open
     intervals of dimension p-1; requires f non-repetitive. K may be a
     closed pseudomanifold: the end intervals pair up per strong component.
+    One sweep admits f for both steps; the cyclic GC is paused for the call.
     """
-    rel = relative_top_barcode(f, K, p)
-    return recover_absolute_from_relative(rel, f, K, p)
+    with _gc_paused():
+        _raise_if_repetitive(_admitted_filling(f, K))
+        return _recovered(_relative_top(f, K, p), f, K, p)

@@ -18,7 +18,7 @@ from matrix-free passes (``manifold._copy_pairs``; ``_solve`` is their
 reference in the tests) and shares ``_remap_pairs``. The public steps
 (``to_updown``, ``build_extended``, ``reduce_twist``, ``ext_to_updown``,
 ``updown_to_f``) reduce the boundary matrix and are the specification it
-is tested against.
+is tested against; those that read a filtration admit it as it does.
 """
 
 from __future__ import annotations

@@ -97,6 +97,26 @@ def test_convert_extended_names_the_apex_apart_from_every_input_token(tmp_path, 
     assert len(out.names) == len(parse_filtration(path.read_text()).names) + 1
 
 
+@pytest.mark.parametrize("to", ["updown", "extended"])
+@pytest.mark.parametrize("text, sweeps", [(SMALL, 1), ("zzfilt v1\na 0\na 1\na 0 1\nd 0 1\n", 2)])
+def test_convert_sweeps_once_and_once_more_to_pad(text, sweeps, to, tmp_path, monkeypatch):
+    # as compute_zigzag: the input's sweep, and the padded filtration's if it needs padding
+    import zzpers.filtration
+
+    path = tmp_path / "f.zz"
+    path.write_text(text)
+    calls = []
+
+    def spy(f, inner=zzpers.filtration._sweep):
+        calls.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(zzpers.filtration, "_sweep", spy)
+    monkeypatch.setattr(cli, "_sweep", spy)
+    assert main(["convert", str(path), "--to", to, "--out", str(tmp_path / "out.zz")]) == 0
+    assert len(calls) == sweeps
+
+
 def test_duality_command(small_file, tmp_path, capsys):
     bar_path = tmp_path / "bar.zzb"
     assert main(["compute", small_file, "--out", str(bar_path)]) == 0

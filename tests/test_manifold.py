@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from zzpers import (
     FiltrationEvent,
     GraphZigzag,
     InvalidInputError,
+    NotNonRepetitiveError,
     NotStandardizedError,
     Simplex,
     ZigzagFiltration,
@@ -28,6 +30,7 @@ from zzpers import (
     zero_dim_zigzag,
     zigzag_barcode,
 )
+import zzpers.filtration
 from zzpers import duality, manifold
 from zzpers.filtration import ADD, DEL
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
@@ -202,6 +205,34 @@ def test_manifold_absolute_barcode_torus_instance():
         lambda i: i.dim == 2 or (i.dim == 1 and i.type_code != "cc")
     )
     assert multiset_equal(got, want).equal
+
+
+def test_manifold_absolute_barcode_sweeps_its_filtration_once(monkeypatch):
+    K = octahedron()
+    f = random_nonrepetitive(SplitMix64(5), sorted(K.simplex_set()))
+    v = sx(0)
+    repetitive = ZigzagFiltration([*f.events, FiltrationEvent.add(v), FiltrationEvent.delete(v)])
+    want = recover_absolute_from_relative(relative_top_barcode(f, K, 2), f, K, 2)
+    swept, sweeps, holders = [], [], []
+
+    def sweep_spy(g, inner=zzpers.filtration._sweep):
+        swept.append(g)
+        sweeps.append(inner(g))
+        return sweeps[-1]
+
+    def walk_spy(*args, inner=manifold.dual_filtration):
+        holders.append(sys.getrefcount(sweeps[-1]) - 2)  # less this list's and the argument's
+        return inner(*args)
+
+    monkeypatch.setattr(zzpers.filtration, "_sweep", sweep_spy)
+    monkeypatch.setattr(manifold, "dual_filtration", walk_spy)
+    assert manifold_absolute_barcode(f, K, 2) == want
+    assert len(swept) == 1 and swept[0] is f
+    assert holders == [0]  # the sweep is not held while the dual graph is walked
+    # a repetitive f is refused from its one sweep, before the dual graph is walked
+    with pytest.raises(NotNonRepetitiveError):
+        manifold_absolute_barcode(repetitive, K, 2)
+    assert len(swept) == 2 and swept[1] is repetitive and holders == [0]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

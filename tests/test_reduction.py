@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -85,18 +86,35 @@ def test_reduce_rejects_bad_input():
         reduce([sx(0), sx(0, 1)])
 
 
-def test_reduce_strategies_agree_on_random_monotone():
+def test_reduce_matches_left_to_right_reduction_on_random_monotone():
+    # the pairing and the reduced columns do not depend on the column order:
+    # twist with clearing gives those of plain left-to-right reduction
     rng = SplitMix64(88)
     for _ in range(20):
         f = random_nonrepetitive(rng)
         U, _ = to_updown(f)
         order = [e.simplex for e in U.events if e.direction == "a"]
-        a = reduce(order)
-        b = reduce_twist(order)
-        assert a.pairs == b.pairs
-        assert a.essentials == b.essentials
+        got = reduce(order)
+        pairs, cols, _ = _dense_reference(order, twist=False)
+        assert got.pairs == pairs
+        assert got.columns == cols
+        assert got.essentials == tuple(j for j in range(len(order)) if j not in {*chain(*pairs)})
         if len(order) <= 12:
-            assert list(a.pairs) == _pairing_by_prefix_ranks(order)
+            assert list(got.pairs) == _pairing_by_prefix_ranks(order)
+
+
+@pytest.mark.parametrize("run", [reduce, reduce_twist])
+@pytest.mark.parametrize(
+    "events", [("a 0", "a 0"), ("a 0", "a 0 1"), ("a 0", "a 1", "a 0 1 2", "a 0 1")]
+)
+def test_reduce_admits_invalid_monotone_like_compute(run, events):
+    f = zz(*events)
+    with pytest.raises(InvalidInputError) as want:
+        compute_zigzag(f)
+    for given in (f, [e.simplex for e in f.events]):
+        with pytest.raises(InvalidInputError) as got:
+            run(given)
+        assert str(got.value) == str(want.value)
 
 
 def test_build_extended_single_vertex():
@@ -228,30 +246,29 @@ def _dense_reduction(cols, dims, twist):
 
 
 def _check_against_dense(order):
-    """reduce and reduce_twist give the dense reference's pairs and reduced
-    columns, and the shared loop its counters with either row numbering;
-    returns the twist counters."""
+    """reduce gives the dense twist reference's pairs and reduced columns,
+    and the shared loop its counters with either row numbering; returns
+    those counters."""
     pos = {s: i for i, s in enumerate(order)}
     rows = [tuple(pos[f] for f in boundary(s)) for s in order]
     dims = [s.dim for s in order]
     rows_of_dim = {q: [r for r in range(len(order)) if dims[r] == q] for q in set(dims)}
-    for twist, run in ((False, reduce), (True, reduce_twist)):
-        pairs, cols, stats = _dense_reference(order, twist)
-        got = run(order)
-        assert got.pairs == pairs
-        assert got.columns == cols
-        assert _reduce(rows, dims, twist, dense=True)[3] == stats
-        # per-dimension row ids: bit i of a q-column's full mask is the i-th
-        # (q-1)-row; a kept mask is stored from its lowest set bit
-        found, masks, shifts, counted = _reduce(rows, dims, twist)
-        assert tuple(sorted(found)) == pairs and counted == stats
-        for j, mask in enumerate(masks):
-            if mask is not None:
-                assert mask & 1
-                mask <<= shifts[j]
-                row_of = rows_of_dim[dims[j] - 1]
-                global_mask = sum(1 << row_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
-                assert global_mask == cols[j]  # the reduced column (its boundary if paired at once)
+    pairs, cols, stats = _dense_reference(order, twist=True)
+    got = reduce(order)
+    assert got.pairs == pairs
+    assert got.columns == cols
+    assert _reduce(rows, dims, dense=True)[3] == stats
+    # per-dimension row ids: bit i of a q-column's full mask is the i-th
+    # (q-1)-row; a kept mask is stored from its lowest set bit
+    found, masks, shifts, counted = _reduce(rows, dims)
+    assert tuple(sorted(found)) == pairs and counted == stats
+    for j, mask in enumerate(masks):
+        if mask is not None:
+            assert mask & 1
+            mask <<= shifts[j]
+            row_of = rows_of_dim[dims[j] - 1]
+            global_mask = sum(1 << row_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
+            assert global_mask == cols[j]  # the reduced column (its boundary if paired at once)
     return stats
 
 
