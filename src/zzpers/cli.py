@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import io as zio
 from .duality import absolute_to_relative, recover_absolute_from_relative
 from .errors import InvalidInputError, ZigzagError
-from .filtration import FiltrationEvent, ZigzagFiltration, _admitted, _padded, _sweep, _updown
+from .filtration import FiltrationEvent, ZigzagFiltration, _admitted, _pad, _sweep, _updown
 from .manifold import relative_top_barcode
 from .pipeline import compute_zigzag
 from .complexes import Simplex, SimplicialComplex
@@ -75,18 +75,15 @@ def _cmd_compute(args) -> int:
 
 def _cmd_convert(args) -> int:
     parsed = zio.load_filtration(args.filtration)
-    sw = _admitted(parsed.filtration)  # swept again only once padded, as in compute_zigzag
-    if not sw.standardized:
-        sw = _sweep(_padded(parsed.filtration)[0])
+    sw = _admitted(parsed.filtration)
+    _pad(sw, parsed.filtration)  # the one sweep becomes that of the padded filtration
     U, id_map = _updown(sw)
     if args.to == "updown":
         text = zio.format_filtration(U, parsed.names)
         lines = [
-            f"# id a {' '.join(parsed.names[v] for v in s.vertices)} -> {i}"
-            for s, i in sorted(id_map.add_index.items())
-        ] + [
-            f"# id d {' '.join(parsed.names[v] for v in s.vertices)} -> {i}"
-            for s, i in sorted(id_map.del_index.items())
+            f"# id {d} {' '.join(parsed.names[v] for v in s.vertices)} -> {i}"
+            for d, index in (("a", id_map.add_index), ("d", id_map.del_index))
+            for s, i in sorted(index.items())
         ]
         _write_out(text + "\n".join(lines) + ("\n" if lines else ""), args.out)
         return 0
@@ -273,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="per-phase timings and peak memory as CSV", description=(
         "Per-phase timings of compute as CSV. parse: reading the file (once per file, "
-        "repeated in each of its rows); validate: the admission sweep; convert: "
-        "padding (near zero on a standardized input); reduce: sparse coboundary "
-        "columns of the coned filtration and their reduction (bitmasks only for columns "
-        "that need an addition); remap: pairs to intervals and restriction. peak_rss_mb: this "
-        "process's own peak resident set size after the run (VmHWM). --json prints one "
-        "object per run instead (schema zzpers.bench/1), adding the seconds of formatting "
-        "the barcode (format; peak_rss_mb is read after it), the reduction counters, the "
-        "Python version and the CPU count."))
+        "repeated in each of its rows); validate: the admission sweep; convert: padding "
+        "that sweep with the last complex's deletions (near zero on a standardized input); "
+        "reduce: sparse coboundary columns of the coned filtration and their reduction "
+        "(bitmasks only for columns that need an addition); remap: pairs to intervals and "
+        "restriction. peak_rss_mb: this process's own peak resident set size after the run "
+        "(VmHWM). --json prints one object per run instead (schema zzpers.bench/1), adding "
+        "the seconds of formatting the barcode (format; peak_rss_mb is read after it), the "
+        "reduction counters, the Python version and the CPU count."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.add_argument("--json", action="store_true", help="one JSON object per run instead of CSV")

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import ComponentLabels, SimplicialComplex, _label_components
-from .errors import ContractViolationError, InternalInconsistencyError, NotStandardizedError
+from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
+from .errors import NotStandardizedError
 from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _gc_paused, _raise_if_repetitive
 
 
@@ -70,13 +71,13 @@ def recover_absolute_from_relative(
 ) -> Barcode:
     """Partial absolute barcode from the dimension-p relative barcode.
 
-    An f failing the shared admission (``filtration._admitted``) raises
-    InvalidInputError. Interior intervals drop to dimension p-1 unchanged.
-    Intervals touching the ends pair up one [0, i] with one [j, m] per
-    strong component of K, matched through the component of the p-simplex
-    added at i and the p-simplex deleted at j-1; disjoint pairs give
-    closed-closed intervals of dimension p, overlapping ones open-open
-    intervals of dimension p-1.
+    An f failing the shared admission (``filtration._admitted``) or not
+    filling K raises InvalidInputError. Interior intervals drop to
+    dimension p-1 unchanged. Intervals touching the ends pair up one
+    [0, i] with one [j, m] per strong component of K, matched through the
+    component of the p-simplex added at i and the p-simplex deleted at
+    j-1; disjoint pairs give closed-closed intervals of dimension p,
+    overlapping ones open-open intervals of dimension p-1.
     The closed-closed part of dimension p-1 is not recoverable and is not
     emitted. Inconsistent inputs raise rather than being repaired: this
     operation consumes computed data, so mismatches mean an upstream bug.
@@ -86,16 +87,24 @@ def recover_absolute_from_relative(
     reference cycle.
     """
     with _gc_paused():
-        sw = _admitted(f)
+        repetition = _admitted_filling(f, K, "recovery")
         if rel_p.kind != RELATIVE:
             raise ContractViolationError("recovery needs a relative barcode")
         if rel_p.m != len(f):
             raise ContractViolationError("barcode length does not match the filtration")
-        if not sw.standardized:
-            raise NotStandardizedError("recovery needs a standardized filtration")
-        _raise_if_repetitive(sw.repetition)
-        del sw  # freed while the collector is paused, so no collection walks it
+        _raise_if_repetitive(repetition)
         return _recovered(rel_p, f, K, p)
+
+
+def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex, path: str) -> Optional[tuple]:
+    """The first repetition of an f that passes the shared admission, is
+    standardized and fills K; its sweep is freed on return."""
+    sw = _admitted(f)
+    if not sw.standardized:
+        raise NotStandardizedError(f"{path} needs a standardized filtration")
+    if set(sw.simplices) != K.simplex_set():
+        raise InvalidInputError("filtration does not fill the given complex")
+    return sw.repetition
 
 
 def _recovered(rel_p: Barcode, f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:

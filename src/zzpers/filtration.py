@@ -181,16 +181,16 @@ def _faces(vs: Tuple[int, ...]) -> Iterable[Tuple[int, ...]]:
 def _sweep(f: ZigzagFiltration) -> _Sweep:
     """Validity, first repetition, event orders and facet ids in one pass.
 
-    Per dense simplex id (given out in order of first appearance, so in
-    order of addition when the input is valid and starts empty): the
-    Simplex, its dimension, its facet ids (None until it is added with every
-    facet known), its last addition and deletion index (-1: none). Also the
-    ids of all deletions in event order, the violations, the first
-    repetition, and whether K_0 = K_m = empty. The initial complex enters
-    first, as additions at negative indices in face order. Invalid events
-    are skipped when updating the running complex; the repetition check
-    looks at the raw events. Ids are not given at parse time: that would add
-    to every parse and need a second interning site for library-built input.
+    Per dense simplex id (in order of first appearance, so of addition when
+    f is valid): the Simplex, its dimension, its facet ids (None until it is
+    added with every facet known), its last addition and deletion position
+    (-1: none) in the padded filtration, where K_0 enters first in face order
+    and event i sits at |K_0| + i. Also the ids of all deletions in event
+    order, the violations and first repetition (by f's event indices), and
+    whether K_0 = K_m = empty. Invalid events are skipped when updating the
+    running complex; the repetition check looks at the raw events. Ids are
+    not given at parse time: that would add to every parse and need a second
+    interning site for library-built input.
     """
     ids: Dict[Tuple[int, ...], int] = {}
     get = ids.get
@@ -204,7 +204,8 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
     out: List[Violation] = []
     dangling: Dict[int, int] = {}  # event index -> its slot in out, named after the pass
     repetition = None
-    for i, e in enumerate(events, -len(f.initial)):
+    p = len(f.initial)
+    for i, e in enumerate(events):
         s = e.simplex
         vs = s.vertices
         j = get(vs)
@@ -214,11 +215,10 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
             dims.append(len(vs) - 1)
         if e.direction == ADD:
             if repetition is None and del_at[j] >= 0:
-                repetition = (s, del_at[j], i)
-            if i >= 0:
-                add_at[j] = i
+                repetition = (s, del_at[j] - p, i - p)
+            add_at[j] = i
             if count[j] >= 0:
-                out.append(Violation(i, f"duplicate add of {s!r}"))
+                out.append(Violation(i - p, f"duplicate add of {s!r}"))
                 continue
             fs = facets[j]
             if fs is None:
@@ -230,7 +230,7 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
                 names = ", ".join(
                     repr(Simplex(t)) for t in _faces(vs) if count[get(t, j)] < 0
                 )
-                out.append(Violation(i, f"missing facets of {s!r}: {names}"))
+                out.append(Violation(i - p, f"missing facets of {s!r}: {names}"))
                 continue
             count[j] = 0
             for k in fs:
@@ -239,10 +239,10 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
             del_at[j] = i
             dels.append(j)
             if count[j] < 0:
-                out.append(Violation(i, f"delete of absent simplex {s!r}"))
+                out.append(Violation(i - p, f"delete of absent simplex {s!r}"))
             elif count[j]:
-                dangling[i] = len(out)
-                out.append(Violation(i, ""))
+                dangling[i - p] = len(out)
+                out.append(Violation(i - p, ""))
             else:
                 count[j] = -1
                 for k in facets[j]:
@@ -316,18 +316,30 @@ def standardize(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, StandardizationR
     The prepended additions follow (dimension, lexicographic) order and the
     appended deletions the reverse; any face-respecting order would do, this
     one is deterministic. Non-repetitiveness is preserved. An invalid f, with
-    no K_m to dismantle, fails the shared admission (``_admitted``).
+    no K_m to dismantle, fails the shared admission (``_admitted``); the
+    padding comes from that one sweep (``_pad``).
     """
-    _admitted(f)
-    return _padded(f)
+    sw = _admitted(f)
+    record = _pad(sw, f)
+    ends = sw.dels[len(sw.dels) - record.suffix_length :]
+    prefix = [FiltrationEvent.add(s) for s in sw.simplices[: record.prefix_length]]
+    suffix = [FiltrationEvent.delete(sw.simplices[j]) for j in ends]
+    return ZigzagFiltration(prefix + list(f.events) + suffix), record
 
 
-def _padded(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, StandardizationRecord]:
-    """``standardize`` of an f already admitted."""
-    prefix = [FiltrationEvent.add(s) for s in sorted(f.initial)]
-    suffix = [FiltrationEvent.delete(s) for s in sorted(f.final_complex(), reverse=True)]
-    out = ZigzagFiltration(prefix + list(f.events) + suffix)
-    return out, StandardizationRecord(len(prefix), len(f.events), len(suffix))
+def _pad(sw: _Sweep, f: ZigzagFiltration) -> StandardizationRecord:
+    """Make an admitted sweep of f the sweep of ``standardize(f)``: its
+    positions already put K_0 first, so only K_m's deletions are appended,
+    by decreasing (dimension, vertices). A standardized sweep is kept as is."""
+    m, p = len(f.events), len(f.initial)
+    if sw.standardized:
+        return StandardizationRecord(0, m, 0)
+    final = [j for j, (a, d) in enumerate(zip(sw.add_at, sw.del_at)) if a > d]
+    final.sort(key=lambda j: (sw.dims[j], sw.simplices[j].vertices), reverse=True)
+    for k, j in enumerate(final, p + m):
+        sw.del_at[j] = k
+    sw.dels.extend(final)
+    return StandardizationRecord(p, m, len(final))
 
 
 @dataclass(frozen=True)
@@ -345,13 +357,14 @@ def to_updown(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, EventIndexMap]:
     records where each addition/deletion sat in f. The shared admission
     (``_admitted``) raises InvalidInputError on an invalid f.
     """
-    return _updown(_admitted(f))
+    sw = _admitted(f)
+    if not sw.standardized:
+        raise NotStandardizedError("up-down conversion needs K_0 = K_m = empty")
+    return _updown(sw)
 
 
 def _updown(sw: _Sweep) -> Tuple[ZigzagFiltration, EventIndexMap]:
-    """``to_updown`` of an admitted filtration, from its sweep."""
-    if not sw.standardized:
-        raise NotStandardizedError("up-down conversion needs K_0 = K_m = empty")
+    """``to_updown`` of the padded filtration, from its admitted sweep after ``_pad``."""
     _raise_if_repetitive(sw.repetition)
     events = [FiltrationEvent(ADD, s) for s in sw.simplices]  # ids run in order of addition
     events += [FiltrationEvent(DEL, sw.simplices[j]) for j in sw.dels]
@@ -360,40 +373,35 @@ def _updown(sw: _Sweep) -> Tuple[ZigzagFiltration, EventIndexMap]:
     return ZigzagFiltration(events), EventIndexMap(add_index, del_index)
 
 
-def _switched(f: ZigzagFiltration, j: int) -> ZigzagFiltration:
+def _switched(f: ZigzagFiltration, j: int, first_dir: str) -> ZigzagFiltration:
+    """f with the events at (j-1, j), first_dir then the other way, switched."""
+    order, words = {DEL: ("delete-then-add", "deletion and addition"),
+                    ADD: ("add-then-delete", "addition and deletion")}[first_dir]
+    if not 1 <= j < len(f.events):
+        raise InvalidSwitchError(f"switch position {j} out of range")
+    first, second = f.events[j - 1], f.events[j]
+    if first.direction != first_dir or second.direction == first_dir:
+        raise InvalidSwitchError(f"events at {j - 1}, {j} are not {order}")
+    if first.simplex == second.simplex:
+        raise InvalidDiamondError(f"cannot switch {words} of the same {first.simplex!r}")
+    sigma, tau = first.simplex, second.simplex  # the added simplex, the deleted one
+    if first_dir == DEL:
+        sigma, tau = tau, sigma
+    if tau.is_face_of(sigma):
+        raise InvalidSwitchError(f"{tau!r} is a face of {sigma!r}; switched order would be invalid")
     events = list(f.events)
-    events[j - 1], events[j] = events[j], events[j - 1]
+    events[j - 1], events[j] = second, first
     return ZigzagFiltration(events, f.initial)
 
 
 def outward_switch(f: ZigzagFiltration, j: int) -> ZigzagFiltration:
     """Replace delete-then-add at positions (j-1, j) by add-then-delete."""
-    if not 1 <= j < len(f.events):
-        raise InvalidSwitchError(f"switch position {j} out of range")
-    first, second = f.events[j - 1], f.events[j]
-    if first.direction != DEL or second.direction != ADD:
-        raise InvalidSwitchError(f"events at {j - 1}, {j} are not delete-then-add")
-    tau, sigma = first.simplex, second.simplex
-    if sigma == tau:
-        raise InvalidDiamondError(f"cannot switch deletion and addition of the same {sigma!r}")
-    if tau.is_face_of(sigma):
-        raise InvalidSwitchError(f"{tau!r} is a face of {sigma!r}; switched order would be invalid")
-    return _switched(f, j)
+    return _switched(f, j, DEL)
 
 
 def inward_switch(f: ZigzagFiltration, j: int) -> ZigzagFiltration:
     """Replace add-then-delete at positions (j-1, j) by delete-then-add."""
-    if not 1 <= j < len(f.events):
-        raise InvalidSwitchError(f"switch position {j} out of range")
-    first, second = f.events[j - 1], f.events[j]
-    if first.direction != ADD or second.direction != DEL:
-        raise InvalidSwitchError(f"events at {j - 1}, {j} are not add-then-delete")
-    sigma, tau = first.simplex, second.simplex
-    if sigma == tau:
-        raise InvalidDiamondError(f"cannot switch addition and deletion of the same {sigma!r}")
-    if tau.is_face_of(sigma):
-        raise InvalidSwitchError(f"{tau!r} is a face of {sigma!r}; switched order would be invalid")
-    return _switched(f, j)
+    return _switched(f, j, ADD)
 
 
 def random_outward_walk(

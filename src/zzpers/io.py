@@ -287,6 +287,10 @@ def generate(
     """
     if axis not in _AXES:
         raise InvalidInputError(f"axis must be one of x, y, z, got {axis!r}")
+    if switches < 0:
+        raise InvalidInputError(f"switches must be non-negative, got {switches}")
+    if rips_radius is not None and not rips_radius >= 0:  # NaN fails every comparison
+        raise InvalidInputError(f"rips radius must be non-negative, got {rips_radius}")
     ax = _AXES[axis]
     coords = mesh.vertices
     height = {v: (coords[v][ax], v) for v in range(len(coords))}

@@ -31,9 +31,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .barcode import ABSOLUTE, RELATIVE, Barcode, classify_ends
 from .complexes import DualGraph, SimplicialComplex, _find, dual_graph
-from .duality import _recovered
-from .errors import InvalidInputError, NotStandardizedError
-from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _gc_paused, _raise_if_repetitive
+from .duality import _admitted_filling, _recovered
+from .errors import InvalidInputError
+from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused, _raise_if_repetitive
 from .pipeline import _remap_pairs
 
 ADD_VERTEX = "+v"
@@ -354,19 +354,8 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
     ``compute_zigzag``: the dual graph and its walk build no reference cycle.
     """
     with _gc_paused():
-        _admitted_filling(f, K)
+        _admitted_filling(f, K, "manifold path")
         return _relative_top(f, K, p)
-
-
-def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex) -> Optional[tuple]:
-    """The first repetition of an f that passes the shared admission, is
-    standardized and fills K; its sweep is freed before the dual graph is walked."""
-    sw = _admitted(f)
-    if not sw.standardized:
-        raise NotStandardizedError("manifold path needs a standardized filtration")
-    if set(sw.simplices) != K.simplex_set():
-        raise InvalidInputError("filtration does not fill the given complex")
-    return sw.repetition
 
 
 def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -387,5 +376,5 @@ def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int)
     One sweep admits f for both steps; the cyclic GC is paused for the call.
     """
     with _gc_paused():
-        _raise_if_repetitive(_admitted_filling(f, K))
+        _raise_if_repetitive(_admitted_filling(f, K, "manifold path"))
         return _recovered(_relative_top(f, K, p), f, K, p)

@@ -7,18 +7,19 @@ coordinates. Only the matrix reduction does non-trivial work; both
 remappings are constant time per interval.
 
 ``compute_zigzag`` runs it on dense simplex ids from one sweep over the
-events (the shared admission, ``filtration._admitted``); an input that is
-not standardized is padded and swept again. ``_solve`` reads only the
-per-id dimensions and facet ids and the order of deletions: it reduces
-the coboundary matrix of the coned filtration and maps each pair back to
-the boundary matrix's (the pairs are the same, by the duality of
-persistent homology and cohomology). ``manifold.zero_dim_zigzag`` fills
-the same dense-id record as it walks a graph zigzag, gets the same pairs
-from matrix-free passes (``manifold._copy_pairs``; ``_solve`` is their
-reference in the tests) and shares ``_remap_pairs``. The public steps
-(``to_updown``, ``build_extended``, ``reduce_twist``, ``ext_to_updown``,
-``updown_to_f``) reduce the boundary matrix and are the specification it
-is tested against; those that read a filtration admit it as it does.
+events (the shared admission, ``filtration._admitted``), padded in place
+(``filtration._pad``) if the input does not start and end empty.
+``_solve`` reads only the per-id dimensions and facet ids and the order
+of deletions: it reduces the coboundary matrix of the coned filtration
+and maps each pair back to the boundary matrix's (the pairs are the same,
+by the duality of persistent homology and cohomology).
+``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
+graph zigzag, gets the same pairs from matrix-free passes
+(``manifold._copy_pairs``; ``_solve`` is their reference in the tests)
+and shares ``_remap_pairs``. The public steps (``to_updown``,
+``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
+reduce the boundary matrix and are the specification it is tested
+against; those that read a filtration admit it as it does.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .filtration import (
     ZigzagFiltration,
     _admitted,
     _gc_paused,
-    _padded,
+    _pad,
     _raise_if_repetitive,
-    _sweep,
 )
 from .reduction import (
     EXT,
@@ -242,8 +242,8 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
 
     Phases: ``validate`` (the shared admission ``filtration._admitted``,
     which raises InvalidInputError on an invalid f, then the repetition
-    check), ``convert`` (padding of a non-standardized input, which sweeps
-    the padded filtration again; near zero on a standardized input),
+    check), ``convert`` (``_pad``: the deletions of K_m appended to the
+    sweep; near zero on a standardized input),
     ``reduce`` (``_solve``: sparse coboundary columns of the coned
     filtration, their reduction, and the pairs mapped back), ``remap``
     (pairs to intervals in input order, then restriction to the input's
@@ -260,25 +260,17 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
         sw = _admitted(f)
         _raise_if_repetitive(sw.repetition)
         t1 = time.perf_counter()
-        if sw.standardized:
-            std, record = f, StandardizationRecord(0, len(f), 0)
-        else:
-            std, record = _padded(f)
-            sw = _sweep(std)
+        record = _pad(sw, f)
         t2 = time.perf_counter()
         pairs, stats = _solve(sw.facets, sw.dims, sw.dels)
         t3 = time.perf_counter()
-        # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= len(std) and dim >= 0
+        # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= m and dim >= 0,
+        # where m, the padded length, is twice the deletions: each id comes and goes once
         fields = _remap_pairs(pairs, sw.dims, sw.dels, sw.add_at, sw.del_at)
-        standardized = Barcode._of_fields(fields, len(std), ABSOLUTE)
+        standardized = Barcode._of_fields(fields, 2 * len(sw.dels), ABSOLUTE)
         barcode, synthetic = _restrict_to_input(standardized, record, f)
         t4 = time.perf_counter()
-        timings = {
-            "validate": t1 - t0,
-            "convert": t2 - t1,
-            "reduce": t3 - t2,
-            "remap": t4 - t3,
-        }
+        timings = {"validate": t1 - t0, "convert": t2 - t1, "reduce": t3 - t2, "remap": t4 - t3}
         return PipelineResult(barcode, standardized, synthetic, record, timings, stats)
 
 

@@ -98,9 +98,11 @@ def test_convert_extended_names_the_apex_apart_from_every_input_token(tmp_path, 
 
 
 @pytest.mark.parametrize("to", ["updown", "extended"])
-@pytest.mark.parametrize("text, sweeps", [(SMALL, 1), ("zzfilt v1\na 0\na 1\na 0 1\nd 0 1\n", 2)])
-def test_convert_sweeps_once_and_once_more_to_pad(text, sweeps, to, tmp_path, monkeypatch):
-    # as compute_zigzag: the input's sweep, and the padded filtration's if it needs padding
+@pytest.mark.parametrize(
+    "text", [SMALL, "zzfilt v1\na 0\na 1\na 0 1\nd 0 1\n"], ids=["standardized", "padded"]
+)
+def test_convert_sweeps_once(text, to, tmp_path, monkeypatch):
+    # as compute_zigzag: the input's one sweep, padded in place if it ends non-empty
     import zzpers.filtration
 
     path = tmp_path / "f.zz"
@@ -114,7 +116,7 @@ def test_convert_sweeps_once_and_once_more_to_pad(text, sweeps, to, tmp_path, mo
     monkeypatch.setattr(zzpers.filtration, "_sweep", spy)
     monkeypatch.setattr(cli, "_sweep", spy)
     assert main(["convert", str(path), "--to", to, "--out", str(tmp_path / "out.zz")]) == 0
-    assert len(calls) == sweeps
+    assert len(calls) == 1
 
 
 def test_duality_command(small_file, tmp_path, capsys):
@@ -204,6 +206,19 @@ def test_every_command_that_reads_a_filtration_rejects_an_invalid_one(name, tmp_
         errors.add(captured.err)
     # one shared admission: the same message from every command
     assert len(errors) == 1 and errors.pop().startswith("error: invalid filtration (")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--switches", "-3"), ("--rips-supplement", "-0.5"), ("--rips-supplement", "nan"),
+])
+def test_generate_rejects_negative_switches_and_radius(flag, value, tmp_path, capsys):
+    verts, faces = torus_mesh_points(4, 3)
+    off = tmp_path / "torus.off"
+    write_off(str(off), verts, faces)
+    out = tmp_path / "torus.zz"
+    assert main(["generate", "--mesh", str(off), flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_manifold_with_explicit_complex_file(tmp_path, capsys):

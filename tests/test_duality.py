@@ -6,6 +6,7 @@ from zzpers import (
     ContractViolationError,
     InternalInconsistencyError,
     Interval,
+    InvalidInputError,
     NotStandardizedError,
     RELATIVE,
     SimplicialComplex,
@@ -166,3 +167,16 @@ def test_recover_rejects_wrong_dimension():
     rel = oracle_relative(f).in_dim(1)
     with pytest.raises(ContractViolationError):
         recover_absolute_from_relative(rel, f, K, 2)
+
+
+def test_recover_rejects_a_filtration_that_does_not_fill_the_complex():
+    T, K = tetra_boundary(10), octahedron()
+    f = random_nonrepetitive(SplitMix64(3), sorted(T.simplex_set()))
+    rel = relative_top_barcode(f, T, 2)
+    for call in (
+        lambda: recover_absolute_from_relative(rel, f, K, 2),
+        lambda: manifold_absolute_barcode(f, K, 2),
+    ):
+        with pytest.raises(InvalidInputError) as err:
+            call()
+        assert str(err.value) == "filtration does not fill the given complex"

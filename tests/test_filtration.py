@@ -19,6 +19,7 @@ from zzpers import (
     to_updown,
     validate,
 )
+from zzpers.filtration import StandardizationRecord, _admitted, _pad, _sweep
 from zzpers.rng import SplitMix64
 from conftest import ev, random_complex, random_updown, sx, zz
 
@@ -93,6 +94,68 @@ def test_standardize_preserves_validity_and_nonrepetitiveness(small_corpus):
         assert is_non_repetitive(out)
 
 
+def _padded_reference(f):
+    """The padded filtration built event by event from f's two ends, as
+    ``standardize`` built it before it read the sweep."""
+    prefix = [FiltrationEvent.add(s) for s in sorted(f.initial)]
+    suffix = [FiltrationEvent.delete(s) for s in sorted(f.final_complex(), reverse=True)]
+    record = StandardizationRecord(len(prefix), len(f.events), len(suffix))
+    return ZigzagFiltration(prefix + list(f.events) + suffix), record
+
+
+def _padded_windows(corpus, seed):
+    """Windows of the corpus that start and end non-empty, and a repetitive
+    copy of each that adds back the vertex it deleted last."""
+    rng = SplitMix64(seed)
+    for f in corpus:
+        m = len(f)
+        lo, hi = 1 + rng.below(m // 3), m - 1 - rng.below(m // 3)
+        if lo >= hi:
+            continue
+        g = ZigzagFiltration(f.events[lo:hi], f.complex_at(lo))
+        yield g
+        gone = [e.simplex for e in g.events if e.direction == DEL and not e.simplex.dim]
+        if gone and gone[-1] not in g.final_complex():
+            yield ZigzagFiltration([*g.events, FiltrationEvent.add(gone[-1])], g.initial)
+
+
+def test_the_padded_sweep_is_the_sweep_of_the_padded_filtration(small_corpus):
+    windows = list(_padded_windows(small_corpus, 31))
+    assert sum(1 for g in windows if g.initial and g.final_complex()) >= 20
+    assert sum(1 for g in windows if find_repetition(g)) >= 5
+    for f in small_corpus + windows:
+        std, record = _padded_reference(f)
+        want = _sweep(std)
+        sw = _admitted(f)
+        assert _pad(sw, f) == record
+        n = len(want.simplices)
+        assert (sw.simplices, sw.dims, sw.dels) == (want.simplices, want.dims, want.dels)
+        for got, ref in zip(sw[2:5], want[2:5]):  # facets, add_at, del_at, per id
+            assert got[:n] == ref[:n]
+        assert sw.violations == want.violations == []
+        # the repetition keeps f's indices; the padded filtration's are p later
+        if sw.repetition is None:
+            assert want.repetition is None
+        else:
+            s, di, ai = sw.repetition
+            assert want.repetition == (s, di + record.prefix_length, ai + record.prefix_length)
+        assert standardize(f) == (std, record)
+
+
+def test_violations_and_repetition_keep_the_input_indices_under_an_initial_complex():
+    triangle = [sx(0), sx(1), sx(0, 1)]
+    f = zz("d 0", "d 0 1", "d 0", "a 1", "a 0 1", "a 2 3", initial=triangle)
+    assert [(v.index, v.reason) for v in validate(f)] == [
+        (0, "dangling coface Simplex(0,1) of deleted Simplex(0)"),
+        (3, "duplicate add of Simplex(1)"),
+        (4, "missing facets of Simplex(0,1): Simplex(0)"),
+        (5, "missing facets of Simplex(2,3): Simplex(2), Simplex(3)"),
+    ]
+    assert find_repetition(f) == (sx(0, 1), 1, 4)
+    g = zz("d 0 1", "a 0 1", "d 0 1", initial=triangle)
+    assert validate(g) == [] and find_repetition(g) == (sx(0, 1), 0, 1)
+
+
 def test_to_updown_example():
     U, idx = to_updown(zz("a 0", "d 0", "a 1", "d 1"))
     assert U == zz("a 0", "a 1", "d 0", "d 1")
@@ -127,6 +190,31 @@ def test_outward_switch_face_is_switch_error():
     f = ZigzagFiltration([ev("a 0"), ev("a 1"), ev("d 0"), ev("a 0 1")])
     with pytest.raises(InvalidSwitchError):
         outward_switch(f, 3)
+
+
+def test_switch_error_texts():
+    cases = [
+        (outward_switch, zz("a 0", "d 0"), 2, InvalidSwitchError,
+         "switch position 2 out of range"),
+        (outward_switch, zz("a 0", "a 1", "d 0"), 1, InvalidSwitchError,
+         "events at 0, 1 are not delete-then-add"),
+        (outward_switch, zz("a 0", "d 0", "a 0"), 2, InvalidDiamondError,
+         "cannot switch deletion and addition of the same Simplex(0)"),
+        (outward_switch, zz("a 0", "a 1", "d 0", "a 0 1"), 3, InvalidSwitchError,
+         "Simplex(0) is a face of Simplex(0,1); switched order would be invalid"),
+        (inward_switch, zz("a 0", "d 0"), 0, InvalidSwitchError,
+         "switch position 0 out of range"),
+        (inward_switch, zz("a 0", "d 0", "a 1"), 2, InvalidSwitchError,
+         "events at 1, 2 are not add-then-delete"),
+        (inward_switch, zz("a 0", "d 0"), 1, InvalidDiamondError,
+         "cannot switch addition and deletion of the same Simplex(0)"),
+        (inward_switch, zz("a 0", "a 1", "a 0 1", "d 0"), 3, InvalidSwitchError,
+         "Simplex(0) is a face of Simplex(0,1); switched order would be invalid"),
+    ]
+    for switch, f, j, error, text in cases:
+        with pytest.raises(error) as err:
+            switch(f, j)
+        assert type(err.value) is error and str(err.value) == text
 
 
 def test_inward_switch_and_round_trip():

@@ -1,9 +1,12 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzpers import (
     ABSOLUTE,
+    RELATIVE,
     Barcode,
     Interval,
     InvalidInputError,
@@ -12,6 +15,7 @@ from zzpers import (
     validate,
 )
 from zzpers.io import (
+    BAR_HEADER,
     OffMesh,
     format_filtration,
     generate,
@@ -170,3 +174,65 @@ def test_generate_rips_supplement_adds_simplices():
     K = rips.total_complex()
     assert K.of_dim(1) and K.of_dim(2)
     assert validate(rips) == []
+
+
+def test_generate_rejects_negative_switches_and_radius():
+    verts, faces = torus_mesh_points(4, 3)
+    mesh = OffMesh(tuple(verts), tuple(faces))
+    for kwargs, text in (
+        ({"switches": -1}, "switches must be non-negative, got -1"),
+        ({"rips_radius": -0.5}, "rips radius must be non-negative, got -0.5"),
+        ({"rips_radius": float("nan")}, "rips radius must be non-negative, got nan"),
+    ):
+        with pytest.raises(InvalidInputError) as err:
+            generate(mesh, **kwargs)
+        assert str(err.value) == text
+    assert validate(generate(mesh, rips_radius=0.0)) == []
+
+
+# tokens that the two parsers give meaning to, mixed with ones they must refuse
+_TOKENS = st.sampled_from([
+    BAR_HEADER, "zzbar", "v1", "m=3", "m=-1", "m=x", "m=", "kind=abs", "kind=rel", "kind=",
+    "=", "OFF", "0", "1", "2", "3", "4", "-1", "1e3", "nan", "inf", "0.5", "cc", "co", "oc",
+    "oo", "xx", "c", "#", "\n", "\n", "\n",
+])
+_TEXTS = st.one_of(st.lists(_TOKENS, max_size=24).map(" ".join), st.text(max_size=40))
+_BAR_HEADS = st.sampled_from(["", f"{BAR_HEADER} m=3 kind=abs\n", f"{BAR_HEADER} m=4 kind=rel\n"])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TEXTS, _BAR_HEADS)
+def test_parse_barcode_succeeds_or_raises_invalid_input(text, head):
+    try:
+        bar = parse_barcode(head + text)
+    except InvalidInputError:
+        return
+    assert parse_barcode(bar.to_text()) == bar
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TEXTS, st.sampled_from(["", "OFF\n", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"]))
+def test_parse_off_succeeds_or_raises_invalid_input(text, head):
+    try:
+        mesh = parse_off(head + text)
+    except InvalidInputError:
+        return
+    assert all(0 <= v < len(mesh.vertices) for face in mesh.faces for v in face)
+
+
+@st.composite
+def barcodes(draw):
+    m = draw(st.integers(0, 12))
+    ends = st.integers(0, m)
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 3), ends, ends, st.sampled_from("co"), st.sampled_from("co")),
+        max_size=12,
+    ))
+    intervals = [Interval(dim, min(b, d), max(b, d), bt, dt) for dim, b, d, bt, dt in rows]
+    return Barcode(intervals, m, draw(st.sampled_from([ABSOLUTE, RELATIVE])))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(barcodes())
+def test_barcode_text_round_trips(bar):
+    assert parse_barcode(bar.to_text()) == bar

@@ -441,7 +441,6 @@ def test_zero_dim_zigzag_builds_no_simplex_event_or_sweep(monkeypatch):
     monkeypatch.setattr(Simplex, "_from_sorted", forbidden)
     monkeypatch.setattr(FiltrationEvent, "__init__", forbidden)
     monkeypatch.setattr(zzpers.filtration, "_sweep", forbidden)
-    monkeypatch.setattr(zzpers.pipeline, "_sweep", forbidden)
     monkeypatch.setattr(zzpers.pipeline, "_solve", forbidden)
     monkeypatch.setattr(zzpers.reduction, "_reduce", forbidden)
     assert zero_dim_zigzag(g) == expected

@@ -228,8 +228,9 @@ def test_compute_zigzag_runs_no_public_pass(monkeypatch, small_corpus):
     import zzpers.reduction
 
     f = small_corpus[0]
-    assert f.is_standardized()
-    expected = compute_zigzag(f)
+    padded = ZigzagFiltration(f.events[1:-1], f.complex_at(1))
+    assert f.is_standardized() and padded.initial and padded.final_complex()
+    expected = [compute_zigzag(g) for g in (f, padded)]
 
     def public_pass(*args, **kwargs):
         raise AssertionError("compute_zigzag called a public pass")
@@ -241,11 +242,33 @@ def test_compute_zigzag_runs_no_public_pass(monkeypatch, small_corpus):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, public_pass)
     monkeypatch.setattr(ZigzagFiltration, "final_complex", public_pass)
-    got = compute_zigzag(f)
-    assert got.barcode == expected.barcode and got.standardized == expected.standardized
-    # the guard bites: an input that needs padding goes through standardize
+    # an input that needs padding runs none either: its one sweep is padded in place
+    for g, want in zip((f, padded), expected):
+        got = compute_zigzag(g)
+        assert got.barcode == want.barcode and got.standardized == want.standardized
+        assert got.record == want.record and got.synthetic == want.synthetic
+    # the guard bites: the public padding is patched out
     with pytest.raises(AssertionError):
-        compute_zigzag(ZigzagFiltration(f.events[1:], f.complex_at(1)))
+        zzpers.filtration.standardize(padded)
+
+
+def test_a_padded_input_is_swept_once(monkeypatch, small_corpus):
+    import zzpers.filtration
+
+    f = small_corpus[1]
+    padded = ZigzagFiltration(f.events[2:-2], f.complex_at(2))
+    assert padded.initial and padded.final_complex()
+    sweeps = []
+
+    def spy(*fields, inner=zzpers.filtration._Sweep):
+        sweeps.append(fields)  # every sweep ends here, whichever module called it
+        return inner(*fields)
+
+    monkeypatch.setattr(zzpers.filtration, "_Sweep", spy)
+    for call in (compute_zigzag, standardize):
+        sweeps.clear()
+        call(padded)
+        assert len(sweeps) == 1
 
 
 def test_check_diamond_hand_case():
