@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 invalid input, 3 contract violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import platform
@@ -26,9 +25,7 @@ from .complexes import Simplex, SimplicialComplex
 from .oracle import oracle_absolute, oracle_relative
 from .reduction import _extended
 
-# version of the JSON object `compute --stats` prints; bump it when a key changes
-STATS_SCHEMA = "zzpers.stats/2"
-# version of the JSON object `bench --json` prints per run; bump it when a key changes
+# version of the JSON record `compute --stats` and `bench` print per run; bump it when a key changes
 BENCH_SCHEMA = "zzpers.bench/1"
 
 
@@ -55,10 +52,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    start = time.perf_counter()
     parsed = zio.load_filtration(args.filtration)
-    result = compute_zigzag(parsed.filtration)
-    bar = result.standardized if args.standardized else result.barcode
-    text = bar.to_text()
+    parse = time.perf_counter() - start
+    result, text, record = _run(parsed, args.filtration, parse, 0, args.standardized)
     extras = []
     if not args.standardized and (result.record.prefix_length or result.record.suffix_length):
         extras.append(
@@ -69,7 +66,7 @@ def _cmd_compute(args) -> int:
         extras.append(f"# synthetic (standardized coords): {iv.dim} {iv.b} {iv.d} {iv.type_code}\n")
     _write_out(text + "".join(extras), args.out)
     if args.stats:
-        print(json.dumps({"schema": STATS_SCHEMA, **result.stats}), file=sys.stderr)
+        print(json.dumps(record), file=sys.stderr)
     return 0
 
 
@@ -175,42 +172,38 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def _run(parsed, path: str, parse: float, run: int, standardized: bool = False):
+    """Compute a parsed file and format the barcode a command prints, timing both.
+
+    Returns (result, text, record); the record is the run's `zzpers.bench/1`
+    object, with `peak_rss_mb` read after formatting.
+    """
+    start = time.perf_counter()
+    result = compute_zigzag(parsed.filtration)
+    total = time.perf_counter() - start
+    start = time.perf_counter()
+    text = (result.standardized if standardized else result.barcode).to_text()
+    seconds = {"parse": parse, **result.timings, "total": total,
+               "format": time.perf_counter() - start}
+    record = {
+        "schema": BENCH_SCHEMA, "file": path, "m": len(parsed.filtration), "run": run,
+        "seconds": {k: round(v, 6) for k, v in seconds.items()},
+        "peak_rss_mb": round(_peak_rss_mb(), 1), "stats": result.stats,
+        "python": platform.python_version(), "cpus": os.cpu_count(),
+    }
+    return result, text, record
+
+
 def _cmd_bench(args) -> int:
-    if args.json:
-        host = {"python": platform.python_version(), "cpus": os.cpu_count()}
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(
-            ["file", "m", "run", "parse", "validate", "convert", "reduce", "remap", "total",
-             "peak_rss_mb"]
-        )
+    if args.repeat < 1:
+        raise InvalidInputError(f"--repeat must be at least 1, got {args.repeat}")
     for path in args.filtration:
         start = time.perf_counter()
         parsed = zio.load_filtration(path)
         parse = time.perf_counter() - start
-        m = len(parsed.filtration)
         for run in range(args.repeat):
-            start = time.perf_counter()
-            result = compute_zigzag(parsed.filtration)
-            total = time.perf_counter() - start
-            t = result.timings
-            if args.json:
-                start = time.perf_counter()
-                result.barcode.to_text()
-                seconds = {"parse": parse, **t, "total": total,
-                           "format": time.perf_counter() - start}
-                print(json.dumps({
-                    "schema": BENCH_SCHEMA, "file": path, "m": m, "run": run,
-                    "seconds": {k: round(v, 6) for k, v in seconds.items()},
-                    "peak_rss_mb": round(_peak_rss_mb(), 1), "stats": result.stats, **host,
-                }), flush=True)
-            else:
-                writer.writerow(
-                    [path, m, run, f"{parse:.6f}", f"{t['validate']:.6f}",
-                     f"{t['convert']:.6f}", f"{t['reduce']:.6f}", f"{t['remap']:.6f}",
-                     f"{total:.6f}", f"{_peak_rss_mb():.1f}"]
-                )
-            del result  # else the next run's peak counts two results
+            # the result and its text go with the tuple, else the next run's peak counts two
+            print(json.dumps(_run(parsed, path, parse, run)[2]), flush=True)
         del parsed  # else the next file's parse counts two inputs
     return 0
 
@@ -229,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standardized", action="store_true",
                    help="report in the coordinates of the padded filtration")
     p.add_argument("--stats", action="store_true",
-                   help="print the reduction counters as one JSON line on stderr")
+                   help="print the run's bench record (timings, peak RSS, counters) on stderr")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("convert", help="emit the up-down or coned monotone form")
@@ -268,19 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("bench", help="per-phase timings and peak memory as CSV", description=(
-        "Per-phase timings of compute as CSV. parse: reading the file (once per file, "
-        "repeated in each of its rows); validate: the admission sweep; convert: padding "
-        "that sweep with the last complex's deletions (near zero on a standardized input); "
-        "reduce: sparse coboundary columns of the coned filtration and their reduction "
-        "(bitmasks only for columns that need an addition); remap: pairs to intervals and "
-        "restriction. peak_rss_mb: this process's own peak resident set size after the run "
-        "(VmHWM). --json prints one object per run instead (schema zzpers.bench/1), adding "
-        "the seconds of formatting the barcode (format; peak_rss_mb is read after it), the "
-        "reduction counters, the Python version and the CPU count."))
+    p = sub.add_parser("bench", help="per-phase timings and peak memory as JSON lines", description=(
+        "One JSON object per run, the record compute --stats prints (schema zzpers.bench/1). "
+        "seconds: parse (once per file), validate (the admission sweep), convert (padding "
+        "that sweep), reduce (the coned coboundary columns and their reduction), remap "
+        "(pairs to intervals), total (those four) and format (the barcode's text). "
+        "peak_rss_mb: this process's own peak resident set size (VmHWM) after formatting. "
+        "stats: the reduction counters."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--json", action="store_true", help="one JSON object per run instead of CSV")
     p.set_defaults(func=_cmd_bench)
 
     return parser

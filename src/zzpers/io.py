@@ -17,6 +17,7 @@ complexes exist only at the library level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -283,7 +284,8 @@ def generate(
     by minimum height, i.e. the reversal of the descending sweep. The
     resulting up-down filtration is then shuffled by a seeded random walk
     of `switches` adjacent swaps. Output is valid, standardized, and
-    non-repetitive; a fixed seed reproduces it byte for byte.
+    non-repetitive; a fixed seed reproduces it byte for byte. A mesh with
+    a non-finite coordinate raises `InvalidInputError`.
     """
     if axis not in _AXES:
         raise InvalidInputError(f"axis must be one of x, y, z, got {axis!r}")
@@ -293,6 +295,9 @@ def generate(
         raise InvalidInputError(f"rips radius must be non-negative, got {rips_radius}")
     ax = _AXES[axis]
     coords = mesh.vertices
+    for v, xyz in enumerate(coords):  # NaN breaks the sweep's order; inf, the Rips grid
+        if not all(map(math.isfinite, xyz)):
+            raise InvalidInputError(f"vertex {v} has a non-finite coordinate {xyz}")
     height = {v: (coords[v][ax], v) for v in range(len(coords))}
 
     simplices = {Simplex([v]) for v in range(len(coords))}

@@ -1,5 +1,3 @@
-import csv
-import io as stdio
 import json
 import platform
 import subprocess
@@ -221,6 +219,17 @@ def test_generate_rejects_negative_switches_and_radius(flag, value, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("rips", [[], ["--rips-supplement", "1"]])
+def test_generate_refuses_a_non_finite_coordinate(bad, rips, tmp_path, capsys):
+    off = tmp_path / "bad.off"
+    off.write_text(f"OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 {bad}\n1 1 1\n3 0 1 2\n3 1 2 3\n")
+    out = tmp_path / "bad.zz"
+    assert main(["generate", "--mesh", str(off), *rips, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: vertex 2 has a non-finite coordinate")
+
+
 def test_manifold_with_explicit_complex_file(tmp_path, capsys):
     verts, faces = torus_mesh_points(4, 3)
     off = tmp_path / "t.off"
@@ -238,23 +247,12 @@ def test_manifold_with_explicit_complex_file(tmp_path, capsys):
     assert main(["manifold", str(filt), "--complex", str(cx_bad), "--p", "2"]) == 2
 
 
-def test_bench_csv(small_file, capsys):
-    assert main(["bench", small_file, "--repeat", "2"]) == 0
-    rows = list(csv.reader(stdio.StringIO(capsys.readouterr().out)))
-    assert rows[0] == [
-        "file", "m", "run", "parse", "validate", "convert", "reduce", "remap", "total",
-        "peak_rss_mb",
-    ]
-    assert len(rows) == 3
-    assert all(float(row[-1]) > 0 for row in rows[1:])
-
-
 BENCH_KEYS = {"schema", "file", "m", "run", "seconds", "peak_rss_mb", "stats", "python", "cpus"}
 BENCH_SECONDS = {"parse", "validate", "convert", "reduce", "remap", "total", "format"}
 
 
 def test_bench_json(small_file, capsys):
-    assert main(["bench", small_file, "--repeat", "2", "--json"]) == 0
+    assert main(["bench", small_file, "--repeat", "2"]) == 0
     runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["run"] for r in runs] == [0, 1]
     stats = compute_zigzag(parse_filtration(SMALL).filtration).stats
@@ -266,17 +264,41 @@ def test_bench_json(small_file, capsys):
         assert r["peak_rss_mb"] > 0 and r["cpus"] >= 1 and r["python"] == platform.python_version()
 
 
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_bench_refuses_fewer_than_one_run(small_file, capsys, repeat):
+    assert main(["bench", small_file, "--repeat", repeat]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --repeat must be at least 1, got {repeat}\n"
+
+
+def _schema_tagged(node):
+    """Every object with a `schema` key in a parsed JSON document."""
+    if isinstance(node, dict):
+        if "schema" in node:
+            yield node
+            return
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _schema_tagged(child)
+
+
 def test_committed_bench_runs_follow_the_schema():
-    doc = json.loads((Path(__file__).resolve().parent.parent / "BENCH_main.json").read_text())
-    assert doc["runs"]
-    for r in doc["runs"]:
-        assert r["schema"] == "zzpers.bench/1"
-        assert set(r) == BENCH_KEYS and set(r["seconds"]) == BENCH_SECONDS
-        assert set(r["stats"]) == set(compute_zigzag(parse_filtration(SMALL).filtration).stats)
+    stats = set(compute_zigzag(parse_filtration(SMALL).filtration).stats)
+    counts = {}
+    for path in sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json")):
+        runs = list(_schema_tagged(json.loads(path.read_text())))
+        counts[path.name] = len(runs)
+        for r in runs:
+            assert r["schema"] == "zzpers.bench/1", path.name
+            assert set(r) == BENCH_KEYS and set(r["seconds"]) == BENCH_SECONDS, path.name
+            assert set(r["stats"]) == stats, path.name
+    # BENCH_main.json's runs, and the parent and change runs of BENCH_padding.json
+    assert counts["BENCH_main.json"] and counts["BENCH_padding.json"] == 18
 
 
-@pytest.mark.parametrize("fmt", [[], ["--json"]])
-def test_bench_frees_each_result_before_the_next_run(small_file, monkeypatch, capsys, fmt):
+def test_bench_frees_each_result_before_the_next_run(small_file, monkeypatch, capsys):
     previous = []
 
     def compute_after_the_last_result_is_gone(f):
@@ -286,13 +308,13 @@ def test_bench_frees_each_result_before_the_next_run(small_file, monkeypatch, ca
         return result
 
     monkeypatch.setattr(cli, "compute_zigzag", compute_after_the_last_result_is_gone)
-    assert main(["bench", small_file, "--repeat", "3", *fmt]) == 0
+    assert main(["bench", small_file, "--repeat", "3"]) == 0
     assert len(previous) == 3
 
 
 def test_bench_peak_rss_is_its_own_under_a_large_parent(small_file):
     """A parent that has touched 256 MB starts `zzpers bench`. On Linux the
-    parent's peak reaches the child's ru_maxrss across exec; the row must
+    parent's peak reaches the child's ru_maxrss across exec; the run must
     report the child's own peak."""
     parent = (
         "import subprocess, sys\n"
@@ -304,13 +326,16 @@ def test_bench_peak_rss_is_its_own_under_a_large_parent(small_file):
     proc = subprocess.run(
         [sys.executable, "-c", parent, small_file], capture_output=True, text=True, check=True
     )
-    row = list(csv.DictReader(stdio.StringIO(proc.stdout)))[0]
-    assert 0 < float(row["peak_rss_mb"]) < 128
+    run = json.loads(proc.stdout.splitlines()[0])
+    assert 0 < run["peak_rss_mb"] < 128
+
+
+EDGE = "zzfilt v1\na 0\na 1\na 0 1\nd 0 1\nd 0\nd 1\n"
 
 
 def test_compute_stats_flag(tmp_path, capsys):
     path = tmp_path / "edge.zz"
-    path.write_text("zzfilt v1\na 0\na 1\na 0 1\nd 0 1\nd 0\nd 1\n")
+    path.write_text(EDGE)
     assert main(["compute", str(path)]) == 0
     assert capsys.readouterr().err == ""
     assert main(["compute", str(path), "--stats"]) == 0
@@ -318,8 +343,11 @@ def test_compute_stats_flag(tmp_path, capsys):
     assert captured.out.startswith("zzbar v1 m=6")
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    stats = json.loads(lines[0])
-    assert stats["schema"] == "zzpers.stats/2"
+    record = json.loads(lines[0])
+    assert record["schema"] == "zzpers.bench/1"
+    assert set(record) == BENCH_KEYS and set(record["seconds"]) == BENCH_SECONDS
+    assert (record["file"], record["m"], record["run"]) == (str(path), 6, 0)
+    stats = record["stats"]
     # apex, three up columns, three cones, reduced as coboundaries (column 6 - c is the
     # coboundary of coned column c) by increasing simplex dimension. The coboundary of
     # vertex 1 (up {0,1}, cone over 1) pairs at once; vertex 0's (up {0,1}, cone over 0)
@@ -331,9 +359,26 @@ def test_compute_stats_flag(tmp_path, capsys):
     assert (stats["pivots_without_addition"], stats["column_additions"]) == (2, 2)
     assert (stats["max_column_additions"], stats["masks_kept"]) == (1, 1)
     assert set(stats) == {
-        "schema", "columns", "cleared_columns", "pairs", "pivots_without_addition",
+        "columns", "cleared_columns", "pairs", "pivots_without_addition",
         "column_additions", "max_column_additions", "masks_kept",
     }
+
+
+def test_compute_stats_and_bench_print_the_same_record(tmp_path, capsys):
+    path = tmp_path / "edge.zz"
+    path.write_text(EDGE)
+    assert main(["compute", str(path), "--stats"]) == 0
+    computed = json.loads(capsys.readouterr().err)
+    assert main(["bench", str(path), "--repeat", "2"]) == 0
+    runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(runs) == 2
+
+    def fixed(record):  # all but the run's index and its measurements
+        return {k: v for k, v in record.items() if k not in ("run", "seconds", "peak_rss_mb")}
+
+    for run in runs:
+        assert set(run) == set(computed) and set(run["seconds"]) == set(computed["seconds"])
+        assert fixed(run) == fixed(computed)
 
 
 def test_duality_malformed_barcode_exit_code(tmp_path, capsys):

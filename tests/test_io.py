@@ -190,6 +190,14 @@ def test_generate_rejects_negative_switches_and_radius():
     assert validate(generate(mesh, rips_radius=0.0)) == []
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("radius", [None, 1.0])
+def test_generate_refuses_a_non_finite_coordinate(bad, radius):
+    mesh = OffMesh(((0, 0, 0), (1, 0, 0), (0, 1, bad), (1, 1, 1)), ((0, 1, 2), (1, 2, 3)))
+    with pytest.raises(InvalidInputError, match="vertex 2 has a non-finite coordinate"):
+        generate(mesh, rips_radius=radius)
+
+
 # tokens that the two parsers give meaning to, mixed with ones they must refuse
 _TOKENS = st.sampled_from([
     BAR_HEADER, "zzbar", "v1", "m=3", "m=-1", "m=x", "m=", "kind=abs", "kind=rel", "kind=",
