@@ -298,7 +298,12 @@ def test_committed_bench_runs_follow_the_schema():
     assert counts["BENCH_main.json"] and counts["BENCH_padding.json"] == 18
 
 
-def test_bench_frees_each_result_before_the_next_run(small_file, monkeypatch, capsys):
+# one file run three times, and three files run once each; the ids are the ones
+# these cases had when bench had a CSV and a JSON format
+@pytest.mark.parametrize("files, repeat", [(1, "3"), (3, "1")], ids=["fmt0", "fmt1"])
+def test_bench_frees_each_result_before_the_next_run(
+    small_file, monkeypatch, capsys, files, repeat
+):
     previous = []
 
     def compute_after_the_last_result_is_gone(f):
@@ -308,7 +313,7 @@ def test_bench_frees_each_result_before_the_next_run(small_file, monkeypatch, ca
         return result
 
     monkeypatch.setattr(cli, "compute_zigzag", compute_after_the_last_result_is_gone)
-    assert main(["bench", small_file, "--repeat", "3"]) == 0
+    assert main(["bench", *[small_file] * files, "--repeat", repeat]) == 0
     assert len(previous) == 3
 
 
