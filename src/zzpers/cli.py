@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import platform
-import resource
 import sys
 import time
 from typing import List, Optional
@@ -20,13 +19,13 @@ from .duality import absolute_to_relative, recover_absolute_from_relative
 from .errors import InvalidInputError, ZigzagError
 from .filtration import FiltrationEvent, ZigzagFiltration, _admitted, _pad, _sweep, _updown
 from .manifold import relative_top_barcode
-from .pipeline import compute_zigzag
+from .pipeline import _peak_rss_mb, compute_zigzag
 from .complexes import Simplex, SimplicialComplex
 from .oracle import oracle_absolute, oracle_relative
 from .reduction import _extended
 
 # version of the JSON record `compute --stats` and `bench` print per run; bump it when a key changes
-BENCH_SCHEMA = "zzpers.bench/1"
+BENCH_SCHEMA = "zzpers.bench/2"
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -154,29 +153,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _peak_rss_mb() -> float:
-    """This process's peak resident set size so far, in MB.
-
-    Reads VmHWM from /proc/self/status: on Linux, ru_maxrss carries the
-    peak of the process that started this one across exec, so it reads
-    the parent's peak when the parent was larger. Falls back to ru_maxrss
-    (KiB on Linux) where that file does not exist.
-    """
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
 def _run(parsed, path: str, parse: float, run: int, standardized: bool = False):
     """Compute a parsed file and format the barcode a command prints, timing both.
 
-    Returns (result, text, record); the record is the run's `zzpers.bench/1`
-    object, with `peak_rss_mb` read after formatting.
+    Returns (result, text, record); the record is the run's `zzpers.bench/2`
+    object, with `peak_rss_mb` read after formatting and `phase_peak_rss_mb`
+    after each phase of `compute_zigzag`.
     """
     start = time.perf_counter()
     result = compute_zigzag(parsed.filtration)
@@ -189,6 +171,7 @@ def _run(parsed, path: str, parse: float, run: int, standardized: bool = False):
         "schema": BENCH_SCHEMA, "file": path, "m": len(parsed.filtration), "run": run,
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
         "peak_rss_mb": round(_peak_rss_mb(), 1), "stats": result.stats,
+        "phase_peak_rss_mb": {k: round(v, 1) for k, v in result.peak_rss_mb.items()},
         "python": platform.python_version(), "cpus": os.cpu_count(),
     }
     return result, text, record
@@ -262,12 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("bench", help="per-phase timings and peak memory as JSON lines", description=(
-        "One JSON object per run, the record compute --stats prints (schema zzpers.bench/1). "
+        "One JSON object per run, the record compute --stats prints (schema zzpers.bench/2). "
         "seconds: parse (once per file), validate (the admission sweep), convert (padding "
-        "that sweep), reduce (the coned coboundary columns and their reduction), remap "
-        "(pairs to intervals), total (those four) and format (the barcode's text). "
-        "peak_rss_mb: this process's own peak resident set size (VmHWM) after formatting. "
-        "stats: the reduction counters."))
+        "that sweep), reduce (the coned coboundary reduced one dimension at a time, "
+        "building only the columns it does not clear), remap (pairs to intervals), total "
+        "(those four) and format (the barcode's text). peak_rss_mb: this process's own peak "
+        "resident set size (VmHWM) after formatting; phase_peak_rss_mb: the same after each "
+        "of the four phases. stats: the reduction counters."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)

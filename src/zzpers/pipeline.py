@@ -10,9 +10,10 @@ remappings are constant time per interval.
 events (the shared admission, ``filtration._admitted``), padded in place
 (``filtration._pad``) if the input does not start and end empty.
 ``_solve`` reads only the per-id dimensions and facet ids and the order
-of deletions: it reduces the coboundary matrix of the coned filtration
-and maps each pair back to the boundary matrix's (the pairs are the same,
-by the duality of persistent homology and cohomology).
+of deletions: it reduces the coboundary matrix of the coned filtration one
+dimension at a time, building only the columns twist does not clear, and
+maps each pair back to the boundary matrix's (the pairs are the same, by
+the duality of persistent homology and cohomology).
 ``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
 graph zigzag, gets the same pairs from matrix-free passes
 (``manifold._copy_pairs``; ``_solve`` is their reference in the tests)
@@ -24,7 +25,9 @@ against; those that read a filtration admit it as it does.
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -42,14 +45,7 @@ from .filtration import (
     _pad,
     _raise_if_repetitive,
 )
-from .reduction import (
-    EXT,
-    ORD,
-    REL,
-    ExtendedInterval,
-    _coned_coboundaries,
-    _reduce,
-)
+from .reduction import EXT, ORD, REL, STATS, ExtendedInterval, _reduce_dim
 
 
 def ext_to_updown(iv: ExtendedInterval, n: int) -> Interval:
@@ -150,6 +146,27 @@ class PipelineResult:
     record: StandardizationRecord
     timings: Dict[str, float]
     stats: Dict[str, int]  # reduction counters: columns, cleared, additions, ...
+    peak_rss_mb: Dict[str, float]  # the process's peak RSS after each phase of timings
+
+
+_STATUS = "/proc/self/status"
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB: VmHWM from
+    /proc/self/status, as on Linux ru_maxrss carries the peak of the process
+    that started this one across exec. Falls back to ru_maxrss where that
+    file does not exist: bytes on macOS, KiB on other systems."""
+    try:
+        with open(_STATUS, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource  # imported here: Windows has no resource module
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def _restrict_to_input(
@@ -173,18 +190,75 @@ def _restrict_to_input(
 
 
 def _solve(facets, dims, dels) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
-    """Boundary-matrix pairs of the coned filtration of a valid standardized
-    non-repetitive dense-id record, from its reduced coboundary matrix, and
-    the reduction's counters."""
-    cols, col_dims = _coned_coboundaries(facets, dims, dels)
-    pairs, _, _, stats = _reduce(cols, col_dims)
-    del cols, col_dims
-    top = 2 * len(dels)  # N - 1: coboundary pairs back to boundary pairs
-    # in place: a second list, with the first freed on return, measured about
-    # 8% slower end to end on a 200k-event torus
-    for k, (low, j) in enumerate(pairs):
-        pairs[k] = (top - j, top - low)
-    return pairs, stats
+    """Sorted boundary-matrix pairs of the coned filtration of a valid
+    standardized non-repetitive dense-id record, and the reduction's counters.
+
+    Columns: the apex (0), the up column of id s (s + 1), the cone over the
+    k-th deleted id (2n - k). Their coboundaries, rows and columns reversed,
+    have the same pairs (de Silva, Morozov and Vejdemo-Johansson, 2011): the
+    up column of s has the up rows of its cofaces and the cone over s, the
+    cone over s the cones over its cofaces, the apex the cones over the
+    vertices. Twist runs by increasing simplex dimension p, whose columns
+    come in the order: cones over (p-1)-ids by deletion, up p-ids by
+    decreasing id, apex. Dimension p builds only the columns twist did not
+    clear, from the facet ids of the p- and (p+1)-ids, and drops its rows
+    and masks before the next: masks are only added within a dimension.
+    """
+    n = len(dels)
+    n2 = 2 * n
+    count = Counter(dims)
+    top = max(count, default=-1) + 1  # the coned filtration's top dimension
+    by_id = sorted(range(n), key=dims.__getitem__)
+    by_del = list(map(dims.__getitem__, dels))
+    by_del = sorted(range(n), key=by_del.__getitem__)  # deletion positions by dimension
+    ids = []  # q -> the q-ids, ascending
+    cones = []  # q -> the columns of the cones over q-ids, in order of deletion
+    cone_at = array("l", [0]) * n  # id -> the position of the cone over it in its dimension
+    up_at = array("l", [0]) * n  # id -> the position of its up column in its dimension
+    start = 0
+    for q in range(top + 2):
+        end = start + count[q]
+        ids.append(array("l", by_id[start:end]))
+        cones.append(array("l", map(n2.__sub__, by_del[start:end])))
+        for i, k in enumerate(by_del[start:end]):
+            cone_at[dels[k]] = i
+        last = count[q - 1] + count[q] - 1  # after the cones over (q-1)-ids
+        for i, s in enumerate(ids[q]):
+            up_at[s] = last - i
+        start = end
+    del by_id, by_del
+    death = array("l", [-1]) * (n2 + 1)  # birth column -> death column
+    stats = dict.fromkeys(STATS, 0)
+    # p -> dimension p's columns; cones[-1], over the (top+1)-ids, is empty
+    cols = [cones[p - 1] + array("l", map((1).__add__, reversed(ids[p]))) for p in range(top + 2)]
+    cols[0].append(0)  # the apex
+    owner = array("l", [-1]) * len(cols[0])  # the pivots of the dimension below: cleared here
+    for p in range(top + 1):
+        rows = [None if k >= 0 else [] for k in owner]
+        if not p:
+            rows[-1] = list(range(count[0]))  # the apex: the cones over the vertices
+        for t in ids[p]:  # the cone over t: a row of t's up column and of its facets' cones
+            b = cone_at[t]
+            r = rows[up_at[t]]
+            if r is not None:
+                r.append(b)
+            for x in facets[t]:
+                r = rows[cone_at[x]]
+                if r is not None:
+                    r.append(b)
+        for t in ids[p + 1]:  # the up column of t: a row of its facets' up columns
+            b = up_at[t]
+            for x in facets[t]:
+                r = rows[up_at[x]]
+                if r is not None:
+                    r.append(b)
+        owner = array("l", [-1]) * len(cols[p + 1])
+        _reduce_dim(rows, owner, stats)
+        del rows
+        for b, j in enumerate(owner):
+            if j >= 0:
+                death[cols[p][j]] = cols[p + 1][b]
+    return [(i, d) for i, d in enumerate(death) if d >= 0], stats
 
 
 def _remap_pairs(pairs, dims, dels, add_at, del_at) -> List[Tuple[int, int, int, str, str]]:
@@ -244,11 +318,12 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     which raises InvalidInputError on an invalid f, then the repetition
     check), ``convert`` (``_pad``: the deletions of K_m appended to the
     sweep; near zero on a standardized input),
-    ``reduce`` (``_solve``: sparse coboundary columns of the coned
-    filtration, their reduction, and the pairs mapped back), ``remap``
-    (pairs to intervals in input order, then restriction to the input's
-    index range). The counters in ``stats`` are those of the coboundary
-    reduction.
+    ``reduce`` (``_solve``: the coned filtration's sparse coboundary
+    columns, built and reduced one dimension at a time, and the pairs
+    mapped back), ``remap`` (pairs to intervals in input order, then
+    restriction to the input's index range). The counters in ``stats`` are
+    those of the coboundary reduction; ``peak_rss_mb`` holds the process's
+    peak RSS read after each phase.
 
     The cyclic garbage collector is paused for the call (``_gc_paused``, a
     process-global switch put back as it was on return or error). Nothing
@@ -260,18 +335,24 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
         sw = _admitted(f)
         _raise_if_repetitive(sw.repetition)
         t1 = time.perf_counter()
+        peaks = [_peak_rss_mb()]
         record = _pad(sw, f)
         t2 = time.perf_counter()
+        peaks.append(_peak_rss_mb())
         pairs, stats = _solve(sw.facets, sw.dims, sw.dels)
         t3 = time.perf_counter()
+        peaks.append(_peak_rss_mb())
         # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= m and dim >= 0,
         # where m, the padded length, is twice the deletions: each id comes and goes once
         fields = _remap_pairs(pairs, sw.dims, sw.dels, sw.add_at, sw.del_at)
+        del pairs
         standardized = Barcode._of_fields(fields, 2 * len(sw.dels), ABSOLUTE)
         barcode, synthetic = _restrict_to_input(standardized, record, f)
         t4 = time.perf_counter()
+        peaks.append(_peak_rss_mb())
         timings = {"validate": t1 - t0, "convert": t2 - t1, "reduce": t3 - t2, "remap": t4 - t3}
-        return PipelineResult(barcode, standardized, synthetic, record, timings, stats)
+        return PipelineResult(barcode, standardized, synthetic, record, timings, stats,
+                              dict(zip(timings, peaks)))
 
 
 def zigzag_barcode(f: ZigzagFiltration) -> Barcode:

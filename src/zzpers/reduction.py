@@ -1,35 +1,39 @@
 """Standard persistence by Z2 column reduction, plus the coned filtration
 that turns an up-down zigzag into a single monotone filtration.
 
-A column is stored as the tuple of its rows; its pivot is its highest row.
-Reduction runs by decreasing dimension with clearing (twist). A column
-whose pivot no reduced column owns yet is paired at once, with no bitmask
-built. Only a column that collides is turned into an integer bitmask, over
-the rows of the dimension below its own numbered densely in order, and
-other columns' masks are XORed into it. A column's rows lie in one
-dimension, where bit numbers grow with rows, so every mask is held from
-its lowest row up (the bit of that row is its shift): a mask is as wide as
-its column's span of rows, not as its pivot's position. The loop keeps the
-reduced mask of each column it reduced, shifted right by its lowest set
-bit; a column paired at once has its mask built from its rows each time it
-is added, and kept from its second use on. The pairing produced by
-reduction is unique, independent of the reduction strategy.
+A column is given by its rows; its pivot is its highest row. Reduction
+runs by decreasing dimension with clearing (twist), and one loop,
+``_reduce_dim``, reduces the columns of one dimension: a column's masks are
+only ever added into columns of its own dimension. A column whose pivot no
+reduced column owns yet is paired at once, with no bitmask built. Only a
+column that collides is turned into an integer bitmask, over the rows of
+the dimension below its own numbered densely in order, and other columns'
+masks are XORed into it. A column's rows lie in one dimension, where bit
+numbers grow with rows, so every mask is held from its lowest row up (the
+bit of that row is its shift): a mask is as wide as its column's span of
+rows, not as its pivot's position. The loop keeps the reduced mask of each
+column it reduced, shifted right by its lowest set bit; a column paired at
+once has its mask built from its rows each time it is added, and kept from
+its second use on. The pairing produced by reduction is unique,
+independent of the reduction strategy.
 
 ``reduce`` (also named ``reduce_twist``) and ``extended_barcode`` admit a
 monotone filtration through the shared admission (``filtration._admitted``)
-and reduce its boundary matrix, with the sweep's ids as columns and their
-facet ids as rows; ``reduce`` numbers mask bits by row over the whole
-filtration, so that a kept mask is a reduced column as ``ReductionState``
-holds it. The pipeline reduces the coned filtration's
-coboundary matrix instead (``_coned_coboundaries``): the same pairs, with
-far fewer column additions where the coned columns of high dimension
-collide (1,666,206 against 180,314 on a bumpy torus with a Rips layer).
+and reduce its boundary matrix (``_reduce``), with the sweep's ids as
+columns and their facet ids as rows; ``reduce`` numbers mask bits by row
+over the whole filtration, so that a kept mask is a reduced column as
+``ReductionState`` holds it. The pipeline (``pipeline._solve``) runs the
+same loop on the coned filtration's coboundary matrix instead, one
+dimension at a time, building only the columns twist does not clear: the
+same pairs, with far fewer column additions where the coned columns of
+high dimension collide (1,666,206 against 180,314 on a bumpy torus with a
+Rips layer).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .complexes import Simplex, cone
@@ -49,11 +53,11 @@ class ReductionState:
     columns: Tuple[int, ...]  # reduced columns as bitmasks over all rows; 0 if cleared
 
 
-def _mask(rows: Iterable[int], bit: Sequence[int], base: int = 0) -> int:
-    """Bitmask with bit bit[r] - base set for each row r."""
+def _mask(bits: Iterable[int], base: int = 0) -> int:
+    """Bitmask with bit b - base set for each b in bits."""
     col = 0
-    for r in rows:
-        col |= 1 << (bit[r] - base)
+    for b in bits:
+        col |= 1 << (b - base)
     return col
 
 
@@ -71,62 +75,46 @@ def _by_dim(dims: Sequence[int]) -> Tuple[List[int], Dict[int, List[int]]]:
     return local, members
 
 
-def _reduce(
-    rows: Sequence[Sequence[int]], dims: Sequence[int], dense: bool = False
-) -> Tuple[List[Tuple[int, int]], List[Optional[int]], List[int], Dict[str, int]]:
-    """Reduce the columns given by their rows, each row a column of the
-    dimension one below the column's own (boundary or coboundary columns).
+STATS = ("columns", "cleared_columns", "pairs", "pivots_without_addition",
+         "column_additions", "max_column_additions", "masks_kept")
 
-    Returns the (birth, death) pairs, the kept masks (column -> mask, None
-    where none was kept), their shifts (column -> the bit a kept mask is
-    shifted by, 0 where none was kept) and the counters. Bit i of a
-    column's full mask is the i-th row of the dimension below, or with
-    dense row i itself. Kept mask j is that full mask shifted right by its
-    lowest set bit, shifts[j], so it has bit 0 set and is as wide as the
-    column's span of rows; ``masks[j] << shifts[j]`` is the reduced column
-    as ReductionState holds it. Columns run by decreasing dimension, and a
-    column known to be a birth is cleared without being reduced (twist).
+
+def _reduce_dim(rows, owner, stats: Dict[str, int]) -> Tuple[List[Optional[int]], List[int]]:
+    """Reduce the columns of one dimension in order: the one loop of every
+    reduction here. rows[j] is column j's rows as bit numbers, which grow
+    with rows (None: cleared, so skipped). owner[b], the column whose pivot
+    is bit b (-1: none), is filled in: its pivots are the columns of the
+    dimension below that twist clears. Adds the counters to stats; returns
+    the kept masks (column -> mask, None where none was kept) and their
+    shifts: kept mask j is column j's reduced mask shifted right by its
+    lowest set bit, shifts[j], so it is as wide as the column's span of rows.
     """
     n = len(rows)
-    local, members = _by_dim(dims)
-    order = chain.from_iterable(members[q] for q in sorted(members, reverse=True))
-    if dense:
-        local = range(n)
-        bit_rows = dict.fromkeys(members, local)
-    else:  # dimension q -> the row of each bit of a q-column's mask
-        bit_rows = {q: members.get(q - 1, []) for q in members}
-    low_inv: List[int] = [-1] * n  # row -> the column whose pivot it is
-    cleared = bytearray(n)
     masks: List[Optional[int]] = [None] * n
-    shifts = [0] * n  # column -> the lowest set bit its kept mask was shifted down from
+    shifts = [0] * n
     used = bytearray(n)  # a column paired at once that was added once already
-    pairs: List[Tuple[int, int]] = []
-    n_cleared = at_once = additions = most = 0
-    for j in order:
-        if cleared[j]:
+    n_cleared = paired = at_once = additions = most = 0
+    for j, rs in enumerate(rows):
+        if rs is None:
             n_cleared += 1
             continue
-        rs = rows[j]
         if not rs:
             continue
         low = max(rs)
-        k = low_inv[low]
+        k = owner[low]
         if k < 0:
             at_once += 1
         else:
-            row_ids = bit_rows[dims[j]]
-            # a column's rows share a dimension, in which bits increase with
-            # rows: col holds bits from base up, as wide as its span of rows
-            base = local[min(rs)]
-            col = _mask(rs, local, base)
+            base = min(rs)  # col holds bits from base up, as wide as its span of rows
+            col = _mask(rs, base)
             added = 0
             while True:
                 mk = masks[k]
                 if mk is None:
                     rk = rows[k]
-                    shift = local[min(rk)]
+                    shift = min(rk)
                     if used[k]:
-                        mk = masks[k] = _mask(rk, local, shift)
+                        mk = masks[k] = _mask(rk, shift)
                         shifts[k] = shift
                     else:
                         # added once so far, so not kept: built from col's base
@@ -134,7 +122,7 @@ def _reduce(
                         used[k] = 1
                         if shift > base:
                             shift = base
-                        mk = _mask(rk, local, shift)
+                        mk = _mask(rk, shift)
                 else:
                     shift = shifts[k]
                 if shift < base:  # mk reaches below col: rebase col
@@ -144,8 +132,8 @@ def _reduce(
                 added += 1
                 if not col:
                     break
-                low = row_ids[base + col.bit_length() - 1]
-                k = low_inv[low]
+                low = base + col.bit_length() - 1
+                k = owner[low]
                 if k < 0:
                     break
             additions += added
@@ -156,18 +144,44 @@ def _reduce(
             lo = (col & -col).bit_length() - 1
             masks[j] = col >> lo
             shifts[j] = base + lo
-        low_inv[low] = j
-        pairs.append((low, j))
-        cleared[low] = 1
-    stats = {
-        "columns": n,
-        "cleared_columns": n_cleared,
-        "pairs": len(pairs),
-        "pivots_without_addition": at_once,
-        "column_additions": additions,
-        "max_column_additions": most,
-        "masks_kept": n - masks.count(None),
-    }
+        owner[low] = j
+        paired += 1
+    for key, c in zip(STATS, (n, n_cleared, paired, at_once, additions, 0, n - masks.count(None))):
+        stats[key] += c  # sums over the dimensions, but for the maximum:
+    stats["max_column_additions"] = max(stats["max_column_additions"], most)
+    return masks, shifts
+
+
+def _reduce(
+    rows: Sequence[Sequence[int]], dims: Sequence[int], dense: bool = False
+) -> Tuple[List[Tuple[int, int]], List[Optional[int]], List[int], Dict[str, int]]:
+    """Reduce the columns given by their rows, each row a column of the
+    dimension one below the column's own, one ``_reduce_dim`` per dimension.
+
+    Returns the (birth, death) pairs, the kept masks and their shifts by
+    column (None and 0 where none was kept) and the counters. Bit i of a
+    column's full mask is the i-th row of the dimension below, or with dense
+    row i itself; ``masks[j] << shifts[j]`` is the reduced column.
+    """
+    n = len(rows)
+    local, members = _by_dim(dims)
+    pairs: List[Tuple[int, int]] = []
+    masks: List[Optional[int]] = [None] * n
+    shifts = [0] * n
+    stats = dict.fromkeys(STATS, 0)
+    cleared = bytearray(n)
+    for q in sorted(members, reverse=True):
+        ids = members[q]
+        below, bit = (range(n), range(n)) if dense else (members.get(q - 1, []), local)
+        cols = [None if cleared[j] else tuple(map(bit.__getitem__, rows[j])) for j in ids]
+        owner = array("l", [-1]) * len(below)
+        kept, kept_shifts = _reduce_dim(cols, owner, stats)
+        for b, k in enumerate(owner):
+            if k >= 0:
+                pairs.append((below[b], ids[k]))
+                cleared[below[b]] = 1
+        for j, mk, shift in zip(ids, kept, kept_shifts):  # None and 0 where none was kept
+            masks[j], shifts[j] = mk, shift
     return pairs, masks, shifts, stats
 
 
@@ -202,49 +216,12 @@ def reduce(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
     cols = [0] * n
     for _, j in pairs:  # every other column is cleared or reduces to zero
         mk = masks[j]
-        cols[j] = _mask(rows[j], range(n)) if mk is None else mk << shifts[j]
+        cols[j] = _mask(rows[j]) if mk is None else mk << shifts[j]
     essentials = _essentials(pairs, n)
     return ReductionState(tuple(sw.simplices), tuple(sorted(pairs)), essentials, tuple(cols))
 
 
 reduce_twist = reduce
-
-
-def _coned_coboundaries(facets, dims, dels) -> Tuple[List[Tuple[int, ...]], List[int]]:
-    """Coboundary columns of the coned filtration of a valid standardized
-    dense-id record (facet ids and dimension per id, ids in order of
-    deletion), anti-transposed, and their dimensions.
-
-    The coned filtration has N = 2n + 1 columns: the apex (0), the up
-    column of id s (s + 1, as ids run in order of addition) and the cone
-    over the k-th deleted id (2n - k). Column N-1-c here is the coboundary
-    of column c, with row N-1-x for each coface x: the cone over the k-th
-    deleted id is column and row k, the up column of s is 2n-1-s, the apex
-    2n. The up column of s has the up rows of its cofaces in K, then the
-    cone over s; the cone over s has the cone rows of its cofaces; the apex
-    has the cones over the vertices. A column's dimension is minus its
-    simplex's, so that twist runs by increasing simplex dimension. A pair
-    (low, j) of this matrix is the pair (N-1-j, N-1-low) of the boundary
-    matrix (de Silva, Morozov and Vejdemo-Johansson, *Dualities in
-    persistent (co)homology*, 2011).
-    """
-    n = len(dels)
-    cofaces: List[List[int]] = [[] for _ in range(n)]
-    for t in range(n):  # in order of addition
-        for x in facets[t]:
-            cofaces[x].append(t)
-    at = [0] * n  # id -> its position among the deletions: the row of the cone over it
-    for k, s in enumerate(dels):
-        at[s] = k
-    row_of_cone = at.__getitem__
-    up_row = (2 * n - 1).__sub__
-    cols = [tuple(map(row_of_cone, cofaces[s])) for s in dels]
-    cols += [(*map(up_row, cofaces[s]), at[s]) for s in range(n - 1, -1, -1)]
-    cols.append(tuple(at[v] for v in range(n) if not dims[v]))
-    col_dims = [-1 - dims[s] for s in dels]
-    col_dims += [-dims[s] for s in range(n - 1, -1, -1)]
-    col_dims.append(0)
-    return cols, col_dims
 
 
 @dataclass(frozen=True)

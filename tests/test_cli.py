@@ -247,8 +247,12 @@ def test_manifold_with_explicit_complex_file(tmp_path, capsys):
     assert main(["manifold", str(filt), "--complex", str(cx_bad), "--p", "2"]) == 2
 
 
-BENCH_KEYS = {"schema", "file", "m", "run", "seconds", "peak_rss_mb", "stats", "python", "cpus"}
+# the keys of each schema version; /2 added the peak RSS after each phase
+BENCH_KEYS_1 = {"schema", "file", "m", "run", "seconds", "peak_rss_mb", "stats", "python", "cpus"}
+BENCH_KEYS = BENCH_KEYS_1 | {"phase_peak_rss_mb"}
+SCHEMA_KEYS = {"zzpers.bench/1": BENCH_KEYS_1, "zzpers.bench/2": BENCH_KEYS}
 BENCH_SECONDS = {"parse", "validate", "convert", "reduce", "remap", "total", "format"}
+PHASES = ["validate", "convert", "reduce", "remap"]
 
 
 def test_bench_json(small_file, capsys):
@@ -257,11 +261,15 @@ def test_bench_json(small_file, capsys):
     assert [r["run"] for r in runs] == [0, 1]
     stats = compute_zigzag(parse_filtration(SMALL).filtration).stats
     for r in runs:
-        assert r["schema"] == "zzpers.bench/1"
+        assert r["schema"] == "zzpers.bench/2"
         assert set(r) == BENCH_KEYS and set(r["seconds"]) == BENCH_SECONDS
         assert all(v >= 0 for v in r["seconds"].values())
         assert (r["file"], r["m"], r["stats"]) == (small_file, 4, stats)
         assert r["peak_rss_mb"] > 0 and r["cpus"] >= 1 and r["python"] == platform.python_version()
+        # a high-water mark read after each phase in turn, then after formatting
+        peaks = [r["phase_peak_rss_mb"][phase] for phase in PHASES]
+        assert list(r["phase_peak_rss_mb"]) == PHASES
+        assert 0 < peaks[0] and peaks == sorted(peaks) and peaks[-1] <= r["peak_rss_mb"]
 
 
 @pytest.mark.parametrize("repeat", ["0", "-2"])
@@ -291,11 +299,15 @@ def test_committed_bench_runs_follow_the_schema():
         runs = list(_schema_tagged(json.loads(path.read_text())))
         counts[path.name] = len(runs)
         for r in runs:
-            assert r["schema"] == "zzpers.bench/1", path.name
-            assert set(r) == BENCH_KEYS and set(r["seconds"]) == BENCH_SECONDS, path.name
+            assert set(r) == SCHEMA_KEYS[r["schema"]], path.name
+            assert set(r["seconds"]) == BENCH_SECONDS, path.name
             assert set(r["stats"]) == stats, path.name
-    # BENCH_main.json's runs, and the parent and change runs of BENCH_padding.json
+            if r["schema"] == "zzpers.bench/2":
+                assert list(r["phase_peak_rss_mb"]) == PHASES, path.name
+    # BENCH_main.json's runs, and the parent and change runs of BENCH_padding.json and
+    # BENCH_coboundary_by_dim.json (three inputs, three runs each)
     assert counts["BENCH_main.json"] and counts["BENCH_padding.json"] == 18
+    assert counts["BENCH_coboundary_by_dim.json"] == 18
 
 
 # one file run three times, and three files run once each; the ids are the ones
@@ -349,7 +361,7 @@ def test_compute_stats_flag(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert record["schema"] == "zzpers.bench/1"
+    assert record["schema"] == "zzpers.bench/2"
     assert set(record) == BENCH_KEYS and set(record["seconds"]) == BENCH_SECONDS
     assert (record["file"], record["m"], record["run"]) == (str(path), 6, 0)
     stats = record["stats"]

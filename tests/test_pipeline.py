@@ -1,4 +1,8 @@
 import gc
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,9 +27,12 @@ from zzpers import (
     updown_to_f,
     zigzag_barcode,
 )
-from zzpers.reduction import ExtendedInterval
+from zzpers.filtration import _admitted, _pad
+from zzpers.io import OffMesh, generate
+from zzpers.pipeline import _peak_rss_mb, _solve
+from zzpers.reduction import ExtendedInterval, _reduce
 from zzpers.rng import SplitMix64
-from conftest import ev, random_nonrepetitive, sx, zz
+from conftest import ev, random_nonrepetitive, sx, torus_mesh_points, zz
 
 
 def test_ext_to_updown_rows():
@@ -347,3 +354,121 @@ def test_compute_zigzag_restores_the_gc_state(enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _coned_coboundaries(facets, dims, dels):
+    """The full coboundary matrix of the coned filtration of a valid
+    standardized dense-id record, anti-transposed, and its columns' dimensions.
+
+    The coned filtration has N = 2n + 1 columns: the apex (0), the up column
+    of id s (s + 1) and the cone over the k-th deleted id (2n - k). Column
+    N-1-c here is the coboundary of column c, with row N-1-x for each coface
+    x: the cone over the k-th deleted id is column and row k, the up column
+    of s is 2n-1-s, the apex 2n. A column's dimension is minus its simplex's.
+    """
+    n = len(dels)
+    cofaces = [[] for _ in range(n)]
+    for t in range(n):
+        for x in facets[t]:
+            cofaces[x].append(t)
+    at = [0] * n  # id -> its position among the deletions: the row of the cone over it
+    for k, s in enumerate(dels):
+        at[s] = k
+    cols = [tuple(at[t] for t in cofaces[s]) for s in dels]
+    cols += [(*(2 * n - 1 - t for t in cofaces[s]), at[s]) for s in range(n - 1, -1, -1)]
+    cols.append(tuple(at[v] for v in range(n) if not dims[v]))
+    col_dims = [-1 - dims[s] for s in dels]
+    col_dims += [-dims[s] for s in range(n - 1, -1, -1)]
+    col_dims.append(0)
+    return cols, col_dims
+
+
+def _record(f):
+    sw = _admitted(f)
+    _pad(sw, f)
+    return sw.facets, sw.dims, sw.dels
+
+
+def _swept_tori():
+    """Seeded height sweeps of grid tori, plain and bumpy with a Rips layer."""
+    for a, b, bumpy, radius, seed in ((6, 5, False, None, 3), (5, 4, True, 2.0, 8)):
+        verts, faces = torus_mesh_points(a, b, bumpy=bumpy)
+        yield generate(OffMesh(tuple(verts), tuple(faces)), axis="z", switches=30, seed=seed,
+                       rips_radius=radius)
+
+
+def test_solve_reduces_as_the_full_coboundary_matrix(a3_corpus):
+    # _solve builds the columns one dimension at a time and skips the cleared ones;
+    # the whole matrix, built up front and reduced by the shared loop, is the reference
+    inputs = [*a3_corpus, *_swept_tori(), ZigzagFiltration([])]
+    for f in inputs:
+        record = _record(f)
+        cols, col_dims = _coned_coboundaries(*record)
+        pairs, _, _, stats = _reduce(cols, col_dims)
+        top = len(cols) - 1  # coboundary pairs back to boundary pairs
+        got_pairs, got_stats = _solve(*record)
+        assert got_pairs == sorted((top - j, top - low) for low, j in pairs)
+        assert got_stats == stats
+    assert stats["columns"] == 1 and not pairs  # the empty filtration: the apex alone
+
+
+def test_solve_builds_only_the_columns_twist_does_not_clear(monkeypatch):
+    import zzpers.pipeline
+
+    built, handed = [], []
+
+    def spy(rows, owner, stats, inner=zzpers.pipeline._reduce_dim):
+        built.append(sum(r is not None for r in rows))
+        handed.append(len(rows))
+        return inner(rows, owner, stats)
+
+    monkeypatch.setattr(zzpers.pipeline, "_reduce_dim", spy)
+    for f in _swept_tori():
+        built.clear()
+        handed.clear()
+        stats = compute_zigzag(f).stats
+        assert stats["cleared_columns"] > 0
+        assert sum(built) == stats["columns"] - stats["cleared_columns"]
+        assert sum(handed) == stats["columns"] and len(handed) > 2  # one call per dimension
+
+
+def test_compute_zigzag_records_the_peak_rss_after_each_phase(small_corpus):
+    result = compute_zigzag(small_corpus[0])
+    peaks = result.peak_rss_mb
+    assert list(peaks) == list(result.timings) == ["validate", "convert", "reduce", "remap"]
+    assert 0 < peaks["validate"] and list(peaks.values()) == sorted(peaks.values())
+    assert peaks["remap"] <= _peak_rss_mb()
+
+
+def test_the_phase_that_sets_the_peak_shows_in_its_reading():
+    # a fresh process whose reduce phase holds 64 MB more than any phase before it
+    code = (
+        "import zzpers.pipeline as p\n"
+        "from zzpers.io import parse_filtration\n"
+        "solve = p._solve\n"
+        "def bloated(*record):\n"
+        "    held = bytearray(64 << 20)\n"
+        "    return solve(*record)\n"
+        "p._solve = bloated\n"
+        "f = parse_filtration('zzfilt v1\\na 0\\na 1\\na 0 1\\nd 0 1\\nd 0\\nd 1\\n').filtration\n"
+        "print(*p.compute_zigzag(f).peak_rss_mb.values())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    validate, convert, reduce, remap = map(float, out.split())
+    assert validate <= convert < convert + 60 < reduce <= remap
+
+
+@pytest.mark.parametrize("platform, maxrss", [("darwin", 300 << 20), ("linux", 300 << 10)])
+def test_peak_rss_falls_back_to_ru_maxrss_in_its_platform_unit(monkeypatch, tmp_path,
+                                                                platform, maxrss):
+    # where /proc/self/status does not exist, ru_maxrss is bytes on macOS and KiB on Linux
+    import resource
+
+    import zzpers.pipeline
+
+    monkeypatch.setattr(zzpers.pipeline, "_STATUS", str(tmp_path / "no-status"))
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
+    assert _peak_rss_mb() == 300
