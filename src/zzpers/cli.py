@@ -25,7 +25,7 @@ from .oracle import oracle_absolute, oracle_relative
 from .reduction import _extended
 
 # version of the JSON record `compute --stats` and `bench` print per run; bump it when a key changes
-BENCH_SCHEMA = "zzpers.bench/2"
+BENCH_SCHEMA = "zzpers.bench/3"
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -156,7 +156,7 @@ def _cmd_generate(args) -> int:
 def _run(parsed, path: str, parse: float, run: int, standardized: bool = False):
     """Compute a parsed file and format the barcode a command prints, timing both.
 
-    Returns (result, text, record); the record is the run's `zzpers.bench/2`
+    Returns (result, text, record); the record is the run's `BENCH_SCHEMA`
     object, with `peak_rss_mb` read after formatting and `phase_peak_rss_mb`
     after each phase of `compute_zigzag`.
     """
@@ -245,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("bench", help="per-phase timings and peak memory as JSON lines", description=(
-        "One JSON object per run, the record compute --stats prints (schema zzpers.bench/2). "
+        f"One JSON object per run, the record compute --stats prints (schema {BENCH_SCHEMA}). "
         "seconds: parse (once per file), validate (the admission sweep), convert (padding "
-        "that sweep), reduce (the coned coboundary reduced one dimension at a time, "
-        "building only the columns it does not clear), remap (pairs to intervals), total "
-        "(those four) and format (the barcode's text). peak_rss_mb: this process's own peak "
-        "resident set size (VmHWM) after formatting; phase_peak_rss_mb: the same after each "
-        "of the four phases. stats: the reduction counters."))
+        "that sweep), reduce (dimension 0 of the coned filtration paired by union-find, the "
+        "coboundary of the others reduced one dimension at a time), remap (pairs to "
+        "intervals), total (those four) and format (the barcode's text). peak_rss_mb: this "
+        "process's own peak resident set size (VmHWM) after formatting; phase_peak_rss_mb: "
+        "the same after each of the four phases. stats: the reduction counters."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)

@@ -15,13 +15,14 @@ re-entry a fresh copy of the cell makes it a non-repetitive filtration
 ESA 2022). The walk over the graph zigzag gives the copies dense ids and
 records them as the pipeline's solve reads them, so no simplex, event or
 filtration is built for them. The pairs of the copies' coned filtration
-then come from two union-find passes and a spanning-forest pass, with no
-boundary or coboundary matrix (``_copy_pairs``; after Dey & Hou,
-*Computing Zigzag Persistence on Graphs in Near-Linear Time*, SoCG 2021),
-and ``pipeline._remap_pairs`` maps them to intervals. The walk and the
-union-finds are near linear in the length of the filtration; the forest
-pass climbs tree paths, which grow with the graph, so on swept grid tori
-it grows as about m^1.5 (link-cut trees would make it near linear).
+then come from two union-find passes, the first the pipeline's, and a
+spanning-forest pass, with no boundary or coboundary matrix (``_copy_pairs``;
+after Dey & Hou, *Computing Zigzag Persistence on Graphs in Near-Linear
+Time*, SoCG 2021), and ``pipeline._remap_pairs`` maps them to intervals.
+The walk and the union-finds are near linear in the length of the
+filtration; the forest pass climbs tree paths, which grow with the graph,
+so on swept grid tori it grows as about m^1.5 (link-cut trees would make
+it near linear).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .complexes import DualGraph, SimplicialComplex, _find, dual_graph
 from .duality import _admitted_filling, _recovered
 from .errors import InvalidInputError
 from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused, _raise_if_repetitive
-from .pipeline import _remap_pairs
+from .pipeline import _remap_pairs, _vertex_pairs
 
 ADD_VERTEX = "+v"
 DEL_VERTEX = "-v"
@@ -152,9 +153,7 @@ def _copy_pairs(facets, dims, dels) -> List[Tuple[int, int]]:
     keeps each root at its set's smallest column, so the younger of two
     roots is the larger. Three passes give every pair:
 
-    a. A union-find walks the coned 1-skeleton in column order: the apex,
-       the up vertex and edge copies, then the cones over vertex copies.
-       Each merge pairs the younger root with the edge column.
+    a. ``_solve``'s union-find walk of dimension 0 (``pipeline._vertex_pairs``).
     b. A second union-find walks the copies in reverse order of deletion
        (the cone columns in order). An edge copy that merges two sets pairs
        the cone over the younger root's vertex with the cone over the edge.
@@ -172,17 +171,8 @@ def _copy_pairs(facets, dims, dels) -> List[Tuple[int, int]]:
     """
     n = len(dels)
     n2 = 2 * n
-    parent = list(range(n2 + 1))  # pass a on columns 0..n, pass b on n+1..2n
-    pairs = []
-    for s in range(n):  # a: the up phase
-        if dims[s]:
-            a, b = facets[s]
-            ra, rb = _find(parent, a + 1), _find(parent, b + 1)
-            if ra != rb:
-                if ra > rb:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                pairs.append((rb, s + 1))
+    pairs = list(_vertex_pairs(facets, dims, dels))  # a
+    parent = list(range(n2 + 1))  # pass b, on the cone columns n+1..2n
     at = [0] * n  # id -> its position among the deletions
     for k, s in enumerate(dels):
         at[s] = k
@@ -191,11 +181,7 @@ def _copy_pairs(facets, dims, dels) -> List[Tuple[int, int]]:
     via = [-1] * (n2 + 1)  # pass c: id of the edge to the forest parent
     for k in range(n - 1, -1, -1):  # the cone columns in order
         s = dels[k]
-        if not dims[s]:  # a: the cone over a vertex copy joins it to the apex
-            r = _find(parent, s + 1)
-            if r:
-                parent[r] = 0
-                pairs.append((r, n2 - k))
+        if not dims[s]:  # the cone over a vertex copy: pass a's
             continue
         a, b = facets[s]
         u, v = n2 - at[a], n2 - at[b]

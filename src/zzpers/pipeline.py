@@ -10,14 +10,15 @@ remappings are constant time per interval.
 events (the shared admission, ``filtration._admitted``), padded in place
 (``filtration._pad``) if the input does not start and end empty.
 ``_solve`` reads only the per-id dimensions and facet ids and the order
-of deletions: it reduces the coboundary matrix of the coned filtration one
+of deletions: it pairs dimension 0 of the coned filtration by union-find
+(``_vertex_pairs``), reduces the coboundary matrix of the others one
 dimension at a time, building only the columns twist does not clear, and
 maps each pair back to the boundary matrix's (the pairs are the same, by
 the duality of persistent homology and cohomology).
 ``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
 graph zigzag, gets the same pairs from matrix-free passes
-(``manifold._copy_pairs``; ``_solve`` is their reference in the tests)
-and shares ``_remap_pairs``. The public steps (``to_updown``,
+(``manifold._copy_pairs``, the first of them ``_vertex_pairs``) and shares
+``_remap_pairs``. The public steps (``to_updown``,
 ``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
 reduce the boundary matrix and are the specification it is tested
 against; those that read a filtration admit it as it does.
@@ -30,9 +31,10 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, Barcode, Interval, classify_ends
+from .complexes import _find
 from .errors import ContractViolationError, InternalInconsistencyError
 from .filtration import (
     ADD,
@@ -189,20 +191,46 @@ def _restrict_to_input(
     return Barcode(kept, record.original_length, ABSOLUTE), tuple(sorted(synthetic))
 
 
+def _vertex_pairs(facets, dims, dels) -> Iterator[Tuple[int, int]]:
+    """Dimension 0's pairs in ``_solve``'s columns, by the elder rule: a union-find
+    walks the coned 1-skeleton in column order (up edges by id, then the cones
+    over vertices to the apex by reverse deletion), each root its set's smallest
+    column, and a merge pairs the younger root with the edge's column."""
+    n = len(dels)
+    parent = list(range(n + 1))  # the apex and the up columns
+    for s, q in enumerate(dims):
+        if q == 1:
+            a, b = facets[s]
+            ra, rb = _find(parent, a + 1), _find(parent, b + 1)
+            if ra != rb:
+                if ra > rb:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                yield rb, s + 1
+    for k in range(n - 1, -1, -1):  # the cone columns in order
+        s = dels[k]
+        if not dims[s]:
+            r = _find(parent, s + 1)
+            if r:
+                parent[r] = 0
+                yield r, 2 * n - k
+
+
 def _solve(facets, dims, dels) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
     """Sorted boundary-matrix pairs of the coned filtration of a valid
     standardized non-repetitive dense-id record, and the reduction's counters.
 
     Columns: the apex (0), the up column of id s (s + 1), the cone over the
-    k-th deleted id (2n - k). Their coboundaries, rows and columns reversed,
-    have the same pairs (de Silva, Morozov and Vejdemo-Johansson, 2011): the
-    up column of s has the up rows of its cofaces and the cone over s, the
-    cone over s the cones over its cofaces, the apex the cones over the
-    vertices. Twist runs by increasing simplex dimension p, whose columns
-    come in the order: cones over (p-1)-ids by deletion, up p-ids by
-    decreasing id, apex. Dimension p builds only the columns twist did not
-    clear, from the facet ids of the p- and (p+1)-ids, and drops its rows
-    and masks before the next: masks are only added within a dimension.
+    k-th deleted id (2n - k). Dimension 0 is paired by union-find, and its
+    death columns are cleared in dimension 1. Twist reduces the coboundaries
+    of the others, rows and columns reversed, which have the same pairs (de
+    Silva, Morozov and Vejdemo-Johansson, 2011): the up column of s has the
+    up rows of its cofaces and the cone over s, the cone over s the cones
+    over its cofaces. It runs by increasing simplex dimension p from 1, whose
+    columns come in the order: cones over (p-1)-ids by deletion, up p-ids by
+    decreasing id. Dimension p builds only the columns twist did not clear,
+    from the facet ids of the p- and (p+1)-ids, and drops its rows and masks
+    before the next: masks are only added within a dimension.
     """
     n = len(dels)
     n2 = 2 * n
@@ -229,14 +257,14 @@ def _solve(facets, dims, dels) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
     del by_id, by_del
     death = array("l", [-1]) * (n2 + 1)  # birth column -> death column
     stats = dict.fromkeys(STATS, 0)
-    # p -> dimension p's columns; cones[-1], over the (top+1)-ids, is empty
-    cols = [cones[p - 1] + array("l", map((1).__add__, reversed(ids[p]))) for p in range(top + 2)]
-    cols[0].append(0)  # the apex
-    owner = array("l", [-1]) * len(cols[0])  # the pivots of the dimension below: cleared here
-    for p in range(top + 1):
+    cols = cones[0] + array("l", map((1).__add__, reversed(ids[1])))  # dimension 1's columns
+    owner = array("l", [-1]) * len(cols)  # the pivots of the dimension below: cleared here
+    for b, d in _vertex_pairs(facets, dims, dels):
+        death[b] = d
+        owner[up_at[d - 1] if d <= n else cone_at[dels[n2 - d]]] = b
+        stats["union_find_pairs"] += 1
+    for p in range(1, top + 1):
         rows = [None if k >= 0 else [] for k in owner]
-        if not p:
-            rows[-1] = list(range(count[0]))  # the apex: the cones over the vertices
         for t in ids[p]:  # the cone over t: a row of t's up column and of its facets' cones
             b = cone_at[t]
             r = rows[up_at[t]]
@@ -252,12 +280,14 @@ def _solve(facets, dims, dels) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
                 r = rows[up_at[x]]
                 if r is not None:
                     r.append(b)
-        owner = array("l", [-1]) * len(cols[p + 1])
+        above = cones[p] + array("l", map((1).__add__, reversed(ids[p + 1])))
+        owner = array("l", [-1]) * len(above)
         _reduce_dim(rows, owner, stats)
         del rows
         for b, j in enumerate(owner):
             if j >= 0:
-                death[cols[p][j]] = cols[p + 1][b]
+                death[cols[j]] = above[b]
+        cols = above
     return [(i, d) for i, d in enumerate(death) if d >= 0], stats
 
 
@@ -318,12 +348,12 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     which raises InvalidInputError on an invalid f, then the repetition
     check), ``convert`` (``_pad``: the deletions of K_m appended to the
     sweep; near zero on a standardized input),
-    ``reduce`` (``_solve``: the coned filtration's sparse coboundary
-    columns, built and reduced one dimension at a time, and the pairs
-    mapped back), ``remap`` (pairs to intervals in input order, then
-    restriction to the input's index range). The counters in ``stats`` are
-    those of the coboundary reduction; ``peak_rss_mb`` holds the process's
-    peak RSS read after each phase.
+    ``reduce`` (``_solve``: the coned filtration paired by union-find in
+    dimension 0, its sparse coboundary columns reduced one dimension at a
+    time above that), ``remap`` (pairs to intervals in input order, then
+    restriction to the input's index range). ``stats`` holds the
+    reduction's counters; ``peak_rss_mb`` the process's peak RSS read
+    after each phase.
 
     The cyclic garbage collector is paused for the call (``_gc_paused``, a
     process-global switch put back as it was on return or error). Nothing

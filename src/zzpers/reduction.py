@@ -22,12 +22,12 @@ monotone filtration through the shared admission (``filtration._admitted``)
 and reduce its boundary matrix (``_reduce``), with the sweep's ids as
 columns and their facet ids as rows; ``reduce`` numbers mask bits by row
 over the whole filtration, so that a kept mask is a reduced column as
-``ReductionState`` holds it. The pipeline (``pipeline._solve``) runs the
-same loop on the coned filtration's coboundary matrix instead, one
-dimension at a time, building only the columns twist does not clear: the
-same pairs, with far fewer column additions where the coned columns of
-high dimension collide (1,666,206 against 180,314 on a bumpy torus with a
-Rips layer).
+``ReductionState`` holds it. The pipeline (``pipeline._solve``) pairs
+dimension 0 of the coned filtration by union-find and runs the same loop on
+the coboundary matrix of the others instead, one dimension at a time,
+building only the columns twist does not clear: the same pairs, with far
+fewer column additions where the coned columns of high dimension collide
+(1,666,206 against 179,514 on a bumpy torus with a Rips layer).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _by_dim(dims: Sequence[int]) -> Tuple[List[int], Dict[int, List[int]]]:
 
 
 STATS = ("columns", "cleared_columns", "pairs", "pivots_without_addition",
-         "column_additions", "max_column_additions", "masks_kept")
+         "column_additions", "max_column_additions", "masks_kept", "union_find_pairs")
 
 
 def _reduce_dim(rows, owner, stats: Dict[str, int]) -> Tuple[List[Optional[int]], List[int]]:

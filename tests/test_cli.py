@@ -247,10 +247,12 @@ def test_manifold_with_explicit_complex_file(tmp_path, capsys):
     assert main(["manifold", str(filt), "--complex", str(cx_bad), "--p", "2"]) == 2
 
 
-# the keys of each schema version; /2 added the peak RSS after each phase
+# the keys of each schema version; /2 added the peak RSS after each phase, and /3 the
+# union_find_pairs counter to stats
 BENCH_KEYS_1 = {"schema", "file", "m", "run", "seconds", "peak_rss_mb", "stats", "python", "cpus"}
 BENCH_KEYS = BENCH_KEYS_1 | {"phase_peak_rss_mb"}
-SCHEMA_KEYS = {"zzpers.bench/1": BENCH_KEYS_1, "zzpers.bench/2": BENCH_KEYS}
+SCHEMA_KEYS = {"zzpers.bench/1": BENCH_KEYS_1, "zzpers.bench/2": BENCH_KEYS,
+               "zzpers.bench/3": BENCH_KEYS}
 BENCH_SECONDS = {"parse", "validate", "convert", "reduce", "remap", "total", "format"}
 PHASES = ["validate", "convert", "reduce", "remap"]
 
@@ -261,7 +263,7 @@ def test_bench_json(small_file, capsys):
     assert [r["run"] for r in runs] == [0, 1]
     stats = compute_zigzag(parse_filtration(SMALL).filtration).stats
     for r in runs:
-        assert r["schema"] == "zzpers.bench/2"
+        assert r["schema"] == "zzpers.bench/3"
         assert set(r) == BENCH_KEYS and set(r["seconds"]) == BENCH_SECONDS
         assert all(v >= 0 for v in r["seconds"].values())
         assert (r["file"], r["m"], r["stats"]) == (small_file, 4, stats)
@@ -301,13 +303,16 @@ def test_committed_bench_runs_follow_the_schema():
         for r in runs:
             assert set(r) == SCHEMA_KEYS[r["schema"]], path.name
             assert set(r["seconds"]) == BENCH_SECONDS, path.name
-            assert set(r["stats"]) == stats, path.name
-            if r["schema"] == "zzpers.bench/2":
+            new = r["schema"] == "zzpers.bench/3"
+            assert set(r["stats"]) == stats - (set() if new else {"union_find_pairs"}), path.name
+            if r["schema"] != "zzpers.bench/1":
                 assert list(r["phase_peak_rss_mb"]) == PHASES, path.name
-    # BENCH_main.json's runs, and the parent and change runs of BENCH_padding.json and
-    # BENCH_coboundary_by_dim.json (three inputs, three runs each)
+    # BENCH_main.json's runs, the parent and change runs of BENCH_padding.json and
+    # BENCH_coboundary_by_dim.json (three inputs, three runs each) and of
+    # BENCH_dim0_union_find.json (four inputs, three runs each)
     assert counts["BENCH_main.json"] and counts["BENCH_padding.json"] == 18
     assert counts["BENCH_coboundary_by_dim.json"] == 18
+    assert counts["BENCH_dim0_union_find.json"] == 24
 
 
 # one file run three times, and three files run once each; the ids are the ones
@@ -361,23 +366,23 @@ def test_compute_stats_flag(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert record["schema"] == "zzpers.bench/2"
+    assert record["schema"] == "zzpers.bench/3"
     assert set(record) == BENCH_KEYS and set(record["seconds"]) == BENCH_SECONDS
     assert (record["file"], record["m"], record["run"]) == (str(path), 6, 0)
     stats = record["stats"]
-    # apex, three up columns, three cones, reduced as coboundaries (column 6 - c is the
-    # coboundary of coned column c) by increasing simplex dimension. The coboundary of
-    # vertex 1 (up {0,1}, cone over 1) pairs at once; vertex 0's (up {0,1}, cone over 0)
-    # collides with it and needs one addition; the apex's (the cones over 0 and 1) then
-    # cancels against vertex 0's reduced mask, the only one kept, in one more. Of the
-    # edge-dimension columns the cone over 0 pairs at once; {0,1} and the cone over 1
-    # are cleared, and so is the cone over {0,1}
-    assert (stats["columns"], stats["pairs"], stats["cleared_columns"]) == (7, 3, 3)
-    assert (stats["pivots_without_addition"], stats["column_additions"]) == (2, 2)
-    assert (stats["max_column_additions"], stats["masks_kept"]) == (1, 1)
+    # columns: the apex 0, the up columns 1, 2, 3 of 0, 1 and {0,1}, and the cones 4, 5,
+    # 6 over 1, 0 and {0,1}. Dimension 0 goes by union-find: edge 3 joins vertices 2 and
+    # 1, pairing the younger, 2; cone 4 joins 1 to the apex, pairing 1; cone 5 over 0
+    # closes a cycle. The rest are reduced as coboundaries by increasing simplex
+    # dimension: of the edge-dimension columns, 3 and 4 are cleared (dimension 0's
+    # deaths) and 5 (cofaces: cone 6) pairs at once; cone 6 is cleared in its turn
+    assert (stats["columns"], stats["pairs"], stats["cleared_columns"]) == (4, 1, 3)
+    assert (stats["pivots_without_addition"], stats["column_additions"]) == (1, 0)
+    assert (stats["max_column_additions"], stats["masks_kept"]) == (0, 0)
+    assert stats["union_find_pairs"] == 2
     assert set(stats) == {
         "columns", "cleared_columns", "pairs", "pivots_without_addition",
-        "column_additions", "max_column_additions", "masks_kept",
+        "column_additions", "max_column_additions", "masks_kept", "union_find_pairs",
     }
 
 

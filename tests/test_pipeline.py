@@ -33,6 +33,7 @@ from zzpers.pipeline import _peak_rss_mb, _solve
 from zzpers.reduction import ExtendedInterval, _reduce
 from zzpers.rng import SplitMix64
 from conftest import ev, random_nonrepetitive, sx, torus_mesh_points, zz
+from test_reduction import _solve_counters
 
 
 def test_ext_to_updown_rows():
@@ -146,7 +147,9 @@ def test_truncated_filtration_restriction_vs_oracle():
 def test_empty_filtration():
     f = ZigzagFiltration([])
     result = compute_zigzag(f)
-    assert len(result.barcode) == 0 and result.stats["columns"] == 1  # the apex alone
+    # the apex alone, in dimension 0, which goes by union-find and pairs nothing
+    assert len(result.barcode) == 0
+    assert (result.stats["columns"], result.stats["union_find_pairs"]) == (0, 0)
     assert len(zigzag_barcode(f)) == 0
     assert len(oracle_absolute(f)) == 0
 
@@ -155,15 +158,17 @@ def test_padded_inputs_vertex_only_and_non_empty_initial():
     # both need padding, so compute_zigzag sweeps the standardized filtration again
     triangle_boundary = [sx(0), sx(1), sx(2), sx(0, 1), sx(0, 2), sx(1, 2)]
     cases = [
-        (zz("a 0", "a 1", "d 0", "a 2"), 0, 2),
-        (zz("a 0 1 2", "d 0 1 2", "d 0 1", "a 3", "a 0 3", initial=triangle_boundary), 6, 7),
+        (zz("a 0", "a 1", "d 0", "a 2"), 0, 2, 3),
+        (zz("a 0 1 2", "d 0 1 2", "d 0 1", "a 3", "a 0 3", initial=triangle_boundary), 6, 7, 4),
     ]
-    for f, prefix, suffix in cases:
+    for f, prefix, suffix, vertices in cases:
         result = compute_zigzag(f)
         assert (result.record.prefix_length, result.record.suffix_length) == (prefix, suffix)
         assert multiset_equal(result.barcode, oracle_absolute(f)).equal
-        # the apex plus one column per event of the padded filtration
-        assert result.stats["columns"] == prefix + len(f) + suffix + 1
+        # one column per event of the padded filtration, less the up vertices: with the
+        # apex they are dimension 0, which union-find pairs, one pair per vertex
+        assert result.stats["columns"] == prefix + len(f) + suffix - vertices
+        assert result.stats["union_find_pairs"] == vertices
 
 
 def test_initial_only_filtration():
@@ -383,6 +388,13 @@ def _coned_coboundaries(facets, dims, dels):
     return cols, col_dims
 
 
+def _boundary_pairs(cols, col_dims):
+    """The sorted boundary-matrix pairs of the coned filtration, from its full
+    coboundary matrix (``_coned_coboundaries``) reduced by the shared loop."""
+    top = len(cols) - 1  # coboundary pairs back to boundary pairs
+    return sorted((top - j, top - low) for low, j in _reduce(cols, col_dims)[0])
+
+
 def _record(f):
     sw = _admitted(f)
     _pad(sw, f)
@@ -398,18 +410,20 @@ def _swept_tori():
 
 
 def test_solve_reduces_as_the_full_coboundary_matrix(a3_corpus):
-    # _solve builds the columns one dimension at a time and skips the cleared ones;
-    # the whole matrix, built up front and reduced by the shared loop, is the reference
+    # _solve pairs dimension 0 by union-find, builds the other columns one dimension at
+    # a time and skips the cleared ones; the whole matrix, built up front and reduced by
+    # the shared loop, is the reference, and the dense reference gives its counters
     inputs = [*a3_corpus, *_swept_tori(), ZigzagFiltration([])]
     for f in inputs:
         record = _record(f)
         cols, col_dims = _coned_coboundaries(*record)
-        pairs, _, _, stats = _reduce(cols, col_dims)
-        top = len(cols) - 1  # coboundary pairs back to boundary pairs
+        pairs = _boundary_pairs(cols, col_dims)
         got_pairs, got_stats = _solve(*record)
-        assert got_pairs == sorted((top - j, top - low) for low, j in pairs)
+        assert got_pairs == pairs
+        _, stats = _solve_counters([sum(1 << r for r in rs) for rs in cols], col_dims)
         assert got_stats == stats
-    assert stats["columns"] == 1 and not pairs  # the empty filtration: the apex alone
+    # the empty filtration: the apex alone, in dimension 0
+    assert (stats["columns"], stats["union_find_pairs"]) == (0, 0) and not pairs
 
 
 def test_solve_builds_only_the_columns_twist_does_not_clear(monkeypatch):

@@ -1,11 +1,12 @@
-"""Property-based tests: generated filtrations against the staged public route,
-and generated graph zigzags against the brute-force oracle."""
+"""Property-based tests: generated filtrations against the brute-force oracle,
+the staged public route and the full coned matrix, and generated graph zigzags
+against the brute-force oracle."""
 
 from itertools import combinations
 from typing import Dict, List, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zzpers import (
@@ -24,6 +25,7 @@ from zzpers import (
     ext_to_updown,
     find_repetition,
     multiset_equal,
+    oracle_absolute,
     recover_absolute_from_relative,
     reduce_twist,
     relative_top_barcode,
@@ -37,10 +39,11 @@ from zzpers import manifold
 from zzpers.filtration import ADD, DEL
 from zzpers.io import FILT_HEADER, ParsedFiltration, format_filtration, parse_filtration
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
-from zzpers.pipeline import _solve
+from zzpers.pipeline import _solve, _vertex_pairs
 from zzpers.reduction import extended_from_reduction
 from test_manifold import _oracle_zero_dim
-from conftest import octahedron
+from test_pipeline import _boundary_pairs, _coned_coboundaries, _record
+from conftest import octahedron, zz
 
 # every simplex on five vertices up to dimension 3, faces before cofaces
 CANDIDATES = [Simplex(c) for k in range(1, 5) for c in combinations(range(5), k)]
@@ -99,6 +102,27 @@ def _staged_barcode(f: ZigzagFiltration) -> Barcode:
 def test_compute_zigzag_matches_staged_public_route(f):
     assert validate(f) == [] and find_repetition(f) is None
     assert compute_zigzag(f).standardized == _staged_barcode(f)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nonrepetitive_filtrations())
+def test_compute_zigzag_matches_the_oracle(f):
+    diff = multiset_equal(compute_zigzag(f).barcode, oracle_absolute(f))  # end types too
+    assert diff.equal, diff
+
+
+@example(ZigzagFiltration([]))
+@example(zz("a 0", "a 1", "d 0", "a 2"))  # vertices only
+@example(zz("a 0", "a 1", "a 2", "a 0 1", "a 3", "d 0 1", "d 2"))  # isolated vertices
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nonrepetitive_filtrations())
+def test_vertex_pairs_are_the_full_matrix_pairs_of_dimension_0(f):
+    record = _record(f)
+    dims = record[1]
+    n = len(dims)
+    want = [(i, j) for i, j in _boundary_pairs(*_coned_coboundaries(*record))
+            if i <= n and not dims[i - 1]]  # born at an up vertex
+    assert sorted(_vertex_pairs(*record)) == want
 
 
 OCTAHEDRON = octahedron()
@@ -202,7 +226,10 @@ def test_copy_pairs_equal_the_coboundary_solve_on_generated_graph_zigzags(g):
     finally:
         manifold._copy_pairs = passes
     (record,) = records
-    assert sorted(passes(*record)) == sorted(_solve(*record)[0])
+    pairs = _solve(*record)[0]
+    assert sorted(passes(*record)) == pairs
+    # the solve and pass a share the dimension-0 walk, which the full matrix checks apart
+    assert pairs == _boundary_pairs(*_coned_coboundaries(*record))
 
 
 INDICES = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, None, "a"])

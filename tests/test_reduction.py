@@ -194,55 +194,63 @@ def _dense_reference(order, twist):
     return _dense_reduction(cols, [s.dim for s in order], twist)
 
 
-def _dense_reduction(cols, dims, twist):
+def _dense_reduction(cols, dims, twist, counted=lambda q: True):
     """Reference reduction on dense columns: one bitmask per column (bit
     i = row i), reduced in place; with twist, by decreasing dimension.
 
     Returns the sorted pairs, the reduced columns (0 where cleared) and the
-    counters the sparse loop reports. masks_kept follows the keeping rule:
-    every column reduced with at least one addition, plus every column
-    paired at once that was added to others at least twice.
+    counters the sparse loop reports, over the columns whose dimension q has
+    counted(q). masks_kept follows the keeping rule: every column reduced
+    with at least one addition, plus every column paired at once that was
+    added to others at least twice. No column is paired by union-find here.
     """
     cols = list(cols)
     sequence = sorted(range(len(cols)), key=lambda j: -dims[j]) if twist else range(len(cols))
     owner = {}
     cleared = set()
+    skipped = set()
     pairs = []
-    uses = Counter()
-    reduced = set()
-    n_cleared = at_once = additions = most = 0
+    uses = Counter()  # column -> the times it was added to another
+    added = Counter()  # column -> the number of columns added into it
     for j in sequence:
         if j in cleared:
             cols[j] = 0
-            n_cleared += 1
+            skipped.add(j)
             continue
-        added = 0
         while cols[j] and cols[j].bit_length() - 1 in owner:
             k = owner[cols[j].bit_length() - 1]
             cols[j] ^= cols[k]
             uses[k] += 1
-            added += 1
-        additions += added
-        most = max(most, added)
+            added[j] += 1
         if cols[j]:
             low = cols[j].bit_length() - 1
             owner[low] = j
             cleared.add(low)
             pairs.append((low, j))
-            if added:
-                reduced.add(j)
-            else:
-                at_once += 1
+    paired = {j for _, j in pairs}
+    mine = [j for j in range(len(cols)) if counted(dims[j])]
     stats = {
-        "columns": len(cols),
-        "cleared_columns": n_cleared,
-        "pairs": len(pairs),
-        "pivots_without_addition": at_once,
-        "column_additions": additions,
-        "max_column_additions": most,
-        "masks_kept": len(reduced) + sum(1 for k, c in uses.items() if c >= 2 and k not in reduced),
+        "columns": len(mine),
+        "cleared_columns": sum(j in skipped for j in mine),
+        "pairs": sum(j in paired for j in mine),
+        "pivots_without_addition": sum(j in paired and not added[j] for j in mine),
+        "column_additions": sum(added[j] for j in mine),
+        "max_column_additions": max((added[j] for j in mine), default=0),
+        "masks_kept": sum(j in paired and (added[j] > 0 or uses[j] >= 2) for j in mine),
+        "union_find_pairs": 0,
     }
     return tuple(sorted(pairs)), tuple(cols), stats
+
+
+def _solve_counters(cols, dims):
+    """The pairs and counters of ``pipeline._solve`` on a coboundary matrix, its
+    rows and columns reversed, given as dense columns and their dimensions
+    (minus their simplices'). Dimension 0 goes by union-find there, so the
+    counters are the dense reference's over the columns of dimension >= 1,
+    and union_find_pairs is the number of pairs of dimension 0."""
+    pairs, _, stats = _dense_reduction(cols, dims, twist=True, counted=lambda q: q < 0)
+    stats["union_find_pairs"] = sum(dims[j] == 0 for _, j in pairs)
+    return pairs, stats
 
 
 def _check_against_dense(order):
@@ -275,15 +283,15 @@ def _check_against_dense(order):
 def _coboundary_stats(order):
     """Counters of the twist reduction of the anti-transposed boundary matrix
     (the coboundary matrix, the order of its rows and columns reversed), as
-    the pipeline reduces the coned filtration; its pairs, mapped back, are
-    the boundary matrix's pairs."""
+    the pipeline reduces the coned filtration (``_solve_counters``); its
+    pairs, mapped back, are the boundary matrix's pairs."""
     pos = {s: i for i, s in enumerate(order)}
     top = len(order) - 1
     cols = [0] * len(order)  # column top - x has bit top - c for each coface c of x
     for c, s in enumerate(order):
         for f in boundary(s):
             cols[top - pos[f]] |= 1 << (top - c)
-    pairs, _, stats = _dense_reduction(cols, [-s.dim for s in reversed(order)], twist=True)
+    pairs, stats = _solve_counters(cols, [-s.dim for s in reversed(order)])
     assert tuple(sorted((top - j, top - low) for low, j in pairs)) == reduce_twist(order).pairs
     return stats
 
