@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import ContextMismatchError, ContractViolationError, InvalidInputError
@@ -71,77 +72,73 @@ def classify_ends(b: int, d: int, directions: Sequence[str]) -> Tuple[str, str]:
 class Barcode:
     """Multiset of intervals of a module of length m.
 
-    The counts may be keyed by Interval objects or by bare field tuples
-    (dim, b, d, birth_type, death_type): an Interval equals and hashes as
-    its field tuple, so both kinds of key look up alike. A barcode built by
-    the pipeline holds field tuples, which the garbage collector does not
-    track; every accessor hands out Interval objects.
+    Held as one sorted list of field tuples (dim, b, d, birth_type,
+    death_type), one entry per copy of an interval; the garbage collector
+    does not track such tuples. Every accessor hands out Interval objects,
+    and counts, items and the text are read off the list in order.
     """
 
-    __slots__ = ("m", "kind", "_counts")
+    __slots__ = ("m", "kind", "_fields")
 
     def __init__(self, intervals: Iterable[Interval], m: int, kind: str):
         if kind not in (ABSOLUTE, RELATIVE):
             raise InvalidInputError(f"unknown barcode kind {kind!r}")
         if m < 0:
             raise InvalidInputError("module length must be non-negative")
-        counts = Counter(intervals)
-        for iv, c in counts.items():
+        fields = []
+        for iv, c in Counter(intervals).items():
             if not isinstance(iv, Interval):
                 raise InvalidInputError(f"not an interval: {iv!r}")
             if iv.d > m:
                 raise ContractViolationError(f"{iv!r} exceeds module length {m}")
             if c < 0:
                 raise InvalidInputError("negative multiplicity")
-        if 0 in counts.values():
-            counts = Counter({iv: c for iv, c in counts.items() if c})
+            fields += [tuple(iv)] * c
+        fields.sort()
         self.m = m
         self.kind = kind
-        self._counts = counts
+        self._fields = fields
 
     @classmethod
     def _of_fields(
-        cls, fields: Iterable[Tuple[int, int, int, str, str]], m: int, kind: str
+        cls, fields: List[Tuple[int, int, int, str, str]], m: int, kind: str
     ) -> "Barcode":
-        """Barcode of field tuples (or tuple -> count map) valid by construction; no checks."""
+        """Barcode of a list of field tuples valid by construction, one per
+        copy; sorts the list in place and keeps it, with no checks."""
+        fields.sort()
         bar = object.__new__(cls)
-        bar.m, bar.kind, bar._counts = m, kind, Counter(fields)
+        bar.m, bar.kind, bar._fields = m, kind, fields
         return bar
 
     def items(self) -> List[Tuple[Interval, int]]:
-        return [(_trusted_interval(k), c) for k, c in sorted(self._counts.items())]
+        return [(_trusted_interval(k), len(list(g))) for k, g in groupby(self._fields)]
 
     def counts(self) -> Counter:
-        return Counter({_trusted_interval(k): c for k, c in self._counts.items()})
+        return Counter(self)
 
     def triples(self) -> Counter:
         """Multiset over (dim, b, d), forgetting end types."""
-        out: Counter = Counter()
-        for (dim, b, d, _, _), c in self._counts.items():
-            out[(dim, b, d)] += c
-        return out
+        return Counter(k[:3] for k in self._fields)
 
     def filter(self, predicate) -> "Barcode":
-        kept = Counter({iv: c for iv, c in self.counts().items() if predicate(iv)})
-        return Barcode(kept, self.m, self.kind)
+        kept = [k for k in self._fields if predicate(_trusted_interval(k))]
+        return Barcode._of_fields(kept, self.m, self.kind)
 
     def in_dim(self, q: int) -> "Barcode":
         return self.filter(lambda iv: iv.dim == q)
 
     def __iter__(self) -> Iterator[Interval]:
-        for iv, c in self.items():
-            for _ in range(c):
-                yield iv
+        return map(_trusted_interval, self._fields)
 
     def __len__(self) -> int:
-        return sum(self._counts.values())
+        return len(self._fields)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Barcode)
             and self.m == other.m
             and self.kind == other.kind
-            and self._counts == other._counts
+            and self._fields == other._fields
         )
 
     def __repr__(self) -> str:
@@ -149,8 +146,7 @@ class Barcode:
 
     def to_lines(self) -> List[str]:
         out = [f"zzbar v1 m={self.m} kind={self.kind}"]
-        for (dim, b, d, bt, dt), c in sorted(self._counts.items()):
-            out.extend([f"{dim} {b} {d} {bt}{dt}"] * c)
+        out += [f"{dim} {b} {d} {bt}{dt}" for dim, b, d, bt, dt in self._fields]
         return out
 
     def to_text(self) -> str:

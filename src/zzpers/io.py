@@ -5,8 +5,7 @@ Filtration files (header ``zzfilt v1``) hold one event per line: ``a`` or
 integer ids in first-occurrence order; the symbol table is kept so files
 round-trip with their own names. ``#`` starts a comment. ``begin-a``/
 ``end-a`` (and the ``d`` mirror) group a coarse multi-simplex inclusion,
-expanded to simplex-wise events in face-respecting order on load, with a
-map from event index back to the input block.
+expanded to simplex-wise events in face-respecting order on load.
 
 Barcode files (header ``zzbar v1 m=<m> kind=<abs|rel>``) hold lines
 ``dim b d <c|o><c|o>`` in sorted order.
@@ -41,7 +40,6 @@ BAR_HEADER = "zzbar v1"
 class ParsedFiltration:
     filtration: ZigzagFiltration
     names: Tuple[str, ...]  # vertex id -> original token
-    coarse_of: Tuple[int, ...]  # event index -> input block ordinal
 
 
 def _strip(line: str) -> str:
@@ -80,7 +78,7 @@ def _new_simplex(text: str, ids: _Interner, simplices: Dict[str, Simplex]) -> Si
 
 
 def parse_filtration(text: str) -> ParsedFiltration:
-    """Read a ``zzfilt v1`` file: its events, symbol table and block map.
+    """Read a ``zzfilt v1`` file: its events and symbol table.
 
     Each distinct simplex text (the rest of an event line after its
     direction, or a whole block line) is interned and checked once; every
@@ -95,10 +93,8 @@ def parse_filtration(text: str) -> ParsedFiltration:
         ids = _Interner()
         simplices: Dict[str, Simplex] = {}  # simplex text -> its checked simplex
         events: List[FiltrationEvent] = []
-        coarse: List[int] = []
         block: Optional[str] = None
         block_simplices: List[Simplex] = []
-        block_ordinal = -1
         trusted = FiltrationEvent._trusted
         header = False
         for lineno, line in enumerate(text.splitlines()):
@@ -116,16 +112,13 @@ def parse_filtration(text: str) -> ParsedFiltration:
             try:
                 if block is None and len(parts) == 2 and head in (ADD, DEL):  # an event line
                     rest = parts[1]
-                    block_ordinal += 1
                     s = simplices.get(rest) or _new_simplex(rest, ids, simplices)
                     events.append(trusted(ADD if head == ADD else DEL, s))
-                    coarse.append(block_ordinal)
                     continue
                 if head in ("begin-a", "begin-d"):
                     if block is not None:
                         raise InvalidInputError("nested block")
                     block = ADD if head == "begin-a" else DEL
-                    block_ordinal += 1
                     continue
                 if head in ("end-a", "end-d"):
                     if block != (ADD if head == "end-a" else DEL):
@@ -133,9 +126,7 @@ def parse_filtration(text: str) -> ParsedFiltration:
                     ordered = sorted(block_simplices, key=lambda s: (s.dim, s.vertices))
                     if block == DEL:
                         ordered.reverse()
-                    for s in ordered:
-                        events.append(trusted(block, s))
-                        coarse.append(block_ordinal)
+                    events.extend(trusted(block, s) for s in ordered)
                     block = None
                     block_simplices.clear()
                     continue
@@ -148,7 +139,7 @@ def parse_filtration(text: str) -> ParsedFiltration:
             raise InvalidInputError(f"filtration file must start with '{FILT_HEADER}'")
         if block is not None:
             raise InvalidInputError("unterminated coarse block")
-        return ParsedFiltration(ZigzagFiltration(events), tuple(ids), tuple(coarse))
+        return ParsedFiltration(ZigzagFiltration(events), tuple(ids))
 
 
 def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None) -> str:

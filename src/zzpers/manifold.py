@@ -27,6 +27,7 @@ it near linear).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -144,14 +145,16 @@ def _path_max(up: List[int], via: List[int], u: int, v: int) -> Tuple[int, bool]
             seen_v[w] = hv
 
 
-def _copy_pairs(facets, dims, dels) -> List[Tuple[int, int]]:
-    """Boundary-matrix pairs of the coned filtration of a copy record (the
-    graph case of ``pipeline._solve``'s input), without a matrix.
+def _copy_pairs(facets, dims, dels) -> array:
+    """Death table of the boundary-matrix pairs of the coned filtration of a
+    copy record (the graph case of ``pipeline._solve``'s input), equal to the
+    table ``_solve`` returns, without a matrix.
 
     Columns are numbered as in ``_solve``: the apex 0, the up column s + 1
     of id s, and 2n - k for the cone over the k-th deleted id. A union-find
     keeps each root at its set's smallest column, so the younger of two
-    roots is the larger. Three passes give every pair:
+    roots is the larger. Three passes give every pair, each writing
+    ``death[birth] = death column``:
 
     a. ``_solve``'s union-find walk of dimension 0 (``pipeline._vertex_pairs``).
     b. A second union-find walks the copies in reverse order of deletion
@@ -171,7 +174,9 @@ def _copy_pairs(facets, dims, dels) -> List[Tuple[int, int]]:
     """
     n = len(dels)
     n2 = 2 * n
-    pairs = list(_vertex_pairs(facets, dims, dels))  # a
+    death = array("l", [-1]) * (n2 + 1)  # birth column -> death column
+    for b, d in _vertex_pairs(facets, dims, dels):  # a
+        death[b] = d
     parent = list(range(n2 + 1))  # pass b, on the cone columns n+1..2n
     at = [0] * n  # id -> its position among the deletions
     for k, s in enumerate(dels):
@@ -195,18 +200,18 @@ def _copy_pairs(facets, dims, dels) -> List[Tuple[int, int]]:
                 ru, rv = rv, ru
             parent[rv] = ru
             size[ru] += size[rv]
-            pairs.append((rv, n2 - k))
+            death[rv] = n2 - k
             continue
         x, on_u = _path_max(up, via, u, v)
         if s > x:
-            pairs.append((s + 1, n2 - k))
+            death[s + 1] = n2 - k
             continue
-        pairs.append((x + 1, n2 - k))
+        death[x + 1] = n2 - k
         if on_u:
             u, v = v, u
         _reroot(up, via, v, x)  # x is on v's side: cut it, and v roots what hung below it
         up[v], via[v] = u, s
-    return pairs
+    return death
 
 
 def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
@@ -220,9 +225,9 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     nothing to it. The walk records per id its dimension, facet ids and the
     positions of its addition and deletion, the ids in order of deletion,
     and the arrow of g each position belongs to (the padding to arrow -1 or
-    m). ``_copy_pairs`` gives the pairs of that record's coned filtration,
-    the same as ``pipeline._solve`` would, and ``_remap_pairs`` its
-    intervals. An interval [b, d] of the copies becomes [a(b-1) + 1, a(d)]
+    m). ``_copy_pairs`` gives the death table of that record's coned
+    filtration, the same as ``pipeline._solve`` would, and ``_remap_pairs``
+    its intervals. An interval [b, d] of the copies becomes [a(b-1) + 1, a(d)]
     in g's indices, and is dropped when it lives only inside one arrow's
     positions.
     """
@@ -317,11 +322,11 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
         if copy[v] >= 0:
             vertex_out(v, m)
 
-    pairs = _copy_pairs(facets, dims, dels)
+    death = _copy_pairs(facets, dims, dels)
     at = [-1, *arrow_of, m]  # at[i]: the arrow of position i - 1
     directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in g.events)
     intervals = []
-    for dim, b, d, _, _ in _remap_pairs(pairs, dims, dels, add_at, del_at):
+    for dim, b, d, _, _ in _remap_pairs(death, dims, dels, add_at, del_at):
         b, d = at[b] + 1, at[d + 1]
         if dim == 0 and b <= d:
             intervals.append((0, b, d, *classify_ends(b, d, directions)))
@@ -348,8 +353,7 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
     """``relative_top_barcode`` of an f already admitted, with the collector paused."""
     bars = zero_dim_zigzag(dual_filtration(f, K, p))
     directions = f.directions()
-    fields = {(p, b, d, *classify_ends(b, d, directions)): c
-              for (_, b, d, _, _), c in bars.counts().items()}
+    fields = [(p, b, d, *classify_ends(b, d, directions)) for _, b, d, _, _ in bars]
     return Barcode._of_fields(fields, len(f), RELATIVE)
 
 

@@ -13,10 +13,13 @@ events (the shared admission, ``filtration._admitted``), padded in place
 of deletions: it pairs dimension 0 of the coned filtration by union-find
 (``_vertex_pairs``), reduces the coboundary matrix of the others one
 dimension at a time, building only the columns twist does not clear, and
-maps each pair back to the boundary matrix's (the pairs are the same, by
-the duality of persistent homology and cohomology).
+writes each pair, in the boundary matrix's columns (the pairs are the same,
+by the duality of persistent homology and cohomology), into one death table:
+birth column -> death column. ``_remap_pairs`` walks that table in birth
+order to the interval field tuples, and ``Barcode._of_fields`` sorts that
+list in place and keeps it.
 ``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
-graph zigzag, gets the same pairs from matrix-free passes
+graph zigzag, fills the same death table from matrix-free passes
 (``manifold._copy_pairs``, the first of them ``_vertex_pairs``) and shares
 ``_remap_pairs``. The public steps (``to_updown``,
 ``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
@@ -178,17 +181,16 @@ def _restrict_to_input(
         return std, ()
     directions = f.directions()
     lo, hi = record.original_range
-    kept: Counter = Counter()
-    synthetic = []
-    for iv, c in std.counts().items():
+    kept = []
+    synthetic = []  # sorted, as std iterates in order
+    for iv in std:
         if iv.d < lo or iv.b > hi:
-            synthetic.extend([iv] * c)
+            synthetic.append(iv)
             continue
         b = max(iv.b - lo, 0)
         d = min(iv.d - lo, record.original_length)
-        bt, dt = classify_ends(b, d, directions)
-        kept[Interval(iv.dim, b, d, bt, dt)] += c
-    return Barcode(kept, record.original_length, ABSOLUTE), tuple(sorted(synthetic))
+        kept.append(Interval(iv.dim, b, d, *classify_ends(b, d, directions)))
+    return Barcode(kept, record.original_length, ABSOLUTE), tuple(synthetic)
 
 
 def _vertex_pairs(facets, dims, dels) -> Iterator[Tuple[int, int]]:
@@ -216,9 +218,10 @@ def _vertex_pairs(facets, dims, dels) -> Iterator[Tuple[int, int]]:
                 yield r, 2 * n - k
 
 
-def _solve(facets, dims, dels) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
-    """Sorted boundary-matrix pairs of the coned filtration of a valid
-    standardized non-repetitive dense-id record, and the reduction's counters.
+def _solve(facets, dims, dels) -> Tuple[array, Dict[str, int]]:
+    """Death table of the boundary-matrix pairs of the coned filtration of a
+    valid standardized non-repetitive dense-id record (birth column -> death
+    column, -1 for none), and the reduction's counters.
 
     Columns: the apex (0), the up column of id s (s + 1), the cone over the
     k-th deleted id (2n - k). Dimension 0 is paired by union-find, and its
@@ -230,7 +233,8 @@ def _solve(facets, dims, dels) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
     columns come in the order: cones over (p-1)-ids by deletion, up p-ids by
     decreasing id. Dimension p builds only the columns twist did not clear,
     from the facet ids of the p- and (p+1)-ids, and drops its rows and masks
-    before the next: masks are only added within a dimension.
+    before the next: masks are only added within a dimension. Every pair is
+    written to the table as it is found.
     """
     n = len(dels)
     n2 = 2 * n
@@ -288,14 +292,15 @@ def _solve(facets, dims, dels) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
             if j >= 0:
                 death[cols[j]] = above[b]
         cols = above
-    return [(i, d) for i, d in enumerate(death) if d >= 0], stats
+    return death, stats
 
 
-def _remap_pairs(pairs, dims, dels, add_at, del_at) -> List[Tuple[int, int, int, str, str]]:
+def _remap_pairs(death, dims, dels, add_at, del_at) -> List[Tuple[int, int, int, str, str]]:
     """Fused version of extended_from_reduction + ext_to_updown + updown_to_f.
 
-    One pass over the pairs ``_solve`` returns straight to the field tuples
-    (dim, b, d, birth_type, death_type) of input-order intervals; add_at and
+    One walk over the death table ``_solve`` returns (birth column -> death
+    column, -1 for none), in birth order, straight to the field tuples (dim,
+    b, d, birth_type, death_type) of input-order intervals; add_at and
     del_at give each id's event index. Column c <= n is the up column of id
     c - 1; column c > n is the cone over dels[2n - c].
     Must stay interval-for-interval equal to the composed public operations
@@ -303,17 +308,19 @@ def _remap_pairs(pairs, dims, dels, add_at, del_at) -> List[Tuple[int, int, int,
     """
     n = len(dels)
     n2 = 2 * n
-    if len(pairs) != n:
-        used = {c for pair in pairs for c in pair}
+    if len(death) - death.count(-1) != n:
+        used = {c for i, j in enumerate(death) if j >= 0 for c in (i, j)}
         essentials = tuple(c for c in range(n2 + 1) if c not in used)
         raise InternalInconsistencyError(
             f"expected the apex column as the only essential, got {essentials}"
         )
+    if death[0] >= 0:
+        raise InternalInconsistencyError("apex column appears in a pair")
     out = []
-    # birth-column order leaves the intervals nearly sorted, which makes formatting cheap
-    for i, j in sorted(pairs):
-        if i == 0:
-            raise InternalInconsistencyError("apex column appears in a pair")
+    # birth-column order leaves the intervals nearly sorted, which makes sorting them cheap
+    for i, j in enumerate(death):
+        if j < 0:
+            continue
         if j <= n:  # both columns in the up phase
             creator = i - 1
             iv = (dims[creator], add_at[creator] + 1, add_at[j - 1], CLOSED, OPEN)
@@ -350,8 +357,8 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
     sweep; near zero on a standardized input),
     ``reduce`` (``_solve``: the coned filtration paired by union-find in
     dimension 0, its sparse coboundary columns reduced one dimension at a
-    time above that), ``remap`` (pairs to intervals in input order, then
-    restriction to the input's index range). ``stats`` holds the
+    time above that), ``remap`` (the death table to the sorted intervals,
+    then restriction to the input's index range). ``stats`` holds the
     reduction's counters; ``peak_rss_mb`` the process's peak RSS read
     after each phase.
 
@@ -369,13 +376,13 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
         record = _pad(sw, f)
         t2 = time.perf_counter()
         peaks.append(_peak_rss_mb())
-        pairs, stats = _solve(sw.facets, sw.dims, sw.dels)
+        death, stats = _solve(sw.facets, sw.dims, sw.dels)
         t3 = time.perf_counter()
         peaks.append(_peak_rss_mb())
         # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= m and dim >= 0,
         # where m, the padded length, is twice the deletions: each id comes and goes once
-        fields = _remap_pairs(pairs, sw.dims, sw.dels, sw.add_at, sw.del_at)
-        del pairs
+        fields = _remap_pairs(death, sw.dims, sw.dels, sw.add_at, sw.del_at)
+        del death
         standardized = Barcode._of_fields(fields, 2 * len(sw.dels), ABSOLUTE)
         barcode, synthetic = _restrict_to_input(standardized, record, f)
         t4 = time.perf_counter()

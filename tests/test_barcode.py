@@ -1,4 +1,5 @@
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from zzpers import (
     ContextMismatchError,
     ContractViolationError,
     Interval,
+    InvalidInputError,
     RELATIVE,
     classify_ends,
     homology_basis,
@@ -114,6 +116,27 @@ def test_multiplicity_roundtrip():
     bar = Barcode([iv(0, 1, 2, "co")] * 3, 4, ABSOLUTE)
     assert len(bar) == 3
     assert bar.counts()[iv(0, 1, 2, "co")] == 3
+    # a count map: a repeated interval is one entry per copy, and a zero count none
+    counted = Barcode(Counter({iv(1, 0, 0, "cc"): 1, iv(0, 0, 1, "cc"): 0, iv(0, 1, 2, "co"): 3}),
+                      4, ABSOLUTE)
+    assert counted == Barcode([iv(0, 1, 2, "co"), iv(1, 0, 0, "cc")] + [iv(0, 1, 2, "co")] * 2,
+                              4, ABSOLUTE)
+    assert counted.items() == [(iv(0, 1, 2, "co"), 3), (iv(1, 0, 0, "cc"), 1)]
+    assert len(counted) == 4 and iv(0, 0, 1, "cc") not in counted.counts()
+    assert counted.to_lines()[1:] == ["0 1 2 co"] * 3 + ["1 0 0 cc"]
+
+
+def test_barcode_checks_its_intervals_counts_and_context():
+    with pytest.raises(InvalidInputError, match=r"^not an interval: \(0, 1, 1, 'c', 'c'\)$"):
+        Barcode([iv(0, 0, 1, "cc"), (0, 1, 1, "c", "c")], 2, ABSOLUTE)
+    with pytest.raises(ContractViolationError, match=r"^\[1,3\]\^co_0 exceeds module length 2$"):
+        Barcode([iv(0, 1, 3, "co")], 2, ABSOLUTE)
+    with pytest.raises(InvalidInputError, match="^negative multiplicity$"):
+        Barcode(Counter({iv(0, 1, 1, "cc"): 2, iv(0, 1, 2, "cc"): -1}), 2, ABSOLUTE)
+    with pytest.raises(InvalidInputError, match="^unknown barcode kind 'x'$"):
+        Barcode([], 2, "x")
+    with pytest.raises(InvalidInputError, match="^module length must be non-negative$"):
+        Barcode([], -1, ABSOLUTE)
 
 
 def test_interval_count_matches_pointwise_dimension(small_corpus):

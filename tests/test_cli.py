@@ -308,11 +308,13 @@ def test_committed_bench_runs_follow_the_schema():
             if r["schema"] != "zzpers.bench/1":
                 assert list(r["phase_peak_rss_mb"]) == PHASES, path.name
     # BENCH_main.json's runs, the parent and change runs of BENCH_padding.json and
-    # BENCH_coboundary_by_dim.json (three inputs, three runs each) and of
-    # BENCH_dim0_union_find.json (four inputs, three runs each)
+    # BENCH_coboundary_by_dim.json (three inputs, three runs each), of
+    # BENCH_dim0_union_find.json (four inputs, three runs each) and of
+    # BENCH_remap_table.json (four inputs, and the largest again in swapped order)
     assert counts["BENCH_main.json"] and counts["BENCH_padding.json"] == 18
     assert counts["BENCH_coboundary_by_dim.json"] == 18
     assert counts["BENCH_dim0_union_find.json"] == 24
+    assert counts["BENCH_remap_table.json"] == 30
 
 
 # one file run three times, and three files run once each; the ids are the ones

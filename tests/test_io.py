@@ -53,7 +53,6 @@ def test_filtration_coarse_block_expansion():
     assert validate(f) == []
     # block sorted face-respecting: vertex 2 before the edges
     assert [e.simplex for e in f.events[2:6]] == [sx(2), sx(0, 1), sx(0, 2), sx(1, 2)]
-    assert parsed.coarse_of == (0, 1, 2, 2, 2, 2, 3)
 
 
 def test_filtration_coarse_delete_block():

@@ -401,10 +401,10 @@ def test_zero_dim_zigzag_hands_its_passes_a_valid_copy_record(monkeypatch):
         records.append([facets, dims, dels])
         return passes(facets, dims, dels)
 
-    def capture_remap(pairs, dims, dels, add_at, del_at):
+    def capture_remap(death, dims, dels, add_at, del_at):
         assert records[-1][1:] == [dims, dels]
         records[-1] += [add_at, del_at]
-        return remap(pairs, dims, dels, add_at, del_at)
+        return remap(death, dims, dels, add_at, del_at)
 
     monkeypatch.setattr(manifold, "_copy_pairs", capture_passes)
     monkeypatch.setattr(manifold, "_remap_pairs", capture_remap)

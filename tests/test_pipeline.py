@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from zzpers import (
     Barcode,
     ContractViolationError,
     EventIndexMap,
+    InternalInconsistencyError,
     Interval,
     InvalidInputError,
     NotNonRepetitiveError,
@@ -29,7 +31,7 @@ from zzpers import (
 )
 from zzpers.filtration import _admitted, _pad
 from zzpers.io import OffMesh, generate
-from zzpers.pipeline import _peak_rss_mb, _solve
+from zzpers.pipeline import _peak_rss_mb, _remap_pairs, _solve
 from zzpers.reduction import ExtendedInterval, _reduce
 from zzpers.rng import SplitMix64
 from conftest import ev, random_nonrepetitive, sx, torus_mesh_points, zz
@@ -418,12 +420,31 @@ def test_solve_reduces_as_the_full_coboundary_matrix(a3_corpus):
         record = _record(f)
         cols, col_dims = _coned_coboundaries(*record)
         pairs = _boundary_pairs(cols, col_dims)
-        got_pairs, got_stats = _solve(*record)
-        assert got_pairs == pairs
+        death, got_stats = _solve(*record)
+        assert [(i, d) for i, d in enumerate(death) if d >= 0] == pairs
         _, stats = _solve_counters([sum(1 << r for r in rs) for rs in cols], col_dims)
         assert got_stats == stats
     # the empty filtration: the apex alone, in dimension 0
     assert (stats["columns"], stats["union_find_pairs"]) == (0, 0) and not pairs
+
+
+def test_remap_pairs_refuses_a_table_with_the_apex_paired_or_a_pair_missing():
+    # one edge: up vertex 1 (column 2) dies at the edge (3), up vertex 0 (1) at the cone
+    # over vertex 1 (4), and the cone over vertex 0 (5) at the cone over the edge (6)
+    f = zz("a 0", "a 1", "a 0 1", "d 0 1", "d 0", "d 1")
+    sw = _admitted(f)
+    record = sw.dims, sw.dels, sw.add_at, sw.del_at
+    death = array("l", [-1, 4, 3, -1, -1, 6, -1])
+    assert _solve(sw.facets, sw.dims, sw.dels)[0] == death
+    remapped = Barcode._of_fields(_remap_pairs(death, *record), len(f), ABSOLUTE)
+    assert remapped == compute_zigzag(f).barcode
+    with pytest.raises(InternalInconsistencyError, match="^apex column appears in a pair$"):
+        _remap_pairs(array("l", [6, 4, 3, -1, -1, -1, -1]), *record)
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"^expected the apex column as the only essential, got \(0, 5, 6\)$",
+    ):
+        _remap_pairs(array("l", [-1, 4, 3, -1, -1, -1, -1]), *record)
 
 
 def test_solve_builds_only_the_columns_twist_does_not_clear(monkeypatch):
