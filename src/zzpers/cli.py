@@ -107,17 +107,16 @@ def _cmd_duality(args) -> int:
 def _load_complex(path: str, names) -> SimplicialComplex:
     ids = {nm: i for i, nm in enumerate(names)}
     maximal = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            verts = []
-            for token in line.split():
-                if token not in ids:
-                    raise InvalidInputError(f"unknown vertex {token!r} in complex file")
-                verts.append(ids[token])
-            maximal.append(Simplex(verts))
+    for raw in zio._read_text(path).split("\n"):  # the lines a text-mode file iterates
+        line = raw.split("#")[0].strip()
+        if not line:
+            continue
+        verts = []
+        for token in line.split():
+            if token not in ids:
+                raise InvalidInputError(f"unknown vertex {token!r} in complex file")
+            verts.append(ids[token])
+        maximal.append(Simplex(verts))
     return SimplicialComplex.closure(maximal)
 
 

@@ -7,7 +7,7 @@ threads; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import InvalidConeError, InvalidInputError, NotAManifoldError
@@ -224,34 +224,56 @@ def dual_graph(K: SimplicialComplex, p: int) -> DualGraph:
     """Dual graph of a closed simplicial p-manifold.
 
     Requires every (p-1)-simplex to have exactly two p-cofaces and every
-    simplex to be the face of some p-simplex (so K is pure of dimension p).
+    simplex to be the face of some p-simplex (so K is pure of dimension p);
+    ``_dual_cells`` checks this on ids given in K's order.
+    """
+    simplices = list(K)
+    idof = {s.vertices: j for j, s in enumerate(simplices)}
+    facets = [tuple(idof[t] for t in combinations(s.vertices, s.dim)) if s.dim else ()
+              for s in simplices]
+    tops, ridges, ends = _dual_cells(K, p, simplices, facets, idof)
+    vertex = {t: i for i, t in enumerate(tops)}  # p-id -> its dual vertex
+    edges = [(vertex[a], vertex[b]) for a, b in map(ends.__getitem__, ridges)]
+    return DualGraph(p, K.of_dim(p), K.of_dim(p - 1), edges)
+
+
+def _dual_cells(K: SimplicialComplex, p: int, simplices, facets, idof):
+    """The dual graph of K on dense ids: its vertices (the p-ids) and edges
+    (the (p-1)-ids), each in K's order, and per id the ends of its dual
+    cell: () for a p-id, its two p-cofaces in K's order for a (p-1)-id (the
+    p-ids' facet ids inverted once), None for a lower id.
+
+    ``simplices`` and ``facets`` give the simplex and the facet ids of each
+    id, and ``idof`` the id of each vertex tuple, for ids of exactly K's
+    simplices. p < 1 is InvalidInputError. A K that is no closed p-manifold
+    or pseudomanifold is NotAManifoldError naming the first offender in K's
+    order, checked in turn: a simplex of dimension above p, a (p-1)-simplex
+    without exactly two p-cofaces, a simplex that is no face of a p-simplex.
     """
     if p < 1:
         raise InvalidInputError("dual graph needs p >= 1")
     if K.dim > p:
         offender = K.of_dim(K.dim)[0]
         raise NotAManifoldError(f"{offender!r} has dimension {K.dim} > p = {p}")
-
-    top = K.of_dim(p)
-    cofaces: Dict[Tuple[int, ...], List[int]] = {}  # facet's vertices -> top simplices
-    for i, s in enumerate(top):
-        for f in combinations(s.vertices, p):
-            cofaces.setdefault(f, []).append(i)
-
-    ridges = K.of_dim(p - 1)
-    for f in ridges:
-        k = len(cofaces.get(f.vertices, ()))
-        if k != 2:
-            raise NotAManifoldError(f"{f!r} has {k} cofaces of dimension {p}, expected 2")
-
-    pure_faces = set()  # vertex tuples of every face of a top simplex
-    for s in top:
-        vs = s.vertices
-        for k in range(1, p + 2):
-            pure_faces.update(combinations(vs, k))
-    for s in K:
-        if s.vertices not in pure_faces:
-            raise NotAManifoldError(f"{s!r} is not a face of any {p}-simplex")
-
-    edges = [tuple(sorted(cofaces[f.vertices])) for f in ridges]
-    return DualGraph(p, top, ridges, edges)
+    n = len(simplices)
+    tops = [idof[s.vertices] for s in K.of_dim(p)]
+    ridges = [idof[s.vertices] for s in K.of_dim(p - 1)]
+    ends = [None] * n
+    for t in tops + ridges:
+        ends[t] = ()
+    for t in tops:
+        for x in facets[t]:
+            ends[x] += (t,)
+    for x in ridges:
+        if len(ends[x]) != 2:
+            raise NotAManifoldError(
+                f"{simplices[x]!r} has {len(ends[x])} cofaces of dimension {p}, expected 2"
+            )
+    faces = level = set(tops)  # the ids of faces of p-simplices
+    while level:  # one dimension down at a time
+        level = set(chain.from_iterable(map(facets.__getitem__, level)))
+        faces |= level
+    if len(faces) < n:
+        s = min(simplices[j] for j in range(n) if j not in faces)
+        raise NotAManifoldError(f"{s!r} is not a face of any {p}-simplex")
+    return tops, ridges, ends

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import ComponentLabels, SimplicialComplex, _label_components
 from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
 from .errors import NotStandardizedError
-from .filtration import ADD, DEL, ZigzagFiltration, _admitted, _gc_paused, _raise_if_repetitive
+from .filtration import ADD, DEL, ZigzagFiltration, _Sweep, _admitted, _gc_paused
+from .filtration import _raise_if_repetitive
 
 
 def absolute_to_relative(abs_bar: Barcode) -> Barcode:
@@ -87,7 +88,7 @@ def recover_absolute_from_relative(
     reference cycle.
     """
     with _gc_paused():
-        repetition = _admitted_filling(f, K, "recovery")
+        repetition = _admitted_filling(f, K, "recovery").repetition
         if rel_p.kind != RELATIVE:
             raise ContractViolationError("recovery needs a relative barcode")
         if rel_p.m != len(f):
@@ -96,15 +97,15 @@ def recover_absolute_from_relative(
         return _recovered(rel_p, f, K, p)
 
 
-def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex, path: str) -> Optional[tuple]:
-    """The first repetition of an f that passes the shared admission, is
-    standardized and fills K; its sweep is freed on return."""
+def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex, path: str) -> _Sweep:
+    """The sweep of an f that passes the shared admission, is standardized
+    and fills K."""
     sw = _admitted(f)
     if not sw.standardized:
         raise NotStandardizedError(f"{path} needs a standardized filtration")
     if set(sw.simplices) != K.simplex_set():
         raise InvalidInputError("filtration does not fill the given complex")
-    return sw.repetition
+    return sw
 
 
 def _recovered(rel_p: Barcode, f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:

@@ -156,9 +156,19 @@ def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None
     return "\n".join(out) + "\n"
 
 
-def load_filtration(path: str) -> ParsedFiltration:
+def _read_text(path: str) -> str:
+    """The text of a file, which must be UTF-8: any other bytes are invalid input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_filtration(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(
+                f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
+
+
+def load_filtration(path: str) -> ParsedFiltration:
+    return parse_filtration(_read_text(path))
 
 
 def save_filtration(path: str, f: ZigzagFiltration, names: Optional[Sequence[str]] = None) -> None:
@@ -198,8 +208,7 @@ def parse_barcode(text: str) -> Barcode:
 
 
 def load_barcode(path: str) -> Barcode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_barcode(fh.read())
+    return parse_barcode(_read_text(path))
 
 
 @dataclass(frozen=True)
@@ -242,8 +251,7 @@ def parse_off(text: str) -> OffMesh:
 
 
 def load_off(path: str) -> OffMesh:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_off(fh.read())
+    return parse_off(_read_text(path))
 
 
 def write_off(path: str, vertices: Sequence[Tuple[float, float, float]], faces) -> None:

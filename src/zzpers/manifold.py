@@ -12,14 +12,19 @@ The dual zigzag is generally repetitive (a dual cell leaves when its
 primal simplex is added and comes back when it is deleted). Giving every
 re-entry a fresh copy of the cell makes it a non-repetitive filtration
 (the copy trick of Dey & Hou, *Fast Computation of Zigzag Persistence*,
-ESA 2022). The walk over the graph zigzag gives the copies dense ids and
-records them as the pipeline's solve reads them, so no simplex, event or
-filtration is built for them. The pairs of the copies' coned filtration
-then come from two union-find passes, the first the pipeline's, and a
-spanning-forest pass, with no boundary or coboundary matrix (``_copy_pairs``;
-after Dey & Hou, *Computing Zigzag Persistence on Graphs in Near-Linear
-Time*, SoCG 2021), and ``pipeline._remap_pairs`` maps them to intervals.
-The walk and the union-finds are near linear in the length of the
+ESA 2022). A walk over the zigzag gives the copies dense ids and records
+them as the pipeline's solve reads them, so no simplex, event or
+filtration is built for them. ``relative_top_barcode`` walks the dual
+zigzag of f straight on the ids of f's admission sweep (``_dual_copies``),
+with no dual graph or graph zigzag built; ``zero_dim_zigzag`` walks a given
+``GraphZigzag``, checking it as it goes. Both hand their steps to one
+recorder (``_copies``) and the record to one tail (``_arrow_fields``): the
+pairs of the copies' coned filtration come from two union-find passes, the
+first the pipeline's, and a spanning-forest pass, with no boundary or
+coboundary matrix (``_copy_pairs``; after Dey & Hou, *Computing Zigzag
+Persistence on Graphs in Near-Linear Time*, SoCG 2021),
+``pipeline._remap_pairs`` maps them to intervals of the copies, and those
+go to the zigzag's arrows. The walks and the union-finds are near linear in the length of the
 filtration; the forest pass climbs tree paths, which grow with the graph,
 so on swept grid tori it grows as about m^1.5 (link-cut trees would make
 it near linear).
@@ -29,10 +34,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import List, Optional, Tuple
 
 from .barcode import ABSOLUTE, RELATIVE, Barcode, classify_ends
-from .complexes import DualGraph, SimplicialComplex, _find, dual_graph
+from .complexes import DualGraph, SimplicialComplex, _dual_cells, _find, dual_graph
 from .duality import _admitted_filling, _recovered
 from .errors import InvalidInputError
 from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused, _raise_if_repetitive
@@ -72,7 +78,12 @@ class GraphZigzag:
 
 
 def dual_filtration(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> GraphZigzag:
-    """Complement zigzag on the dual graph, index-aligned with f."""
+    """Complement zigzag on the dual graph, index-aligned with f.
+
+    ``relative_top_barcode`` walks the same zigzag on the ids of f's sweep
+    instead (``_dual_copies``); this Simplex-keyed form is the public one,
+    and tests hold that walk to it.
+    """
     G = dual_graph(K, p)
     k0 = f.initial
     init_v = frozenset(i for i, s in enumerate(G.vertex_simplices) if s not in k0)
@@ -217,19 +228,14 @@ def _copy_pairs(facets, dims, dels) -> array:
 def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     """0-dimensional barcode of the graph zigzag, from the pairs of its copies.
 
-    Every (re)entry of a cell becomes a fresh copy with a dense id, given in
-    order of addition: a vertex copy has no facets, and an edge copy has the
-    current copies of its two ends. The initial graph is added before the
-    first arrow and what is left is deleted after the last, so the copies
-    form a standardized non-repetitive filtration; identity arrows add
-    nothing to it. The walk records per id its dimension, facet ids and the
-    positions of its addition and deletion, the ids in order of deletion,
-    and the arrow of g each position belongs to (the padding to arrow -1 or
-    m). ``_copy_pairs`` gives the death table of that record's coned
-    filtration, the same as ``pipeline._solve`` would, and ``_remap_pairs``
-    its intervals. An interval [b, d] of the copies becomes [a(b-1) + 1, a(d)]
-    in g's indices, and is dropped when it lives only inside one arrow's
-    positions.
+    The walk checks g event by event (InvalidInputError) and lists its
+    steps, with the initial graph added before the first arrow and what is
+    left deleted after the last; identity arrows add nothing. ``_copies``
+    gives every (re)entry of a cell a fresh copy, so the copies form a
+    standardized non-repetitive filtration, and ``_arrow_fields`` pairs them
+    and maps the intervals to g's arrows. This is the graph entry point; the
+    manifold path hands the same two the dual zigzag of a filtration, walked
+    on its sweep's ids with nothing left to check (``_dual_copies``).
     """
     nv, edges, m = g.n_vertices, g.edges, g.m
     if type(nv) is not int or nv < 0:
@@ -246,114 +252,197 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
         if pair in seen:
             raise InvalidInputError(f"edge {e} is parallel to another edge between {a} and {b}")
         seen.add(pair)
-    dims: List[int] = []  # id -> 0 for a vertex copy, 1 for an edge copy
-    facets: List[Tuple[int, ...]] = []  # id -> the ids of its ends
-    add_at: List[int] = []  # id -> the position of its addition
-    del_at: List[int] = []  # id -> the position of its deletion
-    dels: List[int] = []  # ids in order of deletion
-    arrow_of: List[int] = []  # position -> the arrow of g it belongs to
-    copy = [-1] * nv  # vertex -> the id of its present copy, -1 while absent
+    steps = []  # (enters, cell, arrow): vertex v is cell v, edge e is cell nv + e
+    present = bytearray(nv)  # vertex -> 1 while present
     degree = [0] * nv  # vertex -> number of present edges at it
-    present: Dict[int, int] = {}  # edge -> the id of its present copy
-
-    def add(dim, fs, k):
-        dims.append(dim)
-        facets.append(fs)
-        add_at.append(len(arrow_of))
-        del_at.append(-1)
-        arrow_of.append(k)
-        return len(dims) - 1
-
-    def remove(j, k):
-        del_at[j] = len(arrow_of)
-        dels.append(j)
-        arrow_of.append(k)
+    live = set()  # the present edges
 
     def vertex_in(v, k):
-        if copy[_cell(v, nv, "vertex")] >= 0:
+        if present[_cell(v, nv, "vertex")]:
             raise InvalidInputError(f"{_arrow(k)}: vertex {v} added while present")
-        copy[v] = add(0, (), k)
+        present[v] = 1
+        steps.append((True, v, k))
 
     def vertex_out(v, k):
-        if copy[_cell(v, nv, "vertex")] < 0:
+        if not present[_cell(v, nv, "vertex")]:
             raise InvalidInputError(f"{_arrow(k)}: delete of absent vertex {v}")
         if degree[v]:
             raise InvalidInputError(
                 f"{_arrow(k)}: vertex {v} deleted while an edge at it is present"
             )
-        remove(copy[v], k)
-        copy[v] = -1
+        present[v] = 0
+        steps.append((False, v, k))
 
     def edge_in(e, k):
-        if _cell(e, len(edges), "edge") in present:
+        if _cell(e, len(edges), "edge") in live:
             raise InvalidInputError(f"{_arrow(k)}: edge {e} added while present")
         a, b = edges[e]
-        if copy[a] < 0 or copy[b] < 0:
+        if not present[a] or not present[b]:
             raise InvalidInputError(f"{_arrow(k)}: edge {e} added while an end is absent")
-        present[e] = add(1, (copy[a], copy[b]), k)
+        live.add(e)
         degree[a] += 1
         degree[b] += 1
+        steps.append((True, nv + e, k))
 
     def edge_out(e, k):
-        j = present.pop(_cell(e, len(edges), "edge"), None)
-        if j is None:
+        if _cell(e, len(edges), "edge") not in live:
             raise InvalidInputError(f"{_arrow(k)}: delete of absent edge {e}")
+        live.remove(e)
         a, b = edges[e]
         degree[a] -= 1
         degree[b] -= 1
-        remove(j, k)
+        steps.append((False, nv + e, k))
 
     for v in sorted(_cell(v, nv, "vertex") for v in g.initial_vertices):
         vertex_in(v, -1)
     for e in sorted(_cell(e, len(edges), "edge") for e in g.initial_edges):
         edge_in(e, -1)
-    steps = {ADD_VERTEX: vertex_in, DEL_VERTEX: vertex_out, ADD_EDGE: edge_in, DEL_EDGE: edge_out}
-    steps[NOOP] = lambda i, k: None
+    moves = {ADD_VERTEX: vertex_in, DEL_VERTEX: vertex_out, ADD_EDGE: edge_in, DEL_EDGE: edge_out}
+    moves[NOOP] = lambda i, k: None
     for k, event in enumerate(g.events):
         try:
             op, i = event
-            step = steps[op]
+            move = moves[op]
         except (TypeError, ValueError, KeyError):
             raise InvalidInputError(f"{_arrow(k)}: unknown graph event {event!r}") from None
-        step(i, k)
-    for e in sorted(present):
+        move(i, k)
+    for e in sorted(live):
         edge_out(e, m)
     for v in range(nv):
-        if copy[v] >= 0:
+        if present[v]:
             vertex_out(v, m)
 
+    directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in g.events)
+    record = _copies(steps, [()] * nv + list(edges))
+    return Barcode._of_fields(_arrow_fields(*record, directions, 0), m, ABSOLUTE)
+
+
+def _copies(steps, ends):
+    """Copy record of a valid zigzag of vertex and edge cells that starts and
+    ends empty; nothing is checked here.
+
+    ``steps`` gives (enters, cell, arrow) per event, ``ends`` per cell () for
+    a vertex, its two end cells for an edge, or None for a cell whose events
+    are identity arrows. Every entry of a cell is a fresh copy with a dense
+    id, in order of addition: a vertex copy has no facets, an edge copy the
+    present copies of its two ends. Returns per copy its facet ids and
+    dimension, the copies in order of deletion, per copy the positions of its
+    addition and deletion, and per position its arrow: what ``_arrow_fields``
+    reads.
+    """
+    dims: List[int] = []
+    facets: List[Tuple[int, ...]] = []
+    add_at: List[int] = []
+    del_at: List[int] = []
+    dels: List[int] = []
+    arrow_of: List[int] = []
+    copy = [-1] * len(ends)  # cell -> the id of its present copy
+    for enters, j, k in steps:
+        e = ends[j]
+        if e is None:
+            continue
+        if enters:
+            copy[j] = len(dims)
+            if e:
+                a, b = e
+                dims.append(1)
+                facets.append((copy[a], copy[b]))
+            else:
+                dims.append(0)
+                facets.append(())
+            add_at.append(len(arrow_of))
+            del_at.append(-1)
+        else:
+            c = copy[j]
+            del_at[c] = len(arrow_of)
+            dels.append(c)
+        arrow_of.append(k)
+    return facets, dims, dels, add_at, del_at, arrow_of
+
+
+def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim):
+    """Field tuples, in dimension dim, of the 0-dimensional intervals of a copy
+    record in the arrows of the zigzag it was walked from.
+
+    ``_copy_pairs`` gives the death table of the record's coned filtration,
+    the same as ``pipeline._solve`` would, and ``_remap_pairs`` its
+    intervals in positions. An interval [b, d] of the copies becomes
+    [a(b-1) + 1, a(d)] in arrows, where a(i) is ``arrow_of[i]`` (-1 before
+    the first position and m after the last), and is dropped when it lives
+    only inside one arrow's positions. End types follow ``directions``, the
+    arrows' own.
+    """
+    m = len(directions)
     death = _copy_pairs(facets, dims, dels)
     at = [-1, *arrow_of, m]  # at[i]: the arrow of position i - 1
-    directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in g.events)
-    intervals = []
-    for dim, b, d, _, _ in _remap_pairs(death, dims, dels, add_at, del_at):
+    out = []
+    for q, b, d, _, _ in _remap_pairs(death, dims, dels, add_at, del_at):
         b, d = at[b] + 1, at[d + 1]
-        if dim == 0 and b <= d:
-            intervals.append((0, b, d, *classify_ends(b, d, directions)))
-    return Barcode._of_fields(intervals, m, ABSOLUTE)
+        if q == 0 and b <= d:
+            out.append((dim, b, d, *classify_ends(b, d, directions)))
+    return out
+
+
+def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
+    """Copy record of the dual-graph complement zigzag of f, walked on the
+    ids of f's one admission sweep, which is dropped on return.
+
+    f passes the shared admission, is standardized and fills K, and is
+    refused if repetitive unless ``allow_repetitive``. K then passes the
+    manifold checks of ``dual_graph`` on the sweep's ids (``_dual_cells``).
+    Together these make the graph zigzag valid, so nothing of it is checked
+    again.
+
+    The dual vertices are the p-ids and the dual edges the (p-1)-ids, whose
+    ends are their two p-cofaces. Each event's simplex is looked up among
+    the sweep's vertex tuples once, which works for a repetitive f too. f is
+    standardized, so the whole dual graph is present before arrow 0: its
+    copies come first, in the dual graph's order (vertex tuples ascending).
+    Adding a p- or (p-1)-simplex deletes the present copy of its dual cell,
+    and deleting it adds a fresh copy, an edge's facets the present copies
+    of its two ends; events on lower simplices add nothing. What is left is
+    deleted after arrow m - 1, edges first. ``_copies`` records the walk as
+    it does ``zero_dim_zigzag``'s.
+    """
+    sw = _admitted_filling(f, K, "manifold path")
+    if not allow_repetitive:
+        _raise_if_repetitive(sw.repetition)
+    idof = {s.vertices: j for j, s in enumerate(sw.simplices)}  # vertex tuple -> sweep id
+    tops, ridges, ends = _dual_cells(K, p, sw.simplices, sw.facets, idof)
+    del sw  # the walk reads none of it
+    m = len(f)
+    steps = chain(  # a dual cell enters when its primal simplex is deleted
+        zip(repeat(True), tops + ridges, repeat(-1)),  # the whole dual graph enters first
+        zip(map(DEL.__eq__, f.directions()), (idof[e.simplex.vertices] for e in f.events),
+            range(m)),
+        zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
+    )
+    return _copies(steps, ends)
 
 
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
     """Dimension-p relative barcode of a filtration of a closed p-manifold or pseudomanifold.
 
     Computed as the 0-dimensional barcode of the dual-graph complement
-    zigzag; end types come from the relative arrows, which follow f's own
+    zigzag, walked on the ids of f's admission sweep (``_dual_copies``);
+    end types come from the relative arrows, which follow f's own
     directions. f passes the shared admission (``filtration._admitted``,
-    InvalidInputError otherwise) and fills K; it may be repetitive.
+    InvalidInputError otherwise) and fills K; it may be repetitive. K must
+    be a closed p-(pseudo)manifold, else NotAManifoldError with the texts of
+    ``complexes.dual_graph``.
 
     The cyclic garbage collector is paused for the call, as in
-    ``compute_zigzag``: the dual graph and its walk build no reference cycle.
+    ``compute_zigzag``: the walk and the passes build no reference cycle.
     """
     with _gc_paused():
-        _admitted_filling(f, K, "manifold path")
-        return _relative_top(f, K, p)
+        return _relative_top(f, K, p, allow_repetitive=True)
 
 
-def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
-    """``relative_top_barcode`` of an f already admitted, with the collector paused."""
-    bars = zero_dim_zigzag(dual_filtration(f, K, p))
-    directions = f.directions()
-    fields = [(p, b, d, *classify_ends(b, d, directions)) for _, b, d, _, _ in bars]
+def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int,
+                  allow_repetitive: bool) -> Barcode:
+    """``relative_top_barcode``, refusing a repetitive f unless
+    ``allow_repetitive``, with the collector paused."""
+    fields = _arrow_fields(*_dual_copies(f, K, p, allow_repetitive), f.directions(), p)
     return Barcode._of_fields(fields, len(f), RELATIVE)
 
 
@@ -366,5 +455,4 @@ def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int)
     One sweep admits f for both steps; the cyclic GC is paused for the call.
     """
     with _gc_paused():
-        _raise_if_repetitive(_admitted_filling(f, K, "manifold path"))
-        return _recovered(_relative_top(f, K, p), f, K, p)
+        return _recovered(_relative_top(f, K, p, allow_repetitive=False), f, K, p)

@@ -19,9 +19,10 @@ birth column -> death column. ``_remap_pairs`` walks that table in birth
 order to the interval field tuples, and ``Barcode._of_fields`` sorts that
 list in place and keeps it.
 ``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
-graph zigzag, fills the same death table from matrix-free passes
-(``manifold._copy_pairs``, the first of them ``_vertex_pairs``) and shares
-``_remap_pairs``. The public steps (``to_updown``,
+graph zigzag, and ``manifold.relative_top_barcode`` as it walks a dual
+zigzag on the sweep's ids; both fill the same death table from matrix-free
+passes (``manifold._copy_pairs``, the first of them ``_vertex_pairs``) and
+share ``_remap_pairs``. The public steps (``to_updown``,
 ``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
 reduce the boundary matrix and are the specification it is tested
 against; those that read a filtration admit it as it does.

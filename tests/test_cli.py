@@ -3,11 +3,21 @@ import platform
 import subprocess
 import sys
 import weakref
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from zzpers import cli, multiset_equal, oracle_absolute, oracle_relative, validate
+from zzpers import (
+    ZigzagError,
+    cli,
+    manifold_absolute_barcode,
+    multiset_equal,
+    oracle_absolute,
+    oracle_relative,
+    relative_top_barcode,
+    validate,
+)
 from zzpers.cli import main
 from zzpers.io import format_filtration, parse_barcode, parse_filtration, write_off
 from zzpers.pipeline import compute_zigzag
@@ -414,3 +424,81 @@ def test_duality_malformed_barcode_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["compute", "/nonexistent/file.zz"]) == 2
+
+
+EDGE = "zzfilt v1\na 0\na 1\na 0 1\nd 0 1\nd 0\nd 1\n"
+TETRAHEDRON = "zzfilt v1\n" + "".join(
+    f"a {' '.join(map(str, s))}\n" for q in range(1, 5) for s in combinations(range(4), q)
+) + "".join(f"d {' '.join(map(str, s))}\n" for q in range(4, 0, -1)
+            for s in combinations(range(4), q))
+# a triangle's boundary with a pendant edge at vertex 2
+PENDANT = "zzfilt v1\n" + "".join(
+    f"a {s}\n" for s in ("0", "1", "2", "3", "0 1", "0 2", "1 2", "2 3")
+) + "".join(f"d {s}\n" for s in ("2 3", "0 1", "0 2", "1 2", "0", "1", "2", "3"))
+THREE_VERTICES = "zzfilt v1\na 0\na 1\na 2\na 0 1\nd 0 1\nd 0\nd 1\nd 2\n"
+
+
+# the texts and exit codes of the Simplex-keyed dual-graph route, which the walk
+# on the sweep's ids keeps: each check in its order, naming the first offender in K's order
+@pytest.mark.parametrize("text, p, complex_text, code, message", [
+    (EDGE, 0, None, 2, "dual graph needs p >= 1"),
+    (EDGE, -1, None, 2, "dual graph needs p >= 1"),
+    (EDGE, 5, None, 2, "Simplex(0) is not a face of any 5-simplex"),
+    (EDGE, 1, None, 2, "Simplex(0) has 1 cofaces of dimension 1, expected 2"),
+    (PENDANT, 1, None, 2, "Simplex(2) has 3 cofaces of dimension 1, expected 2"),
+    (TETRAHEDRON, 2, None, 2, "Simplex(0,1,2,3) has dimension 3 > p = 2"),
+    (TETRAHEDRON, 3, None, 2, "Simplex(0,1,2) has 1 cofaces of dimension 3, expected 2"),
+    (THREE_VERTICES, 2, "0 1 2\n", 2, "filtration does not fill the given complex"),
+    ("zzfilt v1\na 0\na 1\na 0 1\n", 1, None, 3, "manifold path needs a standardized filtration"),
+], ids=["p0", "p-1", "p5", "p1", "pendant", "dim-above-p", "one-coface", "not-filled",
+        "not-standardized"])
+def test_manifold_refusals_keep_their_texts(text, p, complex_text, code, message, tmp_path,
+                                            capsys):
+    path = tmp_path / "f.zz"
+    path.write_text(text)
+    parsed = parse_filtration(text)
+    K, options = parsed.filtration.total_complex(), ["--p", str(p)]
+    if complex_text is not None:
+        cx = tmp_path / "k.cx"
+        cx.write_text(complex_text)
+        K, options = cli._load_complex(str(cx), parsed.names), [*options, "--complex", str(cx)]
+    for recover in ([], ["--recover"]):
+        assert main(["manifold", str(path), *options, *recover]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    for call in (relative_top_barcode, manifold_absolute_barcode):
+        with pytest.raises(ZigzagError) as err:
+            call(parsed.filtration, K, p)
+        assert str(err.value) == message and err.value.exit_code == code
+
+
+def test_manifold_of_the_empty_file_is_the_empty_relative_barcode(tmp_path, capsys):
+    path = tmp_path / "empty.zz"
+    path.write_text("zzfilt v1\n")
+    assert main(["manifold", str(path), "--p", "2"]) == 0
+    assert capsys.readouterr().out == "zzbar v1 m=0 kind=rel\n"
+
+
+NOT_UTF8 = b"zzfilt v1\na 0\n\xff\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{bad}"],
+    ["compute", "{bad}"],
+    ["convert", "{bad}", "--to", "updown"],
+    ["oracle", "{bad}"],
+    ["bench", "{bad}"],
+    ["manifold", "{bad}", "--p", "1"],
+    ["manifold", "{edge}", "--p", "1", "--complex", "{bad}"],
+    ["duality", "{bad}"],
+    ["generate", "--mesh", "{bad}"],
+], ids=["validate", "compute", "convert", "oracle", "bench", "manifold", "manifold-complex",
+        "duality", "generate-mesh"])
+def test_a_file_that_is_not_utf8_is_invalid_input(argv, tmp_path, capsys):
+    bad, edge = tmp_path / "bad.txt", tmp_path / "edge.zz"
+    bad.write_bytes(NOT_UTF8)
+    edge.write_text(EDGE)
+    assert main([a.format(bad=bad, edge=edge) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad} is not UTF-8 text: invalid start byte at byte 14\n"

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 
@@ -11,13 +12,18 @@ from zzpers import (
     ContractViolationError,
     FiltrationEvent,
     GraphZigzag,
+    Interval,
     InvalidInputError,
+    NotAManifoldError,
     NotNonRepetitiveError,
     NotStandardizedError,
     Simplex,
+    SimplicialComplex,
     ZigzagFiltration,
     compute_zigzag,
     dual_filtration,
+    dual_graph,
+    find_repetition,
     manifold_absolute_barcode,
     multiset_equal,
     oracle_absolute,
@@ -31,7 +37,8 @@ from zzpers import (
     zigzag_barcode,
 )
 import zzpers.filtration
-from zzpers import duality, manifold
+from zzpers import complexes, duality, manifold
+from zzpers.barcode import classify_ends
 from zzpers.filtration import ADD, DEL
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.oracle import sequence_barcode
@@ -39,7 +46,9 @@ from zzpers.rng import SplitMix64
 from conftest import (
     grid_torus,
     moved_edge_torus,
+    octahedra_wedge,
     octahedron,
+    random_complex,
     random_nonrepetitive,
     random_updown,
     sx,
@@ -220,19 +229,95 @@ def test_manifold_absolute_barcode_sweeps_its_filtration_once(monkeypatch):
         sweeps.append(inner(g))
         return sweeps[-1]
 
-    def walk_spy(*args, inner=manifold.dual_filtration):
+    def passes_spy(*args, inner=manifold._copy_pairs):
         holders.append(sys.getrefcount(sweeps[-1]) - 2)  # less this list's and the argument's
         return inner(*args)
 
     monkeypatch.setattr(zzpers.filtration, "_sweep", sweep_spy)
-    monkeypatch.setattr(manifold, "dual_filtration", walk_spy)
+    monkeypatch.setattr(manifold, "_copy_pairs", passes_spy)
     assert manifold_absolute_barcode(f, K, 2) == want
     assert len(swept) == 1 and swept[0] is f
-    assert holders == [0]  # the sweep is not held while the dual graph is walked
-    # a repetitive f is refused from its one sweep, before the dual graph is walked
+    assert holders == [0]  # the sweep is dropped before the passes pair the copies
+    # a repetitive f is refused from its one sweep, before the dual zigzag is walked
     with pytest.raises(NotNonRepetitiveError):
         manifold_absolute_barcode(repetitive, K, 2)
     assert len(swept) == 2 and swept[1] is repetitive and holders == [0]
+
+
+def test_manifold_path_builds_no_dual_graph_or_graph_zigzag(monkeypatch):
+    K = grid_torus()
+    f = random_nonrepetitive(SplitMix64(6), sorted(K.simplex_set()))
+    rel, absolute = relative_top_barcode(f, K, 2), manifold_absolute_barcode(f, K, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the manifold path went through the Simplex-keyed graph route")
+
+    for module, name in ((complexes, "dual_graph"), (manifold, "dual_graph"),
+                         (manifold, "dual_filtration"), (manifold, "zero_dim_zigzag"),
+                         (GraphZigzag, "__init__")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert relative_top_barcode(f, K, 2) == rel
+    assert manifold_absolute_barcode(f, K, 2) == absolute
+
+
+def _graph_route(f, K, p):
+    """The route the manifold path used to take, kept as its reference: the
+    0-dimensional barcode of the graph zigzag ``dual_filtration`` builds,
+    retyped to dimension p with f's end types."""
+    directions = f.directions()
+    return Barcode(
+        [Interval(p, i.b, i.d, *classify_ends(i.b, i.d, directions))
+         for i in zero_dim_zigzag(dual_filtration(f, K, p))],
+        len(f), RELATIVE,
+    )
+
+
+@pytest.mark.parametrize("name", ["octahedron", "grid_torus", "octahedra_wedge"])
+def test_relative_top_barcode_equals_the_graph_route(name, monkeypatch):
+    """Same barcode, and the same copy record: the initial copies come in
+    the dual graph's order, as the graph route adds them."""
+    K = {"octahedron": octahedron, "grid_torus": grid_torus, "octahedra_wedge": octahedra_wedge}[
+        name]()
+    tops = K.of_dim(2)
+    records = _capture_copy_records(monkeypatch)
+    rng = SplitMix64(0x5EE)
+    for _ in range(40):
+        f = random_nonrepetitive(rng, sorted(K.simplex_set()))
+        # a repetitive tail: one triangle's closure added again, then taken down
+        closure = sorted(SimplicialComplex.closure([tops[rng.below(len(tops))]]).simplex_set())
+        tail = [FiltrationEvent.add(s) for s in closure]
+        tail += [FiltrationEvent.delete(s) for s in reversed(closure)]
+        repetitive = ZigzagFiltration([*f.events, *tail])
+        assert find_repetition(repetitive) is not None
+        for g in (f, repetitive):
+            rel = relative_top_barcode(g, K, 2)
+            assert rel == _graph_route(g, K, 2), g
+            assert records[-2] == records[-1]
+            assert rel.kind == RELATIVE and rel.m == len(g) and len(rel)
+
+
+def _refusal(call, *args):
+    try:
+        call(*args)
+    except NotAManifoldError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_walk_refuses_a_complex_as_dual_graph_does():
+    """The walk checks K on the sweep's ids and ``dual_graph`` on simplices:
+    both name the same first offender in K's order, or neither refuses."""
+    rng = SplitMix64(0xC0F)
+    kinds = Counter()
+    for _ in range(150):
+        simplices = random_complex(rng)
+        K = SimplicialComplex(simplices)
+        f = random_nonrepetitive(rng, simplices)
+        for p in (1, 2, 3):
+            want = _refusal(dual_graph, K, p)
+            assert _refusal(relative_top_barcode, f, K, p) == want
+            kinds[want and next(k for k in ("cofaces", "not a face", "> p") if k in want)] += 1
+    assert set(kinds) == {None, "cofaces", "not a face", "> p"}, kinds
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -240,7 +325,7 @@ def test_manifold_path_pauses_the_gc_and_builds_no_cycle(enabled, monkeypatch):
     K = grid_torus()
     f = random_nonrepetitive(SplitMix64(6), sorted(K.simplex_set()))
     paused = []  # the GC state where each call does its main work
-    for module, name in ((manifold, "dual_filtration"), (duality, "_strong_components")):
+    for module, name in ((manifold, "_copy_pairs"), (duality, "_strong_components")):
         def spy(*args, inner=getattr(module, name)):
             paused.append(not gc.isenabled())
             return inner(*args)
@@ -387,13 +472,9 @@ def test_zero_dim_zigzag_matches_oracle_on_random_graph_zigzags():
     assert all(seen.values()), seen
 
 
-def test_zero_dim_zigzag_hands_its_passes_a_valid_copy_record(monkeypatch):
-    """The walk's record is the only input of the pairing passes, so check
-    it: ids in order of addition, each deleted once after it is added,
-    facets present over their coface's lifetime, vertices and edges well
-    formed."""
-    import zzpers.manifold as manifold
-
+def _capture_copy_records(monkeypatch):
+    """Make the manifold module record each copy record it hands its passes:
+    the list returned gets [facets, dims, dels, add_at, del_at] per call."""
     records = []
     passes, remap = manifold._copy_pairs, manifold._remap_pairs
 
@@ -408,22 +489,55 @@ def test_zero_dim_zigzag_hands_its_passes_a_valid_copy_record(monkeypatch):
 
     monkeypatch.setattr(manifold, "_copy_pairs", capture_passes)
     monkeypatch.setattr(manifold, "_remap_pairs", capture_remap)
+    return records
+
+
+def _assert_valid_copy_record(facets, dims, dels, add_at, del_at):
+    """The record is the only input of the pairing passes, so check it: ids
+    in order of addition, each deleted once after it is added, facets
+    present over their coface's lifetime, vertices and edges well formed."""
+    n = len(dims)
+    assert len(facets) == len(add_at) == len(del_at) == n
+    assert add_at == sorted(add_at) and sorted(dels) == list(range(n))
+    assert sorted(add_at + del_at) == list(range(2 * n))
+    assert [del_at[j] for j in dels] == sorted(del_at)
+    for j in range(n):
+        assert add_at[j] < del_at[j]
+        assert (dims[j], len(facets[j])) in ((0, 0), (1, 2))
+        for x in facets[j]:
+            assert dims[x] == 0 and add_at[x] < add_at[j] and del_at[j] < del_at[x]
+
+
+def test_zero_dim_zigzag_hands_its_passes_a_valid_copy_record(monkeypatch):
+    records = _capture_copy_records(monkeypatch)
     rng = SplitMix64(0x0D1)
     for case in range(120):
         g = _random_graph_zigzag(rng, 0 if case % 15 == 0 else 1 + rng.below(24))
         zero_dim_zigzag(g)
-        facets, dims, dels, add_at, del_at = records[-1]
-        n = len(dims)
-        assert len(facets) == len(add_at) == len(del_at) == n
-        assert add_at == sorted(add_at) and sorted(dels) == list(range(n))
-        assert sorted(add_at + del_at) == list(range(2 * n))
-        assert [del_at[j] for j in dels] == sorted(del_at)
-        for j in range(n):
-            assert add_at[j] < del_at[j]
-            assert (dims[j], len(facets[j])) in ((0, 0), (1, 2))
-            for x in facets[j]:
-                assert dims[x] == 0 and add_at[x] < add_at[j] and del_at[j] < del_at[x]
+        _assert_valid_copy_record(*records[-1])
     assert len(records) == 120
+
+
+def test_the_manifold_walk_hands_its_passes_a_valid_copy_record(monkeypatch):
+    """The walk on the sweep's ids: one copy per dual cell before arrow 0 and
+    one per re-entry, every cell's last copy deleted after the last arrow."""
+    records = _capture_copy_records(monkeypatch)
+    rng = SplitMix64(0x0D2)
+    for K in (octahedron(), grid_torus(), octahedra_wedge()):
+        cells = len(K.of_dim(2)) + len(K.of_dim(1))
+        for _ in range(10):
+            f = random_nonrepetitive(rng, sorted(K.simplex_set()))
+            v = sx(0)
+            for g in (f, ZigzagFiltration([*f.events, FiltrationEvent.add(v),
+                                           FiltrationEvent.delete(v)])):
+                relative_top_barcode(g, K, 2)
+                _assert_valid_copy_record(*records[-1])
+                dims = records[-1][1]
+                reentries = sum(e.direction == DEL and e.simplex.dim >= 1 for e in g.events)
+                assert len(dims) == cells + reentries
+                assert dims.count(0) == len(K.of_dim(2)) + sum(
+                    e.direction == DEL and e.simplex.dim == 2 for e in g.events)
+    assert len(records) == 60
 
 
 def test_zero_dim_zigzag_builds_no_simplex_event_or_sweep(monkeypatch):
