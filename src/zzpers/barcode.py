@@ -150,7 +150,18 @@ class Barcode:
         return out
 
     def to_text(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
+        """``to_lines`` joined, each line ended by a newline. The lines are
+        made and joined ``_TEXT_CHUNK`` at a time, so that no list of one
+        string per interval is held next to the text."""
+        fields = self._fields
+        chunks = [f"zzbar v1 m={self.m} kind={self.kind}\n"]
+        for k in range(0, len(fields), _TEXT_CHUNK):
+            chunks.append("".join([f"{dim} {b} {d} {bt}{dt}\n"
+                                   for dim, b, d, bt, dt in fields[k : k + _TEXT_CHUNK]]))
+        return "".join(chunks)
+
+
+_TEXT_CHUNK = 1 << 12  # intervals formatted per chunk of Barcode.to_text
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ import time
 from typing import List, Optional
 
 from . import io as zio
-from .duality import absolute_to_relative, recover_absolute_from_relative
+from .duality import absolute_to_relative
 from .errors import InvalidInputError, ZigzagError
 from .filtration import FiltrationEvent, ZigzagFiltration, _admitted, _pad, _sweep, _updown
-from .manifold import relative_top_barcode
+from .manifold import _relative_and_recovered, relative_top_barcode
 from .pipeline import _peak_rss_mb, compute_zigzag
 from .complexes import Simplex, SimplicialComplex
 from .oracle import oracle_absolute, oracle_relative
@@ -127,10 +127,11 @@ def _cmd_manifold(args) -> int:
         K = _load_complex(args.complex, parsed.names)
     else:
         K = f.total_complex()
-    rel = relative_top_barcode(f, K, args.p)
-    text = rel.to_text()
-    if args.recover:
-        text += recover_absolute_from_relative(rel, f, K, args.p).to_text()
+    if args.recover:  # one admission sweep for both barcodes
+        rel, rec = _relative_and_recovered(f, K, args.p)
+        text = rel.to_text() + rec.to_text()
+    else:
+        text = relative_top_barcode(f, K, args.p).to_text()
     _write_out(text, args.out)
     return 0
 

@@ -8,6 +8,7 @@ values; every operation returns a new one.
 from __future__ import annotations
 
 import gc
+from array import array
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -87,9 +88,17 @@ def _gc_paused():
 
 
 class ZigzagFiltration:
-    """Event list plus the starting complex (empty by default)."""
+    """Event list plus the starting complex (empty by default).
 
-    __slots__ = ("events", "initial")
+    A filtration read by ``io.parse_filtration`` also carries, in the
+    private slot ``_ids``, the dense ids the parser gave its simplices: the
+    signed id of each event (id for an addition, ~id for a deletion) in a
+    4-byte int array, and the Simplex of each id. ``_sweep`` admits on them
+    instead of looking each event's simplex up again; they are derived from
+    the events, so equality ignores them.
+    """
+
+    __slots__ = ("events", "initial", "_ids")
 
     def __init__(self, events: Iterable[FiltrationEvent], initial: Iterable[Simplex] = ()):
         self.events: Tuple[FiltrationEvent, ...] = tuple(events)
@@ -101,6 +110,7 @@ class ZigzagFiltration:
                         f"initial complex is not face-closed: missing {f!r} (facet of {s!r})"
                     )
         self.initial = init
+        self._ids = None
 
     def __len__(self) -> int:
         return len(self.events)
@@ -169,7 +179,8 @@ class Violation:
 
 
 _Sweep = namedtuple(
-    "_Sweep", "simplices dims facets add_at del_at dels violations repetition standardized"
+    "_Sweep",
+    "simplices index ids dims facets add_at del_at dels violations repetition standardized",
 )
 
 
@@ -178,68 +189,116 @@ def _faces(vs: Tuple[int, ...]) -> Iterable[Tuple[int, ...]]:
     return combinations(vs, len(vs) - 1) if len(vs) > 1 else ()
 
 
-def _sweep(f: ZigzagFiltration) -> _Sweep:
-    """Validity, first repetition, event orders and facet ids in one pass.
+def _facet_ids(vts: List[Tuple[int, ...]], get) -> List[Tuple[Optional[int], ...]]:
+    """The ids (``get`` of the vertex tuple, None for none) of the facets of
+    each vertex tuple, in ascending order of vertex tuple; edges and
+    triangles, most of any complex, are unpacked rather than combined."""
+    out: List[Tuple[Optional[int], ...]] = []
+    append = out.append
+    for vs in vts:
+        k = len(vs)
+        if k == 2:
+            a, b = vs
+            append((get((a,)), get((b,))))
+        elif k == 3:
+            a, b, c = vs
+            append((get((a, b)), get((a, c)), get((b, c))))
+        else:
+            append(tuple(map(get, _faces(vs))))
+    return out
 
-    Per dense simplex id (in order of first appearance, so of addition when
-    f is valid): the Simplex, its dimension, its facet ids (None until it is
-    added with every facet known), its last addition and deletion position
-    (-1: none) in the padded filtration, where K_0 enters first in face order
-    and event i sits at |K_0| + i. Also the ids of all deletions in event
-    order, the violations and first repetition (by f's event indices), and
-    whether K_0 = K_m = empty. Invalid events are skipped when updating the
-    running complex; the repetition check looks at the raw events. Ids are
-    not given at parse time: that would add to every parse and need a second
-    interning site for library-built input.
-    """
-    ids: Dict[Tuple[int, ...], int] = {}
-    get = ids.get
-    events = [*map(FiltrationEvent.add, sorted(f.initial)), *f.events]
-    simplices, dims, dels = [], [], []
-    # indexed by id; ids never outnumber the events
-    facets: List[Optional[Tuple[int, ...]]] = [None] * len(events)
-    add_at = [-1] * len(events)
-    del_at = add_at[:]
-    count = add_at[:]  # -1 while absent, else the number of present cofaces
-    out: List[Violation] = []
-    dangling: Dict[int, int] = {}  # event index -> its slot in out, named after the pass
-    repetition = None
-    p = len(f.initial)
-    for i, e in enumerate(events):
+
+def _event_ids(f: ZigzagFiltration):
+    """Dense ids from one walk over the events of f, K_0 first in face order:
+    the Simplex of each id, in order of first appearance, the vertex tuple ->
+    id index, and the signed id of each event (id for an addition, ~id for a
+    deletion)."""
+    index: Dict[Tuple[int, ...], int] = {}
+    get = index.get
+    simplices: List[Simplex] = []
+    ids = array("i")
+    append = ids.append
+    events = f.events
+    if f.initial:
+        events = [*map(FiltrationEvent.add, sorted(f.initial)), *events]
+    for e in events:
         s = e.simplex
         vs = s.vertices
         j = get(vs)
         if j is None:
-            j = ids[vs] = len(simplices)
+            j = index[vs] = len(simplices)
             simplices.append(s)
-            dims.append(len(vs) - 1)
-        if e.direction == ADD:
+        append(j if e.direction == ADD else ~j)
+    return simplices, index, ids
+
+
+def _sweep(f: ZigzagFiltration) -> _Sweep:
+    """Validity, first repetition, event orders and facet ids in one pass.
+
+    Dense simplex ids, in order of first appearance (so of addition when f
+    is valid), come from the record ``io.parse_filtration`` left on f: one
+    id per distinct simplex text, and each event as its signed id. A
+    library-built f has no record, and a file that names one simplex with
+    two texts has one id too many in it (its vertex-tuple index comes out
+    shorter than its id list); their ids come from one walk over the events
+    instead (``_event_ids``), with K_0 added first in face order. Either way
+    the facet ids come from one pass over the ids' vertex tuples, and one
+    loop over the signed ids does the rest, so nothing is kept across calls.
+
+    Per id: the Simplex, its dimension, its facet ids (None for a facet that
+    is no simplex of f), its last addition and deletion position (-1: none)
+    in the padded filtration, where K_0 enters first and event i sits at
+    |K_0| + i. Also the vertex tuple -> id index, the signed id of each
+    position (the record's own array, not to be changed, when f has one),
+    the ids of all deletions in event order, the violations and first
+    repetition (by f's event indices), and whether K_0 = K_m = empty.
+    Invalid events are skipped when updating the running complex; the
+    repetition check looks at the raw events.
+    """
+    parsed = f._ids
+    if parsed is not None:
+        ids, simplices = parsed
+        index = {s.vertices: j for j, s in enumerate(simplices)}
+    if parsed is None or len(index) < len(simplices):
+        simplices, index, ids = _event_ids(f)
+    get = index.get
+    vts = [s.vertices for s in simplices]
+    dims = [len(vs) - 1 for vs in vts]
+    facets = _facet_ids(vts, get)
+    n = len(simplices)
+    add_at = [-1] * n
+    del_at = add_at[:]
+    count = add_at[:]  # -1 while absent, else the number of present cofaces
+    dels: List[int] = []
+    out: List[Violation] = []
+    dangling: Dict[int, int] = {}  # event index -> its slot in out, named after the pass
+    repetition = None
+    p = len(f.initial)
+    for i, j in enumerate(ids):
+        if j >= 0:
             if repetition is None and del_at[j] >= 0:
-                repetition = (s, del_at[j] - p, i - p)
+                repetition = (simplices[j], del_at[j] - p, i - p)
             add_at[j] = i
             if count[j] >= 0:
-                out.append(Violation(i - p, f"duplicate add of {s!r}"))
+                out.append(Violation(i - p, f"duplicate add of {simplices[j]!r}"))
                 continue
             fs = facets[j]
-            if fs is None:
-                fs = tuple(map(get, _faces(vs)))
-                if None not in fs:
-                    facets[j] = fs
             if None in fs or -1 in map(count.__getitem__, fs):
-                # a facet never seen reads as j itself, which is absent
+                # a facet that is no simplex of f reads as j itself, which is absent
                 names = ", ".join(
-                    repr(Simplex(t)) for t in _faces(vs) if count[get(t, j)] < 0
+                    repr(Simplex(t)) for t in _faces(vts[j]) if count[get(t, j)] < 0
                 )
-                out.append(Violation(i - p, f"missing facets of {s!r}: {names}"))
+                out.append(Violation(i - p, f"missing facets of {simplices[j]!r}: {names}"))
                 continue
             count[j] = 0
             for k in fs:
                 count[k] += 1
         else:
+            j = ~j
             del_at[j] = i
             dels.append(j)
             if count[j] < 0:
-                out.append(Violation(i - p, f"delete of absent simplex {s!r}"))
+                out.append(Violation(i - p, f"delete of absent simplex {simplices[j]!r}"))
             elif count[j]:
                 dangling[i - p] = len(out)
                 out.append(Violation(i - p, ""))
@@ -260,7 +319,8 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
             elif i not in skipped:
                 (present.add if e.direction == ADD else present.discard)(s.vertices)
     standardized = not f.initial and not any(map(gt, add_at, del_at))
-    return _Sweep(simplices, dims, facets, add_at, del_at, dels, out, repetition, standardized)
+    return _Sweep(simplices, index, ids, dims, facets, add_at, del_at, dels, out, repetition,
+                  standardized)
 
 
 def _admitted(f: ZigzagFiltration) -> _Sweep:

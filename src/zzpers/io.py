@@ -17,6 +17,7 @@ complexes exist only at the library level.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,35 +67,41 @@ class _Interner(dict):
         return v
 
 
-def _new_simplex(text: str, ids: _Interner, simplices: Dict[str, Simplex]) -> Simplex:
-    """Intern the tokens of a simplex's text, check them, and cache the
-    simplex under that text."""
+def _simplex(text: str, ids: _Interner) -> Simplex:
+    """Intern the tokens of a simplex's text and check them."""
     tokens = text.split()
     vs = tuple(sorted(map(ids.__getitem__, tokens)))
     if len(vs) > 1 and len(set(vs)) < len(vs):
         raise _repeated_vertex(tokens)
-    s = simplices[text] = Simplex._from_sorted(vs)
-    return s
+    return Simplex._from_sorted(vs)
 
 
 def parse_filtration(text: str) -> ParsedFiltration:
     """Read a ``zzfilt v1`` file: its events and symbol table.
 
     Each distinct simplex text (the rest of an event line after its
-    direction, or a whole block line) is interned and checked once; every
-    later line with the same text, such as the ``d`` line of a simplex
-    added earlier, reuses that ``Simplex`` object. Events are built with
-    ``FiltrationEvent._trusted``, since their direction has just been read.
-    The cyclic garbage collector is paused while the objects are built
-    (``_gc_paused``; none of them forms a reference cycle). Every error is
-    an ``InvalidInputError`` that names the line.
+    direction, or a whole block line) is interned and checked once, and
+    gets a dense id when its first event is emitted, so ids run in order
+    of first appearance in the events, block lines included (a block's
+    events are emitted, sorted, at its end). Every later line with the same
+    text, such as the ``d`` line of a simplex added earlier, reuses that id
+    and its ``Simplex`` object. Each event is also recorded as one signed
+    id (id for an addition, ~id for a deletion) in a 4-byte int array,
+    which the returned filtration carries with the ``Simplex`` of each id
+    (``ZigzagFiltration._ids``) for the admission sweep to read. Events are
+    built with ``FiltrationEvent._trusted``, since their direction has just
+    been read. The cyclic garbage collector is paused while the objects are
+    built (``_gc_paused``; none of them forms a reference cycle). Every
+    error is an ``InvalidInputError`` that names the line.
     """
     with _gc_paused():
         ids = _Interner()
-        simplices: Dict[str, Simplex] = {}  # simplex text -> its checked simplex
+        cache: Dict[str, int] = {}  # simplex text -> its dense id
+        simplices: List[Simplex] = []  # dense id -> its checked simplex
+        record = array("i")  # per event: the id of its simplex, ~id for a deletion
         events: List[FiltrationEvent] = []
         block: Optional[str] = None
-        block_simplices: List[Simplex] = []
+        block_lines: List[Tuple[Simplex, str]] = []  # the block's simplices and their texts
         trusted = FiltrationEvent._trusted
         header = False
         for lineno, line in enumerate(text.splitlines()):
@@ -112,8 +119,16 @@ def parse_filtration(text: str) -> ParsedFiltration:
             try:
                 if block is None and len(parts) == 2 and head in (ADD, DEL):  # an event line
                     rest = parts[1]
-                    s = simplices.get(rest) or _new_simplex(rest, ids, simplices)
-                    events.append(trusted(ADD if head == ADD else DEL, s))
+                    j = cache.get(rest)
+                    if j is None:
+                        simplices.append(_simplex(rest, ids))
+                        j = cache[rest] = len(simplices) - 1
+                    if head == ADD:
+                        events.append(trusted(ADD, simplices[j]))
+                        record.append(j)
+                    else:
+                        events.append(trusted(DEL, simplices[j]))
+                        record.append(~j)
                     continue
                 if head in ("begin-a", "begin-d"):
                     if block is not None:
@@ -123,23 +138,32 @@ def parse_filtration(text: str) -> ParsedFiltration:
                 if head in ("end-a", "end-d"):
                     if block != (ADD if head == "end-a" else DEL):
                         raise InvalidInputError(f"unmatched {head}")
-                    ordered = sorted(block_simplices, key=lambda s: (s.dim, s.vertices))
+                    block_lines.sort(key=lambda e: (e[0].dim, e[0].vertices))
                     if block == DEL:
-                        ordered.reverse()
-                    events.extend(trusted(block, s) for s in ordered)
+                        block_lines.reverse()
+                    for s, rest in block_lines:
+                        j = cache.get(rest)
+                        if j is None:
+                            simplices.append(s)
+                            j = cache[rest] = len(simplices) - 1
+                        events.append(trusted(block, simplices[j]))
+                        record.append(j if block == ADD else ~j)
                     block = None
-                    block_simplices.clear()
+                    block_lines.clear()
                     continue
                 if block is None:
                     raise InvalidInputError(f"expected 'a|d v1 v2 ...', got {line.strip()!r}")
-                block_simplices.append(simplices.get(line) or _new_simplex(line, ids, simplices))
+                j = cache.get(line)
+                block_lines.append((_simplex(line, ids) if j is None else simplices[j], line))
             except InvalidInputError as exc:
                 raise InvalidInputError(f"line {lineno + 1}: {exc}") from exc
         if not header:
             raise InvalidInputError(f"filtration file must start with '{FILT_HEADER}'")
         if block is not None:
             raise InvalidInputError("unterminated coarse block")
-        return ParsedFiltration(ZigzagFiltration(events), tuple(ids))
+        f = ZigzagFiltration(events)
+        f._ids = (record, simplices)
+        return ParsedFiltration(f, tuple(ids))
 
 
 def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None) -> str:

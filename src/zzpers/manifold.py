@@ -385,39 +385,39 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim)
 
 def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
     """Copy record of the dual-graph complement zigzag of f, walked on the
-    ids of f's one admission sweep, which is dropped on return.
+    ids of f's one admission sweep, which is dropped before the walk, and
+    f's first repetition.
 
     f passes the shared admission, is standardized and fills K, and is
     refused if repetitive unless ``allow_repetitive``. K then passes the
-    manifold checks of ``dual_graph`` on the sweep's ids (``_dual_cells``).
-    Together these make the graph zigzag valid, so nothing of it is checked
-    again.
+    manifold checks of ``dual_graph`` on the sweep's ids and vertex-tuple
+    index (``_dual_cells``). Together these make the graph zigzag valid, so
+    nothing of it is checked again.
 
     The dual vertices are the p-ids and the dual edges the (p-1)-ids, whose
-    ends are their two p-cofaces. Each event's simplex is looked up among
-    the sweep's vertex tuples once, which works for a repetitive f too. f is
-    standardized, so the whole dual graph is present before arrow 0: its
-    copies come first, in the dual graph's order (vertex tuples ascending).
-    Adding a p- or (p-1)-simplex deletes the present copy of its dual cell,
-    and deleting it adds a fresh copy, an edge's facets the present copies
-    of its two ends; events on lower simplices add nothing. What is left is
-    deleted after arrow m - 1, edges first. ``_copies`` records the walk as
-    it does ``zero_dim_zigzag``'s.
+    ends are their two p-cofaces. The walk reads each event's signed id
+    from the sweep, which works for a repetitive f too. f is standardized,
+    so the whole dual graph is present before arrow 0: its copies come
+    first, in the dual graph's order (vertex tuples ascending). Adding a p-
+    or (p-1)-simplex deletes the present copy of its dual cell, and deleting
+    it adds a fresh copy, an edge's facets the present copies of its two
+    ends; events on lower simplices add nothing. What is left is deleted
+    after arrow m - 1, edges first. ``_copies`` records the walk as it does
+    ``zero_dim_zigzag``'s.
     """
     sw = _admitted_filling(f, K, "manifold path")
     if not allow_repetitive:
         _raise_if_repetitive(sw.repetition)
-    idof = {s.vertices: j for j, s in enumerate(sw.simplices)}  # vertex tuple -> sweep id
-    tops, ridges, ends = _dual_cells(K, p, sw.simplices, sw.facets, idof)
-    del sw  # the walk reads none of it
+    tops, ridges, ends = _dual_cells(K, p, sw.simplices, sw.facets, sw.index)
+    ids, repetition = sw.ids, sw.repetition
+    del sw  # the walk reads only the signed ids
     m = len(f)
     steps = chain(  # a dual cell enters when its primal simplex is deleted
         zip(repeat(True), tops + ridges, repeat(-1)),  # the whole dual graph enters first
-        zip(map(DEL.__eq__, f.directions()), (idof[e.simplex.vertices] for e in f.events),
-            range(m)),
+        ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
         zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
     )
-    return _copies(steps, ends)
+    return _copies(steps, ends), repetition
 
 
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -435,15 +435,15 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
     ``compute_zigzag``: the walk and the passes build no reference cycle.
     """
     with _gc_paused():
-        return _relative_top(f, K, p, allow_repetitive=True)
+        return _relative_top(f, K, p, allow_repetitive=True)[0]
 
 
-def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int,
-                  allow_repetitive: bool) -> Barcode:
-    """``relative_top_barcode``, refusing a repetitive f unless
-    ``allow_repetitive``, with the collector paused."""
-    fields = _arrow_fields(*_dual_copies(f, K, p, allow_repetitive), f.directions(), p)
-    return Barcode._of_fields(fields, len(f), RELATIVE)
+def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
+    """``relative_top_barcode`` and f's first repetition, refusing a
+    repetitive f unless ``allow_repetitive``, with the collector paused."""
+    copies, repetition = _dual_copies(f, K, p, allow_repetitive)
+    fields = _arrow_fields(*copies, f.directions(), p)
+    return Barcode._of_fields(fields, len(f), RELATIVE), repetition
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -455,4 +455,16 @@ def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int)
     One sweep admits f for both steps; the cyclic GC is paused for the call.
     """
     with _gc_paused():
-        return _recovered(_relative_top(f, K, p, allow_repetitive=False), f, K, p)
+        return _recovered(_relative_top(f, K, p, allow_repetitive=False)[0], f, K, p)
+
+
+def _relative_and_recovered(f: ZigzagFiltration, K: SimplicialComplex,
+                            p: int) -> Tuple[Barcode, Barcode]:
+    """``relative_top_barcode(f, K, p)`` and ``recover_absolute_from_relative``
+    of it, on one admission sweep: the same two barcodes, or the first error
+    the two calls raise in turn (a non-manifold K before a repetitive f).
+    The cyclic GC is paused for the call."""
+    with _gc_paused():
+        rel, repetition = _relative_top(f, K, p, allow_repetitive=True)
+        _raise_if_repetitive(repetition)
+        return rel, _recovered(rel, f, K, p)

@@ -7,8 +7,10 @@ coordinates. Only the matrix reduction does non-trivial work; both
 remappings are constant time per interval.
 
 ``compute_zigzag`` runs it on dense simplex ids from one sweep over the
-events (the shared admission, ``filtration._admitted``), padded in place
-(``filtration._pad``) if the input does not start and end empty.
+events (the shared admission, ``filtration._admitted``, on the ids the
+parser gave a file's simplices), padded in place (``filtration._pad``) if
+the input does not start and end empty, and dropped once the lists the
+solve reads are taken from it.
 ``_solve`` reads only the per-id dimensions and facet ids and the order
 of deletions: it pairs dimension 0 of the coned filtration by union-find
 (``_vertex_pairs``), reduces the coboundary matrix of the others one
@@ -375,16 +377,19 @@ def compute_zigzag(f: ZigzagFiltration) -> PipelineResult:
         t1 = time.perf_counter()
         peaks = [_peak_rss_mb()]
         record = _pad(sw, f)
+        facets, dims, dels, add_at, del_at = sw.facets, sw.dims, sw.dels, sw.add_at, sw.del_at
+        del sw  # with it go its vertex-tuple index and per-event ids
         t2 = time.perf_counter()
         peaks.append(_peak_rss_mb())
-        death, stats = _solve(sw.facets, sw.dims, sw.dels)
+        death, stats = _solve(facets, dims, dels)
+        del facets  # the remap reads only the other lists
         t3 = time.perf_counter()
         peaks.append(_peak_rss_mb())
         # a pair (i, j) has i < j, so every interval has 1 <= b <= d <= m and dim >= 0,
         # where m, the padded length, is twice the deletions: each id comes and goes once
-        fields = _remap_pairs(death, sw.dims, sw.dels, sw.add_at, sw.del_at)
+        fields = _remap_pairs(death, dims, dels, add_at, del_at)
         del death
-        standardized = Barcode._of_fields(fields, 2 * len(sw.dels), ABSOLUTE)
+        standardized = Barcode._of_fields(fields, 2 * len(dels), ABSOLUTE)
         barcode, synthetic = _restrict_to_input(standardized, record, f)
         t4 = time.perf_counter()
         peaks.append(_peak_rss_mb())

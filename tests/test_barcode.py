@@ -17,6 +17,7 @@ from zzpers import (
     oracle_absolute,
     to_updown,
 )
+from zzpers.barcode import _TEXT_CHUNK
 from zzpers.complexes import SimplicialComplex
 from conftest import zz
 
@@ -110,6 +111,13 @@ def test_serialization_deterministic_and_sorted():
     lines = bar.to_lines()
     assert lines[0] == "zzbar v1 m=4 kind=abs"
     assert lines[1:] == ["0 1 1 cc", "0 1 1 cc", "1 0 2 co"]
+
+
+@pytest.mark.parametrize("size", [0, 1, _TEXT_CHUNK - 1, _TEXT_CHUNK, _TEXT_CHUNK + 1,
+                                  2 * _TEXT_CHUNK + 1])
+def test_text_in_chunks_is_the_joined_lines(size):
+    bar = Barcode([iv(k % 3, k, k + 1, "co") for k in range(size)], size + 1, RELATIVE)
+    assert bar.to_text() == "\n".join(bar.to_lines()) + "\n"
 
 
 def test_multiplicity_roundtrip():

@@ -15,11 +15,19 @@ from zzpers import (
     multiset_equal,
     oracle_absolute,
     oracle_relative,
+    recover_absolute_from_relative,
     relative_top_barcode,
     validate,
 )
 from zzpers.cli import main
-from zzpers.io import format_filtration, parse_barcode, parse_filtration, write_off
+from zzpers.io import (
+    OffMesh,
+    format_filtration,
+    generate,
+    parse_barcode,
+    parse_filtration,
+    write_off,
+)
 from zzpers.pipeline import compute_zigzag
 from zzpers.rng import SplitMix64
 from conftest import moved_edge_torus, octahedra_wedge, random_nonrepetitive, torus_mesh_points
@@ -320,11 +328,12 @@ def test_committed_bench_runs_follow_the_schema():
     # BENCH_main.json's runs, the parent and change runs of BENCH_padding.json and
     # BENCH_coboundary_by_dim.json (three inputs, three runs each), of
     # BENCH_dim0_union_find.json (four inputs, three runs each) and of
-    # BENCH_remap_table.json (four inputs, and the largest again in swapped order)
+    # BENCH_remap_table.json and BENCH_parse_ids.json (four inputs, and the largest
+    # again in swapped order)
     assert counts["BENCH_main.json"] and counts["BENCH_padding.json"] == 18
     assert counts["BENCH_coboundary_by_dim.json"] == 18
     assert counts["BENCH_dim0_union_find.json"] == 24
-    assert counts["BENCH_remap_table.json"] == 30
+    assert counts["BENCH_remap_table.json"] == counts["BENCH_parse_ids.json"] == 30
 
 
 # one file run three times, and three files run once each; the ids are the ones
@@ -470,6 +479,55 @@ def test_manifold_refusals_keep_their_texts(text, p, complex_text, code, message
         with pytest.raises(ZigzagError) as err:
             call(parsed.filtration, K, p)
         assert str(err.value) == message and err.value.exit_code == code
+
+
+def _relative_then_recovered(f, K, p):
+    """Exit code, output and error of the two public calls `manifold --recover` makes in
+    turn: relative_top_barcode, then recover_absolute_from_relative of its barcode."""
+    try:
+        rel = relative_top_barcode(f, K, p)
+        return 0, rel.to_text() + recover_absolute_from_relative(rel, f, K, p).to_text(), ""
+    except ZigzagError as exc:
+        return exc.exit_code, "", f"error: {exc}\n"
+
+
+def _swept_torus_text():
+    verts, faces = torus_mesh_points(4, 3)
+    return format_filtration(generate(OffMesh(tuple(verts), tuple(faces)), "x", 40, 5))
+
+
+REPEATED_VERTEX = "a 0\nd 0\n"  # a standardized f stays standardized and becomes repetitive
+WEDGE = random_nonrepetitive(SplitMix64(3), sorted(octahedra_wedge().simplex_set()))
+
+
+@pytest.mark.parametrize("text, p", [
+    (_swept_torus_text(), 2),
+    (format_filtration(WEDGE), 2),
+    (_swept_torus_text() + REPEATED_VERTEX, 2),
+    (PENDANT + REPEATED_VERTEX, 1),
+    (EDGE, 1),
+    ("zzfilt v1\na 0\nd 0\nd 0\n", 1),
+], ids=["torus", "pseudomanifold", "repetitive", "repetitive-non-manifold", "non-manifold",
+        "invalid"])
+def test_manifold_recover_admits_once_as_the_two_public_calls(text, p, tmp_path, capsys,
+                                                               monkeypatch):
+    import zzpers.filtration
+
+    path = tmp_path / "f.zz"
+    path.write_text(text)
+    f = parse_filtration(text).filtration
+    want = _relative_then_recovered(f, f.total_complex(), p)
+    calls = []
+
+    def spy(g, inner=zzpers.filtration._sweep):
+        calls.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(zzpers.filtration, "_sweep", spy)
+    code = main(["manifold", str(path), "--p", str(p), "--recover"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
+    assert len(calls) == 1
 
 
 def test_manifold_of_the_empty_file_is_the_empty_relative_barcode(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,16 @@ from zzpers import (
     Barcode,
     Interval,
     InvalidInputError,
+    ZigzagFiltration,
+    compute_zigzag,
     is_non_repetitive,
+    manifold_absolute_barcode,
+    relative_top_barcode,
+    standardize,
     to_updown,
     validate,
 )
+from zzpers.filtration import ADD, _sweep
 from zzpers.io import (
     BAR_HEADER,
     OffMesh,
@@ -91,6 +99,84 @@ def test_filtration_lines_with_one_text_share_their_simplex():
     # a block line with the text of an event line reuses it too
     block = parse_filtration("zzfilt v1\na 0\nbegin-d\n0\nend-d\n").filtration.events
     assert block[0].simplex is block[1].simplex
+
+
+def _swept_torus_text(a=4, b=3, switches=30, seed=11):
+    verts, faces = torus_mesh_points(a, b)
+    return format_filtration(generate(OffMesh(tuple(verts), tuple(faces)), "x", switches, seed))
+
+
+def test_parse_gives_dense_ids_in_order_of_first_appearance():
+    # a block's events are emitted sorted at its end, and its new texts get their ids then
+    text = "zzfilt v1\nbegin-a\nx y\ny\nx\nend-a\nd x y\nbegin-d\nx\ny\nend-d\n"
+    f = parse_filtration(text).filtration
+    ids, simplices = f._ids
+    assert ids.typecode == "i" and ids.itemsize == 4
+    assert list(ids) == [0, 1, 2, ~2, ~1, ~0]
+    assert simplices == [sx(0), sx(1), sx(0, 1)]
+    for j, e in zip(ids, f.events):
+        assert e.simplex is simplices[max(j, ~j)] and (e.direction == ADD) == (j >= 0)
+    # the record is derived from the events, so equality ignores it
+    assert f == ZigzagFiltration(f.events) and ZigzagFiltration(f.events)._ids is None
+
+
+def test_admitting_a_parsed_filtration_twice_leaves_its_ids_as_they_were():
+    # the file ends non-empty, so each admission pads its sweep (which the record must not see)
+    text = "".join(_swept_torus_text().splitlines(keepends=True)[:-5])
+    f = parse_filtration(text).filtration
+    ids, simplices = f._ids
+    before = (ids.tobytes(), list(simplices))
+    first, second = compute_zigzag(f), compute_zigzag(f)
+    assert first.record.suffix_length == 5
+    assert (first.barcode, first.standardized, first.stats) == (
+        second.barcode, second.standardized, second.stats)
+    assert first.barcode == compute_zigzag(ZigzagFiltration(f.events)).barcode
+    assert f._ids[0] is ids and f._ids[1] is simplices
+    assert (ids.tobytes(), simplices) == before
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_parsed_filtration_equals_and_admits_as_the_original(clone):
+    f = parse_filtration(_swept_torus_text()).filtration
+    g = clone(f)
+    assert g == f and g._ids[0] == f._ids[0] and g._ids[1] == f._ids[1]
+    assert _sweep(g) == _sweep(f)
+    assert compute_zigzag(g).barcode == compute_zigzag(f).barcode
+
+
+def test_a_canonical_parsed_file_is_admitted_without_the_event_walk(monkeypatch):
+    import zzpers.filtration
+
+    walked = []
+
+    def spy(f, inner=zzpers.filtration._event_ids):
+        walked.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(zzpers.filtration, "_event_ids", spy)
+    text = _swept_torus_text()
+    f = parse_filtration(text).filtration
+    K = f.total_complex()
+    compute_zigzag(f)
+    validate(f)
+    standardize(f)
+    to_updown(f)
+    relative_top_barcode(f, K, 2)
+    manifold_absolute_barcode(f, K, 2)
+    assert walked == []
+    # a library-built filtration is walked, and so is a file that names one simplex
+    # with two texts: the deletion of its last triangle lists the vertices the other way round
+    library = ZigzagFiltration(f.events)
+    assert compute_zigzag(library).barcode == compute_zigzag(f).barcode
+    lines = text.splitlines()
+    k = max(i for i, line in enumerate(lines) if line.startswith("d ") and line.count(" ") == 3)
+    lines[k] = " ".join(["d", *reversed(lines[k].split()[1:])])
+    two_texts = parse_filtration("\n".join(lines)).filtration
+    assert two_texts == f
+    assert compute_zigzag(two_texts).barcode == compute_zigzag(f).barcode
+    assert walked[0] is library and walked[1] is two_texts and len(walked) == 2
 
 
 @pytest.mark.parametrize("enabled", [True, False])

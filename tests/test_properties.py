@@ -36,14 +36,21 @@ from zzpers import (
     zero_dim_zigzag,
 )
 from zzpers import manifold
-from zzpers.filtration import ADD, DEL
-from zzpers.io import FILT_HEADER, ParsedFiltration, format_filtration, parse_filtration
+from zzpers.filtration import ADD, DEL, _sweep
+from zzpers.io import (
+    FILT_HEADER,
+    OffMesh,
+    ParsedFiltration,
+    format_filtration,
+    generate,
+    parse_filtration,
+)
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.pipeline import _solve, _vertex_pairs
 from zzpers.reduction import extended_from_reduction
 from test_manifold import _oracle_zero_dim
 from test_pipeline import _boundary_pairs, _coned_coboundaries, _record
-from conftest import octahedron, zz
+from conftest import octahedron, torus_mesh_points, zz
 
 # every simplex on five vertices up to dimension 3, faces before cofaces
 CANDIDATES = [Simplex(c) for k in range(1, 5) for c in combinations(range(5), k)]
@@ -68,17 +75,22 @@ def _timed_filtration(draw, K: List[Simplex]) -> ZigzagFiltration:
     return ZigzagFiltration([e for _, e in timed])
 
 
+def _drawn_complex(draw) -> List[Simplex]:
+    """A complex of simplices of CANDIDATES, listed faces first."""
+    K = []
+    for s in CANDIDATES:  # faces first, so a coface's facets are decided
+        if all(f in K for f in boundary(s)) and draw(st.integers(0, 3)):  # kept 3 times in 4
+            K.append(s)
+    return K
+
+
 @st.composite
 def nonrepetitive_filtrations(draw):
     """A valid non-repetitive filtration: a window of one that starts and ends
     empty, in which each simplex of a drawn complex K is added once, after its
     facets, and deleted once, after its cofaces. A window that starts inside
     it has a non-empty initial complex."""
-    K = []
-    for s in CANDIDATES:  # faces first, so a coface's facets are decided
-        if all(f in K for f in boundary(s)) and draw(st.integers(0, 3)):  # kept 3 times in 4
-            K.append(s)
-    whole = _timed_filtration(draw, K)
+    whole = _timed_filtration(draw, _drawn_complex(draw))
     lo = draw(st.integers(0, len(whole)))
     hi = len(whole) - draw(st.integers(0, len(whole) - lo))
     return ZigzagFiltration(whole.events[lo:hi], whole.complex_at(lo))
@@ -498,3 +510,67 @@ def test_canonical_filtration_files_round_trip_byte_for_byte(names, data):
     assert parsed.filtration == f
     assert parsed.names == tuple(names[v] for v in used)
     assert format_filtration(parsed.filtration, parsed.names) == text
+
+
+def _block_text(draw, f: ZigzagFiltration) -> str:
+    """The canonical file of f with some runs of events of one direction
+    written as blocks, their lines in a drawn order."""
+    lines = format_filtration(f).splitlines()
+    out, k = [lines[0]], 1
+    while k < len(lines):
+        end = k + 1
+        while end < len(lines) and lines[end][0] == lines[k][0]:
+            end += 1
+        run = lines[k:end]
+        k = end
+        if len(run) > 1 and draw(st.booleans()):
+            out += [f"begin-{run[0][0]}", *(line[2:] for line in draw(st.permutations(run))),
+                    f"end-{run[0][0]}"]
+        else:
+            out += run
+    return "\n".join(out)
+
+
+@st.composite
+def admitted_texts(draw):
+    """Filtration files of five kinds: the parser fuzz's texts; canonical files
+    of valid filtrations, either with the tokens of some lines reversed, so
+    that one simplex has two texts, or with runs of events in blocks;
+    repetitive or invalid files, any events on a few simplices; and seeded
+    swept tori."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(filtration_texts())
+    if kind == 1:
+        lines = format_filtration(_timed_filtration(draw, _drawn_complex(draw)))
+        return "\n".join(
+            line if line.startswith(FILT_HEADER) or not draw(st.booleans())
+            else " ".join([line[0], *reversed(line.split()[1:])])
+            for line in lines.splitlines()
+        )
+    if kind == 2:
+        return _block_text(draw, _timed_filtration(draw, _drawn_complex(draw)))
+    if kind == 3:
+        events = draw(st.lists(st.tuples(st.sampled_from([ADD, DEL]),
+                                         st.sampled_from(CANDIDATES[:15])), max_size=20))
+        return format_filtration(ZigzagFiltration(FiltrationEvent(d, s) for d, s in events))
+    a, b = draw(st.integers(3, 5)), draw(st.integers(3, 4))
+    verts, faces = torus_mesh_points(a, b)
+    f = generate(OffMesh(tuple(verts), tuple(faces)), draw(st.sampled_from("xyz")),
+                 draw(st.integers(0, 3 * a * b)), draw(st.integers(0, 2**32)))
+    return format_filtration(f)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(admitted_texts())
+def test_a_parsed_filtration_sweeps_as_its_events(text):
+    """The sweep on the ids the parser gave equals the sweep of the same
+    events with no record, field for field: simplices, index, signed ids,
+    dimensions, facets, positions, deletions, violations, repetition and
+    standardization."""
+    try:
+        f = parse_filtration(text).filtration
+    except InvalidInputError:
+        return
+    got, want = _sweep(f), _sweep(ZigzagFiltration(f.events))
+    assert got._asdict() == want._asdict()
