@@ -25,7 +25,7 @@ from .oracle import oracle_absolute, oracle_relative
 from .reduction import _extended
 
 # version of the JSON record `compute --stats` and `bench` print per run; bump it when a key changes
-BENCH_SCHEMA = "zzpers.bench/3"
+BENCH_SCHEMA = "zzpers.bench/4"
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -51,10 +51,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    start = time.perf_counter()
-    parsed = zio.load_filtration(args.filtration)
-    parse = time.perf_counter() - start
-    result, text, record = _run(parsed, args.filtration, parse, 0, args.standardized)
+    loaded = _load(args.filtration)
+    result, text, record = _run(*loaded, args.filtration, 0, args.standardized)
     extras = []
     if not args.standardized and (result.record.prefix_length or result.record.suffix_length):
         extras.append(
@@ -153,12 +151,22 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _run(parsed, path: str, parse: float, run: int, standardized: bool = False):
+def _load(path: str):
+    """A filtration file parsed, the seconds the parse took and the peak RSS
+    (MB) read right after it."""
+    start = time.perf_counter()
+    parsed = zio.load_filtration(path)
+    return parsed, time.perf_counter() - start, _peak_rss_mb()
+
+
+def _run(parsed, parse: float, parse_peak: float, path: str, run: int,
+         standardized: bool = False):
     """Compute a parsed file and format the barcode a command prints, timing both.
 
     Returns (result, text, record); the record is the run's `BENCH_SCHEMA`
     object, with `peak_rss_mb` read after formatting and `phase_peak_rss_mb`
-    after each phase of `compute_zigzag`.
+    after the parse (`parse_peak`, from `_load`) and each phase of
+    `compute_zigzag`.
     """
     start = time.perf_counter()
     result = compute_zigzag(parsed.filtration)
@@ -167,11 +175,12 @@ def _run(parsed, path: str, parse: float, run: int, standardized: bool = False):
     text = (result.standardized if standardized else result.barcode).to_text()
     seconds = {"parse": parse, **result.timings, "total": total,
                "format": time.perf_counter() - start}
+    peaks = {"parse": parse_peak, **result.peak_rss_mb}
     record = {
         "schema": BENCH_SCHEMA, "file": path, "m": len(parsed.filtration), "run": run,
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
         "peak_rss_mb": round(_peak_rss_mb(), 1), "stats": result.stats,
-        "phase_peak_rss_mb": {k: round(v, 1) for k, v in result.peak_rss_mb.items()},
+        "phase_peak_rss_mb": {k: round(v, 1) for k, v in peaks.items()},
         "python": platform.python_version(), "cpus": os.cpu_count(),
     }
     return result, text, record
@@ -181,13 +190,11 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise InvalidInputError(f"--repeat must be at least 1, got {args.repeat}")
     for path in args.filtration:
-        start = time.perf_counter()
-        parsed = zio.load_filtration(path)
-        parse = time.perf_counter() - start
+        loaded = _load(path)
         for run in range(args.repeat):
             # the result and its text go with the tuple, else the next run's peak counts two
-            print(json.dumps(_run(parsed, path, parse, run)[2]), flush=True)
-        del parsed  # else the next file's parse counts two inputs
+            print(json.dumps(_run(*loaded, path, run)[2]), flush=True)
+        del loaded  # else the next file's parse counts two inputs
     return 0
 
 
@@ -251,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         "coboundary of the others reduced one dimension at a time), remap (pairs to "
         "intervals), total (those four) and format (the barcode's text). peak_rss_mb: this "
         "process's own peak resident set size (VmHWM) after formatting; phase_peak_rss_mb: "
-        "the same after each of the four phases. stats: the reduction counters."))
+        "the same after the parse (once per file) and after each of the four phases. "
+        "stats: the reduction counters."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)

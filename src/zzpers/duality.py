@@ -20,8 +20,8 @@ from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import ComponentLabels, SimplicialComplex, _label_components
 from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
 from .errors import NotStandardizedError
-from .filtration import ADD, DEL, ZigzagFiltration, _Sweep, _admitted, _gc_paused
-from .filtration import _raise_if_repetitive
+from .filtration import ADD, DEL, FiltrationEvent, ZigzagFiltration, _Sweep, _admitted
+from .filtration import _gc_paused, _raise_if_repetitive
 
 
 def absolute_to_relative(abs_bar: Barcode) -> Barcode:
@@ -88,13 +88,15 @@ def recover_absolute_from_relative(
     reference cycle.
     """
     with _gc_paused():
-        repetition = _admitted_filling(f, K, "recovery").repetition
+        sw = _admitted_filling(f, K, "recovery")
+        ids, simplices, repetition = sw.ids, sw.simplices, sw.repetition
+        del sw  # the recovery reads only the signed ids and their simplices
         if rel_p.kind != RELATIVE:
             raise ContractViolationError("recovery needs a relative barcode")
         if rel_p.m != len(f):
             raise ContractViolationError("barcode length does not match the filtration")
         _raise_if_repetitive(repetition)
-        return _recovered(rel_p, f, K, p)
+        return _recovered(rel_p, ids, simplices, K, p)
 
 
 def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex, path: str) -> _Sweep:
@@ -108,9 +110,17 @@ def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex, path: str) -> _
     return sw
 
 
-def _recovered(rel_p: Barcode, f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
+def _recovered(rel_p: Barcode, ids, simplices, K: SimplicialComplex, p: int) -> Barcode:
     """``recover_absolute_from_relative`` of a relative barcode of f's length
-    and an admitted, standardized, non-repetitive f, with the GC paused."""
+    and an admitted, standardized, non-repetitive f, with the GC paused.
+
+    f is given by its sweep's signed id of each event (``_Sweep.ids``) and
+    Simplex of each id, so f's own events are not read."""
+
+    def event_at(i: int) -> FiltrationEvent:
+        j = ids[i]
+        return FiltrationEvent(ADD, simplices[j]) if j >= 0 else FiltrationEvent(DEL, simplices[~j])
+
     m = rel_p.m
     comps = _strong_components(K, p)
     comp_of = comps.of_vertex  # p-simplex vertex tuple -> its strong component
@@ -123,14 +133,14 @@ def _recovered(rel_p: Barcode, f: ZigzagFiltration, K: SimplicialComplex, p: int
         if iv.b == 0 and iv.d == m:
             raise InternalInconsistencyError(f"{iv!r} spans the whole module")
         if iv.b == 0:
-            ev = f.events[iv.d]
+            ev = event_at(iv.d)
             if ev.direction != ADD or ev.simplex.dim != p:
                 raise InternalInconsistencyError(
                     f"{iv!r} should end at the addition of a {p}-simplex, got {ev!r}"
                 )
             starts.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.d] * c)
         elif iv.d == m:
-            ev = f.events[iv.b - 1]
+            ev = event_at(iv.b - 1)
             if ev.direction != DEL or ev.simplex.dim != p:
                 raise InternalInconsistencyError(
                     f"{iv!r} should start at the deletion of a {p}-simplex, got {ev!r}"

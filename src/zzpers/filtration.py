@@ -8,6 +8,7 @@ values; every operation returns a new one.
 from __future__ import annotations
 
 import gc
+import sys
 from array import array
 from collections import namedtuple
 from contextlib import contextmanager
@@ -90,18 +91,22 @@ def _gc_paused():
 class ZigzagFiltration:
     """Event list plus the starting complex (empty by default).
 
-    A filtration read by ``io.parse_filtration`` also carries, in the
-    private slot ``_ids``, the dense ids the parser gave its simplices: the
-    signed id of each event (id for an addition, ~id for a deletion) in a
-    4-byte int array, and the Simplex of each id. ``_sweep`` admits on them
-    instead of looking each event's simplex up again; they are derived from
-    the events, so equality ignores them.
+    A filtration may also be held as a dense-id record, as
+    ``io.parse_filtration`` returns one (``_of_record``): in the private
+    slot ``_ids``, the signed id of each event (id for an addition, ~id for
+    a deletion) in a 4-byte int array, and the Simplex of each id. Its
+    ``events`` tuple is then built from the record on first read, one
+    event per position and no list beside it, and kept; until then
+    ``len``, ``directions`` and ``total_complex`` read the record, and
+    ``_sweep`` admits on it. The tuple is a pure function of the record, so concurrent
+    first reads build equal tuples. Equality and repr compare and print the
+    events, so they ignore the record.
     """
 
-    __slots__ = ("events", "initial", "_ids")
+    __slots__ = ("_events", "initial", "_ids")
 
     def __init__(self, events: Iterable[FiltrationEvent], initial: Iterable[Simplex] = ()):
-        self.events: Tuple[FiltrationEvent, ...] = tuple(events)
+        self._events: Optional[Tuple[FiltrationEvent, ...]] = tuple(events)
         init = frozenset(initial)
         for s in init:
             for f in boundary(s):
@@ -112,8 +117,30 @@ class ZigzagFiltration:
         self.initial = init
         self._ids = None
 
+    @classmethod
+    def _of_record(cls, ids: array, simplices: List[Simplex]) -> "ZigzagFiltration":
+        """The filtration, from the empty complex, whose event i is the
+        addition of ``simplices[ids[i]]``, or the deletion of
+        ``simplices[~ids[i]]`` where ``ids[i] < 0``; nothing is checked."""
+        f = _new(cls)
+        f._events, f.initial, f._ids = None, frozenset(), (ids, simplices)
+        return f
+
+    @property
+    def events(self) -> Tuple[FiltrationEvent, ...]:
+        events = self._events
+        if events is None:
+            ids, simplices = self._ids
+            trusted = FiltrationEvent._trusted
+            with _gc_paused():  # the events form no reference cycle
+                events = self._events = tuple(
+                    trusted(ADD, simplices[j]) if j >= 0 else trusted(DEL, simplices[~j])
+                    for j in ids
+                )
+        return events
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._events if self._ids is None else self._ids[0])
 
     def __eq__(self, other) -> bool:
         return (
@@ -126,7 +153,9 @@ class ZigzagFiltration:
         return f"ZigzagFiltration({list(self.events)!r})"
 
     def directions(self) -> Tuple[str, ...]:
-        return tuple(e.direction for e in self.events)
+        if self._ids is None:
+            return tuple(e.direction for e in self._events)
+        return _directions(self._ids[0])
 
     def snapshots(self) -> Iterator[frozenset]:
         """Yield K_0..K_m. Intended for small instances (copies each step)."""
@@ -156,7 +185,11 @@ class ZigzagFiltration:
 
     def total_complex(self) -> SimplicialComplex:
         all_simplices = set(self.initial)
-        all_simplices.update(e.simplex for e in self.events if e.direction == ADD)
+        if self._ids is None:
+            all_simplices.update(e.simplex for e in self._events if e.direction == ADD)
+        else:
+            ids, simplices = self._ids
+            all_simplices.update(simplices[j] for j in ids if j >= 0)
         return SimplicialComplex(all_simplices)
 
     def is_standardized(self) -> bool:
@@ -170,6 +203,19 @@ class ZigzagFiltration:
             elif seen_del:
                 return False
         return True
+
+
+# the direction of a signed id, indexed by the byte of it that holds its sign
+_DIRECTION_OF_SIGN_BYTE = bytes(ord(ADD if b < 128 else DEL) for b in range(256))
+
+
+def _directions(ids: array) -> Tuple[str, ...]:
+    """The direction of each signed id in an int array: ADD for an id, DEL
+    for ~id, read off the byte of each id that holds its sign (a walk over
+    the ids in Python takes about five times as long)."""
+    k = ids.itemsize
+    signs = ids.tobytes()[k - 1 if sys.byteorder == "little" else 0 :: k]
+    return tuple(signs.translate(_DIRECTION_OF_SIGN_BYTE).decode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -236,12 +282,13 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
     """Validity, first repetition, event orders and facet ids in one pass.
 
     Dense simplex ids, in order of first appearance (so of addition when f
-    is valid), come from the record ``io.parse_filtration`` left on f: one
-    id per distinct simplex text, and each event as its signed id. A
-    library-built f has no record, and a file that names one simplex with
-    two texts has one id too many in it (its vertex-tuple index comes out
-    shorter than its id list); their ids come from one walk over the events
-    instead (``_event_ids``), with K_0 added first in face order. Either way
+    is valid), come from f's record (``ZigzagFiltration._ids``; a parsed
+    file's has one id per distinct simplex text), without its events being
+    built. An f built from events has no record, and a file that names one
+    simplex with two texts has one id too many in it (its vertex-tuple index
+    comes out shorter than its id list); their ids come from one walk over
+    the events instead (``_event_ids``), with K_0 added first in face order,
+    as does the naming of a dangling coface. Either way
     the facet ids come from one pass over the ids' vertex tuples, and one
     loop over the signed ids does the rest, so nothing is kept across calls.
 
@@ -377,21 +424,22 @@ def standardize(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, StandardizationR
     appended deletions the reverse; any face-respecting order would do, this
     one is deterministic. Non-repetitiveness is preserved. An invalid f, with
     no K_m to dismantle, fails the shared admission (``_admitted``); the
-    padding comes from that one sweep (``_pad``).
+    padding comes from that one sweep (``_pad``), and the result is the
+    record of its signed ids (K_0 already first) with K_m's deletions
+    appended, so neither f's events nor the result's are built here.
     """
     sw = _admitted(f)
     record = _pad(sw, f)
     ends = sw.dels[len(sw.dels) - record.suffix_length :]
-    prefix = [FiltrationEvent.add(s) for s in sw.simplices[: record.prefix_length]]
-    suffix = [FiltrationEvent.delete(sw.simplices[j]) for j in ends]
-    return ZigzagFiltration(prefix + list(f.events) + suffix), record
+    ids = sw.ids + array("i", [~j for j in ends])
+    return ZigzagFiltration._of_record(ids, sw.simplices), record
 
 
 def _pad(sw: _Sweep, f: ZigzagFiltration) -> StandardizationRecord:
     """Make an admitted sweep of f the sweep of ``standardize(f)``: its
     positions already put K_0 first, so only K_m's deletions are appended,
     by decreasing (dimension, vertices). A standardized sweep is kept as is."""
-    m, p = len(f.events), len(f.initial)
+    m, p = len(f), len(f.initial)
     if sw.standardized:
         return StandardizationRecord(0, m, 0)
     final = [j for j, (a, d) in enumerate(zip(sw.add_at, sw.del_at)) if a > d]

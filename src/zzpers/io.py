@@ -85,24 +85,22 @@ def parse_filtration(text: str) -> ParsedFiltration:
     of first appearance in the events, block lines included (a block's
     events are emitted, sorted, at its end). Every later line with the same
     text, such as the ``d`` line of a simplex added earlier, reuses that id
-    and its ``Simplex`` object. Each event is also recorded as one signed
-    id (id for an addition, ~id for a deletion) in a 4-byte int array,
-    which the returned filtration carries with the ``Simplex`` of each id
-    (``ZigzagFiltration._ids``) for the admission sweep to read. Events are
-    built with ``FiltrationEvent._trusted``, since their direction has just
-    been read. The cyclic garbage collector is paused while the objects are
-    built (``_gc_paused``; none of them forms a reference cycle). Every
-    error is an ``InvalidInputError`` that names the line.
+    and its ``Simplex`` object. Each event is recorded as one signed id (id
+    for an addition, ~id for a deletion) in a 4-byte int array, and that
+    record with the ``Simplex`` of each id is the returned filtration
+    (``ZigzagFiltration._of_record``): its event objects are built only
+    when first read, and the admission sweep reads the record. The cyclic
+    garbage collector is paused while the simplices are built
+    (``_gc_paused``; none of them forms a reference cycle). Every error is
+    an ``InvalidInputError`` that names the line.
     """
     with _gc_paused():
         ids = _Interner()
         cache: Dict[str, int] = {}  # simplex text -> its dense id
         simplices: List[Simplex] = []  # dense id -> its checked simplex
         record = array("i")  # per event: the id of its simplex, ~id for a deletion
-        events: List[FiltrationEvent] = []
         block: Optional[str] = None
         block_lines: List[Tuple[Simplex, str]] = []  # the block's simplices and their texts
-        trusted = FiltrationEvent._trusted
         header = False
         for lineno, line in enumerate(text.splitlines()):
             if "#" in line:
@@ -123,12 +121,7 @@ def parse_filtration(text: str) -> ParsedFiltration:
                     if j is None:
                         simplices.append(_simplex(rest, ids))
                         j = cache[rest] = len(simplices) - 1
-                    if head == ADD:
-                        events.append(trusted(ADD, simplices[j]))
-                        record.append(j)
-                    else:
-                        events.append(trusted(DEL, simplices[j]))
-                        record.append(~j)
+                    record.append(j if head == ADD else ~j)
                     continue
                 if head in ("begin-a", "begin-d"):
                     if block is not None:
@@ -146,7 +139,6 @@ def parse_filtration(text: str) -> ParsedFiltration:
                         if j is None:
                             simplices.append(s)
                             j = cache[rest] = len(simplices) - 1
-                        events.append(trusted(block, simplices[j]))
                         record.append(j if block == ADD else ~j)
                     block = None
                     block_lines.clear()
@@ -161,9 +153,7 @@ def parse_filtration(text: str) -> ParsedFiltration:
             raise InvalidInputError(f"filtration file must start with '{FILT_HEADER}'")
         if block is not None:
             raise InvalidInputError("unterminated coarse block")
-        f = ZigzagFiltration(events)
-        f._ids = (record, simplices)
-        return ParsedFiltration(f, tuple(ids))
+        return ParsedFiltration(ZigzagFiltration._of_record(record, simplices), tuple(ids))
 
 
 def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None) -> str:

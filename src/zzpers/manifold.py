@@ -41,7 +41,8 @@ from .barcode import ABSOLUTE, RELATIVE, Barcode, classify_ends
 from .complexes import DualGraph, SimplicialComplex, _dual_cells, _find, dual_graph
 from .duality import _admitted_filling, _recovered
 from .errors import InvalidInputError
-from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused, _raise_if_repetitive
+from .filtration import ADD, DEL, ZigzagFiltration, _directions, _gc_paused
+from .filtration import _raise_if_repetitive
 from .pipeline import _remap_pairs, _vertex_pairs
 
 ADD_VERTEX = "+v"
@@ -385,8 +386,9 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim)
 
 def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
     """Copy record of the dual-graph complement zigzag of f, walked on the
-    ids of f's one admission sweep, which is dropped before the walk, and
-    f's first repetition.
+    ids of f's one admission sweep, which is dropped before the walk, the
+    sweep's signed id of each event and Simplex of each id, and f's first
+    repetition.
 
     f passes the shared admission, is standardized and fills K, and is
     refused if repetitive unless ``allow_repetitive``. K then passes the
@@ -409,7 +411,7 @@ def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repeti
     if not allow_repetitive:
         _raise_if_repetitive(sw.repetition)
     tops, ridges, ends = _dual_cells(K, p, sw.simplices, sw.facets, sw.index)
-    ids, repetition = sw.ids, sw.repetition
+    ids, simplices, repetition = sw.ids, sw.simplices, sw.repetition
     del sw  # the walk reads only the signed ids
     m = len(f)
     steps = chain(  # a dual cell enters when its primal simplex is deleted
@@ -417,7 +419,7 @@ def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repeti
         ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
         zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
     )
-    return _copies(steps, ends), repetition
+    return _copies(steps, ends), ids, simplices, repetition
 
 
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -439,11 +441,13 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
 
 
 def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
-    """``relative_top_barcode`` and f's first repetition, refusing a
-    repetitive f unless ``allow_repetitive``, with the collector paused."""
-    copies, repetition = _dual_copies(f, K, p, allow_repetitive)
-    fields = _arrow_fields(*copies, f.directions(), p)
-    return Barcode._of_fields(fields, len(f), RELATIVE), repetition
+    """``relative_top_barcode``, f's first repetition, and the signed ids and
+    simplices of f's sweep (what ``duality._recovered`` reads), refusing a
+    repetitive f unless ``allow_repetitive``, with the collector paused.
+    The arrows' directions come from the signed ids, not from f's events."""
+    copies, ids, simplices, repetition = _dual_copies(f, K, p, allow_repetitive)
+    fields = _arrow_fields(*copies, _directions(ids), p)
+    return Barcode._of_fields(fields, len(f), RELATIVE), repetition, ids, simplices
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -455,7 +459,8 @@ def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int)
     One sweep admits f for both steps; the cyclic GC is paused for the call.
     """
     with _gc_paused():
-        return _recovered(_relative_top(f, K, p, allow_repetitive=False)[0], f, K, p)
+        rel, _, ids, simplices = _relative_top(f, K, p, allow_repetitive=False)
+        return _recovered(rel, ids, simplices, K, p)
 
 
 def _relative_and_recovered(f: ZigzagFiltration, K: SimplicialComplex,
@@ -465,6 +470,6 @@ def _relative_and_recovered(f: ZigzagFiltration, K: SimplicialComplex,
     the two calls raise in turn (a non-manifold K before a repetitive f).
     The cyclic GC is paused for the call."""
     with _gc_paused():
-        rel, repetition = _relative_top(f, K, p, allow_repetitive=True)
+        rel, repetition, ids, simplices = _relative_top(f, K, p, allow_repetitive=True)
         _raise_if_repetitive(repetition)
-        return rel, _recovered(rel, f, K, p)
+        return rel, _recovered(rel, ids, simplices, K, p)

@@ -265,14 +265,16 @@ def test_manifold_with_explicit_complex_file(tmp_path, capsys):
     assert main(["manifold", str(filt), "--complex", str(cx_bad), "--p", "2"]) == 2
 
 
-# the keys of each schema version; /2 added the peak RSS after each phase, and /3 the
-# union_find_pairs counter to stats
+# the keys of each schema version; /2 added the peak RSS after each phase, /3 the
+# union_find_pairs counter to stats, and /4 the peak RSS after the parse
 BENCH_KEYS_1 = {"schema", "file", "m", "run", "seconds", "peak_rss_mb", "stats", "python", "cpus"}
 BENCH_KEYS = BENCH_KEYS_1 | {"phase_peak_rss_mb"}
 SCHEMA_KEYS = {"zzpers.bench/1": BENCH_KEYS_1, "zzpers.bench/2": BENCH_KEYS,
-               "zzpers.bench/3": BENCH_KEYS}
+               "zzpers.bench/3": BENCH_KEYS, "zzpers.bench/4": BENCH_KEYS}
 BENCH_SECONDS = {"parse", "validate", "convert", "reduce", "remap", "total", "format"}
-PHASES = ["validate", "convert", "reduce", "remap"]
+PHASES = ["parse", "validate", "convert", "reduce", "remap"]
+SCHEMA_PHASES = {"zzpers.bench/2": PHASES[1:], "zzpers.bench/3": PHASES[1:],
+                 "zzpers.bench/4": PHASES}
 
 
 def test_bench_json(small_file, capsys):
@@ -281,12 +283,12 @@ def test_bench_json(small_file, capsys):
     assert [r["run"] for r in runs] == [0, 1]
     stats = compute_zigzag(parse_filtration(SMALL).filtration).stats
     for r in runs:
-        assert r["schema"] == "zzpers.bench/3"
+        assert r["schema"] == "zzpers.bench/4"
         assert set(r) == BENCH_KEYS and set(r["seconds"]) == BENCH_SECONDS
         assert all(v >= 0 for v in r["seconds"].values())
         assert (r["file"], r["m"], r["stats"]) == (small_file, 4, stats)
         assert r["peak_rss_mb"] > 0 and r["cpus"] >= 1 and r["python"] == platform.python_version()
-        # a high-water mark read after each phase in turn, then after formatting
+        # a high-water mark read after the parse and each phase in turn, then after formatting
         peaks = [r["phase_peak_rss_mb"][phase] for phase in PHASES]
         assert list(r["phase_peak_rss_mb"]) == PHASES
         assert 0 < peaks[0] and peaks == sorted(peaks) and peaks[-1] <= r["peak_rss_mb"]
@@ -321,19 +323,20 @@ def test_committed_bench_runs_follow_the_schema():
         for r in runs:
             assert set(r) == SCHEMA_KEYS[r["schema"]], path.name
             assert set(r["seconds"]) == BENCH_SECONDS, path.name
-            new = r["schema"] == "zzpers.bench/3"
-            assert set(r["stats"]) == stats - (set() if new else {"union_find_pairs"}), path.name
+            old = r["schema"] in ("zzpers.bench/1", "zzpers.bench/2")
+            assert set(r["stats"]) == stats - ({"union_find_pairs"} if old else set()), path.name
             if r["schema"] != "zzpers.bench/1":
-                assert list(r["phase_peak_rss_mb"]) == PHASES, path.name
+                assert list(r["phase_peak_rss_mb"]) == SCHEMA_PHASES[r["schema"]], path.name
     # BENCH_main.json's runs, the parent and change runs of BENCH_padding.json and
     # BENCH_coboundary_by_dim.json (three inputs, three runs each), of
     # BENCH_dim0_union_find.json (four inputs, three runs each) and of
-    # BENCH_remap_table.json and BENCH_parse_ids.json (four inputs, and the largest
-    # again in swapped order)
+    # BENCH_remap_table.json, BENCH_parse_ids.json and BENCH_lazy_events.json (four
+    # inputs, and the largest again in swapped order)
     assert counts["BENCH_main.json"] and counts["BENCH_padding.json"] == 18
     assert counts["BENCH_coboundary_by_dim.json"] == 18
     assert counts["BENCH_dim0_union_find.json"] == 24
     assert counts["BENCH_remap_table.json"] == counts["BENCH_parse_ids.json"] == 30
+    assert counts["BENCH_lazy_events.json"] == 30
 
 
 # one file run three times, and three files run once each; the ids are the ones
@@ -387,7 +390,7 @@ def test_compute_stats_flag(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert record["schema"] == "zzpers.bench/3"
+    assert record["schema"] == "zzpers.bench/4"
     assert set(record) == BENCH_KEYS and set(record["seconds"]) == BENCH_SECONDS
     assert (record["file"], record["m"], record["run"]) == (str(path), 6, 0)
     stats = record["stats"]

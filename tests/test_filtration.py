@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from zzpers import (
@@ -19,7 +21,7 @@ from zzpers import (
     to_updown,
     validate,
 )
-from zzpers.filtration import StandardizationRecord, _admitted, _pad, _sweep
+from zzpers.filtration import StandardizationRecord, _admitted, _directions, _pad, _sweep
 from zzpers.rng import SplitMix64
 from conftest import ev, random_complex, random_updown, sx, zz
 
@@ -31,6 +33,12 @@ def test_trusted_event_equals_hashes_and_prints_like_a_checked_one():
         assert trusted == checked and hash(trusted) == hash(checked)
         assert repr(trusted) == repr(checked)
     assert FiltrationEvent._trusted(ADD, sx(0)) != FiltrationEvent(DEL, sx(0))
+
+
+def test_directions_of_signed_ids_of_every_magnitude():
+    ids = [0, ~0, 255, ~255, 2**24, ~2**24, 2**31 - 1, ~(2**31 - 1)]
+    assert _directions(array("i", ids)) == (ADD, DEL) * 4
+    assert _directions(array("i")) == ()
 
 
 def test_validate_examples():

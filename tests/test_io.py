@@ -16,6 +16,7 @@ from zzpers import (
     compute_zigzag,
     is_non_repetitive,
     manifold_absolute_barcode,
+    recover_absolute_from_relative,
     relative_top_barcode,
     standardize,
     to_updown,
@@ -32,6 +33,7 @@ from zzpers.io import (
     parse_off,
     write_off,
 )
+from zzpers.manifold import _relative_and_recovered
 from conftest import sx, torus_mesh_points, zz
 
 
@@ -140,7 +142,14 @@ def test_admitting_a_parsed_filtration_twice_leaves_its_ids_as_they_were():
 ], ids=["copy", "deepcopy", "pickle"])
 def test_a_copied_parsed_filtration_equals_and_admits_as_the_original(clone):
     f = parse_filtration(_swept_torus_text()).filtration
-    g = clone(f)
+    unread = clone(f)  # before anything has read f's events: the copy has none either
+    assert f._events is None and unread._events is None
+    assert unread._ids[0] == f._ids[0] and unread._ids[1] == f._ids[1]
+    assert _sweep(unread) == _sweep(f)
+    assert compute_zigzag(unread).barcode == compute_zigzag(f).barcode
+    assert unread._events is None and unread == f and unread._events == f._events
+    g = clone(f)  # f's events are built now, and the copy has them
+    assert g._events == f._events and g._events is not None
     assert g == f and g._ids[0] == f._ids[0] and g._ids[1] == f._ids[1]
     assert _sweep(g) == _sweep(f)
     assert compute_zigzag(g).barcode == compute_zigzag(f).barcode
@@ -163,9 +172,16 @@ def test_a_canonical_parsed_file_is_admitted_without_the_event_walk(monkeypatch)
     validate(f)
     standardize(f)
     to_updown(f)
-    relative_top_barcode(f, K, 2)
+    rel = relative_top_barcode(f, K, 2)
     manifold_absolute_barcode(f, K, 2)
+    recover_absolute_from_relative(rel, f, K, 2)
+    _relative_and_recovered(f, K, 2)
+    # a file that does not end empty is padded, and its barcode restricted on its directions
+    padded = parse_filtration("".join(text.splitlines(keepends=True)[:-5])).filtration
+    assert compute_zigzag(padded).record.suffix_length == 5
     assert walked == []
+    # and none of those built an event object of either file
+    assert f._events is None and padded._events is None
     # a library-built filtration is walked, and so is a file that names one simplex
     # with two texts: the deletion of its last triangle lists the vertices the other way round
     library = ZigzagFiltration(f.events)

@@ -564,13 +564,30 @@ def admitted_texts(draw):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(admitted_texts())
 def test_a_parsed_filtration_sweeps_as_its_events(text):
-    """The sweep on the ids the parser gave equals the sweep of the same
-    events with no record, field for field: simplices, index, signed ids,
-    dimensions, facets, positions, deletions, violations, repetition and
-    standardization."""
+    """A parsed filtration whose events were never read has the length,
+    directions and total complex of the same events with no record, reads
+    them from its record, and equals that copy both ways, with its repr.
+    The sweep on the ids the parser gave equals the sweep of the copy,
+    field for field: simplices, index, signed ids, dimensions, facets,
+    positions, deletions, violations, repetition and standardization."""
     try:
-        f = parse_filtration(text).filtration
+        library = ZigzagFiltration(parse_filtration(text).filtration.events)
     except InvalidInputError:
         return
-    got, want = _sweep(f), _sweep(ZigzagFiltration(f.events))
+
+    def unread():
+        return parse_filtration(text).filtration
+
+    def total(g):  # an invalid file's total complex may not be face-closed
+        try:
+            return g.total_complex().simplex_set()
+        except InvalidInputError:
+            return InvalidInputError
+
+    f = unread()
+    assert (len(f), f.directions(), total(f)) == (
+        len(library), library.directions(), total(library))
+    assert f._events is None
+    assert unread() == library and library == unread() and repr(unread()) == repr(library)
+    got, want = _sweep(unread()), _sweep(library)
     assert got._asdict() == want._asdict()
