@@ -17,7 +17,7 @@ from typing import List, Optional
 from . import io as zio
 from .duality import absolute_to_relative
 from .errors import InvalidInputError, ZigzagError
-from .filtration import FiltrationEvent, ZigzagFiltration, _admitted, _pad, _sweep, _updown
+from .filtration import _additions, _admitted, _pad, _sweep, _updown
 from .manifold import _relative_and_recovered, relative_top_barcode
 from .pipeline import _peak_rss_mb, compute_zigzag
 from .complexes import Simplex, SimplicialComplex
@@ -86,8 +86,7 @@ def _cmd_convert(args) -> int:
     while apex in taken:  # an input token may already have the apex's name
         apex = "w" + apex
     names = [*parsed.names, apex]
-    mono = ZigzagFiltration([FiltrationEvent.add(s) for s in ext.events])
-    text = zio.format_filtration(mono, names)
+    text = zio.format_filtration(_additions(ext.events), names)
     table = "".join(f"# {line}\n" for line in ext.column_table())
     _write_out(text + table, args.out)
     return 0
@@ -258,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         "coboundary of the others reduced one dimension at a time), remap (pairs to "
         "intervals), total (those four) and format (the barcode's text). peak_rss_mb: this "
         "process's own peak resident set size (VmHWM) after formatting; phase_peak_rss_mb: "
-        "the same after the parse (once per file) and after each of the four phases. "
-        "stats: the reduction counters."))
+        "the same after the parse (once per file) and after each of the four phases. The "
+        "peak never falls, so each later file of several reads the peaks the earlier files "
+        "left: for clean peaks, give one file per process. stats: the reduction counters."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)

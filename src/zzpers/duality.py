@@ -20,7 +20,7 @@ from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import ComponentLabels, SimplicialComplex, _label_components
 from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
 from .errors import NotStandardizedError
-from .filtration import ADD, DEL, FiltrationEvent, ZigzagFiltration, _Sweep, _admitted
+from .filtration import ADD, DEL, ZigzagFiltration, _Sweep, _admitted, _event_text
 from .filtration import _gc_paused, _raise_if_repetitive
 
 
@@ -115,11 +115,12 @@ def _recovered(rel_p: Barcode, ids, simplices, K: SimplicialComplex, p: int) -> 
     and an admitted, standardized, non-repetitive f, with the GC paused.
 
     f is given by its sweep's signed id of each event (``_Sweep.ids``) and
-    Simplex of each id, so f's own events are not read."""
+    Simplex of each id."""
 
-    def event_at(i: int) -> FiltrationEvent:
+    def event_at(i: int):
+        """The direction and simplex of event i."""
         j = ids[i]
-        return FiltrationEvent(ADD, simplices[j]) if j >= 0 else FiltrationEvent(DEL, simplices[~j])
+        return (ADD, simplices[j]) if j >= 0 else (DEL, simplices[~j])
 
     m = rel_p.m
     comps = _strong_components(K, p)
@@ -133,19 +134,17 @@ def _recovered(rel_p: Barcode, ids, simplices, K: SimplicialComplex, p: int) -> 
         if iv.b == 0 and iv.d == m:
             raise InternalInconsistencyError(f"{iv!r} spans the whole module")
         if iv.b == 0:
-            ev = event_at(iv.d)
-            if ev.direction != ADD or ev.simplex.dim != p:
-                raise InternalInconsistencyError(
-                    f"{iv!r} should end at the addition of a {p}-simplex, got {ev!r}"
-                )
-            starts.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.d] * c)
+            direction, s = event_at(iv.d)
+            if direction != ADD or s.dim != p:
+                raise InternalInconsistencyError(f"{iv!r} should end at the addition of a "
+                                                 f"{p}-simplex, got {_event_text(direction, s)}")
+            starts.setdefault(comp_of[s.vertices], []).extend([iv.d] * c)
         elif iv.d == m:
-            ev = event_at(iv.b - 1)
-            if ev.direction != DEL or ev.simplex.dim != p:
-                raise InternalInconsistencyError(
-                    f"{iv!r} should start at the deletion of a {p}-simplex, got {ev!r}"
-                )
-            ends.setdefault(comp_of[ev.simplex.vertices], []).extend([iv.b] * c)
+            direction, s = event_at(iv.b - 1)
+            if direction != DEL or s.dim != p:
+                raise InternalInconsistencyError(f"{iv!r} should start at the deletion of a "
+                                                 f"{p}-simplex, got {_event_text(direction, s)}")
+            ends.setdefault(comp_of[s.vertices], []).extend([iv.b] * c)
         else:
             if iv.type_code not in ("co", "oc"):
                 raise InternalInconsistencyError(f"interior interval {iv!r} is not co or oc")

@@ -1,4 +1,4 @@
-"""Zigzag filtrations as ordered add/delete event sequences.
+"""Zigzag filtrations as ordered add/delete event sequences, held as dense-id records.
 
 Index convention: event i sits between the snapshots K_i and K_{i+1}, so a
 filtration with m events has complexes K_0..K_m. Filtrations are immutable
@@ -13,7 +13,7 @@ from array import array
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 from operator import gt
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -59,8 +59,12 @@ class FiltrationEvent:
         return cls(DEL, s)
 
     def __repr__(self) -> str:
-        sign = "+" if self.direction == ADD else "-"
-        return f"{sign}{'.'.join(map(str, self.simplex.vertices))}"
+        return _event_text(self.direction, self.simplex)
+
+
+def _event_text(direction: str, s: Simplex) -> str:
+    """An event as its repr prints it: +0.1 for the addition of {0, 1}."""
+    return f"{'+' if direction == ADD else '-'}{'.'.join(map(str, s.vertices))}"
 
 
 # the slot setters, which the frozen dataclass's __setattr__ would refuse
@@ -89,16 +93,20 @@ def _gc_paused():
 
 
 class ZigzagFiltration:
-    """Event list plus the starting complex (empty by default).
+    """Event list plus the starting complex (empty by default), held as a
+    dense-id record.
 
-    A filtration may also be held as a dense-id record, as
-    ``io.parse_filtration`` returns one (``_of_record``): in the private
-    slot ``_ids``, the signed id of each event (id for an addition, ~id for
-    a deletion) in a 4-byte int array, and the Simplex of each id. Its
-    ``events`` tuple is then built from the record on first read, one
-    event per position and no list beside it, and kept; until then
-    ``len``, ``directions`` and ``total_complex`` read the record, and
-    ``_sweep`` admits on it. The tuple is a pure function of the record, so concurrent
+    The record, in the private slot ``_ids``, is the signed id of each
+    position (id for an addition, ~id for a deletion) in a 4-byte int array,
+    and the Simplex of each id; ids are dense and run in order of first
+    appearance. K_0's additions take the first positions, in face order,
+    and event i sits at |K_0| + i, as in the admission sweep (``_sweep``).
+    ``ZigzagFiltration(events, initial)`` interns the events into the
+    record, one id per vertex tuple; the parser (one id per simplex text)
+    and every producer here give theirs to ``_of_record``. Every reader here
+    reads the record. ``events`` is the public view: the given events, or
+    else built from the record on first read, one event per position and no
+    list beside it, and kept; being a pure function of the record, concurrent
     first reads build equal tuples. Equality and repr compare and print the
     events, so they ignore the record.
     """
@@ -115,15 +123,20 @@ class ZigzagFiltration:
                         f"initial complex is not face-closed: missing {f!r} (facet of {s!r})"
                     )
         self.initial = init
-        self._ids = None
+        ids, simplices, _ = _interned(chain(
+            zip(sorted(init), repeat(True)),
+            ((e.simplex, e.direction == ADD) for e in self._events),
+        ))
+        self._ids = (ids, simplices)
 
     @classmethod
-    def _of_record(cls, ids: array, simplices: List[Simplex]) -> "ZigzagFiltration":
-        """The filtration, from the empty complex, whose event i is the
-        addition of ``simplices[ids[i]]``, or the deletion of
-        ``simplices[~ids[i]]`` where ``ids[i] < 0``; nothing is checked."""
+    def _of_record(cls, ids: array, simplices: List[Simplex],
+                   initial: frozenset = frozenset()) -> "ZigzagFiltration":
+        """The filtration from ``initial``, whose position i is the addition of
+        ``simplices[ids[i]]``, or the deletion of ``simplices[~ids[i]]``
+        where ``ids[i] < 0``, with K_0's additions first; nothing is checked."""
         f = _new(cls)
-        f._events, f.initial, f._ids = None, frozenset(), (ids, simplices)
+        f._events, f.initial, f._ids = None, initial, (ids, simplices)
         return f
 
     @property
@@ -135,12 +148,12 @@ class ZigzagFiltration:
             with _gc_paused():  # the events form no reference cycle
                 events = self._events = tuple(
                     trusted(ADD, simplices[j]) if j >= 0 else trusted(DEL, simplices[~j])
-                    for j in ids
+                    for j in islice(ids, len(self.initial), None)
                 )
         return events
 
     def __len__(self) -> int:
-        return len(self._events if self._ids is None else self._ids[0])
+        return len(self._ids[0]) - len(self.initial)
 
     def __eq__(self, other) -> bool:
         return (
@@ -153,20 +166,20 @@ class ZigzagFiltration:
         return f"ZigzagFiltration({list(self.events)!r})"
 
     def directions(self) -> Tuple[str, ...]:
-        if self._ids is None:
-            return tuple(e.direction for e in self._events)
-        return _directions(self._ids[0])
+        return _directions(self._ids[0], len(self.initial))
+
+    def _present(self) -> Iterator[set]:
+        """The running complex, one set changed in place: K_0, then after each event."""
+        current = set(self.initial)
+        yield current
+        ids, simplices = self._ids
+        for j in islice(ids, len(self.initial), None):
+            (current.add if j >= 0 else current.discard)(simplices[j if j >= 0 else ~j])
+            yield current
 
     def snapshots(self) -> Iterator[frozenset]:
         """Yield K_0..K_m. Intended for small instances (copies each step)."""
-        current = set(self.initial)
-        yield frozenset(current)
-        for e in self.events:
-            if e.direction == ADD:
-                current.add(e.simplex)
-            else:
-                current.discard(e.simplex)
-            yield frozenset(current)
+        return map(frozenset, self._present())
 
     def complex_at(self, i: int) -> frozenset:
         for k, snap in enumerate(self.snapshots()):
@@ -175,46 +188,40 @@ class ZigzagFiltration:
         raise IndexError(i)
 
     def final_complex(self) -> frozenset:
-        current = set(self.initial)
-        for e in self.events:
-            if e.direction == ADD:
-                current.add(e.simplex)
-            else:
-                current.discard(e.simplex)
+        for current in self._present():
+            pass
         return frozenset(current)
 
     def total_complex(self) -> SimplicialComplex:
-        all_simplices = set(self.initial)
-        if self._ids is None:
-            all_simplices.update(e.simplex for e in self._events if e.direction == ADD)
-        else:
-            ids, simplices = self._ids
-            all_simplices.update(simplices[j] for j in ids if j >= 0)
+        ids, simplices = self._ids
+        all_simplices = set(self.initial)  # K_0 first: insertion order picks the facet an error names
+        all_simplices.update(simplices[j] for j in islice(ids, len(self.initial), None) if j >= 0)
         return SimplicialComplex(all_simplices)
 
     def is_standardized(self) -> bool:
         return not self.initial and not self.final_complex()
 
     def is_updown(self) -> bool:
-        seen_del = False
-        for e in self.events:
-            if e.direction == DEL:
-                seen_del = True
-            elif seen_del:
-                return False
-        return True
+        dirs = self.directions()
+        return DEL not in dirs or ADD not in dirs[dirs.index(DEL):]
+
+
+def _additions(simplices: Iterable[Simplex]) -> ZigzagFiltration:
+    """The filtration that adds the given simplices in order to the empty complex."""
+    simplices = list(simplices)
+    return ZigzagFiltration._of_record(array("i", range(len(simplices))), simplices)
 
 
 # the direction of a signed id, indexed by the byte of it that holds its sign
 _DIRECTION_OF_SIGN_BYTE = bytes(ord(ADD if b < 128 else DEL) for b in range(256))
 
 
-def _directions(ids: array) -> Tuple[str, ...]:
-    """The direction of each signed id in an int array: ADD for an id, DEL
-    for ~id, read off the byte of each id that holds its sign (a walk over
-    the ids in Python takes about five times as long)."""
+def _directions(ids: array, start: int = 0) -> Tuple[str, ...]:
+    """The direction of each signed id in an int array from position start
+    on: ADD for an id, DEL for ~id, read off the byte of each id that holds
+    its sign (a walk over the ids in Python takes about five times as long)."""
     k = ids.itemsize
-    signs = ids.tobytes()[k - 1 if sys.byteorder == "little" else 0 :: k]
+    signs = ids.tobytes()[start * k + (k - 1 if sys.byteorder == "little" else 0) :: k]
     return tuple(signs.translate(_DIRECTION_OF_SIGN_BYTE).decode("ascii"))
 
 
@@ -254,60 +261,53 @@ def _facet_ids(vts: List[Tuple[int, ...]], get) -> List[Tuple[Optional[int], ...
     return out
 
 
-def _event_ids(f: ZigzagFiltration):
-    """Dense ids from one walk over the events of f, K_0 first in face order:
-    the Simplex of each id, in order of first appearance, the vertex tuple ->
-    id index, and the signed id of each event (id for an addition, ~id for a
-    deletion)."""
+def _interned(events: Iterable[Tuple[Simplex, bool]]):
+    """Dense ids in order of first appearance, one per vertex tuple, for a
+    sequence of (simplex, is an addition) pairs: the signed id of each pair
+    (id for an addition, ~id for a deletion), the Simplex of each id (its
+    first one) and the vertex tuple -> id index."""
     index: Dict[Tuple[int, ...], int] = {}
     get = index.get
     simplices: List[Simplex] = []
     ids = array("i")
     append = ids.append
-    events = f.events
-    if f.initial:
-        events = [*map(FiltrationEvent.add, sorted(f.initial)), *events]
-    for e in events:
-        s = e.simplex
+    for s, added in events:
         vs = s.vertices
         j = get(vs)
         if j is None:
             j = index[vs] = len(simplices)
             simplices.append(s)
-        append(j if e.direction == ADD else ~j)
-    return simplices, index, ids
+        append(j if added else ~j)
+    return ids, simplices, index
 
 
 def _sweep(f: ZigzagFiltration) -> _Sweep:
     """Validity, first repetition, event orders and facet ids in one pass.
 
     Dense simplex ids, in order of first appearance (so of addition when f
-    is valid), come from f's record (``ZigzagFiltration._ids``; a parsed
-    file's has one id per distinct simplex text), without its events being
-    built. An f built from events has no record, and a file that names one
-    simplex with two texts has one id too many in it (its vertex-tuple index
-    comes out shorter than its id list); their ids come from one walk over
-    the events instead (``_event_ids``), with K_0 added first in face order,
-    as does the naming of a dangling coface. Either way
-    the facet ids come from one pass over the ids' vertex tuples, and one
-    loop over the signed ids does the rest, so nothing is kept across calls.
+    is valid), come from f's record (``ZigzagFiltration._ids``), without
+    its events being built. A file that names one simplex with two texts
+    has one id too many in its record (its vertex-tuple index comes out
+    shorter than its id list): each of its ids is renamed to the first id
+    of its vertex tuple, and the ids renumbered in order of first
+    appearance (``_interned``). The facet ids come from one pass over the
+    ids' vertex tuples, and one loop over the signed ids does the rest, so
+    nothing is kept across calls.
 
     Per id: the Simplex, its dimension, its facet ids (None for a facet that
     is no simplex of f), its last addition and deletion position (-1: none)
     in the padded filtration, where K_0 enters first and event i sits at
     |K_0| + i. Also the vertex tuple -> id index, the signed id of each
-    position (the record's own array, not to be changed, when f has one),
+    position (the record's own array, not to be changed, unless renamed),
     the ids of all deletions in event order, the violations and first
     repetition (by f's event indices), and whether K_0 = K_m = empty.
     Invalid events are skipped when updating the running complex; the
     repetition check looks at the raw events.
     """
-    parsed = f._ids
-    if parsed is not None:
-        ids, simplices = parsed
-        index = {s.vertices: j for j, s in enumerate(simplices)}
-    if parsed is None or len(index) < len(simplices):
-        simplices, index, ids = _event_ids(f)
+    ids, simplices = f._ids
+    index = {s.vertices: j for j, s in enumerate(simplices)}
+    if len(index) < len(simplices):
+        ids, simplices, index = _interned((simplices[j if j >= 0 else ~j], j >= 0) for j in ids)
     get = index.get
     vts = [s.vertices for s in simplices]
     dims = [len(vs) - 1 for vs in vts]
@@ -358,13 +358,13 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
         # replayed event by event, so that the name depends only on the input
         skipped = {v.index for v in out}
         present = {s.vertices for s in f.initial}
-        for i, e in enumerate(f.events[: max(dangling) + 1]):
-            s = e.simplex
+        for i, j in enumerate(ids[p : p + max(dangling) + 1]):
             if i in dangling:
+                s = simplices[~j]
                 w = next(t for t in present if len(t) == s.dim + 2 and s.is_face_of(Simplex(t)))
                 out[dangling[i]] = Violation(i, f"dangling coface {Simplex(w)!r} of deleted {s!r}")
             elif i not in skipped:
-                (present.add if e.direction == ADD else present.discard)(s.vertices)
+                (present.add if j >= 0 else present.discard)(vts[j if j >= 0 else ~j])
     standardized = not f.initial and not any(map(gt, add_at, del_at))
     return _Sweep(simplices, index, ids, dims, facets, add_at, del_at, dels, out, repetition,
                   standardized)
@@ -474,32 +474,37 @@ def to_updown(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, EventIndexMap]:
 def _updown(sw: _Sweep) -> Tuple[ZigzagFiltration, EventIndexMap]:
     """``to_updown`` of the padded filtration, from its admitted sweep after ``_pad``."""
     _raise_if_repetitive(sw.repetition)
-    events = [FiltrationEvent(ADD, s) for s in sw.simplices]  # ids run in order of addition
-    events += [FiltrationEvent(DEL, sw.simplices[j]) for j in sw.dels]
+    ids = array("i", range(len(sw.simplices)))  # ids run in order of addition
+    ids.extend([~j for j in sw.dels])
     add_index = dict(zip(sw.simplices, sw.add_at))
     del_index = {sw.simplices[j]: sw.del_at[j] for j in sw.dels}
-    return ZigzagFiltration(events), EventIndexMap(add_index, del_index)
+    return ZigzagFiltration._of_record(ids, sw.simplices), EventIndexMap(add_index, del_index)
 
 
 def _switched(f: ZigzagFiltration, j: int, first_dir: str) -> ZigzagFiltration:
-    """f with the events at (j-1, j), first_dir then the other way, switched."""
+    """f with the events at (j-1, j), first_dir then the other way, switched:
+    its record with the two signed ids swapped. The ids still run in order
+    of first appearance when the result is valid."""
     order, words = {DEL: ("delete-then-add", "deletion and addition"),
                     ADD: ("add-then-delete", "addition and deletion")}[first_dir]
-    if not 1 <= j < len(f.events):
+    if not 1 <= j < len(f):
         raise InvalidSwitchError(f"switch position {j} out of range")
-    first, second = f.events[j - 1], f.events[j]
-    if first.direction != first_dir or second.direction == first_dir:
+    ids, simplices = f._ids
+    k = len(f.initial) + j  # the position of event j
+    first, second = ids[k - 1], ids[k]
+    added = first_dir == ADD
+    if (first >= 0) != added or (second >= 0) == added:
         raise InvalidSwitchError(f"events at {j - 1}, {j} are not {order}")
-    if first.simplex == second.simplex:
-        raise InvalidDiamondError(f"cannot switch {words} of the same {first.simplex!r}")
-    sigma, tau = first.simplex, second.simplex  # the added simplex, the deleted one
-    if first_dir == DEL:
+    sigma, tau = (simplices[i if i >= 0 else ~i] for i in (first, second))
+    if sigma == tau:
+        raise InvalidDiamondError(f"cannot switch {words} of the same {sigma!r}")
+    if not added:  # sigma is the added simplex, tau the deleted one
         sigma, tau = tau, sigma
     if tau.is_face_of(sigma):
         raise InvalidSwitchError(f"{tau!r} is a face of {sigma!r}; switched order would be invalid")
-    events = list(f.events)
-    events[j - 1], events[j] = second, first
-    return ZigzagFiltration(events, f.initial)
+    ids = array("i", ids)
+    ids[k - 1], ids[k] = second, first
+    return ZigzagFiltration._of_record(ids, simplices, f.initial)
 
 
 def outward_switch(f: ZigzagFiltration, j: int) -> ZigzagFiltration:
@@ -526,15 +531,15 @@ def random_outward_walk(
     """
     if not f.is_updown():
         raise NotUpDownError("random walk starts from an up-down filtration")
-    events = list(f.events)
+    ids, simplices = f._ids
+    p = len(f.initial)
+    events = ids[p:]  # the signed id of each event, swapped in place
     m = len(events)
     rng = SplitMix64(seed)
 
     def legal(pos: int) -> bool:
         first, second = events[pos - 1], events[pos]
-        if first.direction != ADD or second.direction != DEL:
-            return False
-        return not second.simplex.is_face_of(first.simplex)
+        return first >= 0 > second and not simplices[~second].is_face_of(simplices[first])
 
     # Uniform sampling from a dynamic set: array + position map, swap-remove.
     items: List[int] = [pos for pos in range(1, m) if legal(pos)]
@@ -565,4 +570,4 @@ def random_outward_walk(
                     put(q)
                 else:
                     drop(q)
-    return ZigzagFiltration(events, f.initial), taken
+    return ZigzagFiltration._of_record(ids[:p] + events, simplices, f.initial), taken

@@ -24,14 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import Simplex
 from .errors import InvalidInputError
-from .filtration import (
-    ADD,
-    DEL,
-    FiltrationEvent,
-    ZigzagFiltration,
-    _gc_paused,
-    random_outward_walk,
-)
+from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused, random_outward_walk
 
 FILT_HEADER = "zzfilt v1"
 BAR_HEADER = "zzbar v1"
@@ -85,12 +78,14 @@ def parse_filtration(text: str) -> ParsedFiltration:
     of first appearance in the events, block lines included (a block's
     events are emitted, sorted, at its end). Every later line with the same
     text, such as the ``d`` line of a simplex added earlier, reuses that id
-    and its ``Simplex`` object. Each event is recorded as one signed id (id
-    for an addition, ~id for a deletion) in a 4-byte int array, and that
-    record with the ``Simplex`` of each id is the returned filtration
-    (``ZigzagFiltration._of_record``): its event objects are built only
-    when first read, and the admission sweep reads the record. The cyclic
-    garbage collector is paused while the simplices are built
+    and its ``Simplex`` object; a second text of one simplex (``d 1 0``
+    after ``a 0 1``) gets an id of its own, which the admission sweep
+    renames to the first (``filtration._sweep``). Each event is recorded as
+    one signed id (id for an addition, ~id for a deletion) in a 4-byte int
+    array, and that record with the ``Simplex`` of each id is the returned
+    filtration (``ZigzagFiltration._of_record``): its event objects are
+    built only when first read, and every reader here reads the record.
+    The cyclic garbage collector is paused while the simplices are built
     (``_gc_paused``; none of them forms a reference cycle). Every error is
     an ``InvalidInputError`` that names the line.
     """
@@ -161,13 +156,11 @@ def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None
     if f.initial:
         raise InvalidInputError("filtration files cannot carry a non-empty initial complex")
 
-    def name(v: int) -> str:
-        return names[v] if names is not None else str(v)
-
-    out = [FILT_HEADER]
-    for e in f.events:
-        out.append(e.direction + " " + " ".join(name(v) for v in e.simplex.vertices))
-    return "\n".join(out) + "\n"
+    ids, simplices = f._ids
+    name = str if names is None else names.__getitem__
+    texts = [" ".join(map(name, s.vertices)) for s in simplices]  # one text per id
+    lines = [f"{ADD} {texts[j]}" if j >= 0 else f"{DEL} {texts[~j]}" for j in ids]
+    return "\n".join([FILT_HEADER, *lines]) + "\n"
 
 
 def _read_text(path: str) -> str:
@@ -341,10 +334,10 @@ def generate(
     descending = sorted(
         simplices, key=lambda s: (tuple(-x for x in min_key(s)), s.dim, s.vertices)
     )
-    dels = list(reversed(descending))
-    events = [FiltrationEvent.add(s) for s in adds]
-    events += [FiltrationEvent.delete(s) for s in dels]
-    updown = ZigzagFiltration(events)
+    id_of = {s: j for j, s in enumerate(adds)}
+    ids = array("i", range(len(adds)))
+    ids.extend([~id_of[s] for s in reversed(descending)])
+    updown = ZigzagFiltration._of_record(ids, adds)
     walked, _ = random_outward_walk(updown, switches, seed)
     return walked
 

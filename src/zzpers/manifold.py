@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import List, Optional, Tuple
 
 from .barcode import ABSOLUTE, RELATIVE, Barcode, classify_ends
@@ -90,15 +90,16 @@ def dual_filtration(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> GraphZ
     init_v = frozenset(i for i, s in enumerate(G.vertex_simplices) if s not in k0)
     init_e = frozenset(i for i, s in enumerate(G.edge_simplices) if s not in k0)
     events: List[Tuple[str, Optional[int]]] = []
-    for e in f.events:
-        s = e.simplex
+    ids, simplices = f._ids
+    for j in islice(ids, len(k0), None):
+        s = simplices[j if j >= 0 else ~j]
         if s not in K.simplex_set():
             raise InvalidInputError(f"{s!r} is not a simplex of the given complex")
         if s.dim == p:
-            op = DEL_VERTEX if e.direction == ADD else ADD_VERTEX
+            op = DEL_VERTEX if j >= 0 else ADD_VERTEX
             events.append((op, G.vertex_of[s]))
         elif s.dim == p - 1:
-            op = DEL_EDGE if e.direction == ADD else ADD_EDGE
+            op = DEL_EDGE if j >= 0 else ADD_EDGE
             events.append((op, G.edge_of[s]))
         else:
             events.append((NOOP, None))
@@ -444,7 +445,7 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repet
     """``relative_top_barcode``, f's first repetition, and the signed ids and
     simplices of f's sweep (what ``duality._recovered`` reads), refusing a
     repetitive f unless ``allow_repetitive``, with the collector paused.
-    The arrows' directions come from the signed ids, not from f's events."""
+    The arrows' directions come from the signed ids."""
     copies, ids, simplices, repetition = _dual_copies(f, K, p, allow_repetitive)
     fields = _arrow_fields(*copies, _directions(ids), p)
     return Barcode._of_fields(fields, len(f), RELATIVE), repetition, ids, simplices

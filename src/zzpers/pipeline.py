@@ -7,8 +7,8 @@ coordinates. Only the matrix reduction does non-trivial work; both
 remappings are constant time per interval.
 
 ``compute_zigzag`` runs it on dense simplex ids from one sweep over the
-events (the shared admission, ``filtration._admitted``, on the ids the
-parser gave a file's simplices), padded in place (``filtration._pad``) if
+events (the shared admission, ``filtration._admitted``, on the ids of the
+filtration's record), padded in place (``filtration._pad``) if
 the input does not start and end empty, and dropped once the lists the
 solve reads are taken from it.
 ``_solve`` reads only the per-id dimensions and facet ids and the order
@@ -43,8 +43,6 @@ from .barcode import ABSOLUTE, CLOSED, OPEN, Barcode, Interval, classify_ends
 from .complexes import _find
 from .errors import ContractViolationError, InternalInconsistencyError
 from .filtration import (
-    ADD,
-    DEL,
     EventIndexMap,
     StandardizationRecord,
     ZigzagFiltration,
@@ -83,30 +81,28 @@ def updown_to_f(iv: Interval, id_map: EventIndexMap, U: ZigzagFiltration) -> Int
     creator lands after its destroyer the two swap roles, dropping the
     dimension by one.
     """
-    events = U.events
-    m = len(events)
+    ids, simplices = U._ids
+    m, p = len(U), len(U.initial)
     if not 1 <= iv.b <= iv.d <= m - 1:
         raise ContractViolationError(f"{iv!r} out of interior range for length {m}")
     code = iv.type_code
-    creator = events[iv.b - 1]
-    destroyer = events[iv.d]
+    c, d = ids[p + iv.b - 1], ids[p + iv.d]
+    creator, destroyer = simplices[c if c >= 0 else ~c], simplices[d if d >= 0 else ~d]
     if code == "co":
-        if creator.direction != ADD or destroyer.direction != ADD:
+        if c < 0 or d < 0:
             raise ContractViolationError(f"{iv!r}: end types inconsistent with arrows")
-        b = id_map.add_index[creator.simplex] + 1
-        d = id_map.add_index[destroyer.simplex]
-        return Interval(iv.dim, b, d, CLOSED, OPEN)
+        return Interval(iv.dim, id_map.add_index[creator] + 1, id_map.add_index[destroyer],
+                        CLOSED, OPEN)
     if code == "oc":
-        if creator.direction != DEL or destroyer.direction != DEL:
+        if c >= 0 or d >= 0:
             raise ContractViolationError(f"{iv!r}: end types inconsistent with arrows")
-        b = id_map.del_index[creator.simplex] + 1
-        d = id_map.del_index[destroyer.simplex]
-        return Interval(iv.dim, b, d, OPEN, CLOSED)
+        return Interval(iv.dim, id_map.del_index[creator] + 1, id_map.del_index[destroyer],
+                        OPEN, CLOSED)
     if code == "cc":
-        if creator.direction != ADD or destroyer.direction != DEL:
+        if c < 0 or d >= 0:
             raise ContractViolationError(f"{iv!r}: end types inconsistent with arrows")
-        at = id_map.add_index[creator.simplex]
-        dt = id_map.del_index[destroyer.simplex]
+        at = id_map.add_index[creator]
+        dt = id_map.del_index[destroyer]
         if at == dt:
             raise InternalInconsistencyError("an addition and a deletion cannot share an index")
         if at < dt:

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .complexes import Simplex, cone
 from .errors import InternalInconsistencyError, InvalidInputError, NotStandardizedError, NotUpDownError
-from .filtration import ADD, FiltrationEvent, ZigzagFiltration, _admitted, _Sweep
+from .filtration import ZigzagFiltration, _additions, _admitted, _Sweep
 
 ORD = "Ord"
 REL = "Rel"
@@ -194,7 +194,7 @@ def _monotone(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> _Sweep:
     """The shared admission's sweep of a monotone filtration (additions from the
     empty complex, or its simplices in order): ids are columns, facet ids rows."""
     if not isinstance(f, ZigzagFiltration):
-        f = ZigzagFiltration(FiltrationEvent._trusted(ADD, s) for s in f)
+        f = _additions(f)
     sw = _admitted(f)
     if f.initial or sw.dels:
         raise InvalidInputError("reduction expects additions only, from the empty complex")

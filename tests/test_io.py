@@ -13,13 +13,18 @@ from zzpers import (
     Interval,
     InvalidInputError,
     ZigzagFiltration,
+    build_extended,
     compute_zigzag,
+    ext_to_updown,
+    extended_barcode,
     is_non_repetitive,
     manifold_absolute_barcode,
     recover_absolute_from_relative,
+    reduce,
     relative_top_barcode,
     standardize,
     to_updown,
+    updown_to_f,
     validate,
 )
 from zzpers.filtration import ADD, _sweep
@@ -33,6 +38,7 @@ from zzpers.io import (
     parse_off,
     write_off,
 )
+from zzpers.cli import main
 from zzpers.manifold import _relative_and_recovered
 from conftest import sx, torus_mesh_points, zz
 
@@ -118,8 +124,9 @@ def test_parse_gives_dense_ids_in_order_of_first_appearance():
     assert simplices == [sx(0), sx(1), sx(0, 1)]
     for j, e in zip(ids, f.events):
         assert e.simplex is simplices[max(j, ~j)] and (e.direction == ADD) == (j >= 0)
-    # the record is derived from the events, so equality ignores it
-    assert f == ZigzagFiltration(f.events) and ZigzagFiltration(f.events)._ids is None
+    # the constructor interns the same events into the same record
+    library = ZigzagFiltration(f.events)
+    assert f == library and list(library._ids[0]) == list(ids) and library._ids[1] == simplices
 
 
 def test_admitting_a_parsed_filtration_twice_leaves_its_ids_as_they_were():
@@ -155,44 +162,56 @@ def test_a_copied_parsed_filtration_equals_and_admits_as_the_original(clone):
     assert compute_zigzag(g).barcode == compute_zigzag(f).barcode
 
 
-def test_a_canonical_parsed_file_is_admitted_without_the_event_walk(monkeypatch):
-    import zzpers.filtration
-
-    walked = []
-
-    def spy(f, inner=zzpers.filtration._event_ids):
-        walked.append(f)
-        return inner(f)
-
-    monkeypatch.setattr(zzpers.filtration, "_event_ids", spy)
+def test_a_canonical_parsed_file_is_admitted_without_the_event_walk(built_events, tmp_path):
     text = _swept_torus_text()
-    f = parse_filtration(text).filtration
-    K = f.total_complex()
-    compute_zigzag(f)
-    validate(f)
-    standardize(f)
-    to_updown(f)
-    rel = relative_top_barcode(f, K, 2)
-    manifold_absolute_barcode(f, K, 2)
-    recover_absolute_from_relative(rel, f, K, 2)
-    _relative_and_recovered(f, K, 2)
-    # a file that does not end empty is padded, and its barcode restricted on its directions
-    padded = parse_filtration("".join(text.splitlines(keepends=True)[:-5])).filtration
-    assert compute_zigzag(padded).record.suffix_length == 5
-    assert walked == []
-    # and none of those built an event object of either file
-    assert f._events is None and padded._events is None
-    # a library-built filtration is walked, and so is a file that names one simplex
-    # with two texts: the deletion of its last triangle lists the vertices the other way round
-    library = ZigzagFiltration(f.events)
-    assert compute_zigzag(library).barcode == compute_zigzag(f).barcode
+    # a file that names one simplex with two texts: the deletion of its last triangle lists
+    # the vertices the other way round
     lines = text.splitlines()
     k = max(i for i, line in enumerate(lines) if line.startswith("d ") and line.count(" ") == 3)
     lines[k] = " ".join(["d", *reversed(lines[k].split()[1:])])
-    two_texts = parse_filtration("\n".join(lines)).filtration
-    assert two_texts == f
-    assert compute_zigzag(two_texts).barcode == compute_zigzag(f).barcode
-    assert walked[0] is library and walked[1] is two_texts and len(walked) == 2
+    two_texts_text = "\n".join(lines) + "\n"
+    # library-built input, from the empty complex and from a non-empty K_0
+    events = parse_filtration(text).filtration.events
+    library = ZigzagFiltration(events)
+    from_k0 = ZigzagFiltration(events[40:], library.complex_at(40))
+    assert from_k0.initial and len(from_k0) == len(events) - 40
+    built_events.clear()  # those were built by the test, as a user builds them
+
+    f = parse_filtration(text).filtration
+    two_texts = parse_filtration(two_texts_text).filtration
+    K = f.total_complex()
+    want = compute_zigzag(f).barcode
+    for g in (f, two_texts, library):
+        assert compute_zigzag(g).barcode == want
+        assert validate(g) == [] and standardize(g)[0].is_standardized()
+        U, id_map = to_updown(g)
+        assert U.is_updown() and build_extended(U).n == len(U) // 2
+        reduce(build_extended(U).events)
+        ext = extended_barcode(U)  # and the staged route's remap, on U's record
+        staged = [updown_to_f(ext_to_updown(iv, ext.n), id_map, U) for iv in ext.intervals]
+        assert Barcode(staged, len(U), ABSOLUTE) == want
+        rel = relative_top_barcode(g, K, 2)
+        assert manifold_absolute_barcode(g, K, 2) == recover_absolute_from_relative(rel, g, K, 2)
+        assert _relative_and_recovered(g, K, 2)[0] == rel
+    assert validate(from_k0) == []
+    padded_k0 = standardize(from_k0)[0]
+    assert compute_zigzag(from_k0).standardized == compute_zigzag(padded_k0).barcode
+    extended_barcode(to_updown(padded_k0)[0])
+    # a file that does not end empty is padded, and its barcode restricted on its directions
+    padded = parse_filtration("".join(text.splitlines(keepends=True)[:-5])).filtration
+    assert compute_zigzag(padded).record.suffix_length == 5
+    # the generator's record is written out as the same text
+    verts, faces = torus_mesh_points(4, 3)
+    generated = generate(OffMesh(tuple(verts), tuple(faces)), "x", 30, 11)
+    assert generated.is_standardized() and format_filtration(generated) == text
+    path = tmp_path / "two_texts.zz"
+    path.write_text(two_texts_text)
+    for to in ("updown", "extended"):
+        assert main(["convert", str(path), "--to", to, "--out", str(tmp_path / "out.zz")]) == 0
+    assert built_events == []
+    assert f._events is None and two_texts._events is None and padded._events is None
+    assert generated._events is None
+    assert two_texts == f and compute_zigzag(two_texts).barcode == want
 
 
 @pytest.mark.parametrize("enabled", [True, False])
