@@ -71,7 +71,7 @@ def _cmd_convert(args) -> int:
     parsed = zio.load_filtration(args.filtration)
     sw = _admitted(parsed.filtration)
     _pad(sw, parsed.filtration)  # the one sweep becomes that of the padded filtration
-    U, id_map = _updown(sw)
+    U, id_map = _updown(sw, parsed.filtration)
     if args.to == "updown":
         text = zio.format_filtration(U, parsed.names)
         lines = [
@@ -81,7 +81,7 @@ def _cmd_convert(args) -> int:
         ]
         _write_out(text + "\n".join(lines) + ("\n" if lines else ""), args.out)
         return 0
-    ext = _extended(sw)
+    ext = _extended(sw, U._simplices)
     apex, taken = f"w{ext.omega}", set(parsed.names)
     while apex in taken:  # an input token may already have the apex's name
         apex = "w" + apex

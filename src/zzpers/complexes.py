@@ -227,35 +227,36 @@ def dual_graph(K: SimplicialComplex, p: int) -> DualGraph:
     simplex to be the face of some p-simplex (so K is pure of dimension p);
     ``_dual_cells`` checks this on ids given in K's order.
     """
-    simplices = list(K)
-    idof = {s.vertices: j for j, s in enumerate(simplices)}
-    facets = [tuple(idof[t] for t in combinations(s.vertices, s.dim)) if s.dim else ()
-              for s in simplices]
-    tops, ridges, ends = _dual_cells(K, p, simplices, facets, idof)
+    vts = [s.vertices for s in K]
+    idof = dict(zip(vts, range(len(vts))))
+    facets = [tuple(idof[t] for t in combinations(vs, len(vs) - 1)) if len(vs) > 1 else ()
+              for vs in vts]
+    tops, ridges, ends = _dual_cells(K, p, vts, facets, idof)
     vertex = {t: i for i, t in enumerate(tops)}  # p-id -> its dual vertex
     edges = [(vertex[a], vertex[b]) for a, b in map(ends.__getitem__, ridges)]
     return DualGraph(p, K.of_dim(p), K.of_dim(p - 1), edges)
 
 
-def _dual_cells(K: SimplicialComplex, p: int, simplices, facets, idof):
+def _dual_cells(K: SimplicialComplex, p: int, vts, facets, idof):
     """The dual graph of K on dense ids: its vertices (the p-ids) and edges
     (the (p-1)-ids), each in K's order, and per id the ends of its dual
     cell: () for a p-id, its two p-cofaces in K's order for a (p-1)-id (the
     p-ids' facet ids inverted once), None for a lower id.
 
-    ``simplices`` and ``facets`` give the simplex and the facet ids of each
+    ``vts`` and ``facets`` give the vertex tuple and the facet ids of each
     id, and ``idof`` the id of each vertex tuple, for ids of exactly K's
     simplices. p < 1 is InvalidInputError. A K that is no closed p-manifold
     or pseudomanifold is NotAManifoldError naming the first offender in K's
     order, checked in turn: a simplex of dimension above p, a (p-1)-simplex
-    without exactly two p-cofaces, a simplex that is no face of a p-simplex.
+    without exactly two p-cofaces, a simplex that is no face of a p-simplex;
+    a Simplex is built only to name an offender.
     """
     if p < 1:
         raise InvalidInputError("dual graph needs p >= 1")
     if K.dim > p:
         offender = K.of_dim(K.dim)[0]
         raise NotAManifoldError(f"{offender!r} has dimension {K.dim} > p = {p}")
-    n = len(simplices)
+    n = len(vts)
     tops = [idof[s.vertices] for s in K.of_dim(p)]
     ridges = [idof[s.vertices] for s in K.of_dim(p - 1)]
     ends = [None] * n
@@ -267,13 +268,14 @@ def _dual_cells(K: SimplicialComplex, p: int, simplices, facets, idof):
     for x in ridges:
         if len(ends[x]) != 2:
             raise NotAManifoldError(
-                f"{simplices[x]!r} has {len(ends[x])} cofaces of dimension {p}, expected 2"
+                f"{Simplex._from_sorted(vts[x])!r} has {len(ends[x])} cofaces of dimension {p}, "
+                "expected 2"
             )
     faces = level = set(tops)  # the ids of faces of p-simplices
     while level:  # one dimension down at a time
         level = set(chain.from_iterable(map(facets.__getitem__, level)))
         faces |= level
     if len(faces) < n:
-        s = min(simplices[j] for j in range(n) if j not in faces)
+        s = min(Simplex._from_sorted(vts[j]) for j in range(n) if j not in faces)
         raise NotAManifoldError(f"{s!r} is not a face of any {p}-simplex")
     return tops, ridges, ends

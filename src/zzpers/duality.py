@@ -89,14 +89,14 @@ def recover_absolute_from_relative(
     """
     with _gc_paused():
         sw = _admitted_filling(f, K, "recovery")
-        ids, simplices, repetition = sw.ids, sw.simplices, sw.repetition
-        del sw  # the recovery reads only the signed ids and their simplices
+        ids, vts, repetition = sw.ids, sw.vts, sw.repetition
+        del sw  # the recovery reads only the signed ids and their vertex tuples
         if rel_p.kind != RELATIVE:
             raise ContractViolationError("recovery needs a relative barcode")
         if rel_p.m != len(f):
             raise ContractViolationError("barcode length does not match the filtration")
         _raise_if_repetitive(repetition)
-        return _recovered(rel_p, ids, simplices, K, p)
+        return _recovered(rel_p, ids, vts, K, p)
 
 
 def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex, path: str) -> _Sweep:
@@ -105,22 +105,22 @@ def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex, path: str) -> _
     sw = _admitted(f)
     if not sw.standardized:
         raise NotStandardizedError(f"{path} needs a standardized filtration")
-    if set(sw.simplices) != K.simplex_set():
+    if sw.index.keys() != {s.vertices for s in K.simplex_set()}:
         raise InvalidInputError("filtration does not fill the given complex")
     return sw
 
 
-def _recovered(rel_p: Barcode, ids, simplices, K: SimplicialComplex, p: int) -> Barcode:
+def _recovered(rel_p: Barcode, ids, vts, K: SimplicialComplex, p: int) -> Barcode:
     """``recover_absolute_from_relative`` of a relative barcode of f's length
     and an admitted, standardized, non-repetitive f, with the GC paused.
 
     f is given by its sweep's signed id of each event (``_Sweep.ids``) and
-    Simplex of each id."""
+    vertex tuple of each id."""
 
     def event_at(i: int):
-        """The direction and simplex of event i."""
+        """The direction and vertex tuple of event i."""
         j = ids[i]
-        return (ADD, simplices[j]) if j >= 0 else (DEL, simplices[~j])
+        return (ADD, vts[j]) if j >= 0 else (DEL, vts[~j])
 
     m = rel_p.m
     comps = _strong_components(K, p)
@@ -134,17 +134,17 @@ def _recovered(rel_p: Barcode, ids, simplices, K: SimplicialComplex, p: int) -> 
         if iv.b == 0 and iv.d == m:
             raise InternalInconsistencyError(f"{iv!r} spans the whole module")
         if iv.b == 0:
-            direction, s = event_at(iv.d)
-            if direction != ADD or s.dim != p:
+            direction, vs = event_at(iv.d)
+            if direction != ADD or len(vs) != p + 1:
                 raise InternalInconsistencyError(f"{iv!r} should end at the addition of a "
-                                                 f"{p}-simplex, got {_event_text(direction, s)}")
-            starts.setdefault(comp_of[s.vertices], []).extend([iv.d] * c)
+                                                 f"{p}-simplex, got {_event_text(direction, vs)}")
+            starts.setdefault(comp_of[vs], []).extend([iv.d] * c)
         elif iv.d == m:
-            direction, s = event_at(iv.b - 1)
-            if direction != DEL or s.dim != p:
+            direction, vs = event_at(iv.b - 1)
+            if direction != DEL or len(vs) != p + 1:
                 raise InternalInconsistencyError(f"{iv!r} should start at the deletion of a "
-                                                 f"{p}-simplex, got {_event_text(direction, s)}")
-            ends.setdefault(comp_of[s.vertices], []).extend([iv.b] * c)
+                                                 f"{p}-simplex, got {_event_text(direction, vs)}")
+            ends.setdefault(comp_of[vs], []).extend([iv.b] * c)
         else:
             if iv.type_code not in ("co", "oc"):
                 raise InternalInconsistencyError(f"interior interval {iv!r} is not co or oc")

@@ -59,12 +59,17 @@ class FiltrationEvent:
         return cls(DEL, s)
 
     def __repr__(self) -> str:
-        return _event_text(self.direction, self.simplex)
+        return _event_text(self.direction, self.simplex.vertices)
 
 
-def _event_text(direction: str, s: Simplex) -> str:
-    """An event as its repr prints it: +0.1 for the addition of {0, 1}."""
-    return f"{'+' if direction == ADD else '-'}{'.'.join(map(str, s.vertices))}"
+def _event_text(direction: str, vs: Tuple[int, ...]) -> str:
+    """An event as its repr prints it, by its vertex tuple: +0.1 for the addition of {0, 1}."""
+    return f"{'+' if direction == ADD else '-'}{'.'.join(map(str, vs))}"
+
+
+def _named(vs: Tuple[int, ...]) -> str:
+    """The repr of the Simplex with vertex tuple vs, as error texts name it."""
+    return repr(Simplex._from_sorted(vs))
 
 
 # the slot setters, which the frozen dataclass's __setattr__ would refuse
@@ -98,20 +103,21 @@ class ZigzagFiltration:
 
     The record, in the private slot ``_ids``, is the signed id of each
     position (id for an addition, ~id for a deletion) in a 4-byte int array,
-    and the Simplex of each id; ids are dense and run in order of first
-    appearance. K_0's additions take the first positions, in face order,
-    and event i sits at |K_0| + i, as in the admission sweep (``_sweep``).
-    ``ZigzagFiltration(events, initial)`` interns the events into the
-    record, one id per vertex tuple; the parser (one id per simplex text)
-    and every producer here give theirs to ``_of_record``. Every reader here
-    reads the record. ``events`` is the public view: the given events, or
-    else built from the record on first read, one event per position and no
-    list beside it, and kept; being a pure function of the record, concurrent
-    first reads build equal tuples. Equality and repr compare and print the
-    events, so they ignore the record.
+    and the vertex tuple of each id; ids are dense, one per vertex tuple, and
+    run in order of first appearance. K_0's additions take the first
+    positions, in face order, and event i sits at |K_0| + i, as in the
+    admission sweep (``_sweep``). ``ZigzagFiltration(events, initial)``
+    interns the events into the record; the parser and every producer here
+    give theirs to ``_of_record``. Every reader here reads the record.
+    ``_simplices``, the Simplex of each id, and ``events``, the public view,
+    are the given ones, or else built from the record on first read and
+    kept (``events`` one event per position, with no list beside it); being
+    pure functions of the record, concurrent first reads build equal lists.
+    Equality compares the records position by position (direction and
+    vertex tuple) and K_0, so it builds neither; repr prints the events.
     """
 
-    __slots__ = ("_events", "initial", "_ids")
+    __slots__ = ("_events", "initial", "_ids", "_simplex_list")
 
     def __init__(self, events: Iterable[FiltrationEvent], initial: Iterable[Simplex] = ()):
         self._events: Optional[Tuple[FiltrationEvent, ...]] = tuple(events)
@@ -123,27 +129,37 @@ class ZigzagFiltration:
                         f"initial complex is not face-closed: missing {f!r} (facet of {s!r})"
                     )
         self.initial = init
-        ids, simplices, _ = _interned(chain(
+        ids, vts, simplices = _interned(chain(
             zip(sorted(init), repeat(True)),
             ((e.simplex, e.direction == ADD) for e in self._events),
         ))
-        self._ids = (ids, simplices)
+        self._ids = (ids, vts)
+        self._simplex_list: Optional[List[Simplex]] = simplices
 
     @classmethod
-    def _of_record(cls, ids: array, simplices: List[Simplex],
-                   initial: frozenset = frozenset()) -> "ZigzagFiltration":
+    def _of_record(cls, ids: array, vts: List[Tuple[int, ...]], initial: frozenset = frozenset(),
+                   simplices: Optional[List[Simplex]] = None) -> "ZigzagFiltration":
         """The filtration from ``initial``, whose position i is the addition of
-        ``simplices[ids[i]]``, or the deletion of ``simplices[~ids[i]]``
-        where ``ids[i] < 0``, with K_0's additions first; nothing is checked."""
+        the simplex with vertex tuple ``vts[ids[i]]``, or the deletion of that
+        of ``vts[~ids[i]]`` where ``ids[i] < 0``, with K_0's additions first,
+        and, if given, ``simplices`` its Simplex of each id; nothing is checked."""
         f = _new(cls)
-        f._events, f.initial, f._ids = None, initial, (ids, simplices)
+        f._events, f.initial, f._ids, f._simplex_list = None, initial, (ids, vts), simplices
         return f
+
+    @property
+    def _simplices(self) -> List[Simplex]:
+        simplices = self._simplex_list
+        if simplices is None:
+            with _gc_paused():  # the simplices form no reference cycle
+                simplices = self._simplex_list = list(map(Simplex._from_sorted, self._ids[1]))
+        return simplices
 
     @property
     def events(self) -> Tuple[FiltrationEvent, ...]:
         events = self._events
         if events is None:
-            ids, simplices = self._ids
+            ids, simplices = self._ids[0], self._simplices
             trusted = FiltrationEvent._trusted
             with _gc_paused():  # the events form no reference cycle
                 events = self._events = tuple(
@@ -156,11 +172,13 @@ class ZigzagFiltration:
         return len(self._ids[0]) - len(self.initial)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZigzagFiltration)
-            and self.events == other.events
-            and self.initial == other.initial
-        )
+        if not isinstance(other, ZigzagFiltration) or self.initial != other.initial:
+            return False
+        (a, avts), (b, bvts) = self._ids, other._ids
+        if len(a) != len(b):
+            return False
+        return all((x >= 0) == (y >= 0) and avts[x if x >= 0 else ~x] == bvts[y if y >= 0 else ~y]
+                   for x, y in zip(a, b))
 
     def __repr__(self) -> str:
         return f"ZigzagFiltration({list(self.events)!r})"
@@ -172,7 +190,7 @@ class ZigzagFiltration:
         """The running complex, one set changed in place: K_0, then after each event."""
         current = set(self.initial)
         yield current
-        ids, simplices = self._ids
+        ids, simplices = self._ids[0], self._simplices
         for j in islice(ids, len(self.initial), None):
             (current.add if j >= 0 else current.discard)(simplices[j if j >= 0 else ~j])
             yield current
@@ -193,7 +211,7 @@ class ZigzagFiltration:
         return frozenset(current)
 
     def total_complex(self) -> SimplicialComplex:
-        ids, simplices = self._ids
+        ids, simplices = self._ids[0], self._simplices
         all_simplices = set(self.initial)  # K_0 first: insertion order picks the facet an error names
         all_simplices.update(simplices[j] for j in islice(ids, len(self.initial), None) if j >= 0)
         return SimplicialComplex(all_simplices)
@@ -208,8 +226,8 @@ class ZigzagFiltration:
 
 def _additions(simplices: Iterable[Simplex]) -> ZigzagFiltration:
     """The filtration that adds the given simplices in order to the empty complex."""
-    simplices = list(simplices)
-    return ZigzagFiltration._of_record(array("i", range(len(simplices))), simplices)
+    ids, vts, simplices = _interned(zip(simplices, repeat(True)))
+    return ZigzagFiltration._of_record(ids, vts, simplices=simplices)
 
 
 # the direction of a signed id, indexed by the byte of it that holds its sign
@@ -233,7 +251,7 @@ class Violation:
 
 _Sweep = namedtuple(
     "_Sweep",
-    "simplices index ids dims facets add_at del_at dels violations repetition standardized",
+    "vts index ids dims facets add_at del_at dels violations repetition standardized",
 )
 
 
@@ -264,10 +282,11 @@ def _facet_ids(vts: List[Tuple[int, ...]], get) -> List[Tuple[Optional[int], ...
 def _interned(events: Iterable[Tuple[Simplex, bool]]):
     """Dense ids in order of first appearance, one per vertex tuple, for a
     sequence of (simplex, is an addition) pairs: the signed id of each pair
-    (id for an addition, ~id for a deletion), the Simplex of each id (its
-    first one) and the vertex tuple -> id index."""
+    (id for an addition, ~id for a deletion), and the vertex tuple and the
+    Simplex (its first one) of each id."""
     index: Dict[Tuple[int, ...], int] = {}
     get = index.get
+    vts: List[Tuple[int, ...]] = []
     simplices: List[Simplex] = []
     ids = array("i")
     append = ids.append
@@ -275,44 +294,40 @@ def _interned(events: Iterable[Tuple[Simplex, bool]]):
         vs = s.vertices
         j = get(vs)
         if j is None:
-            j = index[vs] = len(simplices)
+            j = index[vs] = len(vts)
+            vts.append(vs)
             simplices.append(s)
         append(j if added else ~j)
-    return ids, simplices, index
+    return ids, vts, simplices
 
 
 def _sweep(f: ZigzagFiltration) -> _Sweep:
     """Validity, first repetition, event orders and facet ids in one pass.
 
-    Dense simplex ids, in order of first appearance (so of addition when f
-    is valid), come from f's record (``ZigzagFiltration._ids``), without
-    its events being built. A file that names one simplex with two texts
-    has one id too many in its record (its vertex-tuple index comes out
-    shorter than its id list): each of its ids is renamed to the first id
-    of its vertex tuple, and the ids renumbered in order of first
-    appearance (``_interned``). The facet ids come from one pass over the
-    ids' vertex tuples, and one loop over the signed ids does the rest, so
-    nothing is kept across calls.
+    Dense simplex ids, one per vertex tuple in order of first appearance (so
+    of addition when f is valid), come from f's record
+    (``ZigzagFiltration._ids``), without its events or simplices being
+    built. The facet ids come from one pass over the ids' vertex tuples, and
+    one loop over the signed ids does the rest, so nothing is kept across
+    calls. A Simplex is built only for a text that names one: a violation
+    or the repetition.
 
-    Per id: the Simplex, its dimension, its facet ids (None for a facet that
-    is no simplex of f), its last addition and deletion position (-1: none)
-    in the padded filtration, where K_0 enters first and event i sits at
-    |K_0| + i. Also the vertex tuple -> id index, the signed id of each
-    position (the record's own array, not to be changed, unless renamed),
-    the ids of all deletions in event order, the violations and first
-    repetition (by f's event indices), and whether K_0 = K_m = empty.
+    Per id: the vertex tuple (the record's own list), its dimension, its
+    facet ids (None for a facet that is no simplex of f), its last addition
+    and deletion position (-1: none) in the padded filtration, where K_0
+    enters first and event i sits at |K_0| + i. Also the vertex tuple -> id
+    index, the signed id of each position (the record's own array, not to
+    be changed), the ids of all deletions in event order, the violations and
+    first repetition (by f's event indices), and whether K_0 = K_m = empty.
     Invalid events are skipped when updating the running complex; the
     repetition check looks at the raw events.
     """
-    ids, simplices = f._ids
-    index = {s.vertices: j for j, s in enumerate(simplices)}
-    if len(index) < len(simplices):
-        ids, simplices, index = _interned((simplices[j if j >= 0 else ~j], j >= 0) for j in ids)
+    ids, vts = f._ids
+    n = len(vts)
+    index = dict(zip(vts, range(n)))
     get = index.get
-    vts = [s.vertices for s in simplices]
     dims = [len(vs) - 1 for vs in vts]
     facets = _facet_ids(vts, get)
-    n = len(simplices)
     add_at = [-1] * n
     del_at = add_at[:]
     count = add_at[:]  # -1 while absent, else the number of present cofaces
@@ -324,18 +339,16 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
     for i, j in enumerate(ids):
         if j >= 0:
             if repetition is None and del_at[j] >= 0:
-                repetition = (simplices[j], del_at[j] - p, i - p)
+                repetition = (Simplex._from_sorted(vts[j]), del_at[j] - p, i - p)
             add_at[j] = i
             if count[j] >= 0:
-                out.append(Violation(i - p, f"duplicate add of {simplices[j]!r}"))
+                out.append(Violation(i - p, f"duplicate add of {_named(vts[j])}"))
                 continue
             fs = facets[j]
             if None in fs or -1 in map(count.__getitem__, fs):
                 # a facet that is no simplex of f reads as j itself, which is absent
-                names = ", ".join(
-                    repr(Simplex(t)) for t in _faces(vts[j]) if count[get(t, j)] < 0
-                )
-                out.append(Violation(i - p, f"missing facets of {simplices[j]!r}: {names}"))
+                names = ", ".join(_named(t) for t in _faces(vts[j]) if count[get(t, j)] < 0)
+                out.append(Violation(i - p, f"missing facets of {_named(vts[j])}: {names}"))
                 continue
             count[j] = 0
             for k in fs:
@@ -345,7 +358,7 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
             del_at[j] = i
             dels.append(j)
             if count[j] < 0:
-                out.append(Violation(i - p, f"delete of absent simplex {simplices[j]!r}"))
+                out.append(Violation(i - p, f"delete of absent simplex {_named(vts[j])}"))
             elif count[j]:
                 dangling[i - p] = len(out)
                 out.append(Violation(i - p, ""))
@@ -360,13 +373,14 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
         present = {s.vertices for s in f.initial}
         for i, j in enumerate(ids[p : p + max(dangling) + 1]):
             if i in dangling:
-                s = simplices[~j]
-                w = next(t for t in present if len(t) == s.dim + 2 and s.is_face_of(Simplex(t)))
-                out[dangling[i]] = Violation(i, f"dangling coface {Simplex(w)!r} of deleted {s!r}")
+                vs = vts[~j]
+                w = next(t for t in present if len(t) == len(vs) + 1 and set(vs).issubset(t))
+                out[dangling[i]] = Violation(i, f"dangling coface {_named(w)} of deleted "
+                                                f"{_named(vs)}")
             elif i not in skipped:
                 (present.add if j >= 0 else present.discard)(vts[j if j >= 0 else ~j])
     standardized = not f.initial and not any(map(gt, add_at, del_at))
-    return _Sweep(simplices, index, ids, dims, facets, add_at, del_at, dels, out, repetition,
+    return _Sweep(vts, index, ids, dims, facets, add_at, del_at, dels, out, repetition,
                   standardized)
 
 
@@ -426,13 +440,14 @@ def standardize(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, StandardizationR
     no K_m to dismantle, fails the shared admission (``_admitted``); the
     padding comes from that one sweep (``_pad``), and the result is the
     record of its signed ids (K_0 already first) with K_m's deletions
-    appended, so neither f's events nor the result's are built here.
+    appended, so neither f's events or simplices nor the result's are built
+    here.
     """
     sw = _admitted(f)
     record = _pad(sw, f)
     ends = sw.dels[len(sw.dels) - record.suffix_length :]
     ids = sw.ids + array("i", [~j for j in ends])
-    return ZigzagFiltration._of_record(ids, sw.simplices), record
+    return ZigzagFiltration._of_record(ids, sw.vts), record
 
 
 def _pad(sw: _Sweep, f: ZigzagFiltration) -> StandardizationRecord:
@@ -443,7 +458,7 @@ def _pad(sw: _Sweep, f: ZigzagFiltration) -> StandardizationRecord:
     if sw.standardized:
         return StandardizationRecord(0, m, 0)
     final = [j for j, (a, d) in enumerate(zip(sw.add_at, sw.del_at)) if a > d]
-    final.sort(key=lambda j: (sw.dims[j], sw.simplices[j].vertices), reverse=True)
+    final.sort(key=lambda j: (sw.dims[j], sw.vts[j]), reverse=True)
     for k, j in enumerate(final, p + m):
         sw.del_at[j] = k
     sw.dels.extend(final)
@@ -468,17 +483,20 @@ def to_updown(f: ZigzagFiltration) -> Tuple[ZigzagFiltration, EventIndexMap]:
     sw = _admitted(f)
     if not sw.standardized:
         raise NotStandardizedError("up-down conversion needs K_0 = K_m = empty")
-    return _updown(sw)
+    return _updown(sw, f)
 
 
-def _updown(sw: _Sweep) -> Tuple[ZigzagFiltration, EventIndexMap]:
-    """``to_updown`` of the padded filtration, from its admitted sweep after ``_pad``."""
+def _updown(sw: _Sweep, f: ZigzagFiltration) -> Tuple[ZigzagFiltration, EventIndexMap]:
+    """``to_updown`` of the padded f, from its admitted sweep after ``_pad``.
+    The index map is keyed by f's simplices, which the result shares."""
     _raise_if_repetitive(sw.repetition)
-    ids = array("i", range(len(sw.simplices)))  # ids run in order of addition
+    simplices = f._simplices
+    ids = array("i", range(len(simplices)))  # ids run in order of addition
     ids.extend([~j for j in sw.dels])
-    add_index = dict(zip(sw.simplices, sw.add_at))
-    del_index = {sw.simplices[j]: sw.del_at[j] for j in sw.dels}
-    return ZigzagFiltration._of_record(ids, sw.simplices), EventIndexMap(add_index, del_index)
+    add_index = dict(zip(simplices, sw.add_at))
+    del_index = {simplices[j]: sw.del_at[j] for j in sw.dels}
+    U = ZigzagFiltration._of_record(ids, sw.vts, simplices=simplices)
+    return U, EventIndexMap(add_index, del_index)
 
 
 def _switched(f: ZigzagFiltration, j: int, first_dir: str) -> ZigzagFiltration:
@@ -489,22 +507,23 @@ def _switched(f: ZigzagFiltration, j: int, first_dir: str) -> ZigzagFiltration:
                     ADD: ("add-then-delete", "addition and deletion")}[first_dir]
     if not 1 <= j < len(f):
         raise InvalidSwitchError(f"switch position {j} out of range")
-    ids, simplices = f._ids
+    ids, vts = f._ids
     k = len(f.initial) + j  # the position of event j
     first, second = ids[k - 1], ids[k]
     added = first_dir == ADD
     if (first >= 0) != added or (second >= 0) == added:
         raise InvalidSwitchError(f"events at {j - 1}, {j} are not {order}")
-    sigma, tau = (simplices[i if i >= 0 else ~i] for i in (first, second))
+    sigma, tau = (vts[i if i >= 0 else ~i] for i in (first, second))
     if sigma == tau:
-        raise InvalidDiamondError(f"cannot switch {words} of the same {sigma!r}")
+        raise InvalidDiamondError(f"cannot switch {words} of the same {_named(sigma)}")
     if not added:  # sigma is the added simplex, tau the deleted one
         sigma, tau = tau, sigma
-    if tau.is_face_of(sigma):
-        raise InvalidSwitchError(f"{tau!r} is a face of {sigma!r}; switched order would be invalid")
+    if set(tau).issubset(sigma):
+        raise InvalidSwitchError(
+            f"{_named(tau)} is a face of {_named(sigma)}; switched order would be invalid")
     ids = array("i", ids)
     ids[k - 1], ids[k] = second, first
-    return ZigzagFiltration._of_record(ids, simplices, f.initial)
+    return ZigzagFiltration._of_record(ids, vts, f.initial)
 
 
 def outward_switch(f: ZigzagFiltration, j: int) -> ZigzagFiltration:
@@ -531,7 +550,7 @@ def random_outward_walk(
     """
     if not f.is_updown():
         raise NotUpDownError("random walk starts from an up-down filtration")
-    ids, simplices = f._ids
+    ids, vts = f._ids
     p = len(f.initial)
     events = ids[p:]  # the signed id of each event, swapped in place
     m = len(events)
@@ -539,7 +558,7 @@ def random_outward_walk(
 
     def legal(pos: int) -> bool:
         first, second = events[pos - 1], events[pos]
-        return first >= 0 > second and not simplices[~second].is_face_of(simplices[first])
+        return first >= 0 > second and not set(vts[~second]).issubset(vts[first])
 
     # Uniform sampling from a dynamic set: array + position map, swap-remove.
     items: List[int] = [pos for pos in range(1, m) if legal(pos)]
@@ -570,4 +589,4 @@ def random_outward_walk(
                     put(q)
                 else:
                     drop(q)
-    return ZigzagFiltration._of_record(ids[:p] + events, simplices, f.initial), taken
+    return ZigzagFiltration._of_record(ids[:p] + events, vts, f.initial), taken

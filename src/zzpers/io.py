@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import Simplex
@@ -60,44 +61,82 @@ class _Interner(dict):
         return v
 
 
-def _simplex(text: str, ids: _Interner) -> Simplex:
-    """Intern the tokens of a simplex's text and check them."""
+def _vertices(text: str, get) -> Tuple[int, ...]:
+    """Intern the tokens of a simplex's text (``get``, an ``_Interner``'s
+    ``__getitem__``) and check them: its vertex tuple. Two- and three-token
+    texts (83% of the distinct texts of a triangulated torus, 99% of the
+    perfbench Rips torus) are sorted by compares rather than by ``sorted``."""
     tokens = text.split()
-    vs = tuple(sorted(map(ids.__getitem__, tokens)))
+    k = len(tokens)
+    if k == 2:
+        a, b = map(get, tokens)
+        if a < b:
+            return a, b
+        if b < a:
+            return b, a
+    elif k == 3:
+        a, b, c = map(get, tokens)
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if a < b < c:
+            return a, b, c
+    vs = tuple(sorted(map(get, tokens)))  # a repeat lands here, its tokens interned already
     if len(vs) > 1 and len(set(vs)) < len(vs):
         raise _repeated_vertex(tokens)
-    return Simplex._from_sorted(vs)
+    return vs
+
+
+_CHUNK = 1 << 16  # characters of a filtration text that parse_filtration splits into lines at once
+
+
+def _chunks(text: str) -> Iterator[str]:
+    """text in pieces of at least ``_CHUNK`` characters, each cut just after a
+    newline (the last one at the end of text), so that the pieces' lines are
+    the lines of text: no line break, ``\\r\\n`` included, straddles a cut."""
+    start, n = 0, len(text)
+    while start < n:
+        end = text.find("\n", start + _CHUNK - 1) + 1 or n
+        yield text[start:end]
+        start = end
 
 
 def parse_filtration(text: str) -> ParsedFiltration:
     """Read a ``zzfilt v1`` file: its events and symbol table.
 
-    Each distinct simplex text (the rest of an event line after its
-    direction, or a whole block line) is interned and checked once, and
-    gets a dense id when its first event is emitted, so ids run in order
-    of first appearance in the events, block lines included (a block's
-    events are emitted, sorted, at its end). Every later line with the same
-    text, such as the ``d`` line of a simplex added earlier, reuses that id
-    and its ``Simplex`` object; a second text of one simplex (``d 1 0``
-    after ``a 0 1``) gets an id of its own, which the admission sweep
-    renames to the first (``filtration._sweep``). Each event is recorded as
-    one signed id (id for an addition, ~id for a deletion) in a 4-byte int
-    array, and that record with the ``Simplex`` of each id is the returned
-    filtration (``ZigzagFiltration._of_record``): its event objects are
-    built only when first read, and every reader here reads the record.
-    The cyclic garbage collector is paused while the simplices are built
-    (``_gc_paused``; none of them forms a reference cycle). Every error is
-    an ``InvalidInputError`` that names the line.
+    The text is split into lines a chunk at a time (``_chunks``), never as
+    one list. Each distinct simplex text (the rest of an event line after
+    its direction, or a whole block line) is interned and checked once,
+    into its sorted vertex tuple, and each distinct vertex tuple gets a
+    dense id when its first event is emitted, so ids run in order of first
+    appearance in the events, block lines included (a block's events are
+    emitted, sorted, at its end). One dict maps both the texts and the
+    vertex tuples to their ids: every later line with the same text, such
+    as the ``d`` line of a simplex added earlier, reuses its id, and so
+    does a second text of one simplex (``d 1 0`` after ``a 0 1``). Each
+    event is recorded as one signed id (id for an addition, ~id for a
+    deletion) in a 4-byte int array, and that record with the vertex tuple
+    of each id is the returned filtration (``ZigzagFiltration._of_record``):
+    no ``Simplex`` or event object is built here, only when something first
+    reads one, and every reader here reads the record. The cyclic garbage
+    collector is paused while the tuples are built (``_gc_paused``; none of
+    them forms a reference cycle). Every error is an ``InvalidInputError``
+    that names the line.
     """
     with _gc_paused():
         ids = _Interner()
-        cache: Dict[str, int] = {}  # simplex text -> its dense id
-        simplices: List[Simplex] = []  # dense id -> its checked simplex
+        get = ids.__getitem__
+        index: Dict[object, int] = {}  # simplex text or vertex tuple -> its dense id
+        vts: List[Tuple[int, ...]] = []  # dense id -> its checked vertex tuple
         record = array("i")  # per event: the id of its simplex, ~id for a deletion
         block: Optional[str] = None
-        block_lines: List[Tuple[Simplex, str]] = []  # the block's simplices and their texts
+        block_lines: List[Tuple[Tuple[int, ...], str]] = []  # the block's tuples and texts
         header = False
-        for lineno, line in enumerate(text.splitlines()):
+        lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
+        for lineno, line in enumerate(lines):
             if "#" in line:
                 line = _strip(line)
             parts = line.split(None, 1)
@@ -112,10 +151,12 @@ def parse_filtration(text: str) -> ParsedFiltration:
             try:
                 if block is None and len(parts) == 2 and head in (ADD, DEL):  # an event line
                     rest = parts[1]
-                    j = cache.get(rest)
+                    j = index.get(rest)
                     if j is None:
-                        simplices.append(_simplex(rest, ids))
-                        j = cache[rest] = len(simplices) - 1
+                        vs = _vertices(rest, get)
+                        j = index[rest] = index.setdefault(vs, len(vts))
+                        if j == len(vts):
+                            vts.append(vs)
                     record.append(j if head == ADD else ~j)
                     continue
                 if head in ("begin-a", "begin-d"):
@@ -126,29 +167,28 @@ def parse_filtration(text: str) -> ParsedFiltration:
                 if head in ("end-a", "end-d"):
                     if block != (ADD if head == "end-a" else DEL):
                         raise InvalidInputError(f"unmatched {head}")
-                    block_lines.sort(key=lambda e: (e[0].dim, e[0].vertices))
+                    block_lines.sort(key=lambda e: (len(e[0]), e[0]))
                     if block == DEL:
                         block_lines.reverse()
-                    for s, rest in block_lines:
-                        j = cache.get(rest)
-                        if j is None:
-                            simplices.append(s)
-                            j = cache[rest] = len(simplices) - 1
+                    for vs, rest in block_lines:
+                        j = index[rest] = index.setdefault(vs, len(vts))
+                        if j == len(vts):
+                            vts.append(vs)
                         record.append(j if block == ADD else ~j)
                     block = None
                     block_lines.clear()
                     continue
                 if block is None:
                     raise InvalidInputError(f"expected 'a|d v1 v2 ...', got {line.strip()!r}")
-                j = cache.get(line)
-                block_lines.append((_simplex(line, ids) if j is None else simplices[j], line))
+                j = index.get(line)
+                block_lines.append((_vertices(line, get) if j is None else vts[j], line))
             except InvalidInputError as exc:
                 raise InvalidInputError(f"line {lineno + 1}: {exc}") from exc
         if not header:
             raise InvalidInputError(f"filtration file must start with '{FILT_HEADER}'")
         if block is not None:
             raise InvalidInputError("unterminated coarse block")
-        return ParsedFiltration(ZigzagFiltration._of_record(record, simplices), tuple(ids))
+        return ParsedFiltration(ZigzagFiltration._of_record(record, vts), tuple(ids))
 
 
 def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None) -> str:
@@ -156,9 +196,9 @@ def format_filtration(f: ZigzagFiltration, names: Optional[Sequence[str]] = None
     if f.initial:
         raise InvalidInputError("filtration files cannot carry a non-empty initial complex")
 
-    ids, simplices = f._ids
+    ids, vts = f._ids
     name = str if names is None else names.__getitem__
-    texts = [" ".join(map(name, s.vertices)) for s in simplices]  # one text per id
+    texts = [" ".join(map(name, vs)) for vs in vts]  # one text per id
     lines = [f"{ADD} {texts[j]}" if j >= 0 else f"{DEL} {texts[~j]}" for j in ids]
     return "\n".join([FILT_HEADER, *lines]) + "\n"
 
@@ -337,7 +377,7 @@ def generate(
     id_of = {s: j for j, s in enumerate(adds)}
     ids = array("i", range(len(adds)))
     ids.extend([~id_of[s] for s in reversed(descending)])
-    updown = ZigzagFiltration._of_record(ids, adds)
+    updown = ZigzagFiltration._of_record(ids, [s.vertices for s in adds])
     walked, _ = random_outward_walk(updown, switches, seed)
     return walked
 

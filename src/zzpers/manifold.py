@@ -90,7 +90,7 @@ def dual_filtration(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> GraphZ
     init_v = frozenset(i for i, s in enumerate(G.vertex_simplices) if s not in k0)
     init_e = frozenset(i for i, s in enumerate(G.edge_simplices) if s not in k0)
     events: List[Tuple[str, Optional[int]]] = []
-    ids, simplices = f._ids
+    ids, simplices = f._ids[0], f._simplices
     for j in islice(ids, len(k0), None):
         s = simplices[j if j >= 0 else ~j]
         if s not in K.simplex_set():
@@ -388,8 +388,8 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim)
 def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
     """Copy record of the dual-graph complement zigzag of f, walked on the
     ids of f's one admission sweep, which is dropped before the walk, the
-    sweep's signed id of each event and Simplex of each id, and f's first
-    repetition.
+    sweep's signed id of each event and vertex tuple of each id, and f's
+    first repetition.
 
     f passes the shared admission, is standardized and fills K, and is
     refused if repetitive unless ``allow_repetitive``. K then passes the
@@ -411,8 +411,8 @@ def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repeti
     sw = _admitted_filling(f, K, "manifold path")
     if not allow_repetitive:
         _raise_if_repetitive(sw.repetition)
-    tops, ridges, ends = _dual_cells(K, p, sw.simplices, sw.facets, sw.index)
-    ids, simplices, repetition = sw.ids, sw.simplices, sw.repetition
+    tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)
+    ids, vts, repetition = sw.ids, sw.vts, sw.repetition
     del sw  # the walk reads only the signed ids
     m = len(f)
     steps = chain(  # a dual cell enters when its primal simplex is deleted
@@ -420,7 +420,7 @@ def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repeti
         ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
         zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
     )
-    return _copies(steps, ends), ids, simplices, repetition
+    return _copies(steps, ends), ids, vts, repetition
 
 
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -443,12 +443,12 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
 
 def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
     """``relative_top_barcode``, f's first repetition, and the signed ids and
-    simplices of f's sweep (what ``duality._recovered`` reads), refusing a
+    vertex tuples of f's sweep (what ``duality._recovered`` reads), refusing a
     repetitive f unless ``allow_repetitive``, with the collector paused.
     The arrows' directions come from the signed ids."""
-    copies, ids, simplices, repetition = _dual_copies(f, K, p, allow_repetitive)
+    copies, ids, vts, repetition = _dual_copies(f, K, p, allow_repetitive)
     fields = _arrow_fields(*copies, _directions(ids), p)
-    return Barcode._of_fields(fields, len(f), RELATIVE), repetition, ids, simplices
+    return Barcode._of_fields(fields, len(f), RELATIVE), repetition, ids, vts
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -460,8 +460,8 @@ def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int)
     One sweep admits f for both steps; the cyclic GC is paused for the call.
     """
     with _gc_paused():
-        rel, _, ids, simplices = _relative_top(f, K, p, allow_repetitive=False)
-        return _recovered(rel, ids, simplices, K, p)
+        rel, _, ids, vts = _relative_top(f, K, p, allow_repetitive=False)
+        return _recovered(rel, ids, vts, K, p)
 
 
 def _relative_and_recovered(f: ZigzagFiltration, K: SimplicialComplex,
@@ -471,6 +471,6 @@ def _relative_and_recovered(f: ZigzagFiltration, K: SimplicialComplex,
     the two calls raise in turn (a non-manifold K before a repetitive f).
     The cyclic GC is paused for the call."""
     with _gc_paused():
-        rel, repetition, ids, simplices = _relative_top(f, K, p, allow_repetitive=True)
+        rel, repetition, ids, vts = _relative_top(f, K, p, allow_repetitive=True)
         _raise_if_repetitive(repetition)
-        return rel, _recovered(rel, ids, simplices, K, p)
+        return rel, _recovered(rel, ids, vts, K, p)

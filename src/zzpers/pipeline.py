@@ -81,7 +81,7 @@ def updown_to_f(iv: Interval, id_map: EventIndexMap, U: ZigzagFiltration) -> Int
     creator lands after its destroyer the two swap roles, dropping the
     dimension by one.
     """
-    ids, simplices = U._ids
+    ids, simplices = U._ids[0], U._simplices
     m, p = len(U), len(U.initial)
     if not 1 <= iv.b <= iv.d <= m - 1:
         raise ContractViolationError(f"{iv!r} out of interior range for length {m}")

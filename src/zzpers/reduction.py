@@ -190,11 +190,9 @@ def _essentials(pairs: Iterable[Tuple[int, int]], n: int) -> Tuple[int, ...]:
     return tuple(j for j in range(n) if j not in used)
 
 
-def _monotone(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> _Sweep:
+def _monotone(f: ZigzagFiltration) -> _Sweep:
     """The shared admission's sweep of a monotone filtration (additions from the
-    empty complex, or its simplices in order): ids are columns, facet ids rows."""
-    if not isinstance(f, ZigzagFiltration):
-        f = _additions(f)
+    empty complex): ids are columns, facet ids rows."""
     sw = _admitted(f)
     if f.initial or sw.dels:
         raise InvalidInputError("reduction expects additions only, from the empty complex")
@@ -210,6 +208,8 @@ def reduce(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
     The pairing is that of left-to-right reduction, which is unique
     whatever the column order.
     """
+    if not isinstance(f, ZigzagFiltration):
+        f = _additions(f)
     sw = _monotone(f)
     rows, n = sw.facets, len(sw.dims)
     pairs, masks, shifts, _ = _reduce(rows, sw.dims, dense=True)
@@ -218,7 +218,7 @@ def reduce(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
         mk = masks[j]
         cols[j] = _mask(rows[j]) if mk is None else mk << shifts[j]
     essentials = _essentials(pairs, n)
-    return ReductionState(tuple(sw.simplices), tuple(sorted(pairs)), essentials, tuple(cols))
+    return ReductionState(tuple(f._simplices), tuple(sorted(pairs)), essentials, tuple(cols))
 
 
 reduce_twist = reduce
@@ -260,14 +260,14 @@ def build_extended(U: ZigzagFiltration) -> ExtendedFiltration:
         raise NotUpDownError("extended filtration needs an up-down input")
     if not sw.standardized:
         raise NotStandardizedError("extended filtration needs K_0 = K_m = empty")
-    return _extended(sw)
+    return _extended(sw, U._simplices)
 
 
-def _extended(sw: _Sweep) -> ExtendedFiltration:
+def _extended(sw: _Sweep, adds: Sequence[Simplex]) -> ExtendedFiltration:
     """``build_extended`` of the up-down form of a standardized non-repetitive
-    filtration, from its sweep, whose ids run in the up-down order of addition."""
-    adds = sw.simplices
-    omega = 1 + max((s.vertices[-1] for s in adds), default=-1)
+    filtration, from its sweep, whose ids run in the up-down order of
+    addition, and its Simplex of each id (``adds``)."""
+    omega = 1 + max((vs[-1] for vs in sw.vts), default=-1)
     events = [Simplex([omega]), *adds, *(cone(adds[j], omega) for j in reversed(sw.dels))]
     return ExtendedFiltration(tuple(events), omega, len(adds))
 
@@ -333,6 +333,6 @@ def extended_barcode(U: ZigzagFiltration) -> ExtendedBarcode:
     the dense reduced columns of ``reduce_twist``.
     """
     ext = build_extended(U)
-    sw = _monotone(ext.events)
+    sw = _monotone(_additions(ext.events))
     pairs, _, _, _ = _reduce(sw.facets, sw.dims)
     return _extended_from_pairs(ext, sorted(pairs), _essentials(pairs, len(sw.dims)))

@@ -183,3 +183,24 @@ def built_events(monkeypatch):
     monkeypatch.setattr(FiltrationEvent, "__post_init__", counted_check)
     monkeypatch.setattr(FiltrationEvent, "_trusted", classmethod(counted_trusted))
     return built
+
+
+@pytest.fixture()
+def built_simplices(monkeypatch):
+    """Every Simplex built while the test runs: by the checked constructor, or
+    by the trusted one (``Simplex._from_sorted``) that boundaries, cones and a
+    filtration's lazily built simplices use."""
+    built = []
+    init, from_sorted = Simplex.__init__, Simplex._from_sorted.__func__
+
+    def counted_init(self, vertices):
+        init(self, vertices)
+        built.append(self)
+
+    def counted_from_sorted(cls, vs):
+        built.append(from_sorted(cls, vs))
+        return built[-1]
+
+    monkeypatch.setattr(Simplex, "__init__", counted_init)
+    monkeypatch.setattr(Simplex, "_from_sorted", classmethod(counted_from_sorted))
+    return built

@@ -330,13 +330,13 @@ def test_committed_bench_runs_follow_the_schema():
     # BENCH_main.json's runs, the parent and change runs of BENCH_padding.json and
     # BENCH_coboundary_by_dim.json (three inputs, three runs each), of
     # BENCH_dim0_union_find.json (four inputs, three runs each) and of
-    # BENCH_remap_table.json, BENCH_parse_ids.json and BENCH_lazy_events.json (four
-    # inputs, and the largest again in swapped order)
+    # BENCH_remap_table.json, BENCH_parse_ids.json, BENCH_lazy_events.json and
+    # BENCH_parse_tuples.json (four inputs, and the largest again in swapped order)
     assert counts["BENCH_main.json"] and counts["BENCH_padding.json"] == 18
     assert counts["BENCH_coboundary_by_dim.json"] == 18
     assert counts["BENCH_dim0_union_find.json"] == 24
     assert counts["BENCH_remap_table.json"] == counts["BENCH_parse_ids.json"] == 30
-    assert counts["BENCH_lazy_events.json"] == 30
+    assert counts["BENCH_lazy_events.json"] == counts["BENCH_parse_tuples.json"] == 30
 
 
 # one file run three times, and three files run once each; the ids are the ones

@@ -136,8 +136,8 @@ def test_the_padded_sweep_is_the_sweep_of_the_padded_filtration(small_corpus):
         want = _sweep(std)
         sw = _admitted(f)
         assert _pad(sw, f) == record
-        n = len(want.simplices)
-        assert (sw.simplices, sw.dims, sw.dels) == (want.simplices, want.dims, want.dels)
+        n = len(want.vts)
+        assert (sw.vts, sw.dims, sw.dels) == (want.vts, want.dims, want.dels)
         for got, ref in zip(sw[2:5], want[2:5]):  # facets, add_at, del_at, per id
             assert got[:n] == ref[:n]
         assert sw.violations == want.violations == []

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from zzpers import (
     validate,
 )
 from zzpers.filtration import ADD, _sweep
+from zzpers import io as zio
 from zzpers.io import (
     BAR_HEADER,
     OffMesh,
@@ -114,19 +116,29 @@ def _swept_torus_text(a=4, b=3, switches=30, seed=11):
     return format_filtration(generate(OffMesh(tuple(verts), tuple(faces)), "x", switches, seed))
 
 
+def _two_texts(text):
+    """A canonical file whose last triangle deletion lists its vertices the
+    other way round, so that the file names one simplex with two texts."""
+    lines = text.splitlines()
+    k = max(i for i, line in enumerate(lines) if line.startswith("d ") and line.count(" ") == 3)
+    lines[k] = " ".join(["d", *reversed(lines[k].split()[1:])])
+    return "\n".join(lines) + "\n"
+
+
 def test_parse_gives_dense_ids_in_order_of_first_appearance():
     # a block's events are emitted sorted at its end, and its new texts get their ids then
     text = "zzfilt v1\nbegin-a\nx y\ny\nx\nend-a\nd x y\nbegin-d\nx\ny\nend-d\n"
     f = parse_filtration(text).filtration
-    ids, simplices = f._ids
+    ids, vts = f._ids
     assert ids.typecode == "i" and ids.itemsize == 4
     assert list(ids) == [0, 1, 2, ~2, ~1, ~0]
-    assert simplices == [sx(0), sx(1), sx(0, 1)]
+    assert vts == [(0,), (1,), (0, 1)]
+    assert f._simplex_list is None and f._simplices == [sx(0), sx(1), sx(0, 1)]
     for j, e in zip(ids, f.events):
-        assert e.simplex is simplices[max(j, ~j)] and (e.direction == ADD) == (j >= 0)
+        assert e.simplex is f._simplices[max(j, ~j)] and (e.direction == ADD) == (j >= 0)
     # the constructor interns the same events into the same record
     library = ZigzagFiltration(f.events)
-    assert f == library and list(library._ids[0]) == list(ids) and library._ids[1] == simplices
+    assert f == library and list(library._ids[0]) == list(ids) and library._ids[1] == vts
 
 
 def test_admitting_a_parsed_filtration_twice_leaves_its_ids_as_they_were():
@@ -154,7 +166,8 @@ def test_a_copied_parsed_filtration_equals_and_admits_as_the_original(clone):
     assert unread._ids[0] == f._ids[0] and unread._ids[1] == f._ids[1]
     assert _sweep(unread) == _sweep(f)
     assert compute_zigzag(unread).barcode == compute_zigzag(f).barcode
-    assert unread._events is None and unread == f and unread._events == f._events
+    assert unread == f and unread._events is None and f._events is None  # equality builds none
+    assert unread.events == f.events
     g = clone(f)  # f's events are built now, and the copy has them
     assert g._events == f._events and g._events is not None
     assert g == f and g._ids[0] == f._ids[0] and g._ids[1] == f._ids[1]
@@ -164,12 +177,7 @@ def test_a_copied_parsed_filtration_equals_and_admits_as_the_original(clone):
 
 def test_a_canonical_parsed_file_is_admitted_without_the_event_walk(built_events, tmp_path):
     text = _swept_torus_text()
-    # a file that names one simplex with two texts: the deletion of its last triangle lists
-    # the vertices the other way round
-    lines = text.splitlines()
-    k = max(i for i, line in enumerate(lines) if line.startswith("d ") and line.count(" ") == 3)
-    lines[k] = " ".join(["d", *reversed(lines[k].split()[1:])])
-    two_texts_text = "\n".join(lines) + "\n"
+    two_texts_text = _two_texts(text)
     # library-built input, from the empty complex and from a non-empty K_0
     events = parse_filtration(text).filtration.events
     library = ZigzagFiltration(events)
@@ -212,6 +220,103 @@ def test_a_canonical_parsed_file_is_admitted_without_the_event_walk(built_events
     assert f._events is None and two_texts._events is None and padded._events is None
     assert generated._events is None
     assert two_texts == f and compute_zigzag(two_texts).barcode == want
+
+
+def test_a_file_that_names_a_simplex_with_two_texts_has_the_canonical_record():
+    text = _swept_torus_text()
+    canonical, two = parse_filtration(text), parse_filtration(_two_texts(text))
+    f, g = canonical.filtration, two.filtration
+    assert g._ids[0] == f._ids[0] and g._ids[1] == f._ids[1] and two.names == canonical.names
+    assert _sweep(g)._asdict() == _sweep(f)._asdict()
+
+
+def test_a_canonical_file_is_parsed_and_computed_without_a_simplex(built_simplices):
+    text = _swept_torus_text()
+    built_simplices.clear()  # those were built by the generator
+    f = parse_filtration(text).filtration
+    g = parse_filtration(_two_texts(text)).filtration
+    assert f._simplex_list is None
+    for h in (f, g):
+        compute_zigzag(h), validate(h), standardize(h)
+    assert built_simplices == []
+    # the manifold path reads the sweep's vertex tuples: it builds the Simplex of each id
+    # at most once, and what it builds is kept
+    K = parse_filtration(text).filtration.total_complex()
+    built_simplices.clear()
+    n = len(f._ids[1])
+    for _ in range(2):
+        rel = relative_top_barcode(f, K, 2)
+        recover_absolute_from_relative(rel, f, K, 2)
+    assert len(built_simplices) <= n
+    assert len(f.events) == len(f) and len(built_simplices) == n
+
+
+def test_filtrations_compare_by_their_records_without_building_events(built_events, small_corpus):
+    text = _swept_torus_text()
+    events = parse_filtration(text).filtration.events
+    library = ZigzagFiltration(events)
+    k0 = library.complex_at(40)
+    built_events.clear()  # those were built by the test, as a user builds them
+    f = parse_filtration(text).filtration
+    two = parse_filtration(_two_texts(text)).filtration
+    assert f == library and library == f and two == f and f == two
+    assert f != parse_filtration("".join(text.splitlines(keepends=True)[:-1])).filtration
+    # the same events from a differing K_0
+    g = ZigzagFiltration(events[40:], k0)
+    assert g == ZigzagFiltration(events[40:], k0) and g != library
+    assert g != ZigzagFiltration(events[40:], k0 | {sx(99)})
+    assert ZigzagFiltration(events[40:], k0 | {sx(98)}) != ZigzagFiltration(events[40:], k0 | {sx(99)})
+    assert built_events == [] and f._events is None and two._events is None
+    # records that number the same events differently, or the same ids on other tuples
+    swapped = ZigzagFiltration._of_record(array("i", [1, 0, ~1]), [(0,), (1,)])
+    assert swapped == zz("a 1", "a 0", "d 1") and swapped != zz("a 0", "a 1", "d 1")
+    assert swapped != ZigzagFiltration._of_record(array("i", [1, 0, 1]), [(0,), (1,)])
+    # the answers of comparing the events and K_0
+    pool = small_corpus[:8] + [to_updown(g)[0] for g in small_corpus[:8]] + [swapped]
+    pool += [ZigzagFiltration(g.events[3:], g.complex_at(3)) for g in small_corpus[:4]]
+    for g in pool:
+        for h in pool:
+            assert (g == h) == (g.events == h.events and g.initial == h.initial)
+
+
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+
+
+def _chunk_texts():
+    """Filtration texts whose lines end in each of ``str.splitlines``' line
+    breaks in turn, with comments, blank lines, blocks, a second text of a
+    simplex, and each kind of bad line put in at a few places."""
+    body = ["zzfilt v1  # header", "a x", "", "a y # c", "begin-a", "x y", "z", "  ", "x z",
+            "end-a", "# only a comment", "a y z", "a x y z", "d z y x", "begin-d", "y z", "x z",
+            "end-d", "d z", "d 3"]
+    bad = ["q x", "a 3 3", "begin-a", "end-d", "d", "begin-d\nz\nbegin-a"]
+    bodies = [body, body[1:], body[:-1] + ["begin-a", "4"]]
+    bodies += [body[:k] + [line] + body[k:] for k in (2, 7, 15) for line in bad]
+    return ["".join(line + _LINE_BREAKS[(i + r) % len(_LINE_BREAKS)] for i, line in enumerate(b))
+            for r in range(3) for b in bodies]
+
+
+def _record_or_error(text):
+    try:
+        parsed = parse_filtration(text)
+    except InvalidInputError as exc:
+        return str(exc)
+    return list(parsed.filtration._ids[0]), parsed.filtration._ids[1], parsed.names
+
+
+def test_parse_filtration_reads_the_same_at_every_chunk_size(monkeypatch):
+    texts = _chunk_texts()
+    want = [_record_or_error(t) for t in texts]
+    assert len({w for w in want if isinstance(w, str)}) >= 12  # refused at many lines
+    assert isinstance(want[0], tuple) and sum(isinstance(w, tuple) for w in want) >= 9
+    for size in range(1, 8):
+        monkeypatch.setattr(zio, "_CHUNK", size)
+        for text, expected in zip(texts, want):
+            pieces = list(zio._chunks(text))
+            assert "".join(pieces) == text and all(p.endswith("\n") for p in pieces[:-1])
+            assert [line for p in pieces for line in p.splitlines()] == text.splitlines()
+            assert _record_or_error(text) == expected
 
 
 @pytest.mark.parametrize("enabled", [True, False])
