@@ -15,9 +15,9 @@ import time
 from typing import List, Optional
 
 from . import io as zio
-from .duality import absolute_to_relative
+from .duality import _refuse_unfilled, absolute_to_relative
 from .errors import InvalidInputError, ZigzagError
-from .filtration import _additions, _admitted, _pad, _sweep, _updown
+from .filtration import ZigzagFiltration, _additions, _admitted, _pad, _sweep, _updown
 from .manifold import _relative_and_recovered, relative_top_barcode
 from .pipeline import _peak_rss_mb, compute_zigzag
 from .complexes import Simplex, SimplicialComplex
@@ -101,7 +101,12 @@ def _cmd_duality(args) -> int:
     return 0
 
 
-def _load_complex(path: str, names) -> SimplicialComplex:
+def _load_complex(path: str, names, f: ZigzagFiltration) -> SimplicialComplex:
+    """The closure of a file's maximal simplices, one per line in the vertex
+    names of the filtration f. An f that fails the shared admission or lacks
+    a maximal simplex raises first what the manifold path would raise, so
+    the closure, exponential in a simplex's size, is built only of
+    simplices of a valid f."""
     ids = {nm: i for i, nm in enumerate(names)}
     maximal = []
     for raw in zio._read_text(path).split("\n"):  # the lines a text-mode file iterates
@@ -114,6 +119,8 @@ def _load_complex(path: str, names) -> SimplicialComplex:
                 raise InvalidInputError(f"unknown vertex {token!r} in complex file")
             verts.append(ids[token])
         maximal.append(Simplex(verts))
+    sw = _admitted(f)
+    _refuse_unfilled(sw, "manifold path", all(s.vertices in sw.index for s in maximal))
     return SimplicialComplex.closure(maximal)
 
 
@@ -121,7 +128,7 @@ def _cmd_manifold(args) -> int:
     parsed = zio.load_filtration(args.filtration)
     f = parsed.filtration
     if args.complex:
-        K = _load_complex(args.complex, parsed.names)
+        K = _load_complex(args.complex, parsed.names, f)
     else:
         K = f.total_complex()
     if args.recover:  # one admission sweep for both barcodes

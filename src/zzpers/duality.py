@@ -13,11 +13,10 @@ dimension p-1.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
-from typing import Dict, List
+from typing import List
 
-from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
-from .complexes import ComponentLabels, SimplicialComplex, _label_components
+from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval, _trusted_interval
+from .complexes import SimplicialComplex, _find
 from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
 from .errors import NotStandardizedError
 from .filtration import ADD, DEL, ZigzagFiltration, _Sweep, _admitted, _event_text
@@ -56,17 +55,6 @@ def absolute_to_relative(abs_bar: Barcode) -> Barcode:
     return Barcode(out, m, RELATIVE)
 
 
-def _strong_components(K: SimplicialComplex, p: int) -> ComponentLabels:
-    """Label the p-simplices of K, keyed by vertex tuple, by strong component:
-    p-simplices joined through shared (p-1)-faces. Each strong component of a
-    closed p-pseudomanifold carries one dimension-p class."""
-    top = [s.vertices for s in K.of_dim(p)]
-    first: Dict[tuple, tuple] = {}  # (p-1)-face -> the first p-simplex on it
-    return _label_components(
-        top, [(first.setdefault(r, vs), vs) for vs in top for r in combinations(vs, p)]
-    )
-
-
 def recover_absolute_from_relative(
     rel_p: Barcode, f: ZigzagFiltration, K: SimplicialComplex, p: int
 ) -> Barcode:
@@ -83,76 +71,111 @@ def recover_absolute_from_relative(
     emitted. Inconsistent inputs raise rather than being repaired: this
     operation consumes computed data, so mismatches mean an upstream bug.
 
-    The cyclic garbage collector is paused for the call, as in
-    ``compute_zigzag``: the sweep and the component labels build no
-    reference cycle.
+    K is read only by the fill check: the strong components come from the
+    facet ids of f's admission sweep (``_top_components``). The cyclic
+    garbage collector is paused for the call, as in ``compute_zigzag``: the
+    sweep and the component labels build no reference cycle.
     """
     with _gc_paused():
         sw = _admitted_filling(f, K, "recovery")
-        ids, vts, repetition = sw.ids, sw.vts, sw.repetition
-        del sw  # the recovery reads only the signed ids and their vertex tuples
         if rel_p.kind != RELATIVE:
             raise ContractViolationError("recovery needs a relative barcode")
         if rel_p.m != len(f):
             raise ContractViolationError("barcode length does not match the filtration")
-        _raise_if_repetitive(repetition)
-        return _recovered(rel_p, ids, vts, K, p)
+        _raise_if_repetitive(sw.repetition)
+        ids, vts, comps = sw.ids, sw.vts, _top_components(sw.vts, sw.dims, sw.facets, p)
+        del sw  # the recovery reads only the signed ids, vertex tuples and labels
+        return _recovered(rel_p, ids, vts, comps, p)
 
 
 def _admitted_filling(f: ZigzagFiltration, K: SimplicialComplex, path: str) -> _Sweep:
     """The sweep of an f that passes the shared admission, is standardized
     and fills K."""
     sw = _admitted(f)
-    if not sw.standardized:
-        raise NotStandardizedError(f"{path} needs a standardized filtration")
-    if sw.index.keys() != {s.vertices for s in K.simplex_set()}:
-        raise InvalidInputError("filtration does not fill the given complex")
+    _refuse_unfilled(sw, path, sw.index.keys() == {s.vertices for s in K.simplex_set()})
     return sw
 
 
-def _recovered(rel_p: Barcode, ids, vts, K: SimplicialComplex, p: int) -> Barcode:
+def _refuse_unfilled(sw: _Sweep, path: str, fills: bool) -> None:
+    """NotStandardizedError if the swept f is not standardized, else
+    InvalidInputError unless it ``fills`` the given complex."""
+    if not sw.standardized:
+        raise NotStandardizedError(f"{path} needs a standardized filtration")
+    if not fills:
+        raise InvalidInputError("filtration does not fill the given complex")
+
+
+def _top_components(vts, dims, facets, p: int):
+    """The count of the strong components of a sweep's p-ids (each carries one
+    dimension-p class of a closed p-pseudomanifold), and each id's label (-1
+    off dimension p), by smallest vertex tuple. Each p-id joins the first
+    p-id on each of its facets; below p = 1 all share the empty face, id n."""
+    n = len(vts)
+    tops = [j for j, q in enumerate(dims) if q == p]
+    shared = facets if p > 0 else [(n,)] * n
+    parent = list(range(n))
+    first = [-1] * (n + 1)  # (p-1)-id -> the first p-id on it
+    for t in tops:
+        for x in shared[t]:
+            if first[x] < 0:
+                first[x] = t
+                continue
+            ra, rb = _find(parent, t), _find(parent, first[x])
+            if vts[rb] < vts[ra]:
+                ra, rb = rb, ra
+            parent[rb] = ra  # each root is its component's smallest vertex tuple
+    roots = sorted({_find(parent, t) for t in tops}, key=vts.__getitem__)
+    number = dict(zip(roots, range(len(roots))))
+    return len(roots), [number[_find(parent, j)] if q == p else -1 for j, q in enumerate(dims)]
+
+
+def _recovered(rel_p: Barcode, ids, vts, comps, p: int) -> Barcode:
     """``recover_absolute_from_relative`` of a relative barcode of f's length
     and an admitted, standardized, non-repetitive f, with the GC paused.
 
     f is given by its sweep's signed id of each event (``_Sweep.ids``) and
-    vertex tuple of each id."""
+    vertex tuple of each id, and ``comps`` is ``_top_components`` of that
+    sweep. The barcode is read and built as field tuples, with no Interval
+    checked; an interval one dimension below p = 0 raises as Interval would.
+    """
 
-    def event_at(i: int):
-        """The direction and vertex tuple of event i."""
-        j = ids[i]
-        return (ADD, vts[j]) if j >= 0 else (DEL, vts[~j])
+    def got(j: int) -> str:
+        return _event_text(ADD if j >= 0 else DEL, vts[j if j >= 0 else ~j])
 
     m = rel_p.m
-    comps = _strong_components(K, p)
-    comp_of = comps.of_vertex  # p-simplex vertex tuple -> its strong component
-    out: Counter = Counter()
-    starts: Dict[int, List[int]] = {}  # component -> death indices i of [0, i]
-    ends: Dict[int, List[int]] = {}  # component -> birth indices j of [j, m]
-    for iv, c in rel_p.counts().items():
-        if iv.dim != p:
-            raise ContractViolationError(f"{iv!r} is not of dimension {p}")
-        if iv.b == 0 and iv.d == m:
-            raise InternalInconsistencyError(f"{iv!r} spans the whole module")
-        if iv.b == 0:
-            direction, vs = event_at(iv.d)
-            if direction != ADD or len(vs) != p + 1:
-                raise InternalInconsistencyError(f"{iv!r} should end at the addition of a "
-                                                 f"{p}-simplex, got {_event_text(direction, vs)}")
-            starts.setdefault(comp_of[vs], []).extend([iv.d] * c)
-        elif iv.d == m:
-            direction, vs = event_at(iv.b - 1)
-            if direction != DEL or len(vs) != p + 1:
-                raise InternalInconsistencyError(f"{iv!r} should start at the deletion of a "
-                                                 f"{p}-simplex, got {_event_text(direction, vs)}")
-            ends.setdefault(comp_of[vs], []).extend([iv.b] * c)
+    count, comp_of = comps
+    out = []
+    starts: List[List[int]] = [[] for _ in range(count)]  # death indices i of [0, i]
+    ends: List[List[int]] = [[] for _ in range(count)]  # birth indices j of [j, m]
+    for fields in rel_p._fields:
+        dim, b, d, bt, dt = fields
+        if dim != p:
+            raise ContractViolationError(f"{_trusted_interval(fields)!r} is not of dimension {p}")
+        if b == 0 and d == m:
+            raise InternalInconsistencyError(f"{_trusted_interval(fields)!r} spans the whole "
+                                             "module")
+        if b == 0:
+            j = ids[d]
+            if j < 0 or comp_of[j] < 0:
+                raise InternalInconsistencyError(f"{_trusted_interval(fields)!r} should end at "
+                                                 f"the addition of a {p}-simplex, got {got(j)}")
+            starts[comp_of[j]].append(d)
+        elif d == m:
+            j = ids[b - 1]
+            if j >= 0 or comp_of[~j] < 0:
+                raise InternalInconsistencyError(f"{_trusted_interval(fields)!r} should start at "
+                                                 f"the deletion of a {p}-simplex, got {got(j)}")
+            ends[comp_of[~j]].append(b)
         else:
-            if iv.type_code not in ("co", "oc"):
-                raise InternalInconsistencyError(f"interior interval {iv!r} is not co or oc")
-            out[Interval(p - 1, iv.b, iv.d, iv.birth_type, iv.death_type)] += c
+            if bt == dt:
+                raise InternalInconsistencyError(
+                    f"interior interval {_trusted_interval(fields)!r} is not co or oc")
+            if p < 1:
+                raise ContractViolationError(f"negative interval dimension {p - 1}")
+            out.append((p - 1, b, d, bt, dt))
 
-    for label in range(comps.count):
-        si = starts.get(label, [])
-        ei = ends.get(label, [])
+    for label in range(count):
+        si, ei = starts[label], ends[label]
         if len(si) != 1 or len(ei) != 1:
             raise InternalInconsistencyError(
                 f"component {label} has {len(si)} start and {len(ei)} end intervals"
@@ -163,7 +186,9 @@ def _recovered(rel_p: Barcode, ids, vts, K: SimplicialComplex, p: int) -> Barcod
                 raise InternalInconsistencyError(
                     f"pair [0,{i}], [{j},{m}] leaves an empty closed-closed interval"
                 )
-            out[Interval(p, i + 1, j - 1, CLOSED, CLOSED)] += 1
+            out.append((p, i + 1, j - 1, CLOSED, CLOSED))
+        elif p < 1:
+            raise ContractViolationError(f"negative interval dimension {p - 1}")
         else:
-            out[Interval(p - 1, j, i, OPEN, OPEN)] += 1
-    return Barcode(out, m, ABSOLUTE)
+            out.append((p - 1, j, i, OPEN, OPEN))
+    return Barcode._of_fields(out, m, ABSOLUTE)

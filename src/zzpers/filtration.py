@@ -217,7 +217,18 @@ class ZigzagFiltration:
         return SimplicialComplex(all_simplices)
 
     def is_standardized(self) -> bool:
-        return not self.initial and not self.final_complex()
+        """K_0 = K_m = empty, read off the record without building a
+        simplex: K_0 is empty and each id's last event is a deletion."""
+        if self.initial:
+            return False
+        ids, vts = self._ids
+        present = bytearray(len(vts))
+        for j in ids:
+            if j >= 0:
+                present[j] = 1
+            else:
+                present[~j] = 0
+        return not any(present)
 
     def is_updown(self) -> bool:
         dirs = self.directions()

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import List, Optional, Tuple
 
-from .barcode import ABSOLUTE, RELATIVE, Barcode, classify_ends
+from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode
 from .complexes import DualGraph, SimplicialComplex, _dual_cells, _find, dual_graph
-from .duality import _admitted_filling, _recovered
+from .duality import _admitted_filling, _recovered, _top_components
 from .errors import InvalidInputError
 from .filtration import ADD, DEL, ZigzagFiltration, _directions, _gc_paused
 from .filtration import _raise_if_repetitive
@@ -381,15 +381,18 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim)
     for q, b, d, _, _ in _remap_pairs(death, dims, dels, add_at, del_at):
         b, d = at[b] + 1, at[d + 1]
         if q == 0 and b <= d:
-            out.append((dim, b, d, *classify_ends(b, d, directions)))
+            out.append((dim, b, d, CLOSED if b == 0 or directions[b - 1] == ADD else OPEN,
+                        CLOSED if d == m or directions[d] == DEL else OPEN))
     return out
 
 
-def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
+def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool,
+                 recover: bool):
     """Copy record of the dual-graph complement zigzag of f, walked on the
     ids of f's one admission sweep, which is dropped before the walk, the
-    sweep's signed id of each event and vertex tuple of each id, and f's
-    first repetition.
+    sweep's signed id of each event and vertex tuple of each id, if
+    ``recover`` the strong components of its p-ids from its facet ids
+    (``duality._top_components``, else None), and f's first repetition.
 
     f passes the shared admission, is standardized and fills K, and is
     refused if repetitive unless ``allow_repetitive``. K then passes the
@@ -412,6 +415,7 @@ def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repeti
     if not allow_repetitive:
         _raise_if_repetitive(sw.repetition)
     tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)
+    comps = _top_components(sw.vts, sw.dims, sw.facets, p) if recover else None
     ids, vts, repetition = sw.ids, sw.vts, sw.repetition
     del sw  # the walk reads only the signed ids
     m = len(f)
@@ -420,7 +424,7 @@ def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repeti
         ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
         zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
     )
-    return _copies(steps, ends), ids, vts, repetition
+    return _copies(steps, ends), ids, vts, comps, repetition
 
 
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -438,17 +442,19 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
     ``compute_zigzag``: the walk and the passes build no reference cycle.
     """
     with _gc_paused():
-        return _relative_top(f, K, p, allow_repetitive=True)[0]
+        return _relative_top(f, K, p, allow_repetitive=True, recover=False)[0]
 
 
-def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool):
-    """``relative_top_barcode``, f's first repetition, and the signed ids and
-    vertex tuples of f's sweep (what ``duality._recovered`` reads), refusing a
-    repetitive f unless ``allow_repetitive``, with the collector paused.
-    The arrows' directions come from the signed ids."""
-    copies, ids, vts, repetition = _dual_copies(f, K, p, allow_repetitive)
+def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool,
+                  recover: bool):
+    """``relative_top_barcode``, f's first repetition, and the signed ids,
+    vertex tuples and (if ``recover``) strong components of f's sweep (what
+    ``duality._recovered`` reads), refusing a repetitive f unless
+    ``allow_repetitive``, with the collector paused. The arrows' directions
+    come from the signed ids."""
+    copies, ids, vts, comps, repetition = _dual_copies(f, K, p, allow_repetitive, recover)
     fields = _arrow_fields(*copies, _directions(ids), p)
-    return Barcode._of_fields(fields, len(f), RELATIVE), repetition, ids, vts
+    return Barcode._of_fields(fields, len(f), RELATIVE), repetition, (ids, vts, comps)
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -460,8 +466,8 @@ def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int)
     One sweep admits f for both steps; the cyclic GC is paused for the call.
     """
     with _gc_paused():
-        rel, _, ids, vts = _relative_top(f, K, p, allow_repetitive=False)
-        return _recovered(rel, ids, vts, K, p)
+        rel, _, held = _relative_top(f, K, p, allow_repetitive=False, recover=True)
+        return _recovered(rel, *held, p)
 
 
 def _relative_and_recovered(f: ZigzagFiltration, K: SimplicialComplex,
@@ -471,6 +477,6 @@ def _relative_and_recovered(f: ZigzagFiltration, K: SimplicialComplex,
     the two calls raise in turn (a non-manifold K before a repetitive f).
     The cyclic GC is paused for the call."""
     with _gc_paused():
-        rel, repetition, ids, vts = _relative_top(f, K, p, allow_repetitive=True)
+        rel, repetition, held = _relative_top(f, K, p, allow_repetitive=True, recover=True)
         _raise_if_repetitive(repetition)
-        return rel, _recovered(rel, ids, vts, K, p)
+        return rel, _recovered(rel, *held, p)

@@ -5,6 +5,7 @@ import pytest
 
 from zzpers import (
     FiltrationEvent,
+    Interval,
     Simplex,
     SimplicialComplex,
     ZigzagFiltration,
@@ -203,4 +204,19 @@ def built_simplices(monkeypatch):
 
     monkeypatch.setattr(Simplex, "__init__", counted_init)
     monkeypatch.setattr(Simplex, "_from_sorted", classmethod(counted_from_sorted))
+    return built
+
+
+@pytest.fixture()
+def built_intervals(monkeypatch):
+    """Every Interval built while the test runs by the checked constructor;
+    a barcode's accessors hand out intervals built without the checks."""
+    built = []
+    new = Interval.__new__
+
+    def counted_new(cls, *fields):
+        built.append(new(cls, *fields))
+        return built[-1]
+
+    monkeypatch.setattr(Interval, "__new__", staticmethod(counted_new))
     return built

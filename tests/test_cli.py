@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from zzpers import (
+    Simplex,
+    SimplicialComplex,
     ZigzagError,
     cli,
     manifold_absolute_barcode,
@@ -450,6 +452,13 @@ PENDANT = "zzfilt v1\n" + "".join(
 THREE_VERTICES = "zzfilt v1\na 0\na 1\na 2\na 0 1\nd 0 1\nd 0\nd 1\nd 2\n"
 
 
+def _closure(complex_text, names):
+    """The complex that the lines of a complex file close to, in a filtration's vertex names."""
+    ids = {nm: i for i, nm in enumerate(names)}
+    return SimplicialComplex.closure(
+        [Simplex(ids[t] for t in line.split()) for line in complex_text.splitlines()])
+
+
 # the texts and exit codes of the Simplex-keyed dual-graph route, which the walk
 # on the sweep's ids keeps: each check in its order, naming the first offender in K's order
 @pytest.mark.parametrize("text, p, complex_text, code, message", [
@@ -473,7 +482,7 @@ def test_manifold_refusals_keep_their_texts(text, p, complex_text, code, message
     if complex_text is not None:
         cx = tmp_path / "k.cx"
         cx.write_text(complex_text)
-        K, options = cli._load_complex(str(cx), parsed.names), [*options, "--complex", str(cx)]
+        K, options = _closure(complex_text, parsed.names), [*options, "--complex", str(cx)]
     for recover in ([], ["--recover"]):
         assert main(["manifold", str(path), *options, *recover]) == code
         captured = capsys.readouterr()
@@ -482,6 +491,60 @@ def test_manifold_refusals_keep_their_texts(text, p, complex_text, code, message
         with pytest.raises(ZigzagError) as err:
             call(parsed.filtration, K, p)
         assert str(err.value) == message and err.value.exit_code == code
+
+
+def _manifold_refusal(f, K, p):
+    """Exit code and error line of the manifold path on f and K."""
+    with pytest.raises(ZigzagError) as err:
+        relative_top_barcode(f, K, p)
+    return err.value.exit_code, f"error: {err.value}\n"
+
+
+def _torus_10_text():
+    verts, faces = torus_mesh_points(10, 10)
+    return format_filtration(generate(OffMesh(tuple(verts), tuple(faces)), "x", 20, 8))
+
+
+def _vertices_then_simplex(k):
+    """An invalid filtration: k vertices, then the simplex on them without its facets."""
+    vertices = [str(v) for v in range(k)]
+    return "zzfilt v1\n" + "".join(f"a {v}\n" for v in vertices) + f"a {' '.join(vertices)}\n"
+
+
+TORUS_10 = _torus_10_text()
+NOT_STANDARDIZED_10 = "".join(TORUS_10.splitlines(keepends=True)[:-1])
+
+
+# a line of k vertices closes to 2^k - 1 simplices: the refusal comes before the closure,
+# with the text and exit code of the manifold path on the closed complex (checked up to k = 12)
+@pytest.mark.parametrize("text, k, code, message", [
+    (TORUS_10, 3, 2, "filtration does not fill the given complex"),
+    (TORUS_10, 12, 2, "filtration does not fill the given complex"),
+    (TORUS_10, 40, 2, "filtration does not fill the given complex"),
+    (NOT_STANDARDIZED_10, 12, 3, "manifold path needs a standardized filtration"),
+    (NOT_STANDARDIZED_10, 40, 3, "manifold path needs a standardized filtration"),
+    # an invalid f holding the simplex itself: its admission's text
+    *[(_vertices_then_simplex(k), k, 2, None) for k in (5, 12, 30)],
+], ids=["torus-3", "torus-12", "torus-40", "not-standardized-12", "not-standardized-40",
+        "invalid-5", "invalid-12", "invalid-30"])
+def test_manifold_complex_refuses_a_large_simplex_before_closing_it(text, k, code, message,
+                                                                   tmp_path, capsys):
+    path, cx = tmp_path / "f.zz", tmp_path / "k.cx"
+    path.write_text(text)
+    cx.write_text(" ".join(map(str, range(k))) + "\n")
+    parsed = parse_filtration(text)
+    if message is None:
+        with pytest.raises(ZigzagError) as err:
+            compute_zigzag(parsed.filtration)
+        message = str(err.value)
+    want = (code, f"error: {message}\n")
+    if k <= 12:
+        assert _manifold_refusal(parsed.filtration, _closure(cx.read_text(), parsed.names),
+                                 2) == want
+    for recover in ([], ["--recover"]):
+        assert main(["manifold", str(path), "--complex", str(cx), "--p", "2", *recover]) == code
+        captured = capsys.readouterr()
+        assert (code, captured.err) == want and captured.out == ""
 
 
 def _relative_then_recovered(f, K, p):

@@ -180,3 +180,69 @@ def test_recover_rejects_a_filtration_that_does_not_fill_the_complex():
         with pytest.raises(InvalidInputError) as err:
             call()
         assert str(err.value) == "filtration does not fill the given complex"
+
+
+def _wedge_faults():
+    """A filtration of the octahedra wedge, its dimension-2 relative barcode's
+    field tuples, and that barcode with one fault each."""
+    K = octahedra_wedge()
+    f = random_nonrepetitive(SplitMix64(3), sorted(K.simplex_set()))
+    fields = list(relative_top_barcode(f, K, 2)._fields)
+    m, directions = len(f), f.directions()
+    starts = [t for t in fields if t[1] == 0]
+    ends = [t for t in fields if t[2] == m]
+    interior = next(t for t in fields if 0 < t[1] and t[2] < m)
+    deletion = directions.index("d")
+    addition = max(i for i, x in enumerate(directions) if x == "a")
+    faults = {
+        "missing end": [t for t in fields if t != ends[-1]],
+        "wrong dimension": fields + [(1, 3, 5, "c", "o")],
+        "interior cc": fields + [(2, interior[1], interior[2], "c", "c")],
+        "whole module": fields + [(2, 0, m, "c", "c")],
+        "start on a deletion": [t for t in fields if t != starts[0]] + [(2, 0, deletion, "c", "o")],
+        "end on an addition": [t for t in fields if t != ends[0]]
+        + [(2, addition + 1, m, "o", "c")],
+    }
+    bars = {k: Barcode([Interval(*t) for t in v], m, RELATIVE) for k, v in faults.items()}
+    return K, f, fields, bars
+
+
+# the classes and texts recovery raised when it labelled the strong components on K's
+# vertex tuples and built checked intervals
+@pytest.mark.parametrize("fault, error, text", [
+    ("missing end", InternalInconsistencyError, "component 1 has 1 start and 0 end intervals"),
+    ("wrong dimension", ContractViolationError, "[3,5]^co_1 is not of dimension 2"),
+    ("interior cc", InternalInconsistencyError, "interior interval [20,43]^cc_2 is not co or oc"),
+    ("whole module", InternalInconsistencyError, "[0,102]^cc_2 spans the whole module"),
+    ("start on a deletion", InternalInconsistencyError,
+     "[0,50]^co_2 should end at the addition of a 2-simplex, got -2.3.4"),
+    ("end on an addition", InternalInconsistencyError,
+     "[75,102]^oc_2 should start at the deletion of a 2-simplex, got +7.8.10"),
+])
+def test_recover_keeps_its_error_texts_on_a_pseudomanifold(fault, error, text):
+    K, f, _, faults = _wedge_faults()
+    with pytest.raises(error) as err:
+        recover_absolute_from_relative(faults[fault], f, K, 2)
+    assert type(err.value) is error and str(err.value) == text
+
+
+def test_recover_below_and_above_the_top_dimension_keeps_its_results():
+    K, f, fields, _ = _wedge_faults()
+    m = len(f)
+    rel = Barcode([Interval(*t) for t in fields], m, RELATIVE)
+    for p in (0, 3):
+        with pytest.raises(ContractViolationError) as err:
+            recover_absolute_from_relative(rel, f, K, p)
+        assert str(err.value) == f"[0,49]^co_2 is not of dimension {p}"
+    # below p = 1 every vertex shares the empty face: one component
+    rel0 = absolute_to_relative(zigzag_barcode(f)).in_dim(0)
+    assert rel0.to_lines()[1:] == ["0 0 0 co", f"0 {m} {m} oc"]
+    assert recover_absolute_from_relative(rel0, f, K, 0).to_lines()[1:] == [f"0 1 {m - 1} cc"]
+    empty = Barcode([], m, RELATIVE)
+    with pytest.raises(InternalInconsistencyError) as err:
+        recover_absolute_from_relative(empty, f, K, 0)
+    assert str(err.value) == "component 0 has 0 start and 0 end intervals"
+    with pytest.raises(ContractViolationError) as err:  # an interval would drop to dimension -1
+        recover_absolute_from_relative(Barcode([*rel0, iv(0, 5, 9, "co")], m, RELATIVE), f, K, 0)
+    assert str(err.value) == "negative interval dimension -1"
+    assert recover_absolute_from_relative(empty, f, K, 3) == Barcode([], m, ABSOLUTE)

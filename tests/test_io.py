@@ -251,6 +251,26 @@ def test_a_canonical_file_is_parsed_and_computed_without_a_simplex(built_simplic
     assert len(f.events) == len(f) and len(built_simplices) == n
 
 
+def test_is_standardized_reads_the_record_without_a_simplex(built_simplices, small_corpus):
+    text = _swept_torus_text()
+    events = parse_filtration(text).filtration.events
+    k0 = [ZigzagFiltration(events[40:], parse_filtration(text).filtration.complex_at(40))]
+    built_simplices.clear()  # those were built by the test, as a user builds them
+    pool = [parse_filtration(t).filtration for t in (
+        text,
+        "".join(text.splitlines(keepends=True)[:-1]),  # the last vertex is left
+        "zzfilt v1\n",
+        "zzfilt v1\nd 0\n",  # invalid: a delete of an absent simplex leaves nothing
+        "zzfilt v1\na 0\na 0\nd 0\n",  # invalid: a duplicate add, then one delete
+        "zzfilt v1\na 0\nd 0\na 0\n",  # repetitive, ends with its vertex
+        "zzfilt v1\na 0\na 1\nd 1\na 0 1\nd 0 1\nd 0\n",  # invalid, ends empty
+    )]
+    got = [g.is_standardized() for g in pool + k0 + small_corpus]
+    assert built_simplices == []
+    assert got[:len(pool) + 1] == [True, False, True, True, True, False, True, False]
+    assert got == [not g.initial and not g.final_complex() for g in pool + k0 + small_corpus]
+
+
 def test_filtrations_compare_by_their_records_without_building_events(built_events, small_corpus):
     text = _swept_torus_text()
     events = parse_filtration(text).filtration.events

@@ -40,6 +40,7 @@ import zzpers.filtration
 from zzpers import complexes, duality, manifold
 from zzpers.barcode import classify_ends
 from zzpers.filtration import ADD, DEL
+from zzpers.io import OffMesh, generate
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.oracle import sequence_barcode
 from zzpers.rng import SplitMix64
@@ -53,6 +54,7 @@ from conftest import (
     random_updown,
     sx,
     tetra_boundary,
+    torus_mesh_points,
     zz,
 )
 
@@ -325,7 +327,7 @@ def test_manifold_path_pauses_the_gc_and_builds_no_cycle(enabled, monkeypatch):
     K = grid_torus()
     f = random_nonrepetitive(SplitMix64(6), sorted(K.simplex_set()))
     paused = []  # the GC state where each call does its main work
-    for module, name in ((manifold, "_copy_pairs"), (duality, "_strong_components")):
+    for module, name in ((manifold, "_copy_pairs"), (duality, "_top_components")):
         def spy(*args, inner=getattr(module, name)):
             paused.append(not gc.isenabled())
             return inner(*args)
@@ -350,6 +352,21 @@ def test_manifold_path_pauses_the_gc_and_builds_no_cycle(enabled, monkeypatch):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_manifold_path_builds_no_checked_interval(built_intervals):
+    verts, faces = torus_mesh_points(6, 5)
+    f = generate(OffMesh(tuple(verts), tuple(faces)), "x", 90, 8)
+    K = f.total_complex()
+    want = zigzag_barcode(f).filter(lambda i: i.dim == 2 or (i.dim == 1 and i.type_code != "cc"))
+    built_intervals.clear()  # those were built by the pipeline
+    assert [Interval(0, 0, 1, "c", "c")] == built_intervals  # the counter counts
+    built_intervals.clear()
+    rel = relative_top_barcode(f, K, 2)
+    rec = recover_absolute_from_relative(rel, f, K, 2)
+    absolute = manifold_absolute_barcode(f, K, 2)
+    assert built_intervals == []
+    assert rec == absolute == want and len(rel)
 
 
 @pytest.mark.parametrize(
