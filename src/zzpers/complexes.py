@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InvalidConeError, InvalidInputError, NotAManifoldError
 
@@ -177,11 +177,12 @@ def _find(parent, v: int) -> int:
     return v
 
 
-def _label_components(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> ComponentLabels:
-    """Union-find over the given vertices and edges between them."""
-    parent = {v: v for v in vertices}
-    for a, b in edges:
-        ra, rb = _find(parent, a), _find(parent, b)
+def connected_components(c: SimplicialComplex) -> ComponentLabels:
+    """Label vertices (hence simplices) by connected component: a union-find
+    over the vertices and edges of c."""
+    parent = {v: v for v in c.vertices}
+    for s in c.of_dim(1):
+        ra, rb = _find(parent, s.vertices[0]), _find(parent, s.vertices[1])
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)  # each root is its component's smallest vertex
     roots = sorted({_find(parent, v) for v in parent})
@@ -189,9 +190,35 @@ def _label_components(vertices: Iterable[int], edges: Iterable[Tuple[int, int]])
     return ComponentLabels(len(roots), {v: index[_find(parent, v)] for v in parent})
 
 
-def connected_components(c: SimplicialComplex) -> ComponentLabels:
-    """Label vertices (hence simplices) by connected component."""
-    return _label_components(c.vertices, (e for s in c for e in zip(s.vertices, s.vertices[1:])))
+def _faces(vs: Tuple[int, ...]) -> Iterable[Tuple[int, ...]]:
+    """Facets of the simplex with vertices vs, in ascending order of vertex tuple."""
+    return combinations(vs, len(vs) - 1) if len(vs) > 1 else ()
+
+
+def _facet_ids(vts: List[Tuple[int, ...]], get) -> List[Tuple[Optional[int], ...]]:
+    """The ids (``get`` of the vertex tuple, None for none) of the facets of
+    each vertex tuple, in ascending order of vertex tuple, up to and with
+    the first None: a long tuple none of whose facets has an id costs one
+    lookup. Edges and triangles, most of any complex, are unpacked rather
+    than combined."""
+    out: List[Tuple[Optional[int], ...]] = []
+    append = out.append
+    for vs in vts:
+        k = len(vs)
+        if k == 2:
+            a, b = vs
+            append((get((a,)), get((b,))))
+        elif k == 3:
+            a, b, c = vs
+            append((get((a, b)), get((a, c)), get((b, c))))
+        else:
+            fs = []
+            for t in _faces(vs):
+                fs.append(get(t))
+                if fs[-1] is None:
+                    break
+            append(tuple(fs))
+    return out
 
 
 class DualGraph:
@@ -229,9 +256,7 @@ def dual_graph(K: SimplicialComplex, p: int) -> DualGraph:
     """
     vts = [s.vertices for s in K]
     idof = dict(zip(vts, range(len(vts))))
-    facets = [tuple(idof[t] for t in combinations(vs, len(vs) - 1)) if len(vs) > 1 else ()
-              for vs in vts]
-    tops, ridges, ends = _dual_cells(K, p, vts, facets, idof)
+    tops, ridges, ends = _dual_cells(K, p, vts, _facet_ids(vts, idof.get), idof)
     vertex = {t: i for i, t in enumerate(tops)}  # p-id -> its dual vertex
     edges = [(vertex[a], vertex[b]) for a, b in map(ends.__getitem__, ridges)]
     return DualGraph(p, K.of_dim(p), K.of_dim(p - 1), edges)

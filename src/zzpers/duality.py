@@ -12,10 +12,9 @@ dimension p-1.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List
 
-from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval, _trusted_interval
+from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, _trusted_interval
 from .complexes import SimplicialComplex, _find
 from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
 from .errors import NotStandardizedError
@@ -34,25 +33,21 @@ def absolute_to_relative(abs_bar: Barcode) -> Barcode:
     if abs_bar.kind != ABSOLUTE:
         raise ContractViolationError("absolute_to_relative needs an absolute barcode")
     m = abs_bar.m
-    out: Counter = Counter()
-    for iv, c in abs_bar.counts().items():
-        if iv.b < 1 or iv.d > m - 1:
+    out = []
+    for fields in abs_bar._fields:
+        dim, b, d, bt, dt = fields
+        if b < 1 or d > m - 1:
             raise NotStandardizedError(
-                f"{iv!r} touches an end of the module; input must come from "
-                "a filtration standardized to empty ends"
+                f"{_trusted_interval(fields)!r} touches an end of the module; input must come "
+                "from a filtration standardized to empty ends"
             )
-        code = iv.type_code
-        if code == "co":
-            out[Interval(iv.dim + 1, iv.b, iv.d, CLOSED, OPEN)] += c
-        elif code == "oc":
-            out[Interval(iv.dim + 1, iv.b, iv.d, OPEN, CLOSED)] += c
-        elif code == "cc":
-            out[Interval(iv.dim, 0, iv.b - 1, CLOSED, OPEN)] += c
-            out[Interval(iv.dim, iv.d + 1, m, OPEN, CLOSED)] += c
-        else:  # oo
-            out[Interval(iv.dim + 1, 0, iv.d, CLOSED, OPEN)] += c
-            out[Interval(iv.dim + 1, iv.b, m, OPEN, CLOSED)] += c
-    return Barcode(out, m, RELATIVE)
+        if bt != dt:  # co, oc
+            out.append((dim + 1, b, d, bt, dt))
+        elif bt == CLOSED:
+            out += [(dim, 0, b - 1, CLOSED, OPEN), (dim, d + 1, m, OPEN, CLOSED)]
+        else:
+            out += [(dim + 1, 0, d, CLOSED, OPEN), (dim + 1, b, m, OPEN, CLOSED)]
+    return Barcode._of_fields(out, m, RELATIVE)
 
 
 def recover_absolute_from_relative(

@@ -13,11 +13,11 @@ from array import array
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, islice, repeat
 from operator import gt
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .complexes import Simplex, SimplicialComplex, boundary
+from .complexes import Simplex, SimplicialComplex, _faces, _facet_ids, boundary
 from .errors import (
     InvalidDiamondError,
     InvalidInputError,
@@ -42,15 +42,6 @@ class FiltrationEvent:
             raise InvalidInputError(f"unknown event direction {self.direction!r}")
 
     @classmethod
-    def _trusted(cls, direction: str, s: Simplex) -> "FiltrationEvent":
-        """Fast path for a direction already known to be ADD or DEL: the event
-        the public constructor would build, without its check."""
-        e = _new(cls)
-        _set_direction(e, direction)
-        _set_simplex(e, s)
-        return e
-
-    @classmethod
     def add(cls, s: Simplex) -> "FiltrationEvent":
         return cls(ADD, s)
 
@@ -70,12 +61,6 @@ def _event_text(direction: str, vs: Tuple[int, ...]) -> str:
 def _named(vs: Tuple[int, ...]) -> str:
     """The repr of the Simplex with vertex tuple vs, as error texts name it."""
     return repr(Simplex._from_sorted(vs))
-
-
-# the slot setters, which the frozen dataclass's __setattr__ would refuse
-_new = object.__new__
-_set_direction = FiltrationEvent.direction.__set__
-_set_simplex = FiltrationEvent.simplex.__set__
 
 
 @contextmanager
@@ -143,7 +128,7 @@ class ZigzagFiltration:
         the simplex with vertex tuple ``vts[ids[i]]``, or the deletion of that
         of ``vts[~ids[i]]`` where ``ids[i] < 0``, with K_0's additions first,
         and, if given, ``simplices`` its Simplex of each id; nothing is checked."""
-        f = _new(cls)
+        f = object.__new__(cls)
         f._events, f.initial, f._ids, f._simplex_list = None, initial, (ids, vts), simplices
         return f
 
@@ -160,10 +145,9 @@ class ZigzagFiltration:
         events = self._events
         if events is None:
             ids, simplices = self._ids[0], self._simplices
-            trusted = FiltrationEvent._trusted
             with _gc_paused():  # the events form no reference cycle
                 events = self._events = tuple(
-                    trusted(ADD, simplices[j]) if j >= 0 else trusted(DEL, simplices[~j])
+                    FiltrationEvent(ADD if j >= 0 else DEL, simplices[j if j >= 0 else ~j])
                     for j in islice(ids, len(self.initial), None)
                 )
         return events
@@ -266,30 +250,6 @@ _Sweep = namedtuple(
 )
 
 
-def _faces(vs: Tuple[int, ...]) -> Iterable[Tuple[int, ...]]:
-    """Facets of the simplex with vertices vs, in ascending order of vertex tuple."""
-    return combinations(vs, len(vs) - 1) if len(vs) > 1 else ()
-
-
-def _facet_ids(vts: List[Tuple[int, ...]], get) -> List[Tuple[Optional[int], ...]]:
-    """The ids (``get`` of the vertex tuple, None for none) of the facets of
-    each vertex tuple, in ascending order of vertex tuple; edges and
-    triangles, most of any complex, are unpacked rather than combined."""
-    out: List[Tuple[Optional[int], ...]] = []
-    append = out.append
-    for vs in vts:
-        k = len(vs)
-        if k == 2:
-            a, b = vs
-            append((get((a,)), get((b,))))
-        elif k == 3:
-            a, b, c = vs
-            append((get((a, b)), get((a, c)), get((b, c))))
-        else:
-            append(tuple(map(get, _faces(vs))))
-    return out
-
-
 def _interned(events: Iterable[Tuple[Simplex, bool]]):
     """Dense ids in order of first appearance, one per vertex tuple, for a
     sequence of (simplex, is an addition) pairs: the signed id of each pair
@@ -324,12 +284,13 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
     or the repetition.
 
     Per id: the vertex tuple (the record's own list), its dimension, its
-    facet ids (None for a facet that is no simplex of f), its last addition
-    and deletion position (-1: none) in the padded filtration, where K_0
-    enters first and event i sits at |K_0| + i. Also the vertex tuple -> id
-    index, the signed id of each position (the record's own array, not to
-    be changed), the ids of all deletions in event order, the violations and
-    first repetition (by f's event indices), and whether K_0 = K_m = empty.
+    facet ids (up to the first None, a facet that is no simplex of f), its
+    last addition and deletion position (-1: none) in the padded
+    filtration, where K_0 enters first and event i sits at |K_0| + i. Also
+    the vertex tuple -> id index, the signed id of each position (the
+    record's own array, not to be changed), the ids of all deletions in
+    event order, the violations and first repetition (by f's event
+    indices), and whether K_0 = K_m = empty.
     Invalid events are skipped when updating the running complex; the
     repetition check looks at the raw events.
     """
@@ -357,8 +318,10 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
                 continue
             fs = facets[j]
             if None in fs or -1 in map(count.__getitem__, fs):
-                # a facet that is no simplex of f reads as j itself, which is absent
-                names = ", ".join(_named(t) for t in _faces(vts[j]) if count[get(t, j)] < 0)
+                # a facet that is no simplex of f reads as j itself, which is absent;
+                # at most five are named, so a long line gives a short text
+                missing = list(islice((t for t in _faces(vts[j]) if count[get(t, j)] < 0), 6))
+                names = ", ".join(map(_named, missing[:5])) + (", ..." if len(missing) > 5 else "")
                 out.append(Violation(i - p, f"missing facets of {_named(vts[j])}: {names}"))
                 continue
             count[j] = 0
@@ -378,18 +341,26 @@ def _sweep(f: ZigzagFiltration) -> _Sweep:
                 for k in facets[j]:
                     count[k] -= 1
     if dangling:
-        # name a present coface: the first match in a set of present vertex tuples
-        # replayed event by event, so that the name depends only on the input
+        # name the present coface added last: a replay of the valid events keeps
+        # each id's cofaces in order of addition and pops absent ones off the end
         skipped = {v.index for v in out}
-        present = {s.vertices for s in f.initial}
-        for i, j in enumerate(ids[p : p + max(dangling) + 1]):
+        present = bytearray(n)
+        cofaces: List[List[int]] = [[] for _ in range(n)]
+        for i, j in enumerate(ids[: p + max(dangling) + 1], -p):
             if i in dangling:
-                vs = vts[~j]
-                w = next(t for t in present if len(t) == len(vs) + 1 and set(vs).issubset(t))
-                out[dangling[i]] = Violation(i, f"dangling coface {_named(w)} of deleted "
-                                                f"{_named(vs)}")
-            elif i not in skipped:
-                (present.add if j >= 0 else present.discard)(vts[j if j >= 0 else ~j])
+                up = cofaces[~j]
+                while not present[up[-1]]:
+                    up.pop()
+                out[dangling[i]] = Violation(i, f"dangling coface {_named(vts[up[-1]])} of "
+                                                f"deleted {_named(vts[~j])}")
+            elif i in skipped:
+                continue
+            elif j >= 0:
+                present[j] = 1
+                for k in facets[j]:
+                    cofaces[k].append(j)
+            else:
+                present[~j] = 0
     standardized = not f.initial and not any(map(gt, add_at, del_at))
     return _Sweep(vts, index, ids, dims, facets, add_at, del_at, dels, out, repetition,
                   standardized)

@@ -15,7 +15,7 @@ re-entry a fresh copy of the cell makes it a non-repetitive filtration
 ESA 2022). A walk over the zigzag gives the copies dense ids and records
 them as the pipeline's solve reads them, so no simplex, event or
 filtration is built for them. ``relative_top_barcode`` walks the dual
-zigzag of f straight on the ids of f's admission sweep (``_dual_copies``),
+zigzag of f straight on the ids of f's admission sweep (``_relative_top``),
 with no dual graph or graph zigzag built; ``zero_dim_zigzag`` walks a given
 ``GraphZigzag``, checking it as it goes. Both hand their steps to one
 recorder (``_copies``) and the record to one tail (``_arrow_fields``): the
@@ -82,7 +82,7 @@ def dual_filtration(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> GraphZ
     """Complement zigzag on the dual graph, index-aligned with f.
 
     ``relative_top_barcode`` walks the same zigzag on the ids of f's sweep
-    instead (``_dual_copies``); this Simplex-keyed form is the public one,
+    instead (``_relative_top``); this Simplex-keyed form is the public one,
     and tests hold that walk to it.
     """
     G = dual_graph(K, p)
@@ -237,7 +237,7 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     standardized non-repetitive filtration, and ``_arrow_fields`` pairs them
     and maps the intervals to g's arrows. This is the graph entry point; the
     manifold path hands the same two the dual zigzag of a filtration, walked
-    on its sweep's ids with nothing left to check (``_dual_copies``).
+    on its sweep's ids with nothing left to check (``_relative_top``).
     """
     nv, edges, m = g.n_vertices, g.edges, g.m
     if type(nv) is not int or nv < 0:
@@ -386,52 +386,11 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim)
     return out
 
 
-def _dual_copies(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool,
-                 recover: bool):
-    """Copy record of the dual-graph complement zigzag of f, walked on the
-    ids of f's one admission sweep, which is dropped before the walk, the
-    sweep's signed id of each event and vertex tuple of each id, if
-    ``recover`` the strong components of its p-ids from its facet ids
-    (``duality._top_components``, else None), and f's first repetition.
-
-    f passes the shared admission, is standardized and fills K, and is
-    refused if repetitive unless ``allow_repetitive``. K then passes the
-    manifold checks of ``dual_graph`` on the sweep's ids and vertex-tuple
-    index (``_dual_cells``). Together these make the graph zigzag valid, so
-    nothing of it is checked again.
-
-    The dual vertices are the p-ids and the dual edges the (p-1)-ids, whose
-    ends are their two p-cofaces. The walk reads each event's signed id
-    from the sweep, which works for a repetitive f too. f is standardized,
-    so the whole dual graph is present before arrow 0: its copies come
-    first, in the dual graph's order (vertex tuples ascending). Adding a p-
-    or (p-1)-simplex deletes the present copy of its dual cell, and deleting
-    it adds a fresh copy, an edge's facets the present copies of its two
-    ends; events on lower simplices add nothing. What is left is deleted
-    after arrow m - 1, edges first. ``_copies`` records the walk as it does
-    ``zero_dim_zigzag``'s.
-    """
-    sw = _admitted_filling(f, K, "manifold path")
-    if not allow_repetitive:
-        _raise_if_repetitive(sw.repetition)
-    tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)
-    comps = _top_components(sw.vts, sw.dims, sw.facets, p) if recover else None
-    ids, vts, repetition = sw.ids, sw.vts, sw.repetition
-    del sw  # the walk reads only the signed ids
-    m = len(f)
-    steps = chain(  # a dual cell enters when its primal simplex is deleted
-        zip(repeat(True), tops + ridges, repeat(-1)),  # the whole dual graph enters first
-        ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
-        zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
-    )
-    return _copies(steps, ends), ids, vts, comps, repetition
-
-
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
     """Dimension-p relative barcode of a filtration of a closed p-manifold or pseudomanifold.
 
     Computed as the 0-dimensional barcode of the dual-graph complement
-    zigzag, walked on the ids of f's admission sweep (``_dual_copies``);
+    zigzag, walked on the ids of f's admission sweep (``_relative_top``);
     end types come from the relative arrows, which follow f's own
     directions. f passes the shared admission (``filtration._admitted``,
     InvalidInputError otherwise) and fills K; it may be repetitive. K must
@@ -447,14 +406,39 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
 
 def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool,
                   recover: bool):
-    """``relative_top_barcode``, f's first repetition, and the signed ids,
-    vertex tuples and (if ``recover``) strong components of f's sweep (what
-    ``duality._recovered`` reads), refusing a repetitive f unless
-    ``allow_repetitive``, with the collector paused. The arrows' directions
-    come from the signed ids."""
-    copies, ids, vts, comps, repetition = _dual_copies(f, K, p, allow_repetitive, recover)
-    fields = _arrow_fields(*copies, _directions(ids), p)
-    return Barcode._of_fields(fields, len(f), RELATIVE), repetition, (ids, vts, comps)
+    """``relative_top_barcode``, f's first repetition, and what
+    ``duality._recovered`` reads of f's one admission sweep: its signed ids,
+    vertex tuples and, if ``recover``, the strong components of its p-ids
+    (``duality._top_components``). A repetitive f is refused unless
+    ``allow_repetitive``; the caller pauses the collector.
+
+    Admission, the fill check and the manifold checks of ``dual_graph`` on
+    the sweep's ids and vertex-tuple index (``_dual_cells``) make the dual
+    zigzag valid, so nothing of it is checked again. Its vertices are the
+    p-ids and its edges the (p-1)-ids, whose ends are their two p-cofaces.
+    f is standardized, so the whole dual graph enters before arrow 0, in
+    its own order (vertex tuples ascending), and leaves after arrow m - 1,
+    edges first. Adding a p- or (p-1)-simplex deletes the present copy of
+    its dual cell, and deleting it adds a fresh copy, an edge's facets the
+    present copies of its two ends; events on lower simplices add nothing.
+    The walk reads each event's signed id, so a repetitive f walks too, and
+    ``_copies`` records it as it does ``zero_dim_zigzag``'s.
+    """
+    sw = _admitted_filling(f, K, "manifold path")
+    if not allow_repetitive:
+        _raise_if_repetitive(sw.repetition)
+    tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)
+    comps = _top_components(sw.vts, sw.dims, sw.facets, p) if recover else None
+    ids, vts, repetition = sw.ids, sw.vts, sw.repetition
+    del sw  # the walk reads only the signed ids
+    m = len(f)
+    steps = chain(  # a dual cell enters when its primal simplex is deleted
+        zip(repeat(True), tops + ridges, repeat(-1)),  # the whole dual graph enters first
+        ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
+        zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
+    )
+    fields = _arrow_fields(*_copies(steps, ends), _directions(ids), p)
+    return Barcode._of_fields(fields, m, RELATIVE), repetition, (ids, vts, comps)
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:

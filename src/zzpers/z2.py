@@ -56,9 +56,6 @@ class Echelon:
                 v ^= col
         return out
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
     @property
     def rank(self) -> int:
         return len(self.pivots)

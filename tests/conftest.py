@@ -168,21 +168,16 @@ def a3_results():
 
 @pytest.fixture()
 def built_events(monkeypatch):
-    """Every FiltrationEvent built while the test runs: by the checked
-    constructor, or by the trusted one that a lazily built ``events`` uses."""
+    """Every FiltrationEvent built while the test runs, by its constructor,
+    which a lazily built ``events`` uses too."""
     built = []
-    check, trusted = FiltrationEvent.__post_init__, FiltrationEvent._trusted.__func__
+    check = FiltrationEvent.__post_init__
 
     def counted_check(self):
         check(self)
         built.append(self)
 
-    def counted_trusted(cls, direction, s):
-        built.append(trusted(cls, direction, s))
-        return built[-1]
-
     monkeypatch.setattr(FiltrationEvent, "__post_init__", counted_check)
-    monkeypatch.setattr(FiltrationEvent, "_trusted", classmethod(counted_trusted))
     return built
 
 

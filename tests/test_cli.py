@@ -2,8 +2,9 @@ import json
 import platform
 import subprocess
 import sys
+import time
 import weakref
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -545,6 +546,51 @@ def test_manifold_complex_refuses_a_large_simplex_before_closing_it(text, k, cod
         assert main(["manifold", str(path), "--complex", str(cx), "--p", "2", *recover]) == code
         captured = capsys.readouterr()
         assert (code, captured.err) == want and captured.out == ""
+
+
+def _long_line(k):
+    """One event adding a k-vertex simplex, none of whose facets the file holds, and the
+    violation validate prints for it: five missing facets named, then "..."."""
+    facets = map(Simplex, islice(combinations(range(k), k - 1), 5))  # in ascending order
+    text = f"zzfilt v1\na {' '.join(map(str, range(k)))}\n"
+    named = ", ".join(map(repr, facets))
+    return text, [f"event 0: missing facets of {Simplex(range(k))!r}: {named}, ..."]
+
+
+def _dangling_path(n):
+    """A path of n vertices and n - 1 edges, then every vertex deleted under its edges, and
+    the violations validate prints: each deletion names its present coface added last."""
+    text = ("zzfilt v1\n" + "".join(f"a {v}\n" for v in range(n))
+            + "".join(f"a {v} {v + 1}\n" for v in range(n - 1))
+            + "".join(f"d {v}\n" for v in range(n)))
+    last = [min(v, n - 2) for v in range(n)]  # the first vertex of each one's last edge
+    return text, [f"event {2 * n - 1 + v}: dangling coface Simplex({a},{a + 1}) of deleted "
+                  f"Simplex({v})" for v, a in enumerate(last)]
+
+
+# a refusal costs time and text linear in the file; naming every missing facet, or scanning
+# every present simplex for a coface, takes 10-14 s at the large sizes and prints megabytes
+@pytest.mark.parametrize("make, size", [(_long_line, 2000), (_long_line, 8000),
+                                        (_dangling_path, 2000), (_dangling_path, 8000)],
+                         ids=["line-2000", "line-8000", "path-2000", "path-8000"])
+@pytest.mark.parametrize("command", ["validate", "compute"])
+def test_a_hostile_file_is_refused_in_bounded_time_and_text(make, size, command, tmp_path,
+                                                            capsys):
+    text, lines = make(size)
+    path = tmp_path / "f.zz"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main([command, str(path)]) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    if command == "validate":
+        want = ("\n".join(lines) + f"\ninvalid: {len(lines)} violations\n", "")
+    else:
+        want = ("", f"error: invalid filtration ({len(lines)} violations): "
+                    f"{'; '.join(lines[:5])}\n")
+    assert (captured.out, captured.err) == want
+    assert len(captured.out) + len(captured.err) <= 8 * len(text)
+    assert elapsed < 5.0
 
 
 def _relative_then_recovered(f, K, p):

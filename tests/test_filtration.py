@@ -26,15 +26,6 @@ from zzpers.rng import SplitMix64
 from conftest import ev, random_complex, random_updown, sx, zz
 
 
-def test_trusted_event_equals_hashes_and_prints_like_a_checked_one():
-    for d in (ADD, DEL):
-        trusted, checked = FiltrationEvent._trusted(d, sx(0, 2)), FiltrationEvent(d, sx(0, 2))
-        assert type(trusted) is FiltrationEvent
-        assert trusted == checked and hash(trusted) == hash(checked)
-        assert repr(trusted) == repr(checked)
-    assert FiltrationEvent._trusted(ADD, sx(0)) != FiltrationEvent(DEL, sx(0))
-
-
 def test_directions_of_signed_ids_of_every_magnitude():
     ids = [0, ~0, 255, ~255, 2**24, ~2**24, 2**31 - 1, ~(2**31 - 1)]
     assert _directions(array("i", ids)) == (ADD, DEL) * 4
