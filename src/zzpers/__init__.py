@@ -78,6 +78,7 @@ from .pipeline import (
     check_diamond,
     compute_zigzag,
     ext_to_updown,
+    extended_barcode,
     updown_to_f,
     zigzag_barcode,
 )
@@ -90,7 +91,6 @@ from .reduction import (
     ExtendedInterval,
     ReductionState,
     build_extended,
-    extended_barcode,
     reduce,
     reduce_twist,
 )

@@ -9,6 +9,7 @@ leaving index d points backward (a deletion).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -85,8 +86,14 @@ class Barcode:
             raise InvalidInputError(f"unknown barcode kind {kind!r}")
         if m < 0:
             raise InvalidInputError("module length must be non-negative")
+        items = intervals if isinstance(intervals, Mapping) else list(intervals)  # Mapping: counts
+        try:
+            counted = Counter(items)
+        except TypeError:  # an unhashable item, so no Interval
+            bad = next(iv for iv in items if not isinstance(iv, Interval))
+            raise InvalidInputError(f"not an interval: {bad!r}") from None
         fields = []
-        for iv, c in Counter(intervals).items():
+        for iv, c in counted.items():
             if not isinstance(iv, Interval):
                 raise InvalidInputError(f"not an interval: {iv!r}")
             if iv.d > m:

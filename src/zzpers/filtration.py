@@ -184,9 +184,9 @@ class ZigzagFiltration:
         return map(frozenset, self._present())
 
     def complex_at(self, i: int) -> frozenset:
-        for k, snap in enumerate(self.snapshots()):
-            if k == i:
-                return snap
+        if i >= 0:
+            for current in islice(self._present(), i, None):
+                return frozenset(current)
         raise IndexError(i)
 
     def final_complex(self) -> frozenset:

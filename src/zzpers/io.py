@@ -47,7 +47,8 @@ def _strip(line: str) -> str:
 def _repeated_vertex(tokens: List[str]) -> InvalidInputError:
     """The error for a simplex whose tokens repeat: name the first repeat as
     the file has it."""
-    dup = next(t for i, t in enumerate(tokens) if t in tokens[:i])
+    seen = set()
+    dup = next(t for t in tokens if t in seen or seen.add(t))  # add returns None
     return InvalidInputError(f"duplicate vertex {dup} in simplex")
 
 

@@ -19,7 +19,9 @@ writes each pair, in the boundary matrix's columns (the pairs are the same,
 by the duality of persistent homology and cohomology), into one death table:
 birth column -> death column. ``_remap_pairs`` walks that table in birth
 order to the interval field tuples, and ``Barcode._of_fields`` sorts that
-list in place and keeps it.
+list in place and keeps it. ``extended_barcode`` reads the same table,
+from ``_solve`` on an up-down filtration's own sweep, into the two-sided
+barcode.
 ``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
 graph zigzag, and ``manifold.relative_top_barcode`` as it walks a dual
 zigzag on the sweep's ids; both fill the same death table from matrix-free
@@ -51,7 +53,19 @@ from .filtration import (
     _pad,
     _raise_if_repetitive,
 )
-from .reduction import EXT, ORD, REL, STATS, ExtendedInterval, _reduce_dim
+from .reduction import (
+    EXT,
+    ORD,
+    REL,
+    STATS,
+    ExtendedBarcode,
+    ExtendedInterval,
+    _essentials,
+    _extended,
+    _extended_from_pairs,
+    _reduce_dim,
+    _updown_sweep,
+)
 
 
 def ext_to_updown(iv: ExtendedInterval, n: int) -> Interval:
@@ -292,6 +306,16 @@ def _solve(facets, dims, dels) -> Tuple[array, Dict[str, int]]:
                 death[cols[j]] = above[b]
         cols = above
     return death, stats
+
+
+def extended_barcode(U: ZigzagFiltration) -> ExtendedBarcode:
+    """Two-sided (ordinary/relative/extended) barcode of an up-down filtration,
+    checked as ``build_extended`` checks it. U's sweep ids run in order of
+    addition, so ``_solve`` on that sweep pairs the coned filtration's columns."""
+    sw = _updown_sweep(U)
+    death, _ = _solve(sw.facets, sw.dims, sw.dels)
+    pairs = [(i, j) for i, j in enumerate(death) if j >= 0]
+    return _extended_from_pairs(_extended(sw, U._simplices), pairs, _essentials(pairs, len(death)))
 
 
 def _remap_pairs(death, dims, dels, add_at, del_at) -> List[Tuple[int, int, int, str, str]]:

@@ -1,33 +1,31 @@
 """Standard persistence by Z2 column reduction, plus the coned filtration
 that turns an up-down zigzag into a single monotone filtration.
 
-A column is given by its rows; its pivot is its highest row. Reduction
-runs by decreasing dimension with clearing (twist), and one loop,
+A column is given by its rows; its pivot is its highest row. Reduction runs
+by decreasing dimension with clearing (twist), and one loop,
 ``_reduce_dim``, reduces the columns of one dimension: a column's masks are
 only ever added into columns of its own dimension. A column whose pivot no
 reduced column owns yet is paired at once, with no bitmask built. Only a
-column that collides is turned into an integer bitmask, over the rows of
-the dimension below its own numbered densely in order, and other columns'
-masks are XORed into it. A column's rows lie in one dimension, where bit
-numbers grow with rows, so every mask is held from its lowest row up (the
-bit of that row is its shift): a mask is as wide as its column's span of
-rows, not as its pivot's position. The loop keeps the reduced mask of each
-column it reduced, shifted right by its lowest set bit; a column paired at
-once has its mask built from its rows each time it is added, and kept from
-its second use on. The pairing produced by reduction is unique,
-independent of the reduction strategy.
+column that collides is turned into an integer bitmask, one bit for each of
+its rows, and other columns' masks are XORed into it. Every mask is held
+from its lowest row up (the bit of that row is its shift): a mask is as
+wide as its column's span of rows, not as its pivot's position. The loop
+keeps the reduced mask of each column it reduced, shifted right by its
+lowest set bit; a column paired at once has its mask built from its rows
+each time it is added, and kept from its second use on. The pairing
+produced by reduction is unique, independent of the reduction strategy.
 
-``reduce`` (also named ``reduce_twist``) and ``extended_barcode`` admit a
-monotone filtration through the shared admission (``filtration._admitted``)
-and reduce its boundary matrix (``_reduce``), with the sweep's ids as
-columns and their facet ids as rows; ``reduce`` numbers mask bits by row
-over the whole filtration, so that a kept mask is a reduced column as
-``ReductionState`` holds it. The pipeline (``pipeline._solve``) pairs
-dimension 0 of the coned filtration by union-find and runs the same loop on
-the coboundary matrix of the others instead, one dimension at a time,
-building only the columns twist does not clear: the same pairs, with far
-fewer column additions where the coned columns of high dimension collide
-(1,666,206 against 179,514 on a bumpy torus with a Rips layer).
+``reduce`` (also named ``reduce_twist``) admits a monotone filtration
+through the shared admission (``filtration._admitted``) and reduces its
+boundary matrix (``_reduce``), with the sweep's ids as columns and their
+facet ids as rows, one bit number per row over the whole filtration, so
+that a kept mask is a reduced column as ``ReductionState`` holds it. The
+pipeline (``pipeline._solve``, which ``pipeline.extended_barcode`` also
+runs) pairs dimension 0 of the coned filtration by union-find and runs the
+same loop on the coboundary matrix of the others instead, one dimension at
+a time, building only the columns twist does not clear: the same pairs,
+with far fewer column additions where the coned columns of high dimension
+collide (1,666,206 against 179,514 on a bumpy torus with a Rips layer).
 """
 
 from __future__ import annotations
@@ -59,20 +57,6 @@ def _mask(bits: Iterable[int], base: int = 0) -> int:
     for b in bits:
         col |= 1 << (b - base)
     return col
-
-
-def _by_dim(dims: Sequence[int]) -> Tuple[List[int], Dict[int, List[int]]]:
-    """Each column's position among the columns of its dimension, and the
-    columns of each dimension in order."""
-    local = [0] * len(dims)
-    members: Dict[int, List[int]] = {}
-    for j, q in enumerate(dims):
-        ids = members.get(q)
-        if ids is None:
-            ids = members[q] = []
-        local[j] = len(ids)
-        ids.append(j)
-    return local, members
 
 
 STATS = ("columns", "cleared_columns", "pairs", "pivots_without_addition",
@@ -153,33 +137,29 @@ def _reduce_dim(rows, owner, stats: Dict[str, int]) -> Tuple[List[Optional[int]]
 
 
 def _reduce(
-    rows: Sequence[Sequence[int]], dims: Sequence[int], dense: bool = False
+    rows: Sequence[Sequence[int]], dims: Sequence[int]
 ) -> Tuple[List[Tuple[int, int]], List[Optional[int]], List[int], Dict[str, int]]:
     """Reduce the columns given by their rows, each row a column of the
     dimension one below the column's own, one ``_reduce_dim`` per dimension.
 
     Returns the (birth, death) pairs, the kept masks and their shifts by
-    column (None and 0 where none was kept) and the counters. Bit i of a
-    column's full mask is the i-th row of the dimension below, or with dense
-    row i itself; ``masks[j] << shifts[j]`` is the reduced column.
+    column (None and 0 where none was kept; ``masks[j] << shifts[j]`` is the
+    reduced column, its bit i row i) and the counters.
     """
     n = len(rows)
-    local, members = _by_dim(dims)
+    members: Dict[int, List[int]] = {}
+    for j, q in enumerate(dims):
+        members.setdefault(q, []).append(j)
     pairs: List[Tuple[int, int]] = []
     masks: List[Optional[int]] = [None] * n
     shifts = [0] * n
     stats = dict.fromkeys(STATS, 0)
-    cleared = bytearray(n)
+    owner = array("l", [-1]) * n  # pivot row -> its column's position in its dimension
     for q in sorted(members, reverse=True):
         ids = members[q]
-        below, bit = (range(n), range(n)) if dense else (members.get(q - 1, []), local)
-        cols = [None if cleared[j] else tuple(map(bit.__getitem__, rows[j])) for j in ids]
-        owner = array("l", [-1]) * len(below)
-        kept, kept_shifts = _reduce_dim(cols, owner, stats)
-        for b, k in enumerate(owner):
-            if k >= 0:
-                pairs.append((below[b], ids[k]))
-                cleared[below[b]] = 1
+        cols = [None if owner[j] >= 0 else rows[j] for j in ids]  # twist clears a pivot's column
+        kept, kept_shifts = _reduce_dim(cols, owner, stats)  # sets owner on rows of dimension q - 1
+        pairs += ((b, ids[owner[b]]) for b in members.get(q - 1, ()) if owner[b] >= 0)
         for j, mk, shift in zip(ids, kept, kept_shifts):  # None and 0 where none was kept
             masks[j], shifts[j] = mk, shift
     return pairs, masks, shifts, stats
@@ -188,15 +168,6 @@ def _reduce(
 def _essentials(pairs: Iterable[Tuple[int, int]], n: int) -> Tuple[int, ...]:
     used = {c for pair in pairs for c in pair}
     return tuple(j for j in range(n) if j not in used)
-
-
-def _monotone(f: ZigzagFiltration) -> _Sweep:
-    """The shared admission's sweep of a monotone filtration (additions from the
-    empty complex): ids are columns, facet ids rows."""
-    sw = _admitted(f)
-    if f.initial or sw.dels:
-        raise InvalidInputError("reduction expects additions only, from the empty complex")
-    return sw
 
 
 def reduce(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
@@ -210,9 +181,11 @@ def reduce(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
     """
     if not isinstance(f, ZigzagFiltration):
         f = _additions(f)
-    sw = _monotone(f)
+    sw = _admitted(f)  # ids are columns, facet ids rows
+    if f.initial or sw.dels:
+        raise InvalidInputError("reduction expects additions only, from the empty complex")
     rows, n = sw.facets, len(sw.dims)
-    pairs, masks, shifts, _ = _reduce(rows, sw.dims, dense=True)
+    pairs, masks, shifts, _ = _reduce(rows, sw.dims)
     cols = [0] * n
     for _, j in pairs:  # every other column is cleared or reduces to zero
         mk = masks[j]
@@ -255,12 +228,17 @@ def build_extended(U: ZigzagFiltration) -> ExtendedFiltration:
     InvalidInputError otherwise). The apex vertex id is one past the
     largest vertex id in play, so it is stable for a given input.
     """
+    return _extended(_updown_sweep(U), U._simplices)
+
+
+def _updown_sweep(U: ZigzagFiltration) -> _Sweep:
+    """The admission sweep of U, which must be up-down and standardized."""
     sw = _admitted(U)
     if not U.is_updown():
         raise NotUpDownError("extended filtration needs an up-down input")
     if not sw.standardized:
         raise NotStandardizedError("extended filtration needs K_0 = K_m = empty")
-    return _extended(sw, U._simplices)
+    return sw
 
 
 def _extended(sw: _Sweep, adds: Sequence[Simplex]) -> ExtendedFiltration:
@@ -325,14 +303,3 @@ def _extended_from_pairs(
         intervals.append(ExtendedInterval(i, j - 1, events[i].dim, _label(i, j - 1, n)))
     return ExtendedBarcode(tuple(intervals), n, ext.omega)
 
-
-def extended_barcode(U: ZigzagFiltration) -> ExtendedBarcode:
-    """Two-sided (ordinary/relative/extended) barcode of an up-down filtration.
-
-    Reads only the pairs, so it runs the sparse reduction and never builds
-    the dense reduced columns of ``reduce_twist``.
-    """
-    ext = build_extended(U)
-    sw = _monotone(_additions(ext.events))
-    pairs, _, _, _ = _reduce(sw.facets, sw.dims)
-    return _extended_from_pairs(ext, sorted(pairs), _essentials(pairs, len(sw.dims)))

@@ -184,7 +184,7 @@ def test_a7_coned_filtration_matches_pair_sequence(a3_corpus):
         ext = build_extended(U)
         state = reduce(ext.events)
         assert state.essentials == (0,), "exactly one infinite interval expected"
-        bar = extended_barcode(U)  # from the sparse reduction's pairs alone
+        bar = extended_barcode(U)  # from _solve's coboundary pairs on U's own sweep
         assert bar == extended_from_reduction(ext, state)
         got = sorted((e.dim, e.b, e.d) for e in bar.intervals)
         want = sorted(oracle_extended(U).elements())

@@ -137,6 +137,10 @@ def test_multiplicity_roundtrip():
 def test_barcode_checks_its_intervals_counts_and_context():
     with pytest.raises(InvalidInputError, match=r"^not an interval: \(0, 1, 1, 'c', 'c'\)$"):
         Barcode([iv(0, 0, 1, "cc"), (0, 1, 1, "c", "c")], 2, ABSOLUTE)
+    # an unhashable item, from a list or a one-shot iterator, gets the same text
+    for items in ([[0, 1, 2, "c", "o"]], iter([iv(0, 0, 1, "cc"), [0, 1, 2, "c", "o"]])):
+        with pytest.raises(InvalidInputError, match=r"^not an interval: \[0, 1, 2, 'c', 'o'\]$"):
+            Barcode(items, 5, ABSOLUTE)
     with pytest.raises(ContractViolationError, match=r"^\[1,3\]\^co_0 exceeds module length 2$"):
         Barcode([iv(0, 1, 3, "co")], 2, ABSOLUTE)
     with pytest.raises(InvalidInputError, match="^negative multiplicity$"):

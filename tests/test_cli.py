@@ -548,13 +548,20 @@ def test_manifold_complex_refuses_a_large_simplex_before_closing_it(text, k, cod
         assert (code, captured.err) == want and captured.out == ""
 
 
+def _violations(text, lines):
+    """A file and what validate and compute print for it, given its violations."""
+    return text, {"validate": ("\n".join(lines) + f"\ninvalid: {len(lines)} violations\n", ""),
+                  "compute": ("", f"error: invalid filtration ({len(lines)} violations): "
+                                  f"{'; '.join(lines[:5])}\n")}
+
+
 def _long_line(k):
     """One event adding a k-vertex simplex, none of whose facets the file holds, and the
     violation validate prints for it: five missing facets named, then "..."."""
     facets = map(Simplex, islice(combinations(range(k), k - 1), 5))  # in ascending order
     text = f"zzfilt v1\na {' '.join(map(str, range(k)))}\n"
     named = ", ".join(map(repr, facets))
-    return text, [f"event 0: missing facets of {Simplex(range(k))!r}: {named}, ..."]
+    return _violations(text, [f"event 0: missing facets of {Simplex(range(k))!r}: {named}, ..."])
 
 
 def _dangling_path(n):
@@ -564,33 +571,69 @@ def _dangling_path(n):
             + "".join(f"a {v} {v + 1}\n" for v in range(n - 1))
             + "".join(f"d {v}\n" for v in range(n)))
     last = [min(v, n - 2) for v in range(n)]  # the first vertex of each one's last edge
-    return text, [f"event {2 * n - 1 + v}: dangling coface Simplex({a},{a + 1}) of deleted "
-                  f"Simplex({v})" for v, a in enumerate(last)]
+    return _violations(text, [f"event {2 * n - 1 + v}: dangling coface Simplex({a},{a + 1}) of "
+                              f"deleted Simplex({v})" for v, a in enumerate(last)])
 
 
-# a refusal costs time and text linear in the file; naming every missing facet, or scanning
-# every present simplex for a coface, takes 10-14 s at the large sizes and prints megabytes
+def _repeated_last_vertex(k):
+    """One event adding k vertices, the last one twice, which the parse refuses."""
+    refusal = ("", f"error: line 2: duplicate vertex {k - 1} in simplex\n")
+    return (f"zzfilt v1\na {' '.join(map(str, range(k)))} {k - 1}\n",
+            {"validate": refusal, "compute": refusal})
+
+
+def _refused_in_bounds(argv, text, err, capsys):
+    """Run the CLI on a file it must refuse: exit code 2, the error text err alone, at most
+    8x the file's bytes of output, within 5 s."""
+    start = time.perf_counter()
+    assert main(argv) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == err
+    assert len(captured.out) + len(captured.err) <= 8 * len(text)
+    assert elapsed < 5.0
+
+
+# a refusal costs time and text linear in the file; naming every missing facet, scanning
+# every present simplex for a coface, or testing each token against those before it takes
+# 8-14 s at the large sizes and prints megabytes
 @pytest.mark.parametrize("make, size", [(_long_line, 2000), (_long_line, 8000),
-                                        (_dangling_path, 2000), (_dangling_path, 8000)],
-                         ids=["line-2000", "line-8000", "path-2000", "path-8000"])
+                                        (_dangling_path, 2000), (_dangling_path, 8000),
+                                        (_repeated_last_vertex, 8000),
+                                        (_repeated_last_vertex, 32000)],
+                         ids=["line-2000", "line-8000", "path-2000", "path-8000",
+                              "repeat-8000", "repeat-32000"])
 @pytest.mark.parametrize("command", ["validate", "compute"])
 def test_a_hostile_file_is_refused_in_bounded_time_and_text(make, size, command, tmp_path,
                                                             capsys):
-    text, lines = make(size)
+    text, want = make(size)
     path = tmp_path / "f.zz"
     path.write_text(text)
-    start = time.perf_counter()
-    assert main([command, str(path)]) == 2
-    elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    if command == "validate":
-        want = ("\n".join(lines) + f"\ninvalid: {len(lines)} violations\n", "")
-    else:
-        want = ("", f"error: invalid filtration ({len(lines)} violations): "
-                    f"{'; '.join(lines[:5])}\n")
-    assert (captured.out, captured.err) == want
-    assert len(captured.out) + len(captured.err) <= 8 * len(text)
-    assert elapsed < 5.0
+    _refused_in_bounds([command, str(path)], text, want[command], capsys)
+
+
+_LONG_BARCODE_LINE = "0 " * 200_000  # 400 KB on one line
+_M_DIGITS = "9" * 5000  # more digits than int() reads from a string
+
+
+# the barcode and mesh readers: a body line is echoed once, a count is never trusted
+@pytest.mark.parametrize("command, text, error", [
+    ("duality", f"zzbar v1 m=4 kind=abs\n{_LONG_BARCODE_LINE}\n",
+     f"bad barcode line: {_LONG_BARCODE_LINE.strip()!r}"),
+    ("duality", f"zzbar v1 m={_M_DIGITS} kind=abs\n",
+     f"bad barcode header: 'zzbar v1 m={_M_DIGITS} kind=abs'"),
+    ("generate", "OFF\n1000000000 0 0\n", "truncated or malformed OFF file"),
+    ("generate", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n1000000000 0 1 2\n",
+     "only triangle faces are supported, got 1000000000-gon"),
+    ("generate", "OFF\n200001 0 0\n" + "0 0 0\n" * 200_000, "truncated or malformed OFF file"),
+], ids=["barcode-long-line", "barcode-long-m", "off-huge-count", "off-huge-face",
+        "off-600k-tokens"])
+def test_a_hostile_barcode_or_mesh_is_refused_in_bounded_time_and_text(command, text, error,
+                                                                       tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = ["duality", str(path)] if command == "duality" else ["generate", "--mesh", str(path)]
+    _refused_in_bounds(argv, text, ("", f"error: {error}\n"), capsys)
 
 
 def _relative_then_recovered(f, K, p):

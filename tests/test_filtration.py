@@ -93,6 +93,17 @@ def test_standardize_preserves_validity_and_nonrepetitiveness(small_corpus):
         assert is_non_repetitive(out)
 
 
+def test_complex_at_is_the_snapshot_and_refuses_out_of_range(small_corpus):
+    for f in small_corpus[:4]:
+        g = ZigzagFiltration(f.events[3:], f.complex_at(3))  # K_0 not empty
+        for h in (f, g):
+            snaps = list(h.snapshots())
+            assert [h.complex_at(i) for i in range(len(snaps))] == snaps
+            for i in (-1, len(snaps)):
+                with pytest.raises(IndexError):
+                    h.complex_at(i)
+
+
 def _padded_reference(f):
     """The padded filtration built event by event from f's two ends, as
     ``standardize`` built it before it read the sweep."""

@@ -285,6 +285,31 @@ def test_a_padded_input_is_swept_once(monkeypatch, small_corpus):
         assert len(sweeps) == 1
 
 
+def test_extended_barcode_sweeps_u_once_and_builds_no_coned_filtration(monkeypatch, small_corpus):
+    import zzpers.filtration
+    import zzpers.reduction
+
+    forms = [to_updown(f)[0] for f in small_corpus[:8]]
+    expected = [extended_barcode(U) for U in forms]
+    sweeps = []
+
+    def spy(*fields, inner=zzpers.filtration._Sweep):
+        sweeps.append(fields)
+        return inner(*fields)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extended_barcode built or reduced a coned filtration")
+
+    monkeypatch.setattr(zzpers.filtration, "_Sweep", spy)
+    for module in (zzpers.filtration, zzpers.reduction):
+        monkeypatch.setattr(module, "_additions", forbidden)
+    monkeypatch.setattr(zzpers.reduction, "_reduce", forbidden)
+    for U, want in zip(forms, expected):
+        sweeps.clear()
+        assert extended_barcode(U) == want
+        assert len(sweeps) == 1  # U's own admission sweep
+
+
 def test_check_diamond_hand_case():
     lower = zz("a 0", "d 0", "a 1", "d 1")
     upper = outward_switch(lower, 2)

@@ -255,28 +255,22 @@ def _solve_counters(cols, dims):
 
 def _check_against_dense(order):
     """reduce gives the dense twist reference's pairs and reduced columns,
-    and the shared loop its counters with either row numbering; returns
-    those counters."""
+    and the shared loop its pairs, counters and kept masks; returns those
+    counters."""
     pos = {s: i for i, s in enumerate(order)}
     rows = [tuple(pos[f] for f in boundary(s)) for s in order]
     dims = [s.dim for s in order]
-    rows_of_dim = {q: [r for r in range(len(order)) if dims[r] == q] for q in set(dims)}
     pairs, cols, stats = _dense_reference(order, twist=True)
     got = reduce(order)
     assert got.pairs == pairs
     assert got.columns == cols
-    assert _reduce(rows, dims, dense=True)[3] == stats
-    # per-dimension row ids: bit i of a q-column's full mask is the i-th
-    # (q-1)-row; a kept mask is stored from its lowest set bit
+    # bit i of a column's full mask is row i; a kept mask is stored from its lowest set bit
     found, masks, shifts, counted = _reduce(rows, dims)
     assert tuple(sorted(found)) == pairs and counted == stats
     for j, mask in enumerate(masks):
         if mask is not None:
             assert mask & 1
-            mask <<= shifts[j]
-            row_of = rows_of_dim[dims[j] - 1]
-            global_mask = sum(1 << row_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
-            assert global_mask == cols[j]  # the reduced column (its boundary if paired at once)
+            assert mask << shifts[j] == cols[j]  # the reduced column (its boundary if paired at once)
     return stats
 
 
