@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
@@ -86,7 +85,11 @@ class Barcode:
             raise InvalidInputError(f"unknown barcode kind {kind!r}")
         if m < 0:
             raise InvalidInputError("module length must be non-negative")
-        items = intervals if isinstance(intervals, Mapping) else list(intervals)  # Mapping: counts
+        try:
+            it = iter(intervals)
+        except TypeError:
+            raise InvalidInputError(f"not an iterable of intervals: {intervals!r}") from None
+        items = intervals if isinstance(intervals, Mapping) else list(it)  # Mapping: counts
         try:
             counted = Counter(items)
         except TypeError:  # an unhashable item, so no Interval
@@ -98,6 +101,8 @@ class Barcode:
                 raise InvalidInputError(f"not an interval: {iv!r}")
             if iv.d > m:
                 raise ContractViolationError(f"{iv!r} exceeds module length {m}")
+            if not isinstance(c, int):
+                raise InvalidInputError(f"multiplicity of {iv!r} is not an integer: {c!r}")
             if c < 0:
                 raise InvalidInputError("negative multiplicity")
             fields += [tuple(iv)] * c
@@ -171,8 +176,7 @@ class Barcode:
 _TEXT_CHUNK = 1 << 12  # intervals formatted per chunk of Barcode.to_text
 
 
-@dataclass(frozen=True)
-class BarcodeDiff:
+class BarcodeDiff(NamedTuple):
     equal: bool
     missing: Tuple[Tuple[Interval, int], ...]  # in a, not in b
     extra: Tuple[Tuple[Interval, int], ...]  # in b, not in a

@@ -7,9 +7,7 @@ Exit codes: 0 success, 2 invalid input, 3 contract violation,
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import sys
 import time
 from typing import List, Optional
@@ -20,7 +18,7 @@ from .errors import InvalidInputError, ZigzagError
 from .filtration import ZigzagFiltration, _additions, _admitted, _pad, _sweep, _updown
 from .manifold import _relative_and_recovered, relative_top_barcode
 from .pipeline import _peak_rss_mb, compute_zigzag
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _faces
 from .oracle import oracle_absolute, oracle_relative
 from .reduction import _extended
 
@@ -63,7 +61,7 @@ def _cmd_compute(args) -> int:
         extras.append(f"# synthetic (standardized coords): {iv.dim} {iv.b} {iv.d} {iv.type_code}\n")
     _write_out(text + "".join(extras), args.out)
     if args.stats:
-        print(json.dumps(record), file=sys.stderr)
+        print(_record_line(record), file=sys.stderr)
     return 0
 
 
@@ -103,10 +101,11 @@ def _cmd_duality(args) -> int:
 
 def _load_complex(path: str, names, f: ZigzagFiltration) -> SimplicialComplex:
     """The closure of a file's maximal simplices, one per line in the vertex
-    names of the filtration f. An f that fails the shared admission or lacks
-    a maximal simplex raises first what the manifold path would raise, so
-    the closure, exponential in a simplex's size, is built only of
-    simplices of a valid f."""
+    names of the filtration f. The closure, exponential in a simplex's size,
+    walks only simplices of f's record, so its work is bounded by f's size.
+    At a face the record lacks, f cannot fill the complex, and admitting f
+    raises the error the manifold path would; else f's one admission is the
+    manifold path's."""
     ids = {nm: i for i, nm in enumerate(names)}
     maximal = []
     for raw in zio._read_text(path).split("\n"):  # the lines a text-mode file iterates
@@ -118,10 +117,16 @@ def _load_complex(path: str, names, f: ZigzagFiltration) -> SimplicialComplex:
             if token not in ids:
                 raise InvalidInputError(f"unknown vertex {token!r} in complex file")
             verts.append(ids[token])
-        maximal.append(Simplex(verts))
-    sw = _admitted(f)
-    _refuse_unfilled(sw, "manifold path", all(s.vertices in sw.index for s in maximal))
-    return SimplicialComplex.closure(maximal)
+        maximal.append(Simplex(verts).vertices)
+    record, closed = set(f._ids[1]), set()  # f's vertex tuples; the closure's
+    while maximal:
+        vs = maximal.pop()
+        if vs not in closed:
+            if vs not in record:
+                _refuse_unfilled(_admitted(f), "manifold path", False)
+            closed.add(vs)
+            maximal.extend(_faces(vs))
+    return SimplicialComplex(map(Simplex._from_sorted, closed))
 
 
 def _cmd_manifold(args) -> int:
@@ -170,9 +175,9 @@ def _run(parsed, parse: float, parse_peak: float, path: str, run: int,
     """Compute a parsed file and format the barcode a command prints, timing both.
 
     Returns (result, text, record); the record is the run's `BENCH_SCHEMA`
-    object, with `peak_rss_mb` read after formatting and `phase_peak_rss_mb`
-    after the parse (`parse_peak`, from `_load`) and each phase of
-    `compute_zigzag`.
+    object but for the platform's keys (`_record_line` adds them), with
+    `peak_rss_mb` read after formatting and `phase_peak_rss_mb` after the
+    parse (`parse_peak`, from `_load`) and each phase of `compute_zigzag`.
     """
     start = time.perf_counter()
     result = compute_zigzag(parsed.filtration)
@@ -187,9 +192,16 @@ def _run(parsed, parse: float, parse_peak: float, path: str, run: int,
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
         "peak_rss_mb": round(_peak_rss_mb(), 1), "stats": result.stats,
         "phase_peak_rss_mb": {k: round(v, 1) for k, v in peaks.items()},
-        "python": platform.python_version(), "cpus": os.cpu_count(),
     }
     return result, text, record
+
+
+def _record_line(record: dict) -> str:
+    """A run's record as the JSON line `compute --stats` and `bench` print."""
+    import json  # imported here, with platform: no other command prints a record
+    import platform
+
+    return json.dumps({**record, "python": platform.python_version(), "cpus": os.cpu_count()})
 
 
 def _cmd_bench(args) -> int:
@@ -199,7 +211,7 @@ def _cmd_bench(args) -> int:
         loaded = _load(path)
         for run in range(args.repeat):
             # the result and its text go with the tuple, else the next run's peak counts two
-            print(json.dumps(_run(*loaded, path, run)[2]), flush=True)
+            print(_record_line(_run(*loaded, path, run)[2]), flush=True)
         del loaded  # else the next file's parse counts two inputs
     return 0
 

@@ -6,9 +6,9 @@ threads; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidConeError, InvalidInputError, NotAManifoldError
 
@@ -91,6 +91,16 @@ def cone(s: Simplex, apex: int) -> Simplex:
     return Simplex(vs + (apex,))
 
 
+def _missing_facet(fs: frozenset) -> Optional[Tuple[Simplex, Simplex]]:
+    """The first facet missing from a set of simplices and its simplex, in
+    the set's order, or None if the set is face-closed. The check runs on
+    vertex tuples; only naming a missing facet walks the Simplex boundaries."""
+    present = {s.vertices for s in fs}
+    if present.issuperset(chain.from_iterable(map(_faces, present))):
+        return None
+    return next((f, s) for s in fs for f in boundary(s) if f not in fs)
+
+
 class SimplicialComplex:
     """A face-closed set of simplices, indexed by dimension."""
 
@@ -98,15 +108,17 @@ class SimplicialComplex:
 
     def __init__(self, simplices: Iterable[Simplex]):
         fs = frozenset(simplices)
+        missing = _missing_facet(fs)
+        if missing:
+            raise InvalidInputError("not face-closed: %r (facet of %r) is missing" % missing)
         by_dim: Dict[int, List[Simplex]] = {}
         for s in fs:
-            by_dim.setdefault(s.dim, []).append(s)
-            for f in boundary(s):
-                if f not in fs:
-                    raise InvalidInputError(f"not face-closed: {f!r} (facet of {s!r}) is missing")
+            by_dim.setdefault(len(s.vertices) - 1, []).append(s)
         self._simplices = fs
-        self._by_dim = {q: tuple(sorted(ss)) for q, ss in by_dim.items()}
-        self._vertices = frozenset(v for s in fs for v in s.vertices)
+        # one dimension's simplices have one length, so Simplex order is vertex tuple order
+        key = attrgetter("vertices")
+        self._by_dim = {q: tuple(sorted(ss, key=key)) for q, ss in by_dim.items()}
+        self._vertices = frozenset(s.vertices[0] for s in by_dim.get(0, ()))
 
     @classmethod
     def closure(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
@@ -159,8 +171,7 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class ComponentLabels:
+class ComponentLabels(NamedTuple):
     """Dense component ids, ordered by the smallest vertex id they contain."""
 
     count: int

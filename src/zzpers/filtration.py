@@ -12,12 +12,11 @@ import sys
 from array import array
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import gt
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import attrgetter, gt
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .complexes import Simplex, SimplicialComplex, _faces, _facet_ids, boundary
+from .complexes import Simplex, SimplicialComplex, _faces, _facet_ids, _missing_facet
 from .errors import (
     InvalidDiamondError,
     InvalidInputError,
@@ -32,14 +31,47 @@ ADD = "a"
 DEL = "d"
 
 
-@dataclass(frozen=True, slots=True)
-class FiltrationEvent:
-    direction: str
-    simplex: Simplex
+class _Frozen:
+    """Base of an immutable record in named ``__slots__`` (``_fields``) that
+    is no tuple: compared within its class, hashed, copied and pickled as
+    the tuple of its fields, and printed as Name(field=value, ...)."""
 
-    def __post_init__(self):
-        if self.direction not in (ADD, DEL):
-            raise InvalidInputError(f"unknown event direction {self.direction!r}")
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls._fields))  # the fields' tuple (of two or more)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class FiltrationEvent(_Frozen):
+    """The addition (ADD) or deletion (DEL) of a simplex."""
+
+    __slots__ = _fields = ("direction", "simplex")
+
+    def __init__(self, direction: str, simplex: Simplex):
+        if direction not in (ADD, DEL):
+            raise InvalidInputError(f"unknown event direction {direction!r}")
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "simplex", simplex)
 
     @classmethod
     def add(cls, s: Simplex) -> "FiltrationEvent":
@@ -107,12 +139,10 @@ class ZigzagFiltration:
     def __init__(self, events: Iterable[FiltrationEvent], initial: Iterable[Simplex] = ()):
         self._events: Optional[Tuple[FiltrationEvent, ...]] = tuple(events)
         init = frozenset(initial)
-        for s in init:
-            for f in boundary(s):
-                if f not in init:
-                    raise InvalidInputError(
-                        f"initial complex is not face-closed: missing {f!r} (facet of {s!r})"
-                    )
+        missing = _missing_facet(init)
+        if missing:
+            raise InvalidInputError(
+                "initial complex is not face-closed: missing %r (facet of %r)" % missing)
         self.initial = init
         ids, vts, simplices = _interned(chain(
             zip(sorted(init), repeat(True)),
@@ -238,8 +268,7 @@ def _directions(ids: array, start: int = 0) -> Tuple[str, ...]:
     return tuple(signs.translate(_DIRECTION_OF_SIGN_BYTE).decode("ascii"))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     index: int
     reason: str
 
@@ -396,8 +425,7 @@ def is_non_repetitive(f: ZigzagFiltration) -> bool:
     return find_repetition(f) is None
 
 
-@dataclass(frozen=True)
-class StandardizationRecord:
+class StandardizationRecord(NamedTuple):
     """How a filtration was padded to start and end with the empty complex.
 
     Complex index i of the original corresponds to prefix_length + i in the
@@ -447,8 +475,7 @@ def _pad(sw: _Sweep, f: ZigzagFiltration) -> StandardizationRecord:
     return StandardizationRecord(p, m, len(final))
 
 
-@dataclass(frozen=True)
-class EventIndexMap:
+class EventIndexMap(NamedTuple):
     """Index of each simplex's addition and deletion in a reference filtration."""
 
     add_index: dict

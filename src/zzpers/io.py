@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import Simplex
@@ -31,8 +30,7 @@ FILT_HEADER = "zzfilt v1"
 BAR_HEADER = "zzbar v1"
 
 
-@dataclass(frozen=True)
-class ParsedFiltration:
+class ParsedFiltration(NamedTuple):
     filtration: ZigzagFiltration
     names: Tuple[str, ...]  # vertex id -> original token
 
@@ -259,8 +257,7 @@ def load_barcode(path: str) -> Barcode:
     return parse_barcode(_read_text(path))
 
 
-@dataclass(frozen=True)
-class OffMesh:
+class OffMesh(NamedTuple):
     vertices: Tuple[Tuple[float, float, float], ...]
     faces: Tuple[Tuple[int, int, int], ...]
 

@@ -33,9 +33,8 @@ it near linear).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode
 from .complexes import DualGraph, SimplicialComplex, _dual_cells, _find, dual_graph
@@ -54,8 +53,7 @@ NOOP = "."
 _FORWARD_OPS = (ADD_VERTEX, ADD_EDGE, NOOP)
 
 
-@dataclass(frozen=True)
-class GraphZigzag:
+class GraphZigzag(NamedTuple):
     """Zigzag of subgraphs of a fixed graph, one event per arrow.
 
     Events are (op, index) with op one of +v/-v/+e/-e/"." (identity);

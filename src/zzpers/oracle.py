@@ -20,8 +20,7 @@ except the ``zzpers oracle`` command.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .barcode import ABSOLUTE, RELATIVE, Barcode, Interval, classify_ends
 from .complexes import Simplex, SimplicialComplex
@@ -30,8 +29,12 @@ from .filtration import ADD, ZigzagFiltration, _admitted
 from .z2 import Echelon, Solver, apply_columns, kernel, rank
 
 
-@dataclass(frozen=True)
-class LinearSpaceChain:
+class _LinearSpaceChainFields(NamedTuple):
+    dims: Tuple[int, ...]
+    arrows: Tuple[Tuple[str, Tuple[int, ...]], ...]
+
+
+class LinearSpaceChain(_LinearSpaceChainFields):
     """Zigzag of Z2 vector spaces: dims per index, one matrix per arrow.
 
     Arrow k is ('f', cols) for V_k -> V_{k+1} or ('b', cols) for
@@ -39,21 +42,21 @@ class LinearSpaceChain:
     a bitmask over target coordinates.
     """
 
-    dims: Tuple[int, ...]
-    arrows: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.arrows) != max(len(self.dims) - 1, 0):
+    def __new__(cls, dims: Tuple[int, ...], arrows) -> "LinearSpaceChain":
+        if len(arrows) != max(len(dims) - 1, 0):
             raise InvalidInputError("chain needs exactly one arrow between adjacent spaces")
-        for k, (direction, cols) in enumerate(self.arrows):
+        for k, (direction, cols) in enumerate(arrows):
             if direction not in ("f", "b"):
                 raise InvalidInputError(f"unknown arrow direction {direction!r}")
-            src = self.dims[k] if direction == "f" else self.dims[k + 1]
-            tgt = self.dims[k + 1] if direction == "f" else self.dims[k]
+            src = dims[k] if direction == "f" else dims[k + 1]
+            tgt = dims[k + 1] if direction == "f" else dims[k]
             if len(cols) != src:
                 raise InvalidInputError(f"arrow {k}: expected {src} columns, got {len(cols)}")
             if any(c >> tgt for c in cols):
                 raise InvalidInputError(f"arrow {k}: column exceeds target dimension {tgt}")
+        return tuple.__new__(cls, (dims, arrows))
 
 
 def generalized_ranks(chain: LinearSpaceChain) -> Dict[Tuple[int, int], int]:
@@ -253,14 +256,12 @@ def _induced_columns(src: HomSpace, dst: HomSpace, q: int) -> Tuple[int, ...]:
     return tuple(dst.coords(q, z & dst_allowed) for z in src.basis(q))
 
 
-@dataclass(frozen=True)
-class HomologyBasis:
+class HomologyBasis(NamedTuple):
     rank: int
     cycles: Tuple[frozenset, ...]  # each cycle as a set of q-simplices
 
 
-@dataclass(frozen=True)
-class InducedMatrix:
+class InducedMatrix(NamedTuple):
     src_rank: int
     dst_rank: int
     columns: Tuple[int, ...]

@@ -38,7 +38,6 @@ import sys
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, Barcode, Interval, classify_ends
@@ -48,6 +47,7 @@ from .filtration import (
     EventIndexMap,
     StandardizationRecord,
     ZigzagFiltration,
+    _Frozen,
     _admitted,
     _gc_paused,
     _pad,
@@ -156,15 +156,20 @@ def check_diamond(original: Barcode, switched: Barcode, j: int) -> bool:
     return mapped == original.triples()
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    barcode: Barcode  # input coordinates
-    standardized: Barcode  # coordinates of the padded filtration
-    synthetic: Tuple[Interval, ...]  # intervals living entirely in the padding
-    record: StandardizationRecord
-    timings: Dict[str, float]
-    stats: Dict[str, int]  # reduction counters: columns, cleared, additions, ...
-    peak_rss_mb: Dict[str, float]  # the process's peak RSS after each phase of timings
+class PipelineResult(_Frozen):
+    """``barcode`` in input coordinates, ``standardized`` in those of the
+    padded filtration, the ``synthetic`` intervals living entirely in the
+    padding, the padding ``record``, the phase ``timings``, the reduction
+    counters ``stats`` (columns, cleared, additions, ...) and the process's
+    ``peak_rss_mb`` after each phase; no tuple, so it can be weakly referenced."""
+
+    _fields = ("barcode", "standardized", "synthetic", "record", "timings", "stats", "peak_rss_mb")
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, barcode, standardized, synthetic, record, timings, stats, peak_rss_mb):
+        values = barcode, standardized, synthetic, record, timings, stats, peak_rss_mb
+        for k, v in zip(self._fields, values):
+            object.__setattr__(self, k, v)
 
 
 _STATUS = "/proc/self/status"

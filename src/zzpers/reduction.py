@@ -31,8 +31,7 @@ collide (1,666,206 against 179,514 on a bumpy torus with a Rips layer).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .complexes import Simplex, cone
 from .errors import InternalInconsistencyError, InvalidInputError, NotStandardizedError, NotUpDownError
@@ -43,8 +42,7 @@ REL = "Rel"
 EXT = "Ext"
 
 
-@dataclass(frozen=True)
-class ReductionState:
+class ReductionState(NamedTuple):
     order: Tuple[Simplex, ...]
     pairs: Tuple[Tuple[int, int], ...]  # (birth column, death column)
     essentials: Tuple[int, ...]
@@ -197,8 +195,7 @@ def reduce(f: Union[ZigzagFiltration, Sequence[Simplex]]) -> ReductionState:
 reduce_twist = reduce
 
 
-@dataclass(frozen=True)
-class ExtendedFiltration:
+class ExtendedFiltration(NamedTuple):
     """Monotone filtration computing the two-sided barcode of an up-down zigzag.
 
     The event list adds the apex, then the n simplices in their up-phase
@@ -250,8 +247,7 @@ def _extended(sw: _Sweep, adds: Sequence[Simplex]) -> ExtendedFiltration:
     return ExtendedFiltration(tuple(events), omega, len(adds))
 
 
-@dataclass(frozen=True)
-class ExtendedInterval:
+class ExtendedInterval(NamedTuple):
     b: int
     d: int
     dim: int
@@ -261,8 +257,7 @@ class ExtendedInterval:
         return f"{self.label}[{self.b},{self.d}]_{self.dim}"
 
 
-@dataclass(frozen=True)
-class ExtendedBarcode:
+class ExtendedBarcode(NamedTuple):
     intervals: Tuple[ExtendedInterval, ...]
     n: int
     omega: int

@@ -171,13 +171,13 @@ def built_events(monkeypatch):
     """Every FiltrationEvent built while the test runs, by its constructor,
     which a lazily built ``events`` uses too."""
     built = []
-    check = FiltrationEvent.__post_init__
+    init = FiltrationEvent.__init__
 
-    def counted_check(self):
-        check(self)
+    def counted_init(self, direction, simplex):
+        init(self, direction, simplex)
         built.append(self)
 
-    monkeypatch.setattr(FiltrationEvent, "__post_init__", counted_check)
+    monkeypatch.setattr(FiltrationEvent, "__init__", counted_init)
     return built
 
 

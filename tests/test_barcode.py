@@ -151,6 +151,17 @@ def test_barcode_checks_its_intervals_counts_and_context():
         Barcode([], -1, ABSOLUTE)
 
 
+def test_barcode_refuses_a_count_that_is_no_int_and_a_non_iterable():
+    one = iv(0, 1, 2, "co")
+    for count in ("x", 1.5):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^multiplicity of \[1,2\]\^co_0 is not an integer: {count!r}$"):
+            Barcode({one: count}, 5, ABSOLUTE)
+    with pytest.raises(InvalidInputError, match=r"^not an iterable of intervals: 5$"):
+        Barcode(5, 5, ABSOLUTE)
+    assert Barcode({one: True}, 5, ABSOLUTE) == Barcode([one], 5, ABSOLUTE)  # bool is an int
+
+
 def test_interval_count_matches_pointwise_dimension(small_corpus):
     # sum of interval lengths equals the total Betti number over all snapshots
     for f in small_corpus[:4]:

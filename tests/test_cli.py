@@ -379,6 +379,22 @@ def test_bench_peak_rss_is_its_own_under_a_large_parent(small_file):
     assert 0 < run["peak_rss_mb"] < 128
 
 
+def test_importing_the_package_and_cli_loads_none_of_the_slow_modules():
+    # a fresh isolated interpreter; what it loaded before the import (site's) does not count
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import zzpers, zzpers.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    loaded = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "zzpers.cli" in loaded
+    assert not {"dataclasses", "inspect", "json", "platform"} & set(loaded)
+
+
 EDGE = "zzfilt v1\na 0\na 1\na 0 1\nd 0 1\nd 0\nd 1\n"
 
 
@@ -546,6 +562,31 @@ def test_manifold_complex_refuses_a_large_simplex_before_closing_it(text, k, cod
         assert main(["manifold", str(path), "--complex", str(cx), "--p", "2", *recover]) == code
         captured = capsys.readouterr()
         assert (code, captured.err) == want and captured.out == ""
+
+
+@pytest.mark.parametrize("recover", [[], ["--recover"]], ids=["relative", "recover"])
+def test_manifold_complex_sweeps_once(recover, tmp_path, monkeypatch, capsys):
+    # the complex file closes along f's record, so f's one admission is the manifold path's
+    import zzpers.filtration
+
+    path, cx = tmp_path / "f.zz", tmp_path / "k.cx"
+    path.write_text(TORUS_10)
+    parsed = parse_filtration(TORUS_10)
+    triangles = parsed.filtration.total_complex().of_dim(2)
+    cx.write_text("".join(" ".join(parsed.names[v] for v in s.vertices) + "\n" for s in triangles))
+    calls = []
+
+    def spy(f, inner=zzpers.filtration._sweep):
+        calls.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(zzpers.filtration, "_sweep", spy)
+    monkeypatch.setattr(cli, "_sweep", spy)
+    assert main(["manifold", str(path), "--complex", str(cx), "--p", "2", *recover]) == 0
+    assert len(calls) == 1
+    given = capsys.readouterr().out
+    assert main(["manifold", str(path), "--p", "2", *recover]) == 0
+    assert len(calls) == 2 and capsys.readouterr().out == given
 
 
 def _violations(text, lines):

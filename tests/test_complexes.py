@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzpers import (
     InvalidConeError,
@@ -8,12 +10,14 @@ from zzpers import (
     NotAManifoldError,
     Simplex,
     SimplicialComplex,
+    ZigzagFiltration,
     boundary,
     cone,
     connected_components,
     dual_graph,
     homology_basis,
 )
+from zzpers.filtration import FiltrationEvent
 from conftest import grid_torus, octahedron, sx, tetra_boundary
 
 
@@ -74,6 +78,53 @@ def test_complex_closure_and_membership():
     assert sx(0, 2) in K and sx(1) in K
     with pytest.raises(InvalidInputError):
         SimplicialComplex([sx(0, 1)])  # vertices missing
+
+
+# vertex sets of up to 5 vertices among 8: complexes up to dimension 4
+vertex_sets = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5), max_size=8)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(vertex_sets)
+def test_of_dim_and_iteration_follow_simplex_order(tops):
+    K = SimplicialComplex.closure([Simplex(t) for t in tops])
+    for q in range(-1, K.dim + 2):
+        assert K.of_dim(q) == tuple(sorted(s for s in K.simplex_set() if s.dim == q))
+    assert list(K) == sorted(K.simplex_set())
+    assert K.vertices == {v for s in K.simplex_set() for v in s.vertices}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(vertex_sets)
+def test_complex_names_the_first_missing_facet_of_the_simplex_walk(sets):
+    fs = frozenset(Simplex(t) for t in sets)
+    missing = next(((f, s) for s in fs for f in boundary(s) if f not in fs), None)
+    if missing is None:
+        assert SimplicialComplex(fs).simplex_set() == fs
+    else:
+        with pytest.raises(InvalidInputError) as err:
+            SimplicialComplex(fs)
+        assert str(err.value) == "not face-closed: %r (facet of %r) is missing" % missing
+
+
+def test_not_face_closed_texts_name_the_same_facet():
+    # K_0 misses four facets: 0.2 and 1.2 of the first triangle, 1.3 and 2.3 of the
+    # second; the texts are those the walk over Simplex boundaries gave
+    broken = [sx(0), sx(1), sx(2), sx(3), sx(0, 1), sx(0, 1, 2), sx(1, 2, 3)]
+    first = r"Simplex\(0,2\) \(facet of Simplex\(0,1,2\)\)"
+    with pytest.raises(InvalidInputError, match=rf"^not face-closed: {first} is missing$"):
+        SimplicialComplex(broken)
+    with pytest.raises(InvalidInputError, match=r"^not face-closed: Simplex\(2,3\) \(facet of "
+                                                r"Simplex\(1,2,3\)\) is missing$"):
+        SimplicialComplex(reversed(broken))
+    with pytest.raises(InvalidInputError,
+                       match=rf"^initial complex is not face-closed: missing {first}$"):
+        ZigzagFiltration([], broken)
+    f = ZigzagFiltration([FiltrationEvent.add(s) for s in broken[5:]], broken[:5])
+    with pytest.raises(InvalidInputError, match=rf"^not face-closed: {first} is missing$"):
+        f.total_complex()
+    K = SimplicialComplex.closure(broken)  # closing adds the four
+    assert K.n == 11 and {sx(0, 2), sx(1, 2), sx(1, 3), sx(2, 3)} <= K.simplex_set()
 
 
 def test_connected_components_examples():
