@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid input, 3 contract violation,
-4 internal inconsistency.
+4 internal inconsistency, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -297,6 +297,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the traceback is gone and its frames' data freed
+    print("error: out of memory", file=sys.stderr)
+    return 5
 
 
 if __name__ == "__main__":

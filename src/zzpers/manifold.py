@@ -16,18 +16,19 @@ ESA 2022). A walk over the zigzag gives the copies dense ids and records
 them as the pipeline's solve reads them, so no simplex, event or
 filtration is built for them. ``relative_top_barcode`` walks the dual
 zigzag of f straight on the ids of f's admission sweep (``_relative_top``),
-with no dual graph or graph zigzag built; ``zero_dim_zigzag`` walks a given
-``GraphZigzag``, checking it as it goes. Both hand their steps to one
-recorder (``_copies``) and the record to one tail (``_arrow_fields``): the
-pairs of the copies' coned filtration come from two union-find passes, the
-first the pipeline's, and a spanning-forest pass, with no boundary or
-coboundary matrix (``_copy_pairs``; after Dey & Hou, *Computing Zigzag
-Persistence on Graphs in Near-Linear Time*, SoCG 2021),
-``pipeline._remap_pairs`` maps them to intervals of the copies, and those
-go to the zigzag's arrows. The walks and the union-finds are near linear in the length of the
-filtration; the forest pass climbs tree paths, which grow with the graph,
-so on swept grid tori it grows as about m^1.5 (link-cut trees would make
-it near linear).
+with no dual graph or graph zigzag built, and ``_relative_and_recovered``
+recovers on that walk, the one recovery entry of the library and of
+``zzpers manifold --recover``. ``zero_dim_zigzag`` walks a given
+``GraphZigzag``, checking it cell by cell. Both walks hand their steps to
+one recorder (``_copies``) and the record to one tail (``_arrow_fields``):
+two union-find passes, the first the pipeline's, and a spanning-forest
+pass pair the copies' coned filtration with no matrix (``_copy_pairs``;
+after Dey & Hou, *Computing Zigzag Persistence on Graphs in Near-Linear
+Time*, SoCG 2021), and ``pipeline._remap_pairs`` maps the pairs to
+intervals, which go to the zigzag's arrows. The walks and the union-finds
+are near linear in the length of the filtration; the forest pass climbs
+tree paths, which grow with the graph, so on swept grid tori it grows as
+about m^1.5 (link-cut trees would make it near linear).
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ DEL_EDGE = "-e"
 NOOP = "."
 
 _FORWARD_OPS = (ADD_VERTEX, ADD_EDGE, NOOP)
+# op -> (whether the cell enters, whether it is an edge); an identity arrow moves none
+_MOVES = {ADD_VERTEX: (True, False), DEL_VERTEX: (False, False), ADD_EDGE: (True, True),
+          DEL_EDGE: (False, True), NOOP: None}
 
 
 class GraphZigzag(NamedTuple):
@@ -228,9 +232,10 @@ def _copy_pairs(facets, dims, dels) -> array:
 def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     """0-dimensional barcode of the graph zigzag, from the pairs of its copies.
 
-    The walk checks g event by event (InvalidInputError) and lists its
-    steps, with the initial graph added before the first arrow and what is
-    left deleted after the last; identity arrows add nothing. ``_copies``
+    The walk checks g event by event (InvalidInputError), one ``enter`` and
+    one ``leave`` on ``_copies``' cell table, and lists its steps, with the
+    initial graph added before the first arrow and what is left deleted
+    after the last, edges first; identity arrows add nothing. ``_copies``
     gives every (re)entry of a cell a fresh copy, so the copies form a
     standardized non-repetitive filtration, and ``_arrow_fields`` pairs them
     and maps the intervals to g's arrows. This is the graph entry point; the
@@ -241,79 +246,72 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     if type(nv) is not int or nv < 0:
         raise InvalidInputError(f"vertex count {nv!r} is not a non-negative int")
     seen = set()
-    for e, ends in enumerate(edges):
+    for e, ab in enumerate(edges):
         try:
-            a, b = ends
+            a, b = ab
         except (TypeError, ValueError):
-            raise InvalidInputError(f"edge {e} is not a pair of vertices: {ends!r}") from None
+            raise InvalidInputError(f"edge {e} is not a pair of vertices: {ab!r}") from None
         pair = tuple(sorted((_cell(a, nv, "vertex"), _cell(b, nv, "vertex"))))
         if a == b:
             raise InvalidInputError(f"edge {e} is a self-loop at vertex {a}")
         if pair in seen:
             raise InvalidInputError(f"edge {e} is parallel to another edge between {a} and {b}")
         seen.add(pair)
-    steps = []  # (enters, cell, arrow): vertex v is cell v, edge e is cell nv + e
-    present = bytearray(nv)  # vertex -> 1 while present
+    ne = len(edges)
+    ends = [()] * nv + list(edges)  # cell -> () for a vertex, its two end cells for an edge
+    present = bytearray(nv + ne)  # cell -> 1 while present
     degree = [0] * nv  # vertex -> number of present edges at it
-    live = set()  # the present edges
+    steps = []  # (enters, cell, arrow)
 
-    def vertex_in(v, k):
-        if present[_cell(v, nv, "vertex")]:
-            raise InvalidInputError(f"{_arrow(k)}: vertex {v} added while present")
-        present[v] = 1
-        steps.append((True, v, k))
+    def name(j):  # formatted only for a refusal
+        return f"vertex {j}" if j < nv else f"edge {j - nv}"
 
-    def vertex_out(v, k):
-        if not present[_cell(v, nv, "vertex")]:
-            raise InvalidInputError(f"{_arrow(k)}: delete of absent vertex {v}")
-        if degree[v]:
+    def enter(j, k):
+        if present[j]:
+            raise InvalidInputError(f"{_arrow(k)}: {name(j)} added while present")
+        if j >= nv:
+            a, b = ends[j]
+            if not present[a] or not present[b]:
+                raise InvalidInputError(f"{_arrow(k)}: {name(j)} added while an end is absent")
+            degree[a] += 1
+            degree[b] += 1
+        present[j] = 1
+        steps.append((True, j, k))
+
+    def leave(j, k):
+        if not present[j]:
+            raise InvalidInputError(f"{_arrow(k)}: delete of absent {name(j)}")
+        if j >= nv:
+            a, b = ends[j]
+            degree[a] -= 1
+            degree[b] -= 1
+        elif degree[j]:
             raise InvalidInputError(
-                f"{_arrow(k)}: vertex {v} deleted while an edge at it is present"
+                f"{_arrow(k)}: {name(j)} deleted while an edge at it is present"
             )
-        present[v] = 0
-        steps.append((False, v, k))
-
-    def edge_in(e, k):
-        if _cell(e, len(edges), "edge") in live:
-            raise InvalidInputError(f"{_arrow(k)}: edge {e} added while present")
-        a, b = edges[e]
-        if not present[a] or not present[b]:
-            raise InvalidInputError(f"{_arrow(k)}: edge {e} added while an end is absent")
-        live.add(e)
-        degree[a] += 1
-        degree[b] += 1
-        steps.append((True, nv + e, k))
-
-    def edge_out(e, k):
-        if _cell(e, len(edges), "edge") not in live:
-            raise InvalidInputError(f"{_arrow(k)}: delete of absent edge {e}")
-        live.remove(e)
-        a, b = edges[e]
-        degree[a] -= 1
-        degree[b] -= 1
-        steps.append((False, nv + e, k))
+        present[j] = 0
+        steps.append((False, j, k))
 
     for v in sorted(_cell(v, nv, "vertex") for v in g.initial_vertices):
-        vertex_in(v, -1)
-    for e in sorted(_cell(e, len(edges), "edge") for e in g.initial_edges):
-        edge_in(e, -1)
-    moves = {ADD_VERTEX: vertex_in, DEL_VERTEX: vertex_out, ADD_EDGE: edge_in, DEL_EDGE: edge_out}
-    moves[NOOP] = lambda i, k: None
+        enter(v, -1)
+    for e in sorted(_cell(e, ne, "edge") for e in g.initial_edges):
+        enter(nv + e, -1)
     for k, event in enumerate(g.events):
         try:
             op, i = event
-            move = moves[op]
+            move = _MOVES[op]
         except (TypeError, ValueError, KeyError):
             raise InvalidInputError(f"{_arrow(k)}: unknown graph event {event!r}") from None
-        move(i, k)
-    for e in sorted(live):
-        edge_out(e, m)
-    for v in range(nv):
-        if present[v]:
-            vertex_out(v, m)
+        if move:
+            enters, edge = move
+            j = nv + _cell(i, ne, "edge") if edge else _cell(i, nv, "vertex")
+            (enter if enters else leave)(j, k)
+    for j in chain(range(nv, nv + ne), range(nv)):
+        if present[j]:
+            leave(j, m)
 
     directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in g.events)
-    record = _copies(steps, [()] * nv + list(edges))
+    record = _copies(steps, ends)
     return Barcode._of_fields(_arrow_fields(*record, directions, 0), m, ABSOLUTE)
 
 
@@ -399,16 +397,15 @@ def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> B
     ``compute_zigzag``: the walk and the passes build no reference cycle.
     """
     with _gc_paused():
-        return _relative_top(f, K, p, allow_repetitive=True, recover=False)[0]
+        return _relative_top(f, K, p, recover=False)[0]
 
 
-def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repetitive: bool,
-                  recover: bool):
-    """``relative_top_barcode``, f's first repetition, and what
-    ``duality._recovered`` reads of f's one admission sweep: its signed ids,
-    vertex tuples and, if ``recover``, the strong components of its p-ids
-    (``duality._top_components``). A repetitive f is refused unless
-    ``allow_repetitive``; the caller pauses the collector.
+def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, recover: bool):
+    """``relative_top_barcode`` and what ``duality._recovered`` reads of f's
+    one admission sweep: its signed ids, vertex tuples and, if ``recover``,
+    the strong components of its p-ids (``duality._top_components``), a
+    repetitive f then refused after the manifold checks, before the walk.
+    The caller pauses the collector.
 
     Admission, the fill check and the manifold checks of ``dual_graph`` on
     the sweep's ids and vertex-tuple index (``_dual_cells``) make the dual
@@ -423,11 +420,11 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repet
     ``_copies`` records it as it does ``zero_dim_zigzag``'s.
     """
     sw = _admitted_filling(f, K, "manifold path")
-    if not allow_repetitive:
-        _raise_if_repetitive(sw.repetition)
     tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)
+    if recover:
+        _raise_if_repetitive(sw.repetition)
     comps = _top_components(sw.vts, sw.dims, sw.facets, p) if recover else None
-    ids, vts, repetition = sw.ids, sw.vts, sw.repetition
+    ids, vts = sw.ids, sw.vts
     del sw  # the walk reads only the signed ids
     m = len(f)
     steps = chain(  # a dual cell enters when its primal simplex is deleted
@@ -436,7 +433,7 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, allow_repet
         zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
     )
     fields = _arrow_fields(*_copies(steps, ends), _directions(ids), p)
-    return Barcode._of_fields(fields, m, RELATIVE), repetition, (ids, vts, comps)
+    return Barcode._of_fields(fields, m, RELATIVE), (ids, vts, comps)
 
 
 def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
@@ -445,20 +442,17 @@ def manifold_absolute_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int)
     All of dimension p, plus the closed-open, open-closed, and open-open
     intervals of dimension p-1; requires f non-repetitive. K may be a
     closed pseudomanifold: the end intervals pair up per strong component.
-    One sweep admits f for both steps; the cyclic GC is paused for the call.
+    The second barcode of ``_relative_and_recovered``, with its errors.
     """
-    with _gc_paused():
-        rel, _, held = _relative_top(f, K, p, allow_repetitive=False, recover=True)
-        return _recovered(rel, *held, p)
+    return _relative_and_recovered(f, K, p)[1]
 
 
 def _relative_and_recovered(f: ZigzagFiltration, K: SimplicialComplex,
                             p: int) -> Tuple[Barcode, Barcode]:
     """``relative_top_barcode(f, K, p)`` and ``recover_absolute_from_relative``
     of it, on one admission sweep: the same two barcodes, or the first error
-    the two calls raise in turn (a non-manifold K before a repetitive f).
-    The cyclic GC is paused for the call."""
+    the two calls raise in turn (a non-manifold K before a repetitive f, and
+    that before the walk). The cyclic GC is paused for the call."""
     with _gc_paused():
-        rel, repetition, held = _relative_top(f, K, p, allow_repetitive=True, recover=True)
-        _raise_if_repetitive(repetition)
+        rel, held = _relative_top(f, K, p, recover=True)
         return rel, _recovered(rel, *held, p)

@@ -40,7 +40,7 @@ from array import array
 from collections import Counter
 from typing import Dict, Iterator, List, Tuple
 
-from .barcode import ABSOLUTE, CLOSED, OPEN, Barcode, Interval, classify_ends
+from .barcode import ABSOLUTE, CLOSED, OPEN, Barcode, Interval, _trusted_interval, classify_ends
 from .complexes import _find
 from .errors import ContractViolationError, InternalInconsistencyError
 from .filtration import (
@@ -200,15 +200,16 @@ def _restrict_to_input(
     directions = f.directions()
     lo, hi = record.original_range
     kept = []
-    synthetic = []  # sorted, as std iterates in order
-    for iv in std:
-        if iv.d < lo or iv.b > hi:
-            synthetic.append(iv)
+    synthetic = []  # sorted, as std's fields are
+    for fields in std._fields:
+        q, b, d, _, _ = fields
+        if d < lo or b > hi:
+            synthetic.append(_trusted_interval(fields))
             continue
-        b = max(iv.b - lo, 0)
-        d = min(iv.d - lo, record.original_length)
-        kept.append(Interval(iv.dim, b, d, *classify_ends(b, d, directions)))
-    return Barcode(kept, record.original_length, ABSOLUTE), tuple(synthetic)
+        b = max(b - lo, 0)
+        d = min(d - lo, record.original_length)
+        kept.append((q, b, d, *classify_ends(b, d, directions)))
+    return Barcode._of_fields(kept, record.original_length, ABSOLUTE), tuple(synthetic)
 
 
 def _vertex_pairs(facets, dims, dels) -> Iterator[Tuple[int, int]]:

@@ -379,6 +379,37 @@ def test_bench_peak_rss_is_its_own_under_a_large_parent(small_file):
     assert 0 < run["peak_rss_mb"] < 128
 
 
+def test_compute_under_a_memory_cap_ends_in_one_line_and_exit_code_5(tmp_path):
+    """The child caps its own address space (RLIMIT_AS, for that process
+    only) at its size after start-up plus a margin the run outgrows: a
+    60x60 swept torus grows it by about 11 MB, past 3 MB in the parse and
+    past 7 MB in the solve. A run stuck past the timeout fails the test."""
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no procfs to read the child's own size from")
+    path = tmp_path / "torus.zz"
+    verts, faces = torus_mesh_points(60, 60)
+    path.write_text(format_filtration(generate(OffMesh(tuple(verts), tuple(faces)), "x", 180, 8)))
+    child = (
+        "import resource, sys\n"
+        "from zzpers.cli import main\n"
+        "margin = int(sys.argv[2]) << 20\n"
+        "if margin:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        kb = next(int(ln.split()[1]) for ln in fh if ln.startswith('VmSize:'))\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, ((kb << 10) + margin,) * 2)\n"
+        "sys.exit(main(['compute', sys.argv[1], '--out', sys.argv[3]]))\n"
+    )
+    runs = {}
+    for mb in (0, 3, 7):  # no cap, then two caps the run outgrows at different points
+        proc = subprocess.run([sys.executable, "-c", child, str(path), str(mb),
+                               str(tmp_path / "out.zzb")], capture_output=True, text=True,
+                              timeout=60)
+        runs[mb] = proc.returncode, proc.stdout, proc.stderr
+    assert runs[0] == (0, "", "")
+    assert runs[3] == runs[7] == (5, "", "error: out of memory\n")
+
+
 def test_importing_the_package_and_cli_loads_none_of_the_slow_modules():
     # a fresh isolated interpreter; what it loaded before the import (site's) does not count
     probe = (
@@ -488,8 +519,10 @@ def _closure(complex_text, names):
     (TETRAHEDRON, 3, None, 2, "Simplex(0,1,2) has 1 cofaces of dimension 3, expected 2"),
     (THREE_VERTICES, 2, "0 1 2\n", 2, "filtration does not fill the given complex"),
     ("zzfilt v1\na 0\na 1\na 0 1\n", 1, None, 3, "manifold path needs a standardized filtration"),
+    (REPETITIVE, 1, None, 2, "Simplex(0) has 0 cofaces of dimension 1, expected 2"),
+    (REPETITIVE, 0, None, 2, "dual graph needs p >= 1"),
 ], ids=["p0", "p-1", "p5", "p1", "pendant", "dim-above-p", "one-coface", "not-filled",
-        "not-standardized"])
+        "not-standardized", "repetitive-p1", "repetitive-p0"])
 def test_manifold_refusals_keep_their_texts(text, p, complex_text, code, message, tmp_path,
                                             capsys):
     path = tmp_path / "f.zz"
@@ -504,10 +537,13 @@ def test_manifold_refusals_keep_their_texts(text, p, complex_text, code, message
         assert main(["manifold", str(path), *options, *recover]) == code
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+    raised = []  # a repetitive f is refused only after these checks, by every entry alike
     for call in (relative_top_barcode, manifold_absolute_barcode):
         with pytest.raises(ZigzagError) as err:
             call(parsed.filtration, K, p)
         assert str(err.value) == message and err.value.exit_code == code
+        raised.append(type(err.value))
+    assert raised[0] is raised[1]
 
 
 def _manifold_refusal(f, K, p):
@@ -708,22 +744,29 @@ WEDGE = random_nonrepetitive(SplitMix64(3), sorted(octahedra_wedge().simplex_set
 def test_manifold_recover_admits_once_as_the_two_public_calls(text, p, tmp_path, capsys,
                                                                monkeypatch):
     import zzpers.filtration
+    from zzpers import manifold
 
     path = tmp_path / "f.zz"
     path.write_text(text)
     f = parse_filtration(text).filtration
     want = _relative_then_recovered(f, f.total_complex(), p)
-    calls = []
+    calls, walks = [], []
 
     def spy(g, inner=zzpers.filtration._sweep):
         calls.append(g)
         return inner(g)
 
+    def walk_spy(*record, inner=manifold._copy_pairs):
+        walks.append(record)
+        return inner(*record)
+
     monkeypatch.setattr(zzpers.filtration, "_sweep", spy)
+    monkeypatch.setattr(manifold, "_copy_pairs", walk_spy)
     code = main(["manifold", str(path), "--p", str(p), "--recover"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == want
     assert len(calls) == 1
+    assert len(walks) == (code == 0)  # a refused f, the repetitive one too, is never walked
 
 
 def test_manifold_of_the_empty_file_is_the_empty_relative_barcode(tmp_path, capsys):

@@ -392,37 +392,68 @@ def test_every_entry_point_rejects_an_invalid_filtration_alike(f, p):
 PATH3 = ((0, 1), (1, 2))
 
 
+# the whole text of each refusal, and the arrow or the initial graph it names
 @pytest.mark.parametrize(
     "edges, events, init_v, init_e, message, nv",
     [
-        (PATH3, (("+x", 0),), (), (), "unknown graph event", 3),
-        (PATH3, ((ADD_VERTEX, 0), (ADD_EDGE, 0)), (), (), "edge 0 added while an end is absent", 3),
-        (PATH3, ((DEL_VERTEX, 2),), (0, 1), (), "delete of absent vertex 2", 3),
-        (PATH3, ((DEL_EDGE, 1),), (0, 1, 2), (0,), "delete of absent edge 1", 3),
-        (PATH3, ((DEL_VERTEX, 1),), (0, 1, 2), (0,), "vertex 1 deleted while an edge", 3),
-        (PATH3, ((ADD_VERTEX, 0),), (0,), (), "vertex 0 added while present", 3),
-        (PATH3, ((ADD_EDGE, 0),), (0, 1), (0,), "edge 0 added while present", 3),
-        (PATH3, ((ADD_VERTEX, 3),), (), (), "vertex index 3 out of range", 3),
-        (PATH3, ((DEL_EDGE, None),), (), (), "edge index None out of range", 3),
+        (PATH3, (("+x", 0),), (), (), "arrow 0: unknown graph event ('+x', 0)", 3),
+        (PATH3, ((ADD_VERTEX, 0), (ADD_EDGE, 0)), (), (),
+         "arrow 1: edge 0 added while an end is absent", 3),
+        (PATH3, ((DEL_VERTEX, 2),), (0, 1), (), "arrow 0: delete of absent vertex 2", 3),
+        (PATH3, ((DEL_EDGE, 1),), (0, 1, 2), (0,), "arrow 0: delete of absent edge 1", 3),
+        (PATH3, ((DEL_VERTEX, 1),), (0, 1, 2), (0,),
+         "arrow 0: vertex 1 deleted while an edge at it is present", 3),
+        (PATH3, ((ADD_VERTEX, 0),), (0,), (), "arrow 0: vertex 0 added while present", 3),
+        (PATH3, ((ADD_EDGE, 0),), (0, 1), (0,), "arrow 0: edge 0 added while present", 3),
+        (PATH3, ((ADD_VERTEX, 3),), (), (), "vertex index 3 out of range for 3 vertices", 3),
+        (PATH3, ((DEL_EDGE, None),), (), (), "edge index None out of range for 2 edges", 3),
         (PATH3, (), (0, 2), (1,), "initial graph: edge 1 added while an end is absent", 3),
-        (((0, 1), (1, 1)), (), (), (), "edge 1 is a self-loop", 3),
-        (((0, 1), (1, 0)), (), (), (), "edge 1 is parallel", 3),
-        (((0, 3),), (), (), (), "vertex index 3 out of range", 3),
+        (((0, 1), (1, 1)), (), (), (), "edge 1 is a self-loop at vertex 1", 3),
+        (((0, 1), (1, 0)), (), (), (), "edge 1 is parallel to another edge between 1 and 0", 3),
+        (((0, 3),), (), (), (), "vertex index 3 out of range for 3 vertices", 3),
         (((0, 5),), (), (), (), "vertex index 5 out of range for 2 vertices", 2),
-        (PATH3, (), (0, "a"), (), "vertex index 'a' out of range", 3),
-        (PATH3, (), (0, 1), (None,), "edge index None out of range", 3),
-        (PATH3, ((["+v"], 0),), (), (), "arrow 0: unknown graph event", 3),
-        (PATH3, ((ADD_VERTEX, 0), ("+v",)), (), (), "arrow 1: unknown graph event", 3),
-        (((0, 1, 2),), (), (), (), "edge 0 is not a pair of vertices", 3),
-        ((), (), (), (), "vertex count -1", -1),
+        (PATH3, (), (0, "a"), (), "vertex index 'a' out of range for 3 vertices", 3),
+        (PATH3, (), (0, 1), (None,), "edge index None out of range for 2 edges", 3),
+        (PATH3, ((["+v"], 0),), (), (), "arrow 0: unknown graph event (['+v'], 0)", 3),
+        (PATH3, ((ADD_VERTEX, 0), ("+v",)), (), (), "arrow 1: unknown graph event ('+v',)", 3),
+        (((0, 1, 2),), (), (), (), "edge 0 is not a pair of vertices: (0, 1, 2)", 3),
+        ((), (), (), (), "vertex count -1 is not a non-negative int", -1),
+        (PATH3, ((ADD_EDGE, 5),), (0, 1, 2), (), "edge index 5 out of range for 2 edges", 3),
+        (PATH3, ((DEL_VERTEX, True),), (0, 1), (),
+         "vertex index True out of range for 3 vertices", 3),
+        (PATH3, ((ADD_EDGE, 1), (DEL_VERTEX, 0)), (0, 1, 2), (0,),
+         "arrow 1: vertex 0 deleted while an edge at it is present", 3),
     ],
 )
 def test_zero_dim_zigzag_rejects_malformed_graph_zigzags(
     edges, events, init_v, init_e, message, nv
 ):
     g = GraphZigzag(nv, edges, events, frozenset(init_v), frozenset(init_e))
-    with pytest.raises(InvalidInputError, match=message):
+    with pytest.raises(InvalidInputError) as err:
         zero_dim_zigzag(g)
+    assert str(err.value) == message
+
+
+def test_zero_dim_zigzag_accepts_any_identity_payload_and_tears_down_what_is_left(
+    monkeypatch
+):
+    """Identity arrows read no index. Cells present after the last arrow
+    leave after it, the edges first, then the vertices, each kind by index."""
+    events = ((NOOP, 7), (ADD_EDGE, 1), (NOOP, "x"), (DEL_EDGE, 0), (NOOP, None),
+              (ADD_EDGE, 0))
+    g = GraphZigzag(3, PATH3, events, frozenset((0, 1, 2)), frozenset((0,)))
+    walked = []
+
+    def spy(steps, ends, inner=manifold._copies):
+        walked.append(list(steps))
+        return inner(walked[-1], ends)
+
+    monkeypatch.setattr(manifold, "_copies", spy)
+    bar = zero_dim_zigzag(g)
+    assert walked[0][-5:] == [(False, 3, 6), (False, 4, 6), (False, 0, 6), (False, 1, 6),
+                              (False, 2, 6)]
+    assert bar.to_text() == "zzbar v1 m=6 kind=abs\n0 0 1 co\n0 0 6 cc\n0 4 5 oo\n"
+    assert multiset_equal(bar, _oracle_zero_dim(g)).equal
 
 
 def _random_graph_zigzag(rng: SplitMix64, m: int) -> GraphZigzag:

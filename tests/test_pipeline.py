@@ -192,6 +192,20 @@ def test_synthetic_intervals_are_flagged():
     assert result.standardized.m == 6
 
 
+def test_a_padded_input_is_restricted_with_no_checked_interval(built_intervals, small_corpus):
+    f = ZigzagFiltration([ev("d 0 1"), ev("a 2")], initial=[sx(0), sx(1), sx(0, 1)])
+    windows = [g for g in _windows(small_corpus) if g.initial and g.final_complex()][:10]
+    wants = [oracle_absolute(g) for g in (f, *windows)]
+    built_intervals.clear()  # those were built by the oracle
+    results = [compute_zigzag(g) for g in (f, *windows)]
+    assert built_intervals == []
+    assert results[0].synthetic == (Interval(0, 2, 2, "c", "o"),)
+    assert results[0].barcode.to_text() == "zzbar v1 m=2 kind=abs\n0 0 2 cc\n0 1 2 oc\n0 2 2 cc\n"
+    for g, result, want in zip((f, *windows), results, wants):
+        assert result.record.prefix_length or result.record.suffix_length
+        assert result.barcode == want and result.barcode.m == len(g)
+
+
 def _windows(corpus):
     """Sub-filtrations of the corpus that start and end at non-empty complexes."""
     rng = SplitMix64(77)
