@@ -60,19 +60,6 @@ from .manifold import (
     relative_top_barcode,
     zero_dim_zigzag,
 )
-from .oracle import (
-    HomologyBasis,
-    InducedMatrix,
-    LinearSpaceChain,
-    homology_basis,
-    induced_map,
-    oracle_absolute,
-    oracle_extended,
-    oracle_relative,
-    relative_homology_basis,
-    sequence_barcode,
-    zigzag_decompose,
-)
 from .pipeline import (
     PipelineResult,
     check_diamond,
@@ -97,3 +84,18 @@ from .reduction import (
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
+
+# the brute-force reference, loaded on first use (PEP 562): no solve path calls it
+_ORACLE_NAMES = frozenset((
+    "HomologyBasis", "InducedMatrix", "LinearSpaceChain", "homology_basis", "induced_map",
+    "oracle_absolute", "oracle_extended", "oracle_relative", "relative_homology_basis",
+    "sequence_barcode", "zigzag_decompose",
+))
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

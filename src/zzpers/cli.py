@@ -19,7 +19,6 @@ from .filtration import ZigzagFiltration, _additions, _admitted, _pad, _sweep, _
 from .manifold import _relative_and_recovered, relative_top_barcode
 from .pipeline import _peak_rss_mb, compute_zigzag
 from .complexes import Simplex, SimplicialComplex, _faces
-from .oracle import oracle_absolute, oracle_relative
 from .reduction import _extended
 
 # version of the JSON record `compute --stats` and `bench` print per run; bump it when a key changes
@@ -146,6 +145,8 @@ def _cmd_manifold(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_absolute, oracle_relative  # no other command loads the oracle
+
     parsed = zio.load_filtration(args.filtration)
     bar = oracle_relative(parsed.filtration) if args.relative else oracle_absolute(parsed.filtration)
     _write_out(bar.to_text(), args.out)
@@ -207,13 +208,36 @@ def _record_line(record: dict) -> str:
 def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise InvalidInputError(f"--repeat must be at least 1, got {args.repeat}")
-    for path in args.filtration:
-        loaded = _load(path)
-        for run in range(args.repeat):
-            # the result and its text go with the tuple, else the next run's peak counts two
-            print(_record_line(_run(*loaded, path, run)[2]), flush=True)
-        del loaded  # else the next file's parse counts two inputs
+    if len(args.filtration) > 1:
+        return _bench_each_in_a_child(args.filtration, args.repeat)
+    path = args.filtration[0]
+    loaded = _load(path)
+    for run in range(args.repeat):
+        # the result and its text go with the tuple, else the next run's peak counts two
+        print(_record_line(_run(*loaded, path, run)[2]), flush=True)
     return 0
+
+
+def _bench_each_in_a_child(paths: List[str], repeat: int) -> int:
+    """`bench` of several files: each file in a child `python -m zzpers.cli
+    bench FILE --repeat N` on this process's package, since a process's peak
+    never falls. The child's lines are printed unchanged; returns the first
+    non-zero exit code, after every file has run."""
+    import subprocess  # imported here: no other command starts a process
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    code = 0
+    for path in paths:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zzpers.cli", "bench", path, "--repeat", str(repeat)],
+            capture_output=True, text=True, env=env,
+        )
+        print(proc.stdout, end="", flush=True)
+        print(proc.stderr, end="", file=sys.stderr)
+        code = code or proc.returncode
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         "coboundary of the others reduced one dimension at a time), remap (pairs to "
         "intervals), total (those four) and format (the barcode's text). peak_rss_mb: this "
         "process's own peak resident set size (VmHWM) after formatting; phase_peak_rss_mb: "
-        "the same after the parse (once per file) and after each of the four phases. The "
-        "peak never falls, so each later file of several reads the peaks the earlier files "
-        "left: for clean peaks, give one file per process. stats: the reduction counters."))
+        "the same after the parse (once per file) and after each of the four phases. Each "
+        "file of several runs in its own child process, so its peaks are its own. stats: the "
+        "reduction counters."))
     p.add_argument("filtration", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)

@@ -26,9 +26,13 @@ pass pair the copies' coned filtration with no matrix (``_copy_pairs``;
 after Dey & Hou, *Computing Zigzag Persistence on Graphs in Near-Linear
 Time*, SoCG 2021), and ``pipeline._remap_pairs`` maps the pairs to
 intervals, which go to the zigzag's arrows. The walks and the union-finds
-are near linear in the length of the filtration; the forest pass climbs
-tree paths, which grow with the graph, so on swept grid tori it grows as
-about m^1.5 (link-cut trees would make it near linear).
+are near linear in the length of the filtration. The forest pass climbs
+tree paths, which grow with the graph, but only a repetitive filtration
+needs it: the dual zigzag of a non-repetitive one splits into a shrinking
+and a growing graph, and the pairs the forest would add there are all of
+dimension 1 (``_relative_top``). So the paper's case, the p-th persistence
+of a non-repetitive filtration, is near linear: the walk and two
+union-finds. ``zero_dim_zigzag`` and a repetitive f keep all three passes.
 """
 
 from __future__ import annotations
@@ -160,10 +164,12 @@ def _path_max(up: List[int], via: List[int], u: int, v: int) -> Tuple[int, bool]
             seen_v[w] = hv
 
 
-def _copy_pairs(facets, dims, dels) -> array:
+def _copy_pairs(facets, dims, dels, repetitive) -> Tuple[array, int]:
     """Death table of the boundary-matrix pairs of the coned filtration of a
-    copy record (the graph case of ``pipeline._solve``'s input), equal to the
-    table ``_solve`` returns, without a matrix.
+    copy record (the graph case of ``pipeline._solve``'s input), without a
+    matrix, and the number of edge copies whose pairs it leaves out. With
+    ``repetitive`` the table is the one ``_solve`` returns, and none is left
+    out.
 
     Columns are numbered as in ``_solve``: the apex 0, the up column s + 1
     of id s, and 2n - k for the cone over the k-th deleted id. A union-find
@@ -185,7 +191,20 @@ def _copy_pairs(facets, dims, dels) -> array:
     by re-rooting its end in the smaller tree (sizes from pass b). A
     replacement re-roots the end on x's side of the path only up to x,
     which clears x's parent pointer (the cut), and links e there. The path
-    climbs make pass c superlinear (about m^1.5 on swept grid tori).
+    climbs make pass c superlinear: on swept grid tori its climb steps grow
+    as about m^1.5.
+
+    Pass c runs only if ``repetitive``. A record walked from the dual zigzag
+    of a standardized non-repetitive filtration is the disjoint union of two
+    graphs: the first copies, all added before the first arrow, and the
+    copies added at deletions, each deleted after the last arrow, since a
+    (p-1)-simplex not yet added has no p-coface added, and one deleted has
+    every p-coface deleted. No edge copy joins the two, so e and x are
+    copies of one kind, x is added before e is deleted, and ``_remap_pairs``
+    makes their pair a closed-closed interval of dimension 1, which
+    ``_arrow_fields`` drops. Pass b then only merges sets, and counts the
+    edge copies that close a cycle: each leaves one up column and one cone
+    column unpaired.
     """
     n = len(dels)
     n2 = 2 * n
@@ -196,9 +215,11 @@ def _copy_pairs(facets, dims, dels) -> array:
     at = [0] * n  # id -> its position among the deletions
     for k, s in enumerate(dels):
         at[s] = k
-    size = [1] * (n2 + 1)  # pass b root -> its set's size
-    up = [-1] * (n2 + 1)  # pass c: forest parent, -1 at a root
-    via = [-1] * (n2 + 1)  # pass c: id of the edge to the forest parent
+    if repetitive:
+        size = [1] * (n2 + 1)  # pass b root -> its set's size
+        up = [-1] * (n2 + 1)  # pass c: forest parent, -1 at a root
+        via = [-1] * (n2 + 1)  # pass c: id of the edge to the forest parent
+    cycles = 0  # edge copies that close a cycle, counted while pass c is skipped
     for k in range(n - 1, -1, -1):  # the cone columns in order
         s = dels[k]
         if not dims[s]:  # the cone over a vertex copy: pass a's
@@ -207,15 +228,19 @@ def _copy_pairs(facets, dims, dels) -> array:
         u, v = n2 - at[a], n2 - at[b]
         ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
-            if size[ru] < size[rv]:
-                u, v = v, u
-            _reroot(up, via, v)  # v lies in the smaller tree
-            up[v], via[v] = u, s
+            if repetitive:
+                if size[ru] < size[rv]:
+                    u, v = v, u
+                _reroot(up, via, v)  # v lies in the smaller tree
+                up[v], via[v] = u, s
+                size[ru] = size[rv] = size[ru] + size[rv]  # at whichever root is kept
             if ru > rv:
                 ru, rv = rv, ru
             parent[rv] = ru
-            size[ru] += size[rv]
             death[rv] = n2 - k
+            continue
+        if not repetitive:
+            cycles += 1
             continue
         x, on_u = _path_max(up, via, u, v)
         if s > x:
@@ -226,7 +251,7 @@ def _copy_pairs(facets, dims, dels) -> array:
             u, v = v, u
         _reroot(up, via, v, x)  # x is on v's side: cut it, and v roots what hung below it
         up[v], via[v] = u, s
-    return death
+    return death, cycles
 
 
 def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
@@ -311,8 +336,8 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
             leave(j, m)
 
     directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in g.events)
-    record = _copies(steps, ends)
-    return Barcode._of_fields(_arrow_fields(*record, directions, 0), m, ABSOLUTE)
+    record = _copies(steps, ends)  # a graph zigzag's copies need all three passes
+    return Barcode._of_fields(_arrow_fields(*record, directions, 0, repetitive=True), m, ABSOLUTE)
 
 
 def _copies(steps, ends):
@@ -358,23 +383,25 @@ def _copies(steps, ends):
     return facets, dims, dels, add_at, del_at, arrow_of
 
 
-def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim):
+def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim,
+                  repetitive):
     """Field tuples, in dimension dim, of the 0-dimensional intervals of a copy
     record in the arrows of the zigzag it was walked from.
 
     ``_copy_pairs`` gives the death table of the record's coned filtration,
-    the same as ``pipeline._solve`` would, and ``_remap_pairs`` its
-    intervals in positions. An interval [b, d] of the copies becomes
+    the same as ``pipeline._solve`` would, but for the pairs of dimension 1
+    it leaves out unless ``repetitive``, and ``_remap_pairs`` its intervals
+    in positions. An interval [b, d] of the copies becomes
     [a(b-1) + 1, a(d)] in arrows, where a(i) is ``arrow_of[i]`` (-1 before
     the first position and m after the last), and is dropped when it lives
     only inside one arrow's positions. End types follow ``directions``, the
     arrows' own.
     """
     m = len(directions)
-    death = _copy_pairs(facets, dims, dels)
+    death, unpaired = _copy_pairs(facets, dims, dels, repetitive)
     at = [-1, *arrow_of, m]  # at[i]: the arrow of position i - 1
     out = []
-    for q, b, d, _, _ in _remap_pairs(death, dims, dels, add_at, del_at):
+    for q, b, d, _, _ in _remap_pairs(death, dims, dels, add_at, del_at, unpaired):
         b, d = at[b] + 1, at[d + 1]
         if q == 0 and b <= d:
             out.append((dim, b, d, CLOSED if b == 0 or directions[b - 1] == ADD else OPEN,
@@ -418,13 +445,22 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, recover: bo
     present copies of its two ends; events on lower simplices add nothing.
     The walk reads each event's signed id, so a repetitive f walks too, and
     ``_copies`` records it as it does ``zero_dim_zigzag``'s.
+
+    The passes are told whether f is repetitive (the sweep's ``repetition``).
+    A non-repetitive f adds no p-coface of a (p-1)-simplex before the
+    simplex itself, and deletes every p-coface before it. So the dual
+    zigzag is two graphs that no edge copy joins: a shrinking one, the
+    first copies, and a growing one, the copies made at deletions, which
+    leave only after the last arrow. A cycle-closing edge copy's pair is
+    then a closed-closed interval of dimension 1, which the dimension-0
+    barcode drops, and ``_copy_pairs`` skips its spanning-forest pass.
     """
     sw = _admitted_filling(f, K, "manifold path")
     tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)
     if recover:
         _raise_if_repetitive(sw.repetition)
     comps = _top_components(sw.vts, sw.dims, sw.facets, p) if recover else None
-    ids, vts = sw.ids, sw.vts
+    ids, vts, repetitive = sw.ids, sw.vts, sw.repetition is not None
     del sw  # the walk reads only the signed ids
     m = len(f)
     steps = chain(  # a dual cell enters when its primal simplex is deleted
@@ -432,7 +468,7 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, recover: bo
         ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
         zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
     )
-    fields = _arrow_fields(*_copies(steps, ends), _directions(ids), p)
+    fields = _arrow_fields(*_copies(steps, ends), _directions(ids), p, repetitive)
     return Barcode._of_fields(fields, m, RELATIVE), (ids, vts, comps)
 
 

@@ -324,25 +324,29 @@ def extended_barcode(U: ZigzagFiltration) -> ExtendedBarcode:
     return _extended_from_pairs(_extended(sw, U._simplices), pairs, _essentials(pairs, len(death)))
 
 
-def _remap_pairs(death, dims, dels, add_at, del_at) -> List[Tuple[int, int, int, str, str]]:
+def _remap_pairs(death, dims, dels, add_at, del_at,
+                 unpaired: int = 0) -> List[Tuple[int, int, int, str, str]]:
     """Fused version of extended_from_reduction + ext_to_updown + updown_to_f.
 
     One walk over the death table ``_solve`` returns (birth column -> death
     column, -1 for none), in birth order, straight to the field tuples (dim,
     b, d, birth_type, death_type) of input-order intervals; add_at and
     del_at give each id's event index. Column c <= n is the up column of id
-    c - 1; column c > n is the cone over dels[2n - c].
+    c - 1; column c > n is the cone over dels[2n - c]. ``unpaired`` is the
+    number of pairs the table leaves out (``manifold._copy_pairs`` leaves
+    out those of the dimension-1 intervals it does not need); the apex stays
+    unpaired.
     Must stay interval-for-interval equal to the composed public operations
     (a property test holds it to that).
     """
     n = len(dels)
     n2 = 2 * n
-    if len(death) - death.count(-1) != n:
+    if len(death) - death.count(-1) != n - unpaired:
         used = {c for i, j in enumerate(death) if j >= 0 for c in (i, j)}
         essentials = tuple(c for c in range(n2 + 1) if c not in used)
-        raise InternalInconsistencyError(
-            f"expected the apex column as the only essential, got {essentials}"
-        )
+        expected = (f"the apex column and {2 * unpaired} more as the essentials" if unpaired
+                    else "the apex column as the only essential")
+        raise InternalInconsistencyError(f"expected {expected}, got {essentials}")
     if death[0] >= 0:
         raise InternalInconsistencyError("apex column appears in a pair")
     out = []

@@ -348,7 +348,7 @@ def test_committed_bench_runs_follow_the_schema():
 def test_bench_frees_each_result_before_the_next_run(
     small_file, monkeypatch, capsys, files, repeat
 ):
-    previous = []
+    previous, children = [], []
 
     def compute_after_the_last_result_is_gone(f):
         assert not previous or previous[-1]() is None
@@ -356,9 +356,51 @@ def test_bench_frees_each_result_before_the_next_run(
         previous.append(weakref.ref(result))
         return result
 
+    def child_run_here(argv, **kwargs):  # each file of several goes to a child: run it here
+        assert argv[:3] == [sys.executable, "-m", "zzpers.cli"]
+        children.append(argv[3:])
+        return subprocess.CompletedProcess(argv, main(argv[3:]), "", "")
+
     monkeypatch.setattr(cli, "compute_zigzag", compute_after_the_last_result_is_gone)
+    monkeypatch.setattr(subprocess, "run", child_run_here)
     assert main(["bench", *[small_file] * files, "--repeat", repeat]) == 0
     assert len(previous) == 3
+    assert children == ([] if files == 1 else [["bench", small_file, "--repeat", "1"]] * 3)
+
+
+def test_bench_reads_each_file_of_several_with_its_own_peak(tmp_path):
+    """A 60x60 swept torus, then the 10x10 one (io.generate, axis x, 3a^2
+    switches, seed 8): each file runs in its own process, so the second
+    reads its own, lower, peak and not the first's."""
+    paths = []
+    for a in (60, 10):
+        verts, faces = torus_mesh_points(a, a)
+        paths.append(tmp_path / f"torus{a}.zz")
+        paths[-1].write_text(
+            format_filtration(generate(OffMesh(tuple(verts), tuple(faces)), "x", 3 * a * a, 8)))
+    proc = subprocess.run([sys.executable, "-m", "zzpers.cli", "bench", *map(str, paths),
+                           "--repeat", "2"], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["file"], r["m"], r["run"]) for r in runs] == [
+        (str(paths[0]), 43200, 0), (str(paths[0]), 43200, 1),
+        (str(paths[1]), 1200, 0), (str(paths[1]), 1200, 1)]
+    big, small = runs[1], runs[2]
+    assert small["peak_rss_mb"] < big["peak_rss_mb"]
+    assert small["phase_peak_rss_mb"]["parse"] < big["phase_peak_rss_mb"]["parse"]
+
+
+def test_bench_of_several_files_returns_the_first_failure_after_running_them_all(
+    small_file, tmp_path, capsys
+):
+    bad = tmp_path / "bad.zz"
+    bad.write_text(INVALID)
+    repetitive = tmp_path / "repetitive.zz"
+    repetitive.write_text(REPETITIVE)
+    assert main(["bench", str(bad), small_file, str(repetitive)]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(line)["file"] for line in captured.out.splitlines()] == [small_file]
+    assert captured.err.count("error: ") == 2 and captured.err.startswith("error: ")
 
 
 def test_bench_peak_rss_is_its_own_under_a_large_parent(small_file):
@@ -423,7 +465,8 @@ def test_importing_the_package_and_cli_loads_none_of_the_slow_modules():
     loaded = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True,
                             text=True, check=True).stdout.split()
     assert "zzpers.cli" in loaded
-    assert not {"dataclasses", "inspect", "json", "platform"} & set(loaded)
+    assert not {"dataclasses", "inspect", "json", "platform", "subprocess", "zzpers.oracle",
+                "zzpers.z2"} & set(loaded)
 
 
 EDGE = "zzfilt v1\na 0\na 1\na 0 1\nd 0 1\nd 0\nd 1\n"

@@ -13,6 +13,7 @@ from zzpers import (
     FiltrationEvent,
     GraphZigzag,
     Interval,
+    InternalInconsistencyError,
     InvalidInputError,
     NotAManifoldError,
     NotNonRepetitiveError,
@@ -40,7 +41,8 @@ import zzpers.filtration
 from zzpers import complexes, duality, manifold
 from zzpers.barcode import classify_ends
 from zzpers.filtration import ADD, DEL
-from zzpers.io import OffMesh, generate
+from zzpers.cli import main
+from zzpers.io import OffMesh, format_filtration, generate
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.oracle import sequence_barcode
 from zzpers.rng import SplitMix64
@@ -274,28 +276,128 @@ def _graph_route(f, K, p):
     )
 
 
-@pytest.mark.parametrize("name", ["octahedron", "grid_torus", "octahedra_wedge"])
+def polygon(n: int = 7) -> SimplicialComplex:
+    """The boundary of an n-gon: a closed 1-manifold."""
+    return SimplicialComplex.closure([Simplex((i, (i + 1) % n)) for i in range(n)])
+
+
+# closed (pseudo)manifolds and their top dimension p
+MANIFOLDS = {"octahedron": (octahedron, 2), "grid_torus": (grid_torus, 2),
+             "octahedra_wedge": (octahedra_wedge, 2), "polygon": (polygon, 1)}
+
+
+class _ForestStep(AssertionError):
+    pass
+
+
+def _forest_spy(monkeypatch):
+    """Make the steps of pass c's forest (``_path_max``, ``_reroot``) count
+    their calls in the dict returned, and raise while its "armed" is set."""
+    calls = {"armed": True, "_path_max": 0, "_reroot": 0}
+    for name in ("_path_max", "_reroot"):
+        def spy(*args, name=name, inner=getattr(manifold, name)):
+            calls[name] += 1
+            if calls["armed"]:
+                raise _ForestStep(f"{name} ran on a non-repetitive walk")
+            return inner(*args)
+
+        monkeypatch.setattr(manifold, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(MANIFOLDS))
 def test_relative_top_barcode_equals_the_graph_route(name, monkeypatch):
     """Same barcode, and the same copy record: the initial copies come in
-    the dual graph's order, as the graph route adds them."""
-    K = {"octahedron": octahedron, "grid_torus": grid_torus, "octahedra_wedge": octahedra_wedge}[
-        name]()
-    tops = K.of_dim(2)
+    the dual graph's order, as the graph route adds them. The walk of f
+    runs no forest step, that of its repetitive tail does; the first cases
+    are held to the brute-force oracle too."""
+    make, p = MANIFOLDS[name]
+    K = make()
+    tops = K.of_dim(p)
     records = _capture_copy_records(monkeypatch)
+    calls = _forest_spy(monkeypatch)
     rng = SplitMix64(0x5EE)
-    for _ in range(40):
+    for case in range(40):
         f = random_nonrepetitive(rng, sorted(K.simplex_set()))
-        # a repetitive tail: one triangle's closure added again, then taken down
+        # a repetitive tail: one top simplex's closure added again, then taken down
         closure = sorted(SimplicialComplex.closure([tops[rng.below(len(tops))]]).simplex_set())
         tail = [FiltrationEvent.add(s) for s in closure]
         tail += [FiltrationEvent.delete(s) for s in reversed(closure)]
         repetitive = ZigzagFiltration([*f.events, *tail])
         assert find_repetition(repetitive) is not None
         for g in (f, repetitive):
-            rel = relative_top_barcode(g, K, 2)
-            assert rel == _graph_route(g, K, 2), g
+            calls.update(armed=g is f, _path_max=0, _reroot=0)
+            rel = relative_top_barcode(g, K, p)
+            assert (calls["_path_max"] > 0, calls["_reroot"] > 0) == (g is repetitive,) * 2
+            calls["armed"] = False  # the graph route runs all three passes
+            assert rel == _graph_route(g, K, p), g
             assert records[-2] == records[-1]
             assert rel.kind == RELATIVE and rel.m == len(g) and len(rel)
+            if case < 3:
+                assert rel == oracle_relative(g).in_dim(p), g
+
+
+@pytest.mark.parametrize("name", list(MANIFOLDS))
+def test_a_non_repetitive_walk_runs_no_forest_step(name, monkeypatch, tmp_path, capsys):
+    """relative_top_barcode, manifold_absolute_barcode and ``zzpers manifold
+    --recover`` on non-repetitive filtrations: no spanning-forest pass."""
+    make, p = MANIFOLDS[name]
+    K = make()
+    rng = SplitMix64(0xF0)
+    cases = [random_nonrepetitive(rng, sorted(K.simplex_set())) for _ in range(8)]
+    want = [(relative_top_barcode(f, K, p), manifold_absolute_barcode(f, K, p)) for f in cases]
+    calls = _forest_spy(monkeypatch)
+    path = tmp_path / "f.zz"
+    for f, (rel, absolute) in zip(cases, want):
+        assert relative_top_barcode(f, K, p) == rel
+        assert manifold_absolute_barcode(f, K, p) == absolute
+        path.write_text(format_filtration(f))
+        assert main(["manifold", str(path), "--p", str(p), "--recover"]) == 0
+        assert capsys.readouterr().out == rel.to_text() + absolute.to_text()
+    assert calls == {"armed": True, "_path_max": 0, "_reroot": 0}
+
+
+def test_a_repetitive_walk_keeps_the_forest_pass(monkeypatch):
+    """A triangle built and torn down, then two of its vertices again: the
+    interval [14, 14] needs pass c, and skipping it would lose it."""
+    f = zz("a 0", "a 1", "a 2", "a 0 1", "a 0 2", "a 1 2", "d 0 1", "d 0 2", "d 1 2", "d 1",
+           "d 2", "d 0", "a 2", "a 0", "d 2", "d 0")
+    K = polygon(3)
+    rel = relative_top_barcode(f, K, 1)
+    assert rel == _graph_route(f, K, 1) == oracle_relative(f).in_dim(1)
+    passes = manifold._copy_pairs
+    monkeypatch.setattr(manifold, "_copy_pairs",
+                        lambda facets, dims, dels, repetitive: passes(facets, dims, dels, False))
+    skipped = relative_top_barcode(f, K, 1)
+    assert set(rel.to_text().splitlines()) - set(skipped.to_text().splitlines()) == {"1 14 14 cc"}
+
+
+def test_the_pairs_the_walk_leaves_out_are_closed_closed_of_dimension_1(monkeypatch):
+    """On a non-repetitive walk, the table without pass c is the full one less
+    the pairs of the cycle-closing edge copies, which remap to closed-closed
+    intervals of dimension 1; ``_remap_pairs`` expects exactly that count."""
+    passes, remap = manifold._copy_pairs, manifold._remap_pairs
+    records = _capture_copy_records(monkeypatch)
+    rng = SplitMix64(0xF2)
+    for make, p in MANIFOLDS.values():
+        K = make()
+        f = random_nonrepetitive(rng, sorted(K.simplex_set()))
+        relative_top_barcode(f, K, p)
+        facets, dims, dels, add_at, del_at = records[-1]
+        full, none = passes(facets, dims, dels, True)
+        death, unpaired = passes(facets, dims, dels, False)
+        assert none == 0 < unpaired == death.count(-1) - full.count(-1)
+        assert all(d in (-1, full[b]) for b, d in enumerate(death))
+        kept = Counter(remap(death, dims, dels, add_at, del_at, unpaired))
+        left_out = Counter(remap(full, dims, dels, add_at, del_at)) - kept
+        assert sum(left_out.values()) == unpaired
+        assert {iv[0] for iv in left_out} == {1} and {iv[3:] for iv in left_out} == {("c", "c")}
+        for wrong in (0, unpaired - 1, unpaired + 1):
+            with pytest.raises(InternalInconsistencyError, match="^expected the apex column"):
+                remap(death, dims, dels, add_at, del_at, wrong)
+        death[0] = len(death) - 1  # one more pair, at the apex
+        with pytest.raises(InternalInconsistencyError, match="^apex column appears in a pair$"):
+            remap(death, dims, dels, add_at, del_at, unpaired - 1)
 
 
 def _refusal(call, *args):
@@ -526,14 +628,14 @@ def _capture_copy_records(monkeypatch):
     records = []
     passes, remap = manifold._copy_pairs, manifold._remap_pairs
 
-    def capture_passes(facets, dims, dels):
+    def capture_passes(facets, dims, dels, repetitive):
         records.append([facets, dims, dels])
-        return passes(facets, dims, dels)
+        return passes(facets, dims, dels, repetitive)
 
-    def capture_remap(death, dims, dels, add_at, del_at):
+    def capture_remap(death, dims, dels, add_at, del_at, unpaired):
         assert records[-1][1:] == [dims, dels]
         records[-1] += [add_at, del_at]
-        return remap(death, dims, dels, add_at, del_at)
+        return remap(death, dims, dels, add_at, del_at, unpaired)
 
     monkeypatch.setattr(manifold, "_copy_pairs", capture_passes)
     monkeypatch.setattr(manifold, "_remap_pairs", capture_remap)
