@@ -281,12 +281,15 @@ def _dual_cells(K: SimplicialComplex, p: int, vts, facets, idof):
 
     ``vts`` and ``facets`` give the vertex tuple and the facet ids of each
     id, and ``idof`` the id of each vertex tuple, for ids of exactly K's
-    simplices. p < 1 is InvalidInputError. A K that is no closed p-manifold
-    or pseudomanifold is NotAManifoldError naming the first offender in K's
-    order, checked in turn: a simplex of dimension above p, a (p-1)-simplex
-    without exactly two p-cofaces, a simplex that is no face of a p-simplex;
-    a Simplex is built only to name an offender.
+    simplices. A p that is not an int, or p < 1, is InvalidInputError. A K
+    that is no closed p-manifold or pseudomanifold is NotAManifoldError
+    naming the first offender in K's order, checked in turn: a simplex of
+    dimension above p, a (p-1)-simplex without exactly two p-cofaces, a
+    simplex that is no face of a p-simplex; a Simplex is built only to name
+    an offender.
     """
+    if type(p) is not int:
+        raise InvalidInputError(f"dual graph needs an int p, got {p!r}")
     if p < 1:
         raise InvalidInputError("dual graph needs p >= 1")
     if K.dim > p:

@@ -20,19 +20,16 @@ with no dual graph or graph zigzag built, and ``_relative_and_recovered``
 recovers on that walk, the one recovery entry of the library and of
 ``zzpers manifold --recover``. ``zero_dim_zigzag`` walks a given
 ``GraphZigzag``, checking it cell by cell. Both walks hand their steps to
-one recorder (``_copies``) and the record to one tail (``_arrow_fields``):
-two union-find passes, the first the pipeline's, and a spanning-forest
-pass pair the copies' coned filtration with no matrix (``_copy_pairs``;
-after Dey & Hou, *Computing Zigzag Persistence on Graphs in Near-Linear
-Time*, SoCG 2021), and ``pipeline._remap_pairs`` maps the pairs to
-intervals, which go to the zigzag's arrows. The walks and the union-finds
-are near linear in the length of the filtration. The forest pass climbs
-tree paths, which grow with the graph, but only a repetitive filtration
-needs it: the dual zigzag of a non-repetitive one splits into a shrinking
-and a growing graph, and the pairs the forest would add there are all of
-dimension 1 (``_relative_top``). So the paper's case, the p-th persistence
-of a non-repetitive filtration, is near linear: the walk and two
-union-finds. ``zero_dim_zigzag`` and a repetitive f keep all three passes.
+one recorder (``_copies``) and the record to one tail (``_arrow_fields``),
+which picks the solver of the copies' coned filtration. The dual zigzag of
+a non-repetitive filtration splits into a shrinking and a growing graph,
+and the pairs that two union-finds (the first the pipeline's) leave out
+there are all of dimension 1 (``_copy_pairs``); so the paper's case, the
+p-th persistence of a non-repetitive filtration, is near linear: the walk
+and two union-finds, with no matrix. Every other record, a repetitive f's
+and every graph zigzag's, goes to the pipeline's standard-persistence
+solve (``pipeline._solve``). ``pipeline._remap_pairs`` maps the pairs to
+intervals, which go to the zigzag's arrows.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from .duality import _admitted_filling, _recovered, _top_components
 from .errors import InvalidInputError
 from .filtration import ADD, DEL, ZigzagFiltration, _directions, _gc_paused
 from .filtration import _raise_if_repetitive
-from .pipeline import _remap_pairs, _vertex_pairs
+from .pipeline import _remap_pairs, _solve, _vertex_pairs
 
 ADD_VERTEX = "+v"
 DEL_VERTEX = "-v"
@@ -119,92 +116,46 @@ def _cell(i: int, n: int, kind: str) -> int:
     return i
 
 
+def _field(g: GraphZigzag, name: str) -> tuple:
+    x = getattr(g, name)
+    try:
+        return tuple(x)
+    except TypeError:
+        raise InvalidInputError(f"{name} is not iterable: {x!r}") from None
+
+
 def _arrow(k: int) -> str:
     return f"arrow {k}" if k >= 0 else "initial graph"
 
 
-def _reroot(up: List[int], via: List[int], v: int, cut: int = -1) -> None:
-    """Make v the root of its forest tree by reversing its path to the root,
-    or, given the id of an edge on that path, to that edge, which is cut."""
-    below = e = -1
-    while True:  # the root's parent edge is -1, so the default stops there
-        up[v], via[v], below, e, v = below, e, v, via[v], up[v]
-        if e == cut:
-            return
-
-
-def _path_max(up: List[int], via: List[int], u: int, v: int) -> Tuple[int, bool]:
-    """Heaviest edge id on the forest path between u and v (in one tree),
-    and whether it is on u's side of the path.
-
-    The two ends climb in turn, one step each, until one reaches a node the
-    other has passed. Each passed node keeps the heaviest edge below it on
-    its side, so no depth is needed.
-    """
-    hu = hv = -1  # the heaviest edge on each climb so far
-    seen_u, seen_v = {u: -1}, {v: -1}
-    while True:
-        w = up[u]
-        if w >= 0:
-            if via[u] > hu:
-                hu = via[u]
-            u = w
-            h = seen_v.get(w)
-            if h is not None:
-                return (hu, True) if hu > h else (h, False)
-            seen_u[w] = hu
-        w = up[v]
-        if w >= 0:
-            if via[v] > hv:
-                hv = via[v]
-            v = w
-            h = seen_u.get(w)
-            if h is not None:
-                return (hv, False) if hv > h else (h, True)
-            seen_v[w] = hv
-
-
-def _copy_pairs(facets, dims, dels, repetitive) -> Tuple[array, int]:
+def _copy_pairs(facets, dims, dels) -> Tuple[array, int]:
     """Death table of the boundary-matrix pairs of the coned filtration of a
-    copy record (the graph case of ``pipeline._solve``'s input), without a
-    matrix, and the number of edge copies whose pairs it leaves out. With
-    ``repetitive`` the table is the one ``_solve`` returns, and none is left
-    out.
+    copy record walked from the dual zigzag of a standardized non-repetitive
+    filtration, without a matrix, and the number of edge copies whose pairs
+    it leaves out: ``pipeline._solve``'s table less those pairs.
 
     Columns are numbered as in ``_solve``: the apex 0, the up column s + 1
     of id s, and 2n - k for the cone over the k-th deleted id. A union-find
     keeps each root at its set's smallest column, so the younger of two
-    roots is the larger. Three passes give every pair, each writing
-    ``death[birth] = death column``:
+    roots is the larger. Two passes, each writing ``death[birth] = death
+    column``:
 
     a. ``_solve``'s union-find walk of dimension 0 (``pipeline._vertex_pairs``).
     b. A second union-find walks the copies in reverse order of deletion
        (the cone columns in order). An edge copy that merges two sets pairs
        the cone over the younger root's vertex with the cone over the edge.
-    c. An edge copy e that closes a cycle in pass b pairs the up column of
-       max(e, x) with the cone over e, where x is the heaviest edge id on
-       the path between e's ends in the minimum spanning forest (by id) of
-       the edge copies pass b has met; if e < x, e replaces x there.
+       One that closes a cycle is counted: it leaves one up column and one
+       cone column unpaired.
 
-    Pass c keeps the forest as parent pointers (``up``) and parent-edge ids
-    (``via``) over the cone columns of the vertex copies. A merge links e
-    by re-rooting its end in the smaller tree (sizes from pass b). A
-    replacement re-roots the end on x's side of the path only up to x,
-    which clears x's parent pointer (the cut), and links e there. The path
-    climbs make pass c superlinear: on swept grid tori its climb steps grow
-    as about m^1.5.
-
-    Pass c runs only if ``repetitive``. A record walked from the dual zigzag
-    of a standardized non-repetitive filtration is the disjoint union of two
-    graphs: the first copies, all added before the first arrow, and the
-    copies added at deletions, each deleted after the last arrow, since a
-    (p-1)-simplex not yet added has no p-coface added, and one deleted has
-    every p-coface deleted. No edge copy joins the two, so e and x are
-    copies of one kind, x is added before e is deleted, and ``_remap_pairs``
-    makes their pair a closed-closed interval of dimension 1, which
-    ``_arrow_fields`` drops. Pass b then only merges sets, and counts the
-    edge copies that close a cycle: each leaves one up column and one cone
-    column unpaired.
+    ``_solve`` pairs the cone over a cycle-closing edge copy e with the up
+    column of an edge copy x on the cycle e closes (x may be e). Such a
+    record is the disjoint union of two graphs: the first copies, all added
+    before the first arrow, and the copies added at deletions, each deleted
+    after the last arrow, since a (p-1)-simplex not yet added has no
+    p-coface added, and one deleted has every p-coface deleted. No edge copy
+    joins the two, so e and x are copies of one kind, x is added before e is
+    deleted, and ``_remap_pairs`` makes their pair a closed-closed interval
+    of dimension 1, which ``_arrow_fields`` drops.
     """
     n = len(dels)
     n2 = 2 * n
@@ -215,42 +166,20 @@ def _copy_pairs(facets, dims, dels, repetitive) -> Tuple[array, int]:
     at = [0] * n  # id -> its position among the deletions
     for k, s in enumerate(dels):
         at[s] = k
-    if repetitive:
-        size = [1] * (n2 + 1)  # pass b root -> its set's size
-        up = [-1] * (n2 + 1)  # pass c: forest parent, -1 at a root
-        via = [-1] * (n2 + 1)  # pass c: id of the edge to the forest parent
-    cycles = 0  # edge copies that close a cycle, counted while pass c is skipped
+    cycles = 0
     for k in range(n - 1, -1, -1):  # the cone columns in order
         s = dels[k]
         if not dims[s]:  # the cone over a vertex copy: pass a's
             continue
         a, b = facets[s]
-        u, v = n2 - at[a], n2 - at[b]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            if repetitive:
-                if size[ru] < size[rv]:
-                    u, v = v, u
-                _reroot(up, via, v)  # v lies in the smaller tree
-                up[v], via[v] = u, s
-                size[ru] = size[rv] = size[ru] + size[rv]  # at whichever root is kept
-            if ru > rv:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            death[rv] = n2 - k
-            continue
-        if not repetitive:
+        ru, rv = _find(parent, n2 - at[a]), _find(parent, n2 - at[b])
+        if ru == rv:
             cycles += 1
             continue
-        x, on_u = _path_max(up, via, u, v)
-        if s > x:
-            death[s + 1] = n2 - k
-            continue
-        death[x + 1] = n2 - k
-        if on_u:
-            u, v = v, u
-        _reroot(up, via, v, x)  # x is on v's side: cut it, and v roots what hung below it
-        up[v], via[v] = u, s
+        if ru > rv:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        death[rv] = n2 - k
     return death, cycles
 
 
@@ -263,13 +192,17 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     after the last, edges first; identity arrows add nothing. ``_copies``
     gives every (re)entry of a cell a fresh copy, so the copies form a
     standardized non-repetitive filtration, and ``_arrow_fields`` pairs them
-    and maps the intervals to g's arrows. This is the graph entry point; the
+    by ``pipeline._solve`` (g may repeat a cell) and maps the intervals to
+    g's arrows. This is the graph entry point; the
     manifold path hands the same two the dual zigzag of a filtration, walked
     on its sweep's ids with nothing left to check (``_relative_top``).
     """
-    nv, edges, m = g.n_vertices, g.edges, g.m
+    nv = g.n_vertices
     if type(nv) is not int or nv < 0:
         raise InvalidInputError(f"vertex count {nv!r} is not a non-negative int")
+    edges, events, initial_vertices, initial_edges = (
+        _field(g, k) for k in ("edges", "events", "initial_vertices", "initial_edges"))
+    m = len(events)
     seen = set()
     for e, ab in enumerate(edges):
         try:
@@ -317,11 +250,11 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
         present[j] = 0
         steps.append((False, j, k))
 
-    for v in sorted(_cell(v, nv, "vertex") for v in g.initial_vertices):
+    for v in sorted(_cell(v, nv, "vertex") for v in initial_vertices):
         enter(v, -1)
-    for e in sorted(_cell(e, ne, "edge") for e in g.initial_edges):
+    for e in sorted(_cell(e, ne, "edge") for e in initial_edges):
         enter(nv + e, -1)
-    for k, event in enumerate(g.events):
+    for k, event in enumerate(events):
         try:
             op, i = event
             move = _MOVES[op]
@@ -335,8 +268,8 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
         if present[j]:
             leave(j, m)
 
-    directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in g.events)
-    record = _copies(steps, ends)  # a graph zigzag's copies need all three passes
+    directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in events)
+    record = _copies(steps, ends)  # a graph zigzag may repeat a cell on the same ends
     return Barcode._of_fields(_arrow_fields(*record, directions, 0, repetitive=True), m, ABSOLUTE)
 
 
@@ -388,17 +321,22 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim,
     """Field tuples, in dimension dim, of the 0-dimensional intervals of a copy
     record in the arrows of the zigzag it was walked from.
 
-    ``_copy_pairs`` gives the death table of the record's coned filtration,
-    the same as ``pipeline._solve`` would, but for the pairs of dimension 1
-    it leaves out unless ``repetitive``, and ``_remap_pairs`` its intervals
-    in positions. An interval [b, d] of the copies becomes
-    [a(b-1) + 1, a(d)] in arrows, where a(i) is ``arrow_of[i]`` (-1 before
-    the first position and m after the last), and is dropped when it lives
-    only inside one arrow's positions. End types follow ``directions``, the
-    arrows' own.
+    The one choice of solver: a record walked from a ``repetitive`` zigzag
+    (every graph zigzag, which may repeat a cell) is paired by
+    ``pipeline._solve``, the standard-persistence solve of its coned
+    filtration; the dual zigzag of a non-repetitive filtration by
+    ``_copy_pairs``, two union-finds that leave out only pairs of dimension
+    1. ``_remap_pairs`` maps the death table to intervals in positions. An
+    interval [b, d] of the copies becomes [a(b-1) + 1, a(d)] in arrows,
+    where a(i) is ``arrow_of[i]`` (-1 before the first position and m after
+    the last), and is dropped when it lives only inside one arrow's
+    positions. End types follow ``directions``, the arrows' own.
     """
     m = len(directions)
-    death, unpaired = _copy_pairs(facets, dims, dels, repetitive)
+    if repetitive:
+        death, unpaired = _solve(facets, dims, dels)[0], 0
+    else:
+        death, unpaired = _copy_pairs(facets, dims, dels)
     at = [-1, *arrow_of, m]  # at[i]: the arrow of position i - 1
     out = []
     for q, b, d, _, _ in _remap_pairs(death, dims, dels, add_at, del_at, unpaired):
@@ -446,14 +384,11 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, recover: bo
     The walk reads each event's signed id, so a repetitive f walks too, and
     ``_copies`` records it as it does ``zero_dim_zigzag``'s.
 
-    The passes are told whether f is repetitive (the sweep's ``repetition``).
-    A non-repetitive f adds no p-coface of a (p-1)-simplex before the
-    simplex itself, and deletes every p-coface before it. So the dual
-    zigzag is two graphs that no edge copy joins: a shrinking one, the
-    first copies, and a growing one, the copies made at deletions, which
-    leave only after the last arrow. A cycle-closing edge copy's pair is
-    then a closed-closed interval of dimension 1, which the dimension-0
-    barcode drops, and ``_copy_pairs`` skips its spanning-forest pass.
+    ``_arrow_fields`` is told whether f is repetitive (the sweep's
+    ``repetition``). A non-repetitive f adds no p-coface of a (p-1)-simplex
+    before the simplex itself, and deletes every p-coface before it, so its
+    dual zigzag is the two graphs that ``_copy_pairs`` pairs with two
+    union-finds. A repetitive f goes to ``pipeline._solve``.
     """
     sw = _admitted_filling(f, K, "manifold path")
     tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)

@@ -24,8 +24,10 @@ from ``_solve`` on an up-down filtration's own sweep, into the two-sided
 barcode.
 ``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
 graph zigzag, and ``manifold.relative_top_barcode`` as it walks a dual
-zigzag on the sweep's ids; both fill the same death table from matrix-free
-passes (``manifold._copy_pairs``, the first of them ``_vertex_pairs``) and
+zigzag on the sweep's ids; a repetitive walk's record, and every graph
+zigzag's, goes through ``_solve``, and the dual zigzag of a non-repetitive
+filtration through two union-finds (``manifold._copy_pairs``, the first of
+them ``_vertex_pairs``) that leave out only pairs of dimension 1. Both
 share ``_remap_pairs``. The public steps (``to_updown``,
 ``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
 reduce the boundary matrix and are the specification it is tested
@@ -334,8 +336,8 @@ def _remap_pairs(death, dims, dels, add_at, del_at,
     del_at give each id's event index. Column c <= n is the up column of id
     c - 1; column c > n is the cone over dels[2n - c]. ``unpaired`` is the
     number of pairs the table leaves out (``manifold._copy_pairs`` leaves
-    out those of the dimension-1 intervals it does not need); the apex stays
-    unpaired.
+    out those of the dimension-1 intervals the non-repetitive manifold path
+    drops; ``_solve`` leaves out none); the apex stays unpaired.
     Must stay interval-for-interval equal to the composed public operations
     (a property test holds it to that).
     """

@@ -799,12 +799,12 @@ def test_manifold_recover_admits_once_as_the_two_public_calls(text, p, tmp_path,
         calls.append(g)
         return inner(g)
 
-    def walk_spy(*record, inner=manifold._copy_pairs):
+    def walk_spy(*record, inner=manifold._arrow_fields):
         walks.append(record)
         return inner(*record)
 
     monkeypatch.setattr(zzpers.filtration, "_sweep", spy)
-    monkeypatch.setattr(manifold, "_copy_pairs", walk_spy)
+    monkeypatch.setattr(manifold, "_arrow_fields", walk_spy)
     code = main(["manifold", str(path), "--p", str(p), "--recover"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == want

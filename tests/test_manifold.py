@@ -45,6 +45,7 @@ from zzpers.cli import main
 from zzpers.io import OffMesh, format_filtration, generate
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.oracle import sequence_barcode
+from zzpers.pipeline import _solve
 from zzpers.rng import SplitMix64
 from conftest import (
     grid_torus,
@@ -286,22 +287,22 @@ MANIFOLDS = {"octahedron": (octahedron, 2), "grid_torus": (grid_torus, 2),
              "octahedra_wedge": (octahedra_wedge, 2), "polygon": (polygon, 1)}
 
 
-class _ForestStep(AssertionError):
+class _MatrixSolve(AssertionError):
     pass
 
 
-def _forest_spy(monkeypatch):
-    """Make the steps of pass c's forest (``_path_max``, ``_reroot``) count
-    their calls in the dict returned, and raise while its "armed" is set."""
-    calls = {"armed": True, "_path_max": 0, "_reroot": 0}
-    for name in ("_path_max", "_reroot"):
-        def spy(*args, name=name, inner=getattr(manifold, name)):
-            calls[name] += 1
-            if calls["armed"]:
-                raise _ForestStep(f"{name} ran on a non-repetitive walk")
-            return inner(*args)
+def _solve_spy(monkeypatch):
+    """Make ``pipeline._solve``, as the manifold module calls it, count its
+    calls in the dict returned, and raise while its "armed" is set."""
+    calls = {"armed": True, "solves": 0}
 
-        monkeypatch.setattr(manifold, name, spy)
+    def spy(*args, inner=manifold._solve):
+        calls["solves"] += 1
+        if calls["armed"]:
+            raise _MatrixSolve("_solve ran on a non-repetitive walk")
+        return inner(*args)
+
+    monkeypatch.setattr(manifold, "_solve", spy)
     return calls
 
 
@@ -309,13 +310,13 @@ def _forest_spy(monkeypatch):
 def test_relative_top_barcode_equals_the_graph_route(name, monkeypatch):
     """Same barcode, and the same copy record: the initial copies come in
     the dual graph's order, as the graph route adds them. The walk of f
-    runs no forest step, that of its repetitive tail does; the first cases
-    are held to the brute-force oracle too."""
+    runs no matrix solve, that of its repetitive tail runs one; the first
+    cases are held to the brute-force oracle too."""
     make, p = MANIFOLDS[name]
     K = make()
     tops = K.of_dim(p)
     records = _capture_copy_records(monkeypatch)
-    calls = _forest_spy(monkeypatch)
+    calls = _solve_spy(monkeypatch)
     rng = SplitMix64(0x5EE)
     for case in range(40):
         f = random_nonrepetitive(rng, sorted(K.simplex_set()))
@@ -326,10 +327,10 @@ def test_relative_top_barcode_equals_the_graph_route(name, monkeypatch):
         repetitive = ZigzagFiltration([*f.events, *tail])
         assert find_repetition(repetitive) is not None
         for g in (f, repetitive):
-            calls.update(armed=g is f, _path_max=0, _reroot=0)
+            calls.update(armed=g is f, solves=0)
             rel = relative_top_barcode(g, K, p)
-            assert (calls["_path_max"] > 0, calls["_reroot"] > 0) == (g is repetitive,) * 2
-            calls["armed"] = False  # the graph route runs all three passes
+            assert calls["solves"] == (g is repetitive)
+            calls["armed"] = False  # the graph route pairs every record by the matrix solve
             assert rel == _graph_route(g, K, p), g
             assert records[-2] == records[-1]
             assert rel.kind == RELATIVE and rel.m == len(g) and len(rel)
@@ -338,15 +339,15 @@ def test_relative_top_barcode_equals_the_graph_route(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(MANIFOLDS))
-def test_a_non_repetitive_walk_runs_no_forest_step(name, monkeypatch, tmp_path, capsys):
+def test_a_non_repetitive_walk_runs_no_matrix_solve(name, monkeypatch, tmp_path, capsys):
     """relative_top_barcode, manifold_absolute_barcode and ``zzpers manifold
-    --recover`` on non-repetitive filtrations: no spanning-forest pass."""
+    --recover`` on non-repetitive filtrations: two union-finds, no ``_solve``."""
     make, p = MANIFOLDS[name]
     K = make()
     rng = SplitMix64(0xF0)
     cases = [random_nonrepetitive(rng, sorted(K.simplex_set())) for _ in range(8)]
     want = [(relative_top_barcode(f, K, p), manifold_absolute_barcode(f, K, p)) for f in cases]
-    calls = _forest_spy(monkeypatch)
+    calls = _solve_spy(monkeypatch)
     path = tmp_path / "f.zz"
     for f, (rel, absolute) in zip(cases, want):
         assert relative_top_barcode(f, K, p) == rel
@@ -354,26 +355,30 @@ def test_a_non_repetitive_walk_runs_no_forest_step(name, monkeypatch, tmp_path, 
         path.write_text(format_filtration(f))
         assert main(["manifold", str(path), "--p", str(p), "--recover"]) == 0
         assert capsys.readouterr().out == rel.to_text() + absolute.to_text()
-    assert calls == {"armed": True, "_path_max": 0, "_reroot": 0}
+    assert calls == {"armed": True, "solves": 0}
 
 
-def test_a_repetitive_walk_keeps_the_forest_pass(monkeypatch):
+def test_a_repetitive_walk_goes_through_the_matrix_solve(monkeypatch):
     """A triangle built and torn down, then two of its vertices again: the
-    interval [14, 14] needs pass c, and skipping it would lose it."""
+    interval [14, 14] needs the matrix solve, and the two union-finds of
+    the non-repetitive walk would lose it."""
     f = zz("a 0", "a 1", "a 2", "a 0 1", "a 0 2", "a 1 2", "d 0 1", "d 0 2", "d 1 2", "d 1",
            "d 2", "d 0", "a 2", "a 0", "d 2", "d 0")
     K = polygon(3)
+    calls = _solve_spy(monkeypatch)
+    calls["armed"] = False
     rel = relative_top_barcode(f, K, 1)
+    assert calls["solves"] == 1
     assert rel == _graph_route(f, K, 1) == oracle_relative(f).in_dim(1)
-    passes = manifold._copy_pairs
-    monkeypatch.setattr(manifold, "_copy_pairs",
-                        lambda facets, dims, dels, repetitive: passes(facets, dims, dels, False))
+    arrow_fields = manifold._arrow_fields
+    monkeypatch.setattr(manifold, "_arrow_fields", lambda *args: arrow_fields(*args[:-1], False))
+    calls["armed"] = True
     skipped = relative_top_barcode(f, K, 1)
     assert set(rel.to_text().splitlines()) - set(skipped.to_text().splitlines()) == {"1 14 14 cc"}
 
 
 def test_the_pairs_the_walk_leaves_out_are_closed_closed_of_dimension_1(monkeypatch):
-    """On a non-repetitive walk, the table without pass c is the full one less
+    """On a non-repetitive walk, the union-finds' table is ``_solve``'s less
     the pairs of the cycle-closing edge copies, which remap to closed-closed
     intervals of dimension 1; ``_remap_pairs`` expects exactly that count."""
     passes, remap = manifold._copy_pairs, manifold._remap_pairs
@@ -384,9 +389,9 @@ def test_the_pairs_the_walk_leaves_out_are_closed_closed_of_dimension_1(monkeypa
         f = random_nonrepetitive(rng, sorted(K.simplex_set()))
         relative_top_barcode(f, K, p)
         facets, dims, dels, add_at, del_at = records[-1]
-        full, none = passes(facets, dims, dels, True)
-        death, unpaired = passes(facets, dims, dels, False)
-        assert none == 0 < unpaired == death.count(-1) - full.count(-1)
+        full = _solve(facets, dims, dels)[0]
+        death, unpaired = passes(facets, dims, dels)
+        assert 0 < unpaired == death.count(-1) - full.count(-1)
         assert all(d in (-1, full[b]) for b, d in enumerate(death))
         kept = Counter(remap(death, dims, dels, add_at, del_at, unpaired))
         left_out = Counter(remap(full, dims, dels, add_at, del_at)) - kept
@@ -398,6 +403,17 @@ def test_the_pairs_the_walk_leaves_out_are_closed_closed_of_dimension_1(monkeypa
         death[0] = len(death) - 1  # one more pair, at the apex
         with pytest.raises(InternalInconsistencyError, match="^apex column appears in a pair$"):
             remap(death, dims, dels, add_at, del_at, unpaired - 1)
+
+
+@pytest.mark.parametrize("p", ["1", 1.0, True], ids=["str", "float", "bool"])
+def test_the_manifold_entries_refuse_a_p_that_is_no_int(p):
+    K = polygon(3)
+    f = random_nonrepetitive(SplitMix64(0xF3), sorted(K.simplex_set()))
+    for call in (relative_top_barcode, manifold_absolute_barcode, dual_filtration,
+                 lambda f, K, p: dual_graph(K, p)):
+        with pytest.raises(InvalidInputError) as err:
+            call(f, K, p)
+        assert str(err.value) == f"dual graph needs an int p, got {p!r}"
 
 
 def _refusal(call, *args):
@@ -525,12 +541,18 @@ PATH3 = ((0, 1), (1, 2))
          "vertex index True out of range for 3 vertices", 3),
         (PATH3, ((ADD_EDGE, 1), (DEL_VERTEX, 0)), (0, 1, 2), (0,),
          "arrow 1: vertex 0 deleted while an edge at it is present", 3),
+        # a field that is not iterable; the initial sets are passed as they are
+        (None, (), (), (), "edges is not iterable: None", 2),
+        ((), None, (), (), "events is not iterable: None", 2),
+        (PATH3, (), 5, (), "initial_vertices is not iterable: 5", 3),
+        (PATH3, (), (), None, "initial_edges is not iterable: None", 3),
     ],
 )
 def test_zero_dim_zigzag_rejects_malformed_graph_zigzags(
     edges, events, init_v, init_e, message, nv
 ):
-    g = GraphZigzag(nv, edges, events, frozenset(init_v), frozenset(init_e))
+    init_v, init_e = (frozenset(x) if type(x) is tuple else x for x in (init_v, init_e))
+    g = GraphZigzag(nv, edges, events, init_v, init_e)
     with pytest.raises(InvalidInputError) as err:
         zero_dim_zigzag(g)
     assert str(err.value) == message
@@ -623,22 +645,17 @@ def test_zero_dim_zigzag_matches_oracle_on_random_graph_zigzags():
 
 
 def _capture_copy_records(monkeypatch):
-    """Make the manifold module record each copy record it hands its passes:
-    the list returned gets [facets, dims, dels, add_at, del_at] per call."""
+    """Make the manifold module record each copy record its walks hand
+    ``_arrow_fields``, whichever solver then pairs it: the list returned
+    gets [facets, dims, dels, add_at, del_at] per call."""
     records = []
-    passes, remap = manifold._copy_pairs, manifold._remap_pairs
 
-    def capture_passes(facets, dims, dels, repetitive):
-        records.append([facets, dims, dels])
-        return passes(facets, dims, dels, repetitive)
+    def capture(facets, dims, dels, add_at, del_at, *rest, inner=manifold._arrow_fields,
+                **options):
+        records.append([facets, dims, dels, add_at, del_at])
+        return inner(facets, dims, dels, add_at, del_at, *rest, **options)
 
-    def capture_remap(death, dims, dels, add_at, del_at, unpaired):
-        assert records[-1][1:] == [dims, dels]
-        records[-1] += [add_at, del_at]
-        return remap(death, dims, dels, add_at, del_at, unpaired)
-
-    monkeypatch.setattr(manifold, "_copy_pairs", capture_passes)
-    monkeypatch.setattr(manifold, "_remap_pairs", capture_remap)
+    monkeypatch.setattr(manifold, "_arrow_fields", capture)
     return records
 
 
@@ -692,20 +709,18 @@ def test_the_manifold_walk_hands_its_passes_a_valid_copy_record(monkeypatch):
 
 def test_zero_dim_zigzag_builds_no_simplex_event_or_sweep(monkeypatch):
     import zzpers.filtration
-    import zzpers.pipeline
     import zzpers.reduction
 
     g = _random_graph_zigzag(SplitMix64(7), 24)
     expected = zero_dim_zigzag(g)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("zero_dim_zigzag built a simplex, an event, a sweep or a matrix")
+        raise AssertionError("zero_dim_zigzag built a simplex, an event or a sweep, or ran reduce")
 
     monkeypatch.setattr(Simplex, "__init__", forbidden)
     monkeypatch.setattr(Simplex, "_from_sorted", forbidden)
     monkeypatch.setattr(FiltrationEvent, "__init__", forbidden)
     monkeypatch.setattr(zzpers.filtration, "_sweep", forbidden)
-    monkeypatch.setattr(zzpers.pipeline, "_solve", forbidden)
     monkeypatch.setattr(zzpers.reduction, "_reduce", forbidden)
     assert zero_dim_zigzag(g) == expected
     assert expected.m == 24 and len(expected)
