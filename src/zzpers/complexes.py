@@ -273,6 +273,12 @@ def dual_graph(K: SimplicialComplex, p: int) -> DualGraph:
     return DualGraph(p, K.of_dim(p), K.of_dim(p - 1), edges)
 
 
+def _refuse_non_int_p(p) -> None:
+    """InvalidInputError for a top dimension p that is not an int (a bool is not)."""
+    if type(p) is not int:
+        raise InvalidInputError(f"dual graph needs an int p, got {p!r}")
+
+
 def _dual_cells(K: SimplicialComplex, p: int, vts, facets, idof):
     """The dual graph of K on dense ids: its vertices (the p-ids) and edges
     (the (p-1)-ids), each in K's order, and per id the ends of its dual
@@ -288,8 +294,7 @@ def _dual_cells(K: SimplicialComplex, p: int, vts, facets, idof):
     simplex that is no face of a p-simplex; a Simplex is built only to name
     an offender.
     """
-    if type(p) is not int:
-        raise InvalidInputError(f"dual graph needs an int p, got {p!r}")
+    _refuse_non_int_p(p)
     if p < 1:
         raise InvalidInputError("dual graph needs p >= 1")
     if K.dim > p:

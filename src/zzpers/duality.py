@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List
 
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, _trusted_interval
-from .complexes import SimplicialComplex, _find
+from .complexes import SimplicialComplex, _find, _refuse_non_int_p
 from .errors import ContractViolationError, InternalInconsistencyError, InvalidInputError
 from .errors import NotStandardizedError
 from .filtration import ADD, DEL, ZigzagFiltration, _Sweep, _admitted, _event_text
@@ -66,6 +66,9 @@ def recover_absolute_from_relative(
     emitted. Inconsistent inputs raise rather than being repaired: this
     operation consumes computed data, so mismatches mean an upstream bug.
 
+    A p that is not an int raises InvalidInputError, after the admission,
+    as in the other manifold entries.
+
     K is read only by the fill check: the strong components come from the
     facet ids of f's admission sweep (``_top_components``). The cyclic
     garbage collector is paused for the call, as in ``compute_zigzag``: the
@@ -73,6 +76,7 @@ def recover_absolute_from_relative(
     """
     with _gc_paused():
         sw = _admitted_filling(f, K, "recovery")
+        _refuse_non_int_p(p)
         if rel_p.kind != RELATIVE:
             raise ContractViolationError("recovery needs a relative barcode")
         if rel_p.m != len(f):

@@ -8,33 +8,35 @@ simplices below dimension p-1 become identity arrows (kept so indices stay
 aligned). The 0-dimensional barcode of that graph zigzag equals the
 dimension-p relative barcode of the filtration.
 
-The dual zigzag is generally repetitive (a dual cell leaves when its
-primal simplex is added and comes back when it is deleted). Giving every
-re-entry a fresh copy of the cell makes it a non-repetitive filtration
-(the copy trick of Dey & Hou, *Fast Computation of Zigzag Persistence*,
-ESA 2022). A walk over the zigzag gives the copies dense ids and records
-them as the pipeline's solve reads them, so no simplex, event or
-filtration is built for them. ``relative_top_barcode`` walks the dual
-zigzag of f straight on the ids of f's admission sweep (``_relative_top``),
-with no dual graph or graph zigzag built, and ``_relative_and_recovered``
-recovers on that walk, the one recovery entry of the library and of
-``zzpers manifold --recover``. ``zero_dim_zigzag`` walks a given
-``GraphZigzag``, checking it cell by cell. Both walks hand their steps to
-one recorder (``_copies``) and the record to one tail (``_arrow_fields``),
-which picks the solver of the copies' coned filtration. The dual zigzag of
-a non-repetitive filtration splits into a shrinking and a growing graph,
-and the pairs that two union-finds (the first the pipeline's) leave out
-there are all of dimension 1 (``_copy_pairs``); so the paper's case, the
-p-th persistence of a non-repetitive filtration, is near linear: the walk
-and two union-finds, with no matrix. Every other record, a repetitive f's
-and every graph zigzag's, goes to the pipeline's standard-persistence
-solve (``pipeline._solve``). ``pipeline._remap_pairs`` maps the pairs to
-intervals, which go to the zigzag's arrows.
+The paper's case, the p-th persistence of a non-repetitive filtration, is
+near linear: each simplex is added once and deleted once, and a ridge is
+added before its two top cofaces and deleted after them, so the dual
+zigzag is a shrinking graph (cells present before their primal simplex is
+added) and a growing one (after it is deleted) that no edge joins, and two
+elder-rule union-finds over the dual graph, walked over f's additions
+backwards and its deletions forwards, give its 0-dimensional barcode
+(``_top_fields``). ``relative_top_barcode`` reads their order
+straight off f's admission sweep (``_relative_top``), with no dual graph,
+graph zigzag or matrix built, and ``_relative_and_recovered`` recovers on
+that sweep, the one recovery entry of the library and of ``zzpers manifold
+--recover``.
+
+Any other zigzag of subgraphs may bring a cell back (the dual zigzag of a
+repetitive filtration, and any ``GraphZigzag``). Giving every (re)entry a
+fresh copy of the cell makes it a non-repetitive filtration (the copy trick
+of Dey & Hou, *Fast Computation of Zigzag Persistence*, ESA 2022). A walk
+over the zigzag gives the copies dense ids and records them as the
+pipeline's solve reads them (``_copies``), so no simplex, event or
+filtration is built for them: ``relative_top_barcode`` walks a repetitive
+f's dual zigzag on its sweep's ids, and ``zero_dim_zigzag`` walks a given
+``GraphZigzag``, checking it cell by cell. ``_arrow_fields`` pairs the
+record by the pipeline's standard-persistence solve (``pipeline._solve``),
+maps the pairs to intervals (``pipeline._remap_pairs``) and those to the
+zigzag's arrows.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain, islice, repeat
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -44,7 +46,7 @@ from .duality import _admitted_filling, _recovered, _top_components
 from .errors import InvalidInputError
 from .filtration import ADD, DEL, ZigzagFiltration, _directions, _gc_paused
 from .filtration import _raise_if_repetitive
-from .pipeline import _remap_pairs, _solve, _vertex_pairs
+from .pipeline import _remap_pairs, _solve
 
 ADD_VERTEX = "+v"
 DEL_VERTEX = "-v"
@@ -128,61 +130,6 @@ def _arrow(k: int) -> str:
     return f"arrow {k}" if k >= 0 else "initial graph"
 
 
-def _copy_pairs(facets, dims, dels) -> Tuple[array, int]:
-    """Death table of the boundary-matrix pairs of the coned filtration of a
-    copy record walked from the dual zigzag of a standardized non-repetitive
-    filtration, without a matrix, and the number of edge copies whose pairs
-    it leaves out: ``pipeline._solve``'s table less those pairs.
-
-    Columns are numbered as in ``_solve``: the apex 0, the up column s + 1
-    of id s, and 2n - k for the cone over the k-th deleted id. A union-find
-    keeps each root at its set's smallest column, so the younger of two
-    roots is the larger. Two passes, each writing ``death[birth] = death
-    column``:
-
-    a. ``_solve``'s union-find walk of dimension 0 (``pipeline._vertex_pairs``).
-    b. A second union-find walks the copies in reverse order of deletion
-       (the cone columns in order). An edge copy that merges two sets pairs
-       the cone over the younger root's vertex with the cone over the edge.
-       One that closes a cycle is counted: it leaves one up column and one
-       cone column unpaired.
-
-    ``_solve`` pairs the cone over a cycle-closing edge copy e with the up
-    column of an edge copy x on the cycle e closes (x may be e). Such a
-    record is the disjoint union of two graphs: the first copies, all added
-    before the first arrow, and the copies added at deletions, each deleted
-    after the last arrow, since a (p-1)-simplex not yet added has no
-    p-coface added, and one deleted has every p-coface deleted. No edge copy
-    joins the two, so e and x are copies of one kind, x is added before e is
-    deleted, and ``_remap_pairs`` makes their pair a closed-closed interval
-    of dimension 1, which ``_arrow_fields`` drops.
-    """
-    n = len(dels)
-    n2 = 2 * n
-    death = array("l", [-1]) * (n2 + 1)  # birth column -> death column
-    for b, d in _vertex_pairs(facets, dims, dels):  # a
-        death[b] = d
-    parent = list(range(n2 + 1))  # pass b, on the cone columns n+1..2n
-    at = [0] * n  # id -> its position among the deletions
-    for k, s in enumerate(dels):
-        at[s] = k
-    cycles = 0
-    for k in range(n - 1, -1, -1):  # the cone columns in order
-        s = dels[k]
-        if not dims[s]:  # the cone over a vertex copy: pass a's
-            continue
-        a, b = facets[s]
-        ru, rv = _find(parent, n2 - at[a]), _find(parent, n2 - at[b])
-        if ru == rv:
-            cycles += 1
-            continue
-        if ru > rv:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        death[rv] = n2 - k
-    return death, cycles
-
-
 def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     """0-dimensional barcode of the graph zigzag, from the pairs of its copies.
 
@@ -193,9 +140,9 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     gives every (re)entry of a cell a fresh copy, so the copies form a
     standardized non-repetitive filtration, and ``_arrow_fields`` pairs them
     by ``pipeline._solve`` (g may repeat a cell) and maps the intervals to
-    g's arrows. This is the graph entry point; the
-    manifold path hands the same two the dual zigzag of a filtration, walked
-    on its sweep's ids with nothing left to check (``_relative_top``).
+    g's arrows. This is the graph entry point; the manifold path hands the
+    same two the dual zigzag of a repetitive filtration, walked on its
+    sweep's ids with nothing left to check (``_relative_top``).
     """
     nv = g.n_vertices
     if type(nv) is not int or nv < 0:
@@ -270,7 +217,7 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
 
     directions = tuple(ADD if op in _FORWARD_OPS else DEL for op, _ in events)
     record = _copies(steps, ends)  # a graph zigzag may repeat a cell on the same ends
-    return Barcode._of_fields(_arrow_fields(*record, directions, 0, repetitive=True), m, ABSOLUTE)
+    return Barcode._of_fields(_arrow_fields(*record, directions, 0), m, ABSOLUTE)
 
 
 def _copies(steps, ends):
@@ -316,30 +263,23 @@ def _copies(steps, ends):
     return facets, dims, dels, add_at, del_at, arrow_of
 
 
-def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim,
-                  repetitive):
+def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim):
     """Field tuples, in dimension dim, of the 0-dimensional intervals of a copy
     record in the arrows of the zigzag it was walked from.
 
-    The one choice of solver: a record walked from a ``repetitive`` zigzag
-    (every graph zigzag, which may repeat a cell) is paired by
-    ``pipeline._solve``, the standard-persistence solve of its coned
-    filtration; the dual zigzag of a non-repetitive filtration by
-    ``_copy_pairs``, two union-finds that leave out only pairs of dimension
-    1. ``_remap_pairs`` maps the death table to intervals in positions. An
-    interval [b, d] of the copies becomes [a(b-1) + 1, a(d)] in arrows,
-    where a(i) is ``arrow_of[i]`` (-1 before the first position and m after
-    the last), and is dropped when it lives only inside one arrow's
-    positions. End types follow ``directions``, the arrows' own.
+    ``pipeline._solve``, the standard-persistence solve of the copies' coned
+    filtration, pairs the record, and ``_remap_pairs`` maps the death table
+    to intervals in positions. An interval [b, d] of the copies becomes
+    [a(b-1) + 1, a(d)] in arrows, where a(i) is ``arrow_of[i]`` (-1 before
+    the first position and m after the last), and is dropped when it lives
+    only inside one arrow's positions. End types follow ``directions``, the
+    arrows' own: closed at b when b = 0 or arrow b - 1 adds, closed at d when
+    d = m or arrow d deletes.
     """
     m = len(directions)
-    if repetitive:
-        death, unpaired = _solve(facets, dims, dels)[0], 0
-    else:
-        death, unpaired = _copy_pairs(facets, dims, dels)
     at = [-1, *arrow_of, m]  # at[i]: the arrow of position i - 1
     out = []
-    for q, b, d, _, _ in _remap_pairs(death, dims, dels, add_at, del_at, unpaired):
+    for q, b, d, _, _ in _remap_pairs(_solve(facets, dims, dels)[0], dims, dels, add_at, del_at):
         b, d = at[b] + 1, at[d + 1]
         if q == 0 and b <= d:
             out.append((dim, b, d, CLOSED if b == 0 or directions[b - 1] == ADD else OPEN,
@@ -347,19 +287,75 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim,
     return out
 
 
+def _top_fields(tops, ends, ids, add_at, del_at, p):
+    """Field tuples of the dimension-p relative barcode of a standardized
+    non-repetitive f, whose signed ids are ``ids``, from two elder-rule
+    union-finds over its dual graph: the p-ids ``tops`` as vertices, the
+    (p-1)-ids as edges joining their ``ends`` (a pair only for a (p-1)-id);
+    ``add_at`` and ``del_at`` give each top's event index.
+
+    A dual cell is present while its primal simplex is absent. A ridge is
+    added before its two p-cofaces and deleted after them, so the dual
+    zigzag is two graphs that no edge joins, each moving one way:
+
+    S. The shrinking graph, walked backwards over f's additions: a top t is
+       born at a_t, its addition. A ridge added at k that joins two sets
+       kills the one born at the smaller a, giving [k + 1, a]; each set
+       left gives [0, a] at its root.
+    R. The growing graph, walked forwards over f's deletions: t is born at
+       d_t, its deletion. A ridge deleted at k that joins two sets kills
+       the one born at the larger d, giving [d + 1, k]; each set left gives
+       [d + 1, m] at its root.
+
+    Each walk is one scan of ``ids``, so no ridge is sorted or looked up. A
+    ridge that closes a cycle is skipped: it carries a class of dimension
+    1, which the 0-dimensional barcode drops. End types follow f's arrows
+    as ``_arrow_fields`` reads them: an interval of S starts at 0 or after
+    an addition and ends before one, so it is closed-open; one of R starts
+    after a deletion and ends before one or at m, so it is open-closed.
+    """
+    m = len(ids)
+    out = []
+    parent = list(range(len(ends)))  # S: each root its set's last-added top
+    for k in range(m - 1, -1, -1):
+        s = ids[k]
+        if s >= 0 and ends[s]:
+            a, b = ends[s]
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                if add_at[ra] > add_at[rb]:
+                    ra, rb = rb, ra
+                parent[ra] = rb
+                out.append((p, k + 1, add_at[ra], CLOSED, OPEN))
+    out += [(p, 0, add_at[t], CLOSED, OPEN) for t in tops if parent[t] == t]
+    parent = list(range(len(ends)))  # R: each root its set's first-deleted top
+    for k, s in enumerate(ids):
+        if s < 0 and ends[~s]:
+            a, b = ends[~s]
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                if del_at[ra] < del_at[rb]:
+                    ra, rb = rb, ra
+                parent[ra] = rb
+                out.append((p, del_at[ra] + 1, k, OPEN, CLOSED))
+    out += [(p, del_at[t] + 1, m, OPEN, CLOSED) for t in tops if parent[t] == t]
+    return out
+
+
 def relative_top_barcode(f: ZigzagFiltration, K: SimplicialComplex, p: int) -> Barcode:
     """Dimension-p relative barcode of a filtration of a closed p-manifold or pseudomanifold.
 
     Computed as the 0-dimensional barcode of the dual-graph complement
-    zigzag, walked on the ids of f's admission sweep (``_relative_top``);
-    end types come from the relative arrows, which follow f's own
-    directions. f passes the shared admission (``filtration._admitted``,
-    InvalidInputError otherwise) and fills K; it may be repetitive. K must
-    be a closed p-(pseudo)manifold, else NotAManifoldError with the texts of
-    ``complexes.dual_graph``.
+    zigzag, read off f's admission sweep (``_relative_top``): two
+    union-finds for a non-repetitive f, the copy walk and the matrix solve
+    for a repetitive one; end types come from the relative arrows, which
+    follow f's own directions. f passes the shared admission
+    (``filtration._admitted``, InvalidInputError otherwise) and fills K; it
+    may be repetitive. K must be a closed p-(pseudo)manifold, else
+    NotAManifoldError with the texts of ``complexes.dual_graph``.
 
     The cyclic garbage collector is paused for the call, as in
-    ``compute_zigzag``: the walk and the passes build no reference cycle.
+    ``compute_zigzag``: the passes and the walk build no reference cycle.
     """
     with _gc_paused():
         return _relative_top(f, K, p, recover=False)[0]
@@ -369,41 +365,43 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, recover: bo
     """``relative_top_barcode`` and what ``duality._recovered`` reads of f's
     one admission sweep: its signed ids, vertex tuples and, if ``recover``,
     the strong components of its p-ids (``duality._top_components``), a
-    repetitive f then refused after the manifold checks, before the walk.
+    repetitive f then refused after the manifold checks, before the passes.
     The caller pauses the collector.
 
     Admission, the fill check and the manifold checks of ``dual_graph`` on
     the sweep's ids and vertex-tuple index (``_dual_cells``) make the dual
     zigzag valid, so nothing of it is checked again. Its vertices are the
     p-ids and its edges the (p-1)-ids, whose ends are their two p-cofaces.
-    f is standardized, so the whole dual graph enters before arrow 0, in
-    its own order (vertex tuples ascending), and leaves after arrow m - 1,
-    edges first. Adding a p- or (p-1)-simplex deletes the present copy of
-    its dual cell, and deleting it adds a fresh copy, an edge's facets the
-    present copies of its two ends; events on lower simplices add nothing.
-    The walk reads each event's signed id, so a repetitive f walks too, and
-    ``_copies`` records it as it does ``zero_dim_zigzag``'s.
 
-    ``_arrow_fields`` is told whether f is repetitive (the sweep's
-    ``repetition``). A non-repetitive f adds no p-coface of a (p-1)-simplex
-    before the simplex itself, and deletes every p-coface before it, so its
-    dual zigzag is the two graphs that ``_copy_pairs`` pairs with two
-    union-finds. A repetitive f goes to ``pipeline._solve``.
+    A non-repetitive f (the sweep's ``repetition`` is None) adds and deletes
+    each simplex once, and ``_top_fields`` pairs its dual zigzag from the
+    sweep's signed ids, with two union-finds and no copy record.
+    A repetitive f is walked: f is standardized, so the whole dual graph
+    enters before arrow 0, in its own order (vertex tuples ascending), and
+    leaves after arrow m - 1, edges first. Adding a p- or (p-1)-simplex
+    deletes the present copy of its dual cell, and deleting it adds a fresh
+    copy, an edge's facets the present copies of its two ends; events on
+    lower simplices add nothing. ``_copies`` records the walk as it does
+    ``zero_dim_zigzag``'s, and ``_arrow_fields`` pairs it by
+    ``pipeline._solve``.
     """
     sw = _admitted_filling(f, K, "manifold path")
     tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)
     if recover:
         _raise_if_repetitive(sw.repetition)
     comps = _top_components(sw.vts, sw.dims, sw.facets, p) if recover else None
-    ids, vts, repetitive = sw.ids, sw.vts, sw.repetition is not None
-    del sw  # the walk reads only the signed ids
+    ids, vts, add_at, del_at, repetition = sw.ids, sw.vts, sw.add_at, sw.del_at, sw.repetition
+    del sw  # the passes read the signed ids and event indices, the walk only the ids
     m = len(f)
-    steps = chain(  # a dual cell enters when its primal simplex is deleted
-        zip(repeat(True), tops + ridges, repeat(-1)),  # the whole dual graph enters first
-        ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
-        zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
-    )
-    fields = _arrow_fields(*_copies(steps, ends), _directions(ids), p, repetitive)
+    if repetition is None:
+        fields = _top_fields(tops, ends, ids, add_at, del_at, p)
+    else:
+        steps = chain(  # a dual cell enters when its primal simplex is deleted
+            zip(repeat(True), tops + ridges, repeat(-1)),  # the whole dual graph enters first
+            ((j < 0, j if j >= 0 else ~j, k) for k, j in enumerate(ids)),
+            zip(repeat(False), ridges + tops, repeat(m)),  # and leaves after the last arrow
+        )
+        fields = _arrow_fields(*_copies(steps, ends), _directions(ids), p)
     return Barcode._of_fields(fields, m, RELATIVE), (ids, vts, comps)
 
 

@@ -23,12 +23,11 @@ list in place and keeps it. ``extended_barcode`` reads the same table,
 from ``_solve`` on an up-down filtration's own sweep, into the two-sided
 barcode.
 ``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
-graph zigzag, and ``manifold.relative_top_barcode`` as it walks a dual
-zigzag on the sweep's ids; a repetitive walk's record, and every graph
-zigzag's, goes through ``_solve``, and the dual zigzag of a non-repetitive
-filtration through two union-finds (``manifold._copy_pairs``, the first of
-them ``_vertex_pairs``) that leave out only pairs of dimension 1. Both
-share ``_remap_pairs``. The public steps (``to_updown``,
+graph zigzag, and ``manifold.relative_top_barcode`` as it walks the dual
+zigzag of a repetitive filtration on the sweep's ids; both records go
+through ``_solve`` and ``_remap_pairs``. (The dual zigzag of a
+non-repetitive filtration needs no record: ``manifold._top_fields`` pairs
+it with two union-finds.) The public steps (``to_updown``,
 ``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
 reduce the boundary matrix and are the specification it is tested
 against; those that read a filtration admit it as it does.
@@ -218,7 +217,9 @@ def _vertex_pairs(facets, dims, dels) -> Iterator[Tuple[int, int]]:
     """Dimension 0's pairs in ``_solve``'s columns, by the elder rule: a union-find
     walks the coned 1-skeleton in column order (up edges by id, then the cones
     over vertices to the apex by reverse deletion), each root its set's smallest
-    column, and a merge pairs the younger root with the edge's column."""
+    column, and a merge pairs the younger root with the edge's column. ``_solve``
+    is its one caller; it writes these pairs and clears their death columns
+    from dimension 1."""
     n = len(dels)
     parent = list(range(n + 1))  # the apex and the up columns
     for s, q in enumerate(dims):
@@ -326,29 +327,24 @@ def extended_barcode(U: ZigzagFiltration) -> ExtendedBarcode:
     return _extended_from_pairs(_extended(sw, U._simplices), pairs, _essentials(pairs, len(death)))
 
 
-def _remap_pairs(death, dims, dels, add_at, del_at,
-                 unpaired: int = 0) -> List[Tuple[int, int, int, str, str]]:
+def _remap_pairs(death, dims, dels, add_at, del_at) -> List[Tuple[int, int, int, str, str]]:
     """Fused version of extended_from_reduction + ext_to_updown + updown_to_f.
 
     One walk over the death table ``_solve`` returns (birth column -> death
     column, -1 for none), in birth order, straight to the field tuples (dim,
     b, d, birth_type, death_type) of input-order intervals; add_at and
     del_at give each id's event index. Column c <= n is the up column of id
-    c - 1; column c > n is the cone over dels[2n - c]. ``unpaired`` is the
-    number of pairs the table leaves out (``manifold._copy_pairs`` leaves
-    out those of the dimension-1 intervals the non-repetitive manifold path
-    drops; ``_solve`` leaves out none); the apex stays unpaired.
+    c - 1; column c > n is the cone over dels[2n - c].
     Must stay interval-for-interval equal to the composed public operations
     (a property test holds it to that).
     """
     n = len(dels)
     n2 = 2 * n
-    if len(death) - death.count(-1) != n - unpaired:
+    if len(death) - death.count(-1) != n:
         used = {c for i, j in enumerate(death) if j >= 0 for c in (i, j)}
         essentials = tuple(c for c in range(n2 + 1) if c not in used)
-        expected = (f"the apex column and {2 * unpaired} more as the essentials" if unpaired
-                    else "the apex column as the only essential")
-        raise InternalInconsistencyError(f"expected {expected}, got {essentials}")
+        raise InternalInconsistencyError(
+            f"expected the apex column as the only essential, got {essentials}")
     if death[0] >= 0:
         raise InternalInconsistencyError("apex column appears in a pair")
     out = []

@@ -307,7 +307,7 @@ def test_a8_manifold_path_scaling():
     pipeline + duality at every size and grow near linearly."""
     ms = []
     times = []
-    ratio = None
+    ratios = {}
     for a in (10, 20, 40):
         verts, faces = torus_mesh_points(a, a)
         f = generate(OffMesh(tuple(verts), tuple(faces)), axis="x", switches=3 * a * a, seed=8)
@@ -317,14 +317,14 @@ def test_a8_manifold_path_scaling():
         assert rel == want, f"m={len(f)}: dual-graph path != pipeline + duality"
         ms.append(len(f))
         times.append(elapsed)
-        if len(f) == 4800:
-            ratio = elapsed / other
+        ratios[len(f)] = elapsed / other
     exponent = math.log(times[-1] / times[0]) / math.log(ms[-1] / ms[0])
     _report(
         "A8-manifold",
         exponent < 1.5,
         f"relative_top_barcode {', '.join(f'{t:.3f}s' for t in times)} over m={ms}, "
-        f"growth exponent {exponent:.2f}; {ratio:.1f}x pipeline + duality at m=4800",
+        f"growth exponent {exponent:.2f}; {ratios[4800]:.2f}x pipeline + duality at m=4800, "
+        f"{ratios[19200]:.2f}x at m=19200",
     )
     assert ms == [1200, 4800, 19200]
     assert exponent < 1.5, f"growth exponent {exponent:.2f}"

@@ -793,23 +793,30 @@ def test_manifold_recover_admits_once_as_the_two_public_calls(text, p, tmp_path,
     path.write_text(text)
     f = parse_filtration(text).filtration
     want = _relative_then_recovered(f, f.total_complex(), p)
-    calls, walks = [], []
+    calls, passes = [], []
 
     def spy(g, inner=zzpers.filtration._sweep):
         calls.append(g)
         return inner(g)
 
-    def walk_spy(*record, inner=manifold._arrow_fields):
-        walks.append(record)
-        return inner(*record)
+    def passes_spy(*args, inner=manifold._top_fields):
+        passes.append("passes")
+        return inner(*args)
+
+    def walk_spy(*args, inner=manifold._copies):
+        passes.append("walk")
+        return inner(*args)
 
     monkeypatch.setattr(zzpers.filtration, "_sweep", spy)
-    monkeypatch.setattr(manifold, "_arrow_fields", walk_spy)
+    monkeypatch.setattr(manifold, "_top_fields", passes_spy)
+    monkeypatch.setattr(manifold, "_copies", walk_spy)
     code = main(["manifold", str(path), "--p", str(p), "--recover"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == want
     assert len(calls) == 1
-    assert len(walks) == (code == 0)  # a refused f, the repetitive one too, is never walked
+    # an admitted f is paired once, by the passes; a refused f, the repetitive one
+    # too, is neither paired nor walked
+    assert passes == (["passes"] if code == 0 else [])
 
 
 def test_manifold_of_the_empty_file_is_the_empty_relative_barcode(tmp_path, capsys):

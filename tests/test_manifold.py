@@ -1,6 +1,7 @@
 import gc
 import itertools
 import sys
+from array import array
 from collections import Counter
 
 import pytest
@@ -227,26 +228,32 @@ def test_manifold_absolute_barcode_sweeps_its_filtration_once(monkeypatch):
     v = sx(0)
     repetitive = ZigzagFiltration([*f.events, FiltrationEvent.add(v), FiltrationEvent.delete(v)])
     want = recover_absolute_from_relative(relative_top_barcode(f, K, 2), f, K, 2)
-    swept, sweeps, holders = [], [], []
+    swept, sweeps, holders, walks = [], [], [], []
 
     def sweep_spy(g, inner=zzpers.filtration._sweep):
         swept.append(g)
         sweeps.append(inner(g))
         return sweeps[-1]
 
-    def passes_spy(*args, inner=manifold._copy_pairs):
+    def passes_spy(*args, inner=manifold._top_fields):
         holders.append(sys.getrefcount(sweeps[-1]) - 2)  # less this list's and the argument's
         return inner(*args)
 
+    def walk_spy(*args, inner=manifold._copies):
+        walks.append(args)
+        return inner(*args)
+
     monkeypatch.setattr(zzpers.filtration, "_sweep", sweep_spy)
-    monkeypatch.setattr(manifold, "_copy_pairs", passes_spy)
+    monkeypatch.setattr(manifold, "_top_fields", passes_spy)
+    monkeypatch.setattr(manifold, "_copies", walk_spy)
     assert manifold_absolute_barcode(f, K, 2) == want
     assert len(swept) == 1 and swept[0] is f
-    assert holders == [0]  # the sweep is dropped before the passes pair the copies
+    assert holders == [0]  # the sweep is dropped before the passes run
+    assert walks == []
     # a repetitive f is refused from its one sweep, before the dual zigzag is walked
     with pytest.raises(NotNonRepetitiveError):
         manifold_absolute_barcode(repetitive, K, 2)
-    assert len(swept) == 2 and swept[1] is repetitive and holders == [0]
+    assert len(swept) == 2 and swept[1] is repetitive and holders == [0] and walks == []
 
 
 def test_manifold_path_builds_no_dual_graph_or_graph_zigzag(monkeypatch):
@@ -308,10 +315,11 @@ def _solve_spy(monkeypatch):
 
 @pytest.mark.parametrize("name", list(MANIFOLDS))
 def test_relative_top_barcode_equals_the_graph_route(name, monkeypatch):
-    """Same barcode, and the same copy record: the initial copies come in
-    the dual graph's order, as the graph route adds them. The walk of f
-    runs no matrix solve, that of its repetitive tail runs one; the first
-    cases are held to the brute-force oracle too."""
+    """Same barcode. f goes through the two union-finds, with no copy record
+    and no matrix solve; the walk of its repetitive tail records the same
+    copies as the graph route (the initial copies in the dual graph's order,
+    as the graph route adds them) and runs one matrix solve. The first cases
+    are held to the brute-force oracle too."""
     make, p = MANIFOLDS[name]
     K = make()
     tops = K.of_dim(p)
@@ -328,11 +336,14 @@ def test_relative_top_barcode_equals_the_graph_route(name, monkeypatch):
         assert find_repetition(repetitive) is not None
         for g in (f, repetitive):
             calls.update(armed=g is f, solves=0)
+            walked = len(records)
             rel = relative_top_barcode(g, K, p)
-            assert calls["solves"] == (g is repetitive)
+            assert calls["solves"] == len(records) - walked == (g is repetitive)
             calls["armed"] = False  # the graph route pairs every record by the matrix solve
             assert rel == _graph_route(g, K, p), g
-            assert records[-2] == records[-1]
+            assert len(records) - walked == 1 + (g is repetitive)
+            if g is repetitive:
+                assert records[-2] == records[-1]
             assert rel.kind == RELATIVE and rel.m == len(g) and len(rel)
             if case < 3:
                 assert rel == oracle_relative(g).in_dim(p), g
@@ -341,13 +352,19 @@ def test_relative_top_barcode_equals_the_graph_route(name, monkeypatch):
 @pytest.mark.parametrize("name", list(MANIFOLDS))
 def test_a_non_repetitive_walk_runs_no_matrix_solve(name, monkeypatch, tmp_path, capsys):
     """relative_top_barcode, manifold_absolute_barcode and ``zzpers manifold
-    --recover`` on non-repetitive filtrations: two union-finds, no ``_solve``."""
+    --recover`` on non-repetitive filtrations: two union-finds, no copy
+    record (``_copies``) and no ``_solve``."""
     make, p = MANIFOLDS[name]
     K = make()
     rng = SplitMix64(0xF0)
     cases = [random_nonrepetitive(rng, sorted(K.simplex_set())) for _ in range(8)]
     want = [(relative_top_barcode(f, K, p), manifold_absolute_barcode(f, K, p)) for f in cases]
     calls = _solve_spy(monkeypatch)
+
+    def no_record(*args):
+        raise AssertionError("a non-repetitive walk built a copy record")
+
+    monkeypatch.setattr(manifold, "_copies", no_record)
     path = tmp_path / "f.zz"
     for f, (rel, absolute) in zip(cases, want):
         assert relative_top_barcode(f, K, p) == rel
@@ -358,10 +375,19 @@ def test_a_non_repetitive_walk_runs_no_matrix_solve(name, monkeypatch, tmp_path,
     assert calls == {"armed": True, "solves": 0}
 
 
+def _read_repetition_as(monkeypatch, repetition):
+    """Make the manifold path read ``repetition`` off every admission sweep,
+    so it takes the route of the other kind of filtration."""
+    admitted = manifold._admitted_filling
+    monkeypatch.setattr(manifold, "_admitted_filling",
+                        lambda *args: admitted(*args)._replace(repetition=repetition))
+
+
 def test_a_repetitive_walk_goes_through_the_matrix_solve(monkeypatch):
     """A triangle built and torn down, then two of its vertices again: the
-    interval [14, 14] needs the matrix solve, and the two union-finds of
-    the non-repetitive walk would lose it."""
+    interval [14, 14] needs the matrix solve. The two union-finds of a
+    non-repetitive f, run on this f, lose it: they make only closed-open
+    and open-closed intervals."""
     f = zz("a 0", "a 1", "a 2", "a 0 1", "a 0 2", "a 1 2", "d 0 1", "d 0 2", "d 1 2", "d 1",
            "d 2", "d 0", "a 2", "a 0", "d 2", "d 0")
     K = polygon(3)
@@ -370,47 +396,79 @@ def test_a_repetitive_walk_goes_through_the_matrix_solve(monkeypatch):
     rel = relative_top_barcode(f, K, 1)
     assert calls["solves"] == 1
     assert rel == _graph_route(f, K, 1) == oracle_relative(f).in_dim(1)
-    arrow_fields = manifold._arrow_fields
-    monkeypatch.setattr(manifold, "_arrow_fields", lambda *args: arrow_fields(*args[:-1], False))
+    _read_repetition_as(monkeypatch, None)
     calls["armed"] = True
     skipped = relative_top_barcode(f, K, 1)
-    assert set(rel.to_text().splitlines()) - set(skipped.to_text().splitlines()) == {"1 14 14 cc"}
+    assert "1 14 14 cc" in set(rel.to_text().splitlines()) - set(skipped.to_text().splitlines())
+    assert {i.type_code for i in skipped} == {"co", "oc"}
 
 
 def test_the_pairs_the_walk_leaves_out_are_closed_closed_of_dimension_1(monkeypatch):
-    """On a non-repetitive walk, the union-finds' table is ``_solve``'s less
-    the pairs of the cycle-closing edge copies, which remap to closed-closed
-    intervals of dimension 1; ``_remap_pairs`` expects exactly that count."""
-    passes, remap = manifold._copy_pairs, manifold._remap_pairs
-    records = _capture_copy_records(monkeypatch)
+    """The two union-finds of a non-repetitive f skip the ridges that close a
+    cycle. Walked as a copy record and paired by ``_solve`` instead, the same
+    dual zigzag gives the same barcode, and every pair ``_remap_pairs`` makes
+    beyond it is a closed-closed interval of dimension 1: one per skipped
+    ridge in each pass. ``_remap_pairs`` refuses a table short of a pair or
+    with a paired apex."""
+    remap = manifold._remap_pairs
     rng = SplitMix64(0xF2)
+    cases = []
     for make, p in MANIFOLDS.values():
         K = make()
         f = random_nonrepetitive(rng, sorted(K.simplex_set()))
-        relative_top_barcode(f, K, p)
+        cases.append((K, p, f, relative_top_barcode(f, K, p)))
+    records = _capture_copy_records(monkeypatch)
+    _read_repetition_as(monkeypatch, (None, 0, 0))
+    for K, p, f, rel in cases:
+        assert relative_top_barcode(f, K, p) == rel
         facets, dims, dels, add_at, del_at = records[-1]
-        full = _solve(facets, dims, dels)[0]
-        death, unpaired = passes(facets, dims, dels)
-        assert 0 < unpaired == death.count(-1) - full.count(-1)
-        assert all(d in (-1, full[b]) for b, d in enumerate(death))
-        kept = Counter(remap(death, dims, dels, add_at, del_at, unpaired))
-        left_out = Counter(remap(full, dims, dels, add_at, del_at)) - kept
-        assert sum(left_out.values()) == unpaired
-        assert {iv[0] for iv in left_out} == {1} and {iv[3:] for iv in left_out} == {("c", "c")}
-        for wrong in (0, unpaired - 1, unpaired + 1):
-            with pytest.raises(InternalInconsistencyError, match="^expected the apex column"):
-                remap(death, dims, dels, add_at, del_at, wrong)
-        death[0] = len(death) - 1  # one more pair, at the apex
+        death = _solve(facets, dims, dels)[0]
+        full = remap(death, dims, dels, add_at, del_at)
+        left_out = [iv for iv in full if iv[0] == 1]
+        components = sum(1 for i in rel if i.b == 0)
+        cycles = len(K.of_dim(p - 1)) - len(K.of_dim(p)) + components  # per pass
+        assert len(left_out) == 2 * cycles > 0
+        assert {iv[3:] for iv in left_out} == {("c", "c")}
+        b = next(b for b, d in enumerate(death) if d >= 0)
+        short = array("l", death)
+        short[b] = -1
+        with pytest.raises(InternalInconsistencyError,
+                           match="^expected the apex column as the only essential, got "):
+            remap(short, dims, dels, add_at, del_at)
+        short[0] = death[b]  # the pair moved to the apex
         with pytest.raises(InternalInconsistencyError, match="^apex column appears in a pair$"):
-            remap(death, dims, dels, add_at, del_at, unpaired - 1)
+            remap(short, dims, dels, add_at, del_at)
 
 
-@pytest.mark.parametrize("p", ["1", 1.0, True], ids=["str", "float", "bool"])
+def test_a_non_repetitive_barcode_has_one_end_interval_of_each_kind_per_strong_component():
+    """Each strong component of K is one set left at the end of each of the
+    two union-finds: one [0, i] closed-open and one [j, m] open-closed
+    interval. The rest lie inside (0, m), closed-open or open-closed."""
+    two_polygons = SimplicialComplex.closure(
+        [*polygon(7).of_dim(1), *(Simplex((7 + i, 7 + (i + 1) % 3)) for i in range(3))])
+    cases = [(octahedron(), 2, 1), (grid_torus(), 2, 1), (octahedra_wedge(), 2, 2),
+             (polygon(), 1, 1), (two_polygons, 1, 2)]
+    rng = SplitMix64(0xF4)
+    for K, p, components in cases:
+        for _ in range(10):
+            f = random_nonrepetitive(rng, sorted(K.simplex_set()))
+            m = len(f)
+            rel = relative_top_barcode(f, K, p)
+            kinds = Counter((i.b == 0, i.d == m, i.type_code) for i in rel)
+            assert kinds[True, False, "co"] == kinds[False, True, "oc"] == components
+            assert set(kinds) <= {(True, False, "co"), (False, True, "oc"),
+                                  (False, False, "co"), (False, False, "oc")}
+            assert rel == _graph_route(f, K, p)
+
+
+@pytest.mark.parametrize("p", ["1", 1.0, True, None], ids=["str", "float", "bool", "none"])
 def test_the_manifold_entries_refuse_a_p_that_is_no_int(p):
     K = polygon(3)
     f = random_nonrepetitive(SplitMix64(0xF3), sorted(K.simplex_set()))
+    rel = relative_top_barcode(f, K, 1)
     for call in (relative_top_barcode, manifold_absolute_barcode, dual_filtration,
-                 lambda f, K, p: dual_graph(K, p)):
+                 lambda f, K, p: dual_graph(K, p),
+                 lambda f, K, p: recover_absolute_from_relative(rel, f, K, p)):
         with pytest.raises(InvalidInputError) as err:
             call(f, K, p)
         assert str(err.value) == f"dual graph needs an int p, got {p!r}"
@@ -445,7 +503,7 @@ def test_manifold_path_pauses_the_gc_and_builds_no_cycle(enabled, monkeypatch):
     K = grid_torus()
     f = random_nonrepetitive(SplitMix64(6), sorted(K.simplex_set()))
     paused = []  # the GC state where each call does its main work
-    for module, name in ((manifold, "_copy_pairs"), (duality, "_top_components")):
+    for module, name in ((manifold, "_top_fields"), (duality, "_top_components")):
         def spy(*args, inner=getattr(module, name)):
             paused.append(not gc.isenabled())
             return inner(*args)
@@ -686,8 +744,9 @@ def test_zero_dim_zigzag_hands_its_passes_a_valid_copy_record(monkeypatch):
 
 
 def test_the_manifold_walk_hands_its_passes_a_valid_copy_record(monkeypatch):
-    """The walk on the sweep's ids: one copy per dual cell before arrow 0 and
-    one per re-entry, every cell's last copy deleted after the last arrow."""
+    """The walk of a repetitive f on the sweep's ids: one copy per dual cell
+    before arrow 0 and one per re-entry, every cell's last copy deleted
+    after the last arrow. A non-repetitive f records no copies."""
     records = _capture_copy_records(monkeypatch)
     rng = SplitMix64(0x0D2)
     for K in (octahedron(), grid_torus(), octahedra_wedge()):
@@ -697,14 +756,18 @@ def test_the_manifold_walk_hands_its_passes_a_valid_copy_record(monkeypatch):
             v = sx(0)
             for g in (f, ZigzagFiltration([*f.events, FiltrationEvent.add(v),
                                            FiltrationEvent.delete(v)])):
+                walked = len(records)
                 relative_top_barcode(g, K, 2)
+                if g is f:
+                    assert len(records) == walked
+                    continue
                 _assert_valid_copy_record(*records[-1])
                 dims = records[-1][1]
                 reentries = sum(e.direction == DEL and e.simplex.dim >= 1 for e in g.events)
                 assert len(dims) == cells + reentries
                 assert dims.count(0) == len(K.of_dim(2)) + sum(
                     e.direction == DEL and e.simplex.dim == 2 for e in g.events)
-    assert len(records) == 60
+    assert len(records) == 30
 
 
 def test_zero_dim_zigzag_builds_no_simplex_event_or_sweep(monkeypatch):

@@ -48,7 +48,7 @@ from zzpers.io import (
 from zzpers.manifold import ADD_EDGE, ADD_VERTEX, DEL_EDGE, DEL_VERTEX, NOOP
 from zzpers.pipeline import _solve, _vertex_pairs
 from zzpers.reduction import extended_from_reduction
-from test_manifold import _oracle_zero_dim
+from test_manifold import _graph_route, _oracle_zero_dim, polygon
 from test_pipeline import _boundary_pairs, _coned_coboundaries, _record
 from conftest import octahedron, torus_mesh_points, zz
 
@@ -225,16 +225,14 @@ def test_zero_dim_zigzag_matches_oracle_on_generated_graph_zigzags(g):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(graph_zigzags())
 def test_copy_pairs_equal_the_coboundary_solve_on_generated_graph_zigzags(g):
-    """A graph zigzag's copy record goes to ``_solve``, whose pairs are the
-    full coned matrix's; the union-finds of ``_copy_pairs`` make a subset of
-    them and count the pairs they leave out."""
+    """A graph zigzag's copy record goes to ``_solve``, whose pairs, its
+    dimension-0 union-find's among them, are the full coned matrix's."""
     records = []
     arrow_fields = manifold._arrow_fields
 
-    def capture(facets, dims, dels, *rest, repetitive):
-        assert repetitive  # a graph zigzag may repeat a cell, so it goes to _solve
+    def capture(facets, dims, dels, *rest):
         records.append((facets, dims, dels))
-        return arrow_fields(facets, dims, dels, *rest, repetitive=repetitive)
+        return arrow_fields(facets, dims, dels, *rest)
 
     manifold._arrow_fields = capture
     try:
@@ -243,12 +241,30 @@ def test_copy_pairs_equal_the_coboundary_solve_on_generated_graph_zigzags(g):
         manifold._arrow_fields = arrow_fields
     (record,) = records
     death = _solve(*record)[0]
-    passes, cycles = manifold._copy_pairs(*record)
-    assert all(d in (-1, death[b]) for b, d in enumerate(passes))
-    assert passes.count(-1) - death.count(-1) == cycles
-    # the solve and pass a share the dimension-0 walk, which the full matrix checks apart
     pairs = [(i, d) for i, d in enumerate(death) if d >= 0]
     assert pairs == _boundary_pairs(*_coned_coboundaries(*record))
+
+
+# closed manifolds and their top dimension p
+TOP_MANIFOLDS = {"7-gon": (polygon(7), 1), "octahedron": (OCTAHEDRON, 2)}
+
+
+@st.composite
+def manifold_filtrations(draw):
+    """A closed manifold K, its top dimension p and a valid non-repetitive
+    filtration of K that starts and ends empty."""
+    K, p = TOP_MANIFOLDS[draw(st.sampled_from(sorted(TOP_MANIFOLDS)))]
+    return K, p, _timed_filtration(draw, sorted(K.simplex_set()))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(manifold_filtrations())
+def test_relative_top_barcode_equals_the_graph_route_on_generated_filtrations(case):
+    """The two union-finds of a non-repetitive f against the copy record of
+    its ``dual_filtration`` paired by the matrix solve."""
+    K, p, f = case
+    assert find_repetition(f) is None
+    assert relative_top_barcode(f, K, p) == _graph_route(f, K, p)
 
 
 INDICES = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, None, "a"])
