@@ -83,6 +83,8 @@ class Barcode:
     def __init__(self, intervals: Iterable[Interval], m: int, kind: str):
         if kind not in (ABSOLUTE, RELATIVE):
             raise InvalidInputError(f"unknown barcode kind {kind!r}")
+        if type(m) is not int:  # a bool is not; its text would not parse back
+            raise InvalidInputError(f"module length must be an int, got {m!r}")
         if m < 0:
             raise InvalidInputError("module length must be non-negative")
         try:

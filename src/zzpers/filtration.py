@@ -8,7 +8,6 @@ values; every operation returns a new one.
 from __future__ import annotations
 
 import gc
-import sys
 from array import array
 from collections import namedtuple
 from contextlib import contextmanager
@@ -255,17 +254,10 @@ def _additions(simplices: Iterable[Simplex]) -> ZigzagFiltration:
     return ZigzagFiltration._of_record(ids, vts, simplices=simplices)
 
 
-# the direction of a signed id, indexed by the byte of it that holds its sign
-_DIRECTION_OF_SIGN_BYTE = bytes(ord(ADD if b < 128 else DEL) for b in range(256))
-
-
-def _directions(ids: array, start: int = 0) -> Tuple[str, ...]:
-    """The direction of each signed id in an int array from position start
-    on: ADD for an id, DEL for ~id, read off the byte of each id that holds
-    its sign (a walk over the ids in Python takes about five times as long)."""
-    k = ids.itemsize
-    signs = ids.tobytes()[start * k + (k - 1 if sys.byteorder == "little" else 0) :: k]
-    return tuple(signs.translate(_DIRECTION_OF_SIGN_BYTE).decode("ascii"))
+def _directions(ids, start: int = 0) -> Tuple[str, ...]:
+    """The direction of each signed id from position start on: ADD for an
+    id, DEL for ~id."""
+    return tuple([ADD if j >= 0 else DEL for j in islice(ids, start, None)])
 
 
 class Violation(NamedTuple):
@@ -514,8 +506,8 @@ def _switched(f: ZigzagFiltration, j: int, first_dir: str) -> ZigzagFiltration:
     of first appearance when the result is valid."""
     order, words = {DEL: ("delete-then-add", "deletion and addition"),
                     ADD: ("add-then-delete", "addition and deletion")}[first_dir]
-    if not 1 <= j < len(f):
-        raise InvalidSwitchError(f"switch position {j} out of range")
+    if type(j) is not int or not 1 <= j < len(f):
+        raise InvalidSwitchError(f"switch position {j!r} out of range")
     ids, vts = f._ids
     k = len(f.initial) + j  # the position of event j
     first, second = ids[k - 1], ids[k]
@@ -545,6 +537,13 @@ def inward_switch(f: ZigzagFiltration, j: int) -> ZigzagFiltration:
     return _switched(f, j, ADD)
 
 
+def _refuse_non_int(x, name: str) -> None:
+    """InvalidInputError, naming the argument, for a count or seed that is
+    not an int (a bool is not)."""
+    if type(x) is not int:
+        raise InvalidInputError(f"{name} must be an int, got {x!r}")
+
+
 def random_outward_walk(
     f: ZigzagFiltration, steps: int, seed: int
 ) -> Tuple[ZigzagFiltration, int]:
@@ -557,6 +556,8 @@ def random_outward_walk(
     deterministic bit-for-bit. Returns (filtration, steps actually taken);
     the walk stops early once no legal position remains.
     """
+    _refuse_non_int(steps, "steps")
+    _refuse_non_int(seed, "seed")
     if not f.is_updown():
         raise NotUpDownError("random walk starts from an up-down filtration")
     ids, vts = f._ids

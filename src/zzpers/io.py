@@ -24,7 +24,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, Interval
 from .complexes import Simplex
 from .errors import InvalidInputError
-from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused, random_outward_walk
+from .filtration import ADD, DEL, ZigzagFiltration, _gc_paused, _refuse_non_int
+from .filtration import random_outward_walk
 
 FILT_HEADER = "zzfilt v1"
 BAR_HEADER = "zzbar v1"
@@ -333,6 +334,7 @@ def generate(
     """
     if axis not in _AXES:
         raise InvalidInputError(f"axis must be one of x, y, z, got {axis!r}")
+    _refuse_non_int(switches, "switches")  # the walk refuses a seed that is no int
     if switches < 0:
         raise InvalidInputError(f"switches must be non-negative, got {switches}")
     if rips_radius is not None and not rips_radius >= 0:  # NaN fails every comparison

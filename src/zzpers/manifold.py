@@ -22,17 +22,14 @@ that sweep, the one recovery entry of the library and of ``zzpers manifold
 --recover``.
 
 Any other zigzag of subgraphs may bring a cell back (the dual zigzag of a
-repetitive filtration, and any ``GraphZigzag``). Giving every (re)entry a
-fresh copy of the cell makes it a non-repetitive filtration (the copy trick
-of Dey & Hou, *Fast Computation of Zigzag Persistence*, ESA 2022). A walk
-over the zigzag gives the copies dense ids and records them as the
-pipeline's solve reads them (``_copies``), so no simplex, event or
-filtration is built for them: ``relative_top_barcode`` walks a repetitive
-f's dual zigzag on its sweep's ids, and ``zero_dim_zigzag`` walks a given
-``GraphZigzag``, checking it cell by cell. ``_arrow_fields`` pairs the
-record by the pipeline's standard-persistence solve (``pipeline._solve``),
-maps the pairs to intervals (``pipeline._remap_pairs``) and those to the
-zigzag's arrows.
+repetitive filtration, and any ``GraphZigzag``). A walk over it feeds the
+pipeline's copy recorder (``pipeline._copies``, which explains the copy
+trick): ``relative_top_barcode`` walks a repetitive f's dual zigzag on its
+sweep's ids, and ``zero_dim_zigzag`` walks a given ``GraphZigzag``,
+checking it cell by cell. ``_arrow_fields`` pairs the record by the
+pipeline's standard-persistence solve (``pipeline._solve``), maps the
+pairs to intervals (``pipeline._remap_pairs``) and those to the zigzag's
+arrows.
 """
 
 from __future__ import annotations
@@ -40,13 +37,13 @@ from __future__ import annotations
 from itertools import chain, islice, repeat
 from typing import List, NamedTuple, Optional, Tuple
 
-from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode
+from .barcode import ABSOLUTE, CLOSED, OPEN, RELATIVE, Barcode, classify_ends
 from .complexes import DualGraph, SimplicialComplex, _dual_cells, _find, dual_graph
 from .duality import _admitted_filling, _recovered, _top_components
 from .errors import InvalidInputError
 from .filtration import ADD, DEL, ZigzagFiltration, _directions, _gc_paused
 from .filtration import _raise_if_repetitive
-from .pipeline import _remap_pairs, _solve
+from .pipeline import _copies, _remap_pairs, _solve
 
 ADD_VERTEX = "+v"
 DEL_VERTEX = "-v"
@@ -136,11 +133,10 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     The walk checks g event by event (InvalidInputError), one ``enter`` and
     one ``leave`` on ``_copies``' cell table, and lists its steps, with the
     initial graph added before the first arrow and what is left deleted
-    after the last, edges first; identity arrows add nothing. ``_copies``
-    gives every (re)entry of a cell a fresh copy, so the copies form a
-    standardized non-repetitive filtration, and ``_arrow_fields`` pairs them
-    by ``pipeline._solve`` (g may repeat a cell) and maps the intervals to
-    g's arrows. This is the graph entry point; the manifold path hands the
+    after the last, edges first; identity arrows add nothing.
+    ``pipeline._copies`` records the steps (g may repeat a cell), and
+    ``_arrow_fields`` pairs the record and maps the intervals to g's
+    arrows. This is the graph entry point; the manifold path hands the
     same two the dual zigzag of a repetitive filtration, walked on its
     sweep's ids with nothing left to check (``_relative_top``).
     """
@@ -220,49 +216,6 @@ def zero_dim_zigzag(g: GraphZigzag) -> Barcode:
     return Barcode._of_fields(_arrow_fields(*record, directions, 0), m, ABSOLUTE)
 
 
-def _copies(steps, ends):
-    """Copy record of a valid zigzag of vertex and edge cells that starts and
-    ends empty; nothing is checked here.
-
-    ``steps`` gives (enters, cell, arrow) per event, ``ends`` per cell () for
-    a vertex, its two end cells for an edge, or None for a cell whose events
-    are identity arrows. Every entry of a cell is a fresh copy with a dense
-    id, in order of addition: a vertex copy has no facets, an edge copy the
-    present copies of its two ends. Returns per copy its facet ids and
-    dimension, the copies in order of deletion, per copy the positions of its
-    addition and deletion, and per position its arrow: what ``_arrow_fields``
-    reads.
-    """
-    dims: List[int] = []
-    facets: List[Tuple[int, ...]] = []
-    add_at: List[int] = []
-    del_at: List[int] = []
-    dels: List[int] = []
-    arrow_of: List[int] = []
-    copy = [-1] * len(ends)  # cell -> the id of its present copy
-    for enters, j, k in steps:
-        e = ends[j]
-        if e is None:
-            continue
-        if enters:
-            copy[j] = len(dims)
-            if e:
-                a, b = e
-                dims.append(1)
-                facets.append((copy[a], copy[b]))
-            else:
-                dims.append(0)
-                facets.append(())
-            add_at.append(len(arrow_of))
-            del_at.append(-1)
-        else:
-            c = copy[j]
-            del_at[c] = len(arrow_of)
-            dels.append(c)
-        arrow_of.append(k)
-    return facets, dims, dels, add_at, del_at, arrow_of
-
-
 def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim):
     """Field tuples, in dimension dim, of the 0-dimensional intervals of a copy
     record in the arrows of the zigzag it was walked from.
@@ -273,8 +226,7 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim)
     [a(b-1) + 1, a(d)] in arrows, where a(i) is ``arrow_of[i]`` (-1 before
     the first position and m after the last), and is dropped when it lives
     only inside one arrow's positions. End types follow ``directions``, the
-    arrows' own: closed at b when b = 0 or arrow b - 1 adds, closed at d when
-    d = m or arrow d deletes.
+    arrows' own (``barcode.classify_ends``).
     """
     m = len(directions)
     at = [-1, *arrow_of, m]  # at[i]: the arrow of position i - 1
@@ -282,8 +234,7 @@ def _arrow_fields(facets, dims, dels, add_at, del_at, arrow_of, directions, dim)
     for q, b, d, _, _ in _remap_pairs(_solve(facets, dims, dels)[0], dims, dels, add_at, del_at):
         b, d = at[b] + 1, at[d + 1]
         if q == 0 and b <= d:
-            out.append((dim, b, d, CLOSED if b == 0 or directions[b - 1] == ADD else OPEN,
-                        CLOSED if d == m or directions[d] == DEL else OPEN))
+            out.append((dim, b, d, *classify_ends(b, d, directions)))
     return out
 
 
@@ -379,11 +330,9 @@ def _relative_top(f: ZigzagFiltration, K: SimplicialComplex, p: int, recover: bo
     A repetitive f is walked: f is standardized, so the whole dual graph
     enters before arrow 0, in its own order (vertex tuples ascending), and
     leaves after arrow m - 1, edges first. Adding a p- or (p-1)-simplex
-    deletes the present copy of its dual cell, and deleting it adds a fresh
-    copy, an edge's facets the present copies of its two ends; events on
-    lower simplices add nothing. ``_copies`` records the walk as it does
-    ``zero_dim_zigzag``'s, and ``_arrow_fields`` pairs it by
-    ``pipeline._solve``.
+    deletes its dual cell, and deleting it adds the cell back; events on
+    lower simplices move none. ``pipeline._copies`` records the walk as it
+    does ``zero_dim_zigzag``'s, and ``_arrow_fields`` pairs it.
     """
     sw = _admitted_filling(f, K, "manifold path")
     tops, ridges, ends = _dual_cells(K, p, sw.vts, sw.facets, sw.index)

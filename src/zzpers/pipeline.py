@@ -22,12 +22,14 @@ order to the interval field tuples, and ``Barcode._of_fields`` sorts that
 list in place and keeps it. ``extended_barcode`` reads the same table,
 from ``_solve`` on an up-down filtration's own sweep, into the two-sided
 barcode.
-``manifold.zero_dim_zigzag`` fills the same dense-id record as it walks a
-graph zigzag, and ``manifold.relative_top_barcode`` as it walks the dual
-zigzag of a repetitive filtration on the sweep's ids; both records go
-through ``_solve`` and ``_remap_pairs``. (The dual zigzag of a
-non-repetitive filtration needs no record: ``manifold._top_fields`` pairs
-it with two union-finds.) The public steps (``to_updown``,
+``_copies`` records a zigzag of cells of any dimension that may bring a
+cell back as the same dense-id record, one fresh copy per entry of a cell:
+``manifold.zero_dim_zigzag`` walks a graph zigzag into it, and
+``manifold.relative_top_barcode`` the dual zigzag of a repetitive
+filtration on the sweep's ids; both records go through ``_solve`` and
+``_remap_pairs``. (The dual zigzag of a non-repetitive filtration needs no
+record: ``manifold._top_fields`` pairs it with two union-finds.) The
+public steps (``to_updown``,
 ``build_extended``, ``reduce_twist``, ``ext_to_updown``, ``updown_to_f``)
 reduce the boundary matrix and are the specification it is tested
 against; those that read a filtration admit it as it does.
@@ -325,6 +327,48 @@ def extended_barcode(U: ZigzagFiltration) -> ExtendedBarcode:
     death, _ = _solve(sw.facets, sw.dims, sw.dels)
     pairs = [(i, j) for i, j in enumerate(death) if j >= 0]
     return _extended_from_pairs(_extended(sw, U._simplices), pairs, _essentials(pairs, len(death)))
+
+
+def _copies(steps, ends):
+    """Dense-id record of a valid zigzag of cells that starts and ends empty;
+    nothing is checked here.
+
+    The zigzag may bring a cell back. Giving every (re)entry of a cell a
+    fresh copy makes the copies a non-repetitive filtration with the same
+    module (the copy trick of Dey & Hou, *Fast Computation of Zigzag
+    Persistence*, ESA 2022), which ``_solve`` pairs, with no simplex, event
+    or filtration built for them. ``steps`` gives (enters, cell, arrow) per
+    event, ``ends`` per cell its facet cells (() for a vertex), or None for
+    a cell whose events are identity arrows, which are skipped. Copies get
+    ids in order of addition; a copy's facets are the present copies of its
+    cell's ends, its dimension one less than their number (0 for none).
+    Returns per copy its facet ids and dimension, the copies in order of
+    deletion, per copy the positions of its addition and deletion, and per
+    position its arrow.
+    """
+    dims: List[int] = []
+    facets: List[Tuple[int, ...]] = []
+    add_at: List[int] = []
+    del_at: List[int] = []
+    dels: List[int] = []
+    arrow_of: List[int] = []
+    copy = [-1] * len(ends)  # cell -> the id of its present copy
+    for enters, j, k in steps:
+        e = ends[j]
+        if e is None:
+            continue
+        if enters:
+            copy[j] = len(dims)
+            dims.append(len(e) - 1 if e else 0)
+            facets.append(tuple([copy[x] for x in e]))
+            add_at.append(len(arrow_of))
+            del_at.append(-1)
+        else:
+            c = copy[j]
+            del_at[c] = len(arrow_of)
+            dels.append(c)
+        arrow_of.append(k)
+    return facets, dims, dels, add_at, del_at, arrow_of
 
 
 def _remap_pairs(death, dims, dels, add_at, del_at) -> List[Tuple[int, int, int, str, str]]:

@@ -19,6 +19,7 @@ from zzpers import (
 )
 from zzpers.barcode import _TEXT_CHUNK
 from zzpers.complexes import SimplicialComplex
+from zzpers.io import parse_barcode
 from conftest import zz
 
 
@@ -149,6 +150,14 @@ def test_barcode_checks_its_intervals_counts_and_context():
         Barcode([], 2, "x")
     with pytest.raises(InvalidInputError, match="^module length must be non-negative$"):
         Barcode([], -1, ABSOLUTE)
+
+
+def test_barcode_refuses_a_module_length_that_is_no_int():
+    for m in (3.5, True, "3", None):
+        with pytest.raises(InvalidInputError, match=rf"^module length must be an int, got {m!r}$"):
+            Barcode([], m, ABSOLUTE)
+    # what is accepted reads back from its own text
+    assert parse_barcode(Barcode([], 3, ABSOLUTE).to_text()) == Barcode([], 3, ABSOLUTE)
 
 
 def test_barcode_refuses_a_count_that_is_no_int_and_a_non_iterable():

@@ -7,6 +7,7 @@ from zzpers import (
     DEL,
     FiltrationEvent,
     InvalidDiamondError,
+    InvalidInputError,
     InvalidSwitchError,
     NotNonRepetitiveError,
     NotUpDownError,
@@ -227,6 +228,15 @@ def test_switch_error_texts():
         assert type(err.value) is error and str(err.value) == text
 
 
+def test_switch_refuses_a_position_that_is_no_int():
+    f = zz("a 0", "d 0", "a 1", "d 1")
+    for switch in (outward_switch, inward_switch):
+        for j in ("1", 1.0, True, 2.0, None):
+            with pytest.raises(InvalidSwitchError) as err:
+                switch(f, j)
+            assert str(err.value) == f"switch position {j!r} out of range"
+
+
 def test_inward_switch_and_round_trip():
     f = zz("a 0", "a 1", "d 0", "d 1")
     g = inward_switch(f, 2)
@@ -260,6 +270,19 @@ def test_walk_unique_legal_move():
         out, taken = random_outward_walk(f, 1, seed)
         assert out == zz("a 0", "d 0", "a 1", "d 1")
         assert taken == 1
+
+
+def test_walk_refuses_a_step_count_or_seed_that_is_no_int():
+    f = zz("a 0", "a 1", "d 0", "d 1")
+    for steps, seed, text in (("3", 1, "steps must be an int, got '3'"),
+                              (1.5, 1, "steps must be an int, got 1.5"),
+                              (True, 1, "steps must be an int, got True"),
+                              (3, "1", "seed must be an int, got '1'"),
+                              (3, 1.5, "seed must be an int, got 1.5"),
+                              (3, False, "seed must be an int, got False")):
+        with pytest.raises(InvalidInputError) as err:
+            random_outward_walk(f, steps, seed)
+        assert str(err.value) == text
 
 
 def test_walk_requires_updown():

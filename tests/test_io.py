@@ -435,6 +435,16 @@ def test_generate_rejects_negative_switches_and_radius():
     assert validate(generate(mesh, rips_radius=0.0)) == []
 
 
+def test_generate_refuses_a_switch_count_or_seed_that_is_no_int():
+    verts, faces = torus_mesh_points(4, 3)
+    mesh = OffMesh(tuple(verts), tuple(faces))
+    for name in ("switches", "seed"):
+        for bad in (1.5, True, "3", 2.0):
+            with pytest.raises(InvalidInputError) as err:
+                generate(mesh, **{name: bad})
+            assert str(err.value) == f"{name} must be an int, got {bad!r}"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("radius", [None, 1.0])
 def test_generate_refuses_a_non_finite_coordinate(bad, radius):

@@ -39,6 +39,7 @@ from zzpers import (
     zigzag_barcode,
 )
 import zzpers.filtration
+import zzpers.pipeline
 from zzpers import complexes, duality, manifold
 from zzpers.barcode import classify_ends
 from zzpers.filtration import ADD, DEL
@@ -787,3 +788,51 @@ def test_zero_dim_zigzag_builds_no_simplex_event_or_sweep(monkeypatch):
     monkeypatch.setattr(zzpers.reduction, "_reduce", forbidden)
     assert zero_dim_zigzag(g) == expected
     assert expected.m == 24 and len(expected)
+
+
+class _Seam(Exception):
+    """Raised by a seam the test below patches."""
+
+
+def _seam_calls():
+    """Named calls, each of which must pass through the seams the test
+    below lists for it."""
+    K = octahedron()
+    f = random_nonrepetitive(SplitMix64(5), sorted(K.simplex_set()))
+    v = sx(0)
+    repetitive = ZigzagFiltration([*f.events, FiltrationEvent.add(v), FiltrationEvent.delete(v)])
+    g = GraphZigzag(2, ((0, 1),), ((ADD_VERTEX, 0), (ADD_VERTEX, 1), (ADD_EDGE, 0), (DEL_EDGE, 0)))
+    return {
+        "graph": lambda: zero_dim_zigzag(g),
+        "relative": lambda: relative_top_barcode(f, K, 2),
+        "recovered": lambda: manifold_absolute_barcode(f, K, 2),
+        "repetitive": lambda: relative_top_barcode(repetitive, K, 2),
+        "compute": lambda: compute_zigzag(f),
+    }
+
+
+_SEAMS = [
+    (manifold, "_copies", ("graph", "repetitive")),
+    (manifold, "_solve", ("graph", "repetitive")),
+    (manifold, "_arrow_fields", ("graph", "repetitive")),
+    (manifold, "_top_fields", ("relative", "recovered")),
+    (manifold, "_admitted_filling", ("relative", "recovered", "repetitive")),
+    (zzpers.pipeline, "_reduce_dim", ("compute", "graph", "repetitive")),
+]
+
+
+@pytest.mark.parametrize("module, name, calls", _SEAMS,
+                         ids=[f"{module.__name__}.{name}" for module, name, _ in _SEAMS])
+def test_every_seam_the_suite_patches_is_on_the_calls_it_watches(module, name, calls,
+                                                                  monkeypatch):
+    # the suite's spies patch these names in these modules; a helper moved out of the
+    # namespace its spies patch would leave them watching nothing, and fails here instead
+    named = _seam_calls()
+
+    def seam(*args, **kwargs):
+        raise _Seam(name)
+
+    monkeypatch.setattr(module, name, seam)
+    for call in calls:
+        with pytest.raises(_Seam):
+            named[call]()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -12,11 +13,15 @@ from zzpers import (
     Barcode,
     ContractViolationError,
     EventIndexMap,
+    FiltrationEvent,
     InternalInconsistencyError,
     Interval,
     InvalidInputError,
     NotNonRepetitiveError,
+    Simplex,
+    SimplicialComplex,
     ZigzagFiltration,
+    boundary,
     check_diamond,
     compute_zigzag,
     ext_to_updown,
@@ -31,7 +36,7 @@ from zzpers import (
 )
 from zzpers.filtration import _admitted, _pad
 from zzpers.io import OffMesh, generate
-from zzpers.pipeline import _peak_rss_mb, _remap_pairs, _solve
+from zzpers.pipeline import _copies, _peak_rss_mb, _remap_pairs, _restrict_to_input, _solve
 from zzpers.reduction import ExtendedInterval, _reduce
 from zzpers.rng import SplitMix64
 from conftest import ev, random_nonrepetitive, sx, torus_mesh_points, zz
@@ -144,6 +149,96 @@ def test_truncated_filtration_restriction_vs_oracle():
         assert multiset_equal(got, want).equal
         checked += 1
     assert checked >= 8
+
+
+def _copy_steps(f):
+    """The admitted sweep of f padded by ``_pad``, its padding record, and
+    the steps ``_copies`` reads of it: (enters, id, position) per signed id,
+    then per deletion ``_pad`` appended."""
+    sw = _admitted(f)
+    unpadded = len(sw.dels)
+    record = _pad(sw, f)
+    steps = [(j >= 0, j if j >= 0 else ~j, k) for k, j in enumerate(sw.ids)]
+    steps += [(False, j, k) for k, j in enumerate(sw.dels[unpadded:], len(steps))]
+    return sw, record, steps
+
+
+def _cut(rng, events):
+    """A random window of the events, from a start taken as K_0: K_0 is
+    often not empty and the last complex often not empty either."""
+    m = len(events)
+    lo, hi = rng.below(m // 3 + 1), m - rng.below(m // 3 + 1)
+    return ZigzagFiltration(events[lo:hi], ZigzagFiltration(events).complex_at(lo))
+
+
+def _random_closure(rng):
+    """The simplices of the closure of one to three random simplices of
+    dimension 1 to 3 on four to six vertices, sorted."""
+    nv = 4 + rng.below(3)
+    tops = []
+    for _ in range(1 + rng.below(3)):
+        vs = list(range(nv))
+        rng.shuffle(vs)
+        tops.append(Simplex(vs[: 2 + rng.below(3)]))
+    return sorted(SimplicialComplex.closure(tops).simplex_set())
+
+
+def test_copies_of_a_non_repetitive_sweep_are_its_ids():
+    # each simplex comes once, so its copy is its sweep id, and the record is the sweep's own
+    rng = SplitMix64(0xC0F)
+    seen = {"non-empty K_0": 0, "padded end": 0, "dimension 3": 0}
+    for _ in range(100):
+        f = _cut(rng, random_nonrepetitive(rng, _random_closure(rng)).events)
+        sw, record, steps = _copy_steps(f)
+        assert _copies(steps, sw.facets) == (sw.facets, sw.dims, sw.dels, sw.add_at, sw.del_at,
+                                             list(range(len(steps))))
+        seen["non-empty K_0"] += record.prefix_length > 0
+        seen["padded end"] += record.suffix_length > 0
+        seen["dimension 3"] += 3 in sw.dims
+    assert all(seen.values()), seen
+
+
+def _random_zigzag(rng, simplices, m):
+    """m valid events on a face-closed simplex set: two in three add an
+    absent simplex whose facets are present, if there is one, the others
+    delete a present one with no present coface, each uniformly; on a small
+    set simplices often come back."""
+    present = set()
+    events = []
+    for _ in range(m):
+        adds = [s for s in simplices if s not in present and all(x in present for x in boundary(s))]
+        dels = [s for s in present if not any(s != t and s.is_face_of(t) for t in present)]
+        if adds and (not dels or rng.below(3)):
+            s = adds[rng.below(len(adds))]
+            present.add(s)
+            events.append(FiltrationEvent.add(s))
+        else:
+            s = sorted(dels)[rng.below(len(dels))]
+            present.remove(s)
+            events.append(FiltrationEvent.delete(s))
+    return events
+
+
+def test_copies_of_a_repetitive_sweep_pair_to_the_oracle_barcode():
+    # a fresh copy per re-addition makes the copies non-repetitive, so _solve pairs them
+    rng = SplitMix64(0xC0F1E5)
+    seen = {"repetitive": 0, "re-added simplex of dimension 2 or 3": 0, "non-empty K_0": 0,
+            "padded end": 0}
+    for _ in range(150):
+        f = _cut(rng, _random_zigzag(rng, _random_closure(rng), 4 + rng.below(33)))
+        sw, record, steps = _copy_steps(f)
+        facets, dims, dels, add_at, del_at, arrow_of = _copies(steps, sw.facets)
+        assert arrow_of == list(range(len(steps)))  # a position per event of the padded f
+        fields = _remap_pairs(_solve(facets, dims, dels)[0], dims, dels, add_at, del_at)
+        std = Barcode._of_fields(fields, len(steps), ABSOLUTE)
+        assert _restrict_to_input(std, record, f)[0] == oracle_absolute(f)
+        added = Counter(j for enters, j, _ in steps if enters)
+        seen["repetitive"] += len(dims) > len(added)
+        seen["re-added simplex of dimension 2 or 3"] += any(
+            c > 1 and sw.dims[j] >= 2 for j, c in added.items())
+        seen["non-empty K_0"] += record.prefix_length > 0
+        seen["padded end"] += record.suffix_length > 0
+    assert all(seen.values()), seen
 
 
 def test_empty_filtration():
